@@ -4,7 +4,8 @@ All output is UTF-8 JSON or JSONL on standard output, one record per
 line, with a fixed key order and canonical half-integer rendering, so
 runs are byte-for-byte reproducible. Exit codes: 0 when the query
 computed (vanishing included), 1 when a verification suite found
-failures, 2 on input errors.
+failures, 2 on input errors, 3 when an internal-consistency check failed
+(a bug, not bad input). Errors print one line on standard error.
 """
 
 from __future__ import annotations
@@ -14,8 +15,16 @@ import json
 import sys
 from typing import Sequence
 
-from .core import HCParam, HalfInt, LiftContext, Signature, conjugate_dual, parse_half_list
-from .errors import ThetaLiftError
+from .core import (
+    HCParam,
+    HalfInt,
+    LiftContext,
+    Signature,
+    conjugate_dual,
+    half_text,
+    parse_half_list,
+)
+from .errors import InternalError, ThetaLiftError
 from .ktypes import KType, correspond_ktype
 from .lifting import lift
 from .nonvanishing import c_count, invariants, occurs
@@ -104,8 +113,8 @@ def cmd_invariants(args: argparse.Namespace) -> int:
         "k_lambda": inv.k_lambda,
         "r_lambda": inv.r_lambda,
         "s_lambda": inv.s_lambda,
-        "X": [[str(v), "+" if sg > 0 else "-"] for v, sg in inv.X],
-        "X_inf": [[str(v), "+" if sg > 0 else "-"] for v, sg in inv.X_inf],
+        "X": [[half_text(t), "+" if sg > 0 else "-"] for t, sg in inv.X_tw],
+        "X_inf": [[half_text(t), "+" if sg > 0 else "-"] for t, sg in inv.X_inf_tw],
         "c_counts": [
             {"t": t, "plus": c_count(inv, +1, t), "minus": c_count(inv, -1, t)}
             for t in range(1, 11)
@@ -134,9 +143,9 @@ def cmd_apacket(args: argparse.Namespace) -> int:
     phi_p = AParameter(mus, mu0, target.n)
     n1 = phi_p.n + 1
     for bits in range(1 << n1):
-        signs = tuple(-1 if (bits >> i) & 1 else +1 for i in range(n1))
-        eta_p = SignCharacter(signs)
-        row: dict = {"eta": {"e0": eta_p.as_strings()[0], "signs": eta_p.as_strings()[1:]}}
+        eta_p = SignCharacter.from_bits(bits, n1)
+        signs = eta_p.as_strings()
+        row: dict = {"eta": {"e0": signs[0], "signs": signs[1:]}}
         if phi_p.tie_at_i0 and signs[0] != signs[phi_p.i0]:
             row["status"] = "invalid_character"
         else:
@@ -269,6 +278,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except InternalError as err:
+        print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
+        return 3
     except (ThetaLiftError, ValueError) as err:
         print(f"error: {type(err).__name__}: {err}", file=sys.stderr)
         return 2

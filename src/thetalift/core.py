@@ -1,9 +1,13 @@
 """Half-integer arithmetic, signatures, and Harish-Chandra parameters.
 
-Everything downstream works with elements of (1/2)Z, so the fundamental
-type here is HalfInt, an immutable wrapper around twice the value. All
-arithmetic is exact integer arithmetic on the doubled representation;
-floats never appear.
+Everything downstream works with elements of (1/2)Z, stored as their
+doubles: the value types (HCParam, ABGDSplit here, and the block and
+packet types downstream) hold tuples of doubled ints in their *_tw
+fields, and all arithmetic is exact integer arithmetic on them; floats
+never appear. HalfInt, an immutable wrapper around twice the value, is
+the type for parsing and rendering: the public accessors (entries,
+p_part, alpha, ...) return HalfInt, and HalfInt arguments are accepted
+by the public constructors.
 
 A discrete series of U(p, q) is recorded by its Harish-Chandra parameter:
 an n-tuple (n = p + q) of half-integers in Z + (n-1)/2, strictly
@@ -27,9 +31,9 @@ be nonzero.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .errors import (
     ChainNotPresent,
@@ -179,11 +183,16 @@ class HalfInt:
         return hash((self.twice, "half"))
 
     def __str__(self) -> str:
-        if self.twice % 2 == 0:
-            return str(self.twice // 2)
-        return f"{self.twice}/2"
+        return half_text(self.twice)
 
     __repr__ = __str__
+
+
+def half_text(twice: int) -> str:
+    """The canonical text of twice/2, as str(HalfInt) renders it: '3', '-7/2'."""
+    if twice % 2 == 0:
+        return str(twice // 2)
+    return f"{twice}/2"
 
 
 def half(twice: int) -> HalfInt:
@@ -219,57 +228,90 @@ class Signature:
         return f"({self.p},{self.q})"
 
 
-def _check_strictly_decreasing(part: tuple[HalfInt, ...], label: str) -> None:
+def _check_strictly_decreasing(part: tuple[int, ...], label: str) -> None:
     for a, b in zip(part, part[1:]):
-        if a.twice <= b.twice:
-            raise NotDominant(f"{label} must strictly decrease: {a} then {b}")
+        if a <= b:
+            raise NotDominant(
+                f"{label} must strictly decrease: {half_text(a)} then {half_text(b)}"
+            )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class HCParam:
     """Harish-Chandra parameter of a discrete series of U(p, q).
 
-    entries holds the p-part followed by the q-part. Validity: every
-    entry lies in Z + (n-1)/2, each part strictly decreases, and no
+    entries_tw holds the doubled entries, the p-part followed by the
+    q-part; entries, p_part and q_part render them as HalfInt. Validity:
+    every entry lies in Z + (n-1)/2, each part strictly decreases, and no
     value repeats across the whole tuple.
+
+    HCParam(sig, entries) takes HalfInt entries and from_twices(sig, tw)
+    the doubled ints; both validate through __post_init__.
     """
 
     sig: Signature
-    entries: tuple[HalfInt, ...]
+    entries_tw: tuple[int, ...]
+
+    def __init__(self, sig: Signature, entries: Iterable[HalfInt]) -> None:
+        object.__setattr__(self, "sig", sig)
+        object.__setattr__(self, "entries_tw", tuple(e.twice for e in entries))
+        self.__post_init__()
+
+    @classmethod
+    def from_twices(cls, sig: Signature, entries_tw: tuple[int, ...]) -> "HCParam":
+        """The parameter with entries entries_tw[i]/2."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "sig", sig)
+        object.__setattr__(out, "entries_tw", entries_tw)
+        out.__post_init__()
+        return out
 
     def __post_init__(self) -> None:
+        tw = self.entries_tw
         n = self.sig.n
-        if len(self.entries) != n:
-            raise ValueError(f"expected {n} entries, got {len(self.entries)}")
+        if len(tw) != n:
+            raise ValueError(f"expected {n} entries, got {len(tw)}")
         want = (n - 1) % 2
-        for e in self.entries:
-            if e.twice % 2 != want:
-                raise WrongParityClass(
-                    f"entry {e} is not in Z + ({n}-1)/2"
-                )
-        _check_strictly_decreasing(self.p_part, "p-part")
-        _check_strictly_decreasing(self.q_part, "q-part")
-        seen: set[int] = set()
-        for e in self.entries:
-            if e.twice in seen:
-                raise RepeatedEntry(f"entry {e} occurs twice")
-            seen.add(e.twice)
+        for t in tw:
+            if t % 2 != want:
+                raise WrongParityClass(f"entry {half_text(t)} is not in Z + ({n}-1)/2")
+        p = self.sig.p
+        _check_strictly_decreasing(tw[:p], "p-part")
+        _check_strictly_decreasing(tw[p:], "q-part")
+        if len(set(tw)) != n:
+            seen: set[int] = set()
+            for t in tw:
+                if t in seen:
+                    raise RepeatedEntry(f"entry {half_text(t)} occurs twice")
+                seen.add(t)
+
+    @property
+    def p_tw(self) -> tuple[int, ...]:
+        return self.entries_tw[: self.sig.p]
+
+    @property
+    def q_tw(self) -> tuple[int, ...]:
+        return self.entries_tw[self.sig.p :]
+
+    @property
+    def entries(self) -> tuple[HalfInt, ...]:
+        return tuple(HalfInt.halves(t) for t in self.entries_tw)
 
     @property
     def p_part(self) -> tuple[HalfInt, ...]:
-        return self.entries[: self.sig.p]
+        return tuple(HalfInt.halves(t) for t in self.p_tw)
 
     @property
     def q_part(self) -> tuple[HalfInt, ...]:
-        return self.entries[self.sig.p :]
+        return tuple(HalfInt.halves(t) for t in self.q_tw)
 
     @property
     def n(self) -> int:
         return self.sig.n
 
     def __str__(self) -> str:
-        left = " ".join(str(e) for e in self.p_part)
-        right = " ".join(str(e) for e in self.q_part)
+        left = " ".join(half_text(t) for t in self.p_tw)
+        right = " ".join(half_text(t) for t in self.q_tw)
         return f"({left} | {right})"
 
     @classmethod
@@ -286,20 +328,9 @@ class HCParam:
         return {
             "p": self.sig.p,
             "q": self.sig.q,
-            "p_part": [str(e) for e in self.p_part],
-            "q_part": [str(e) for e in self.q_part],
+            "p_part": [half_text(t) for t in self.p_tw],
+            "q_part": [half_text(t) for t in self.q_tw],
         }
-
-
-def validate_hc(raw_sig: tuple[int, int], raw_entries: Iterable[HalfInt | int]) -> HCParam:
-    """Build an HCParam from raw data, raising the specific validity error.
-
-    Raises WrongParityClass, NotDominant, or RepeatedEntry, in that order
-    of precedence; malformed signatures raise ValueError.
-    """
-    sig = Signature(*raw_sig)
-    entries = tuple(e if isinstance(e, HalfInt) else HalfInt(e) for e in raw_entries)
-    return HCParam(sig, entries)
 
 
 @dataclass(frozen=True, slots=True)
@@ -352,22 +383,61 @@ SIDE_Q = "Q"
 SIDE_NONE = "NONE"
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class ABGDSplit:
     """Positive/nonpositive split of lam - m0/2, with an optional chain.
 
     alpha and beta partition the (chain-stripped) p-part of lam0 into
     positive and nonpositive runs, gamma and delta the q-part; all four
-    keep the ambient descending order. x, y, z, w are their lengths and
-    chain_k / chain_side record the removed centered chain, if any.
+    keep the ambient descending order and are stored doubled in the *_tw
+    fields. x, y, z, w are their lengths and chain_k / chain_side record
+    the removed centered chain, if any.
     """
 
-    alpha: tuple[HalfInt, ...]
-    beta: tuple[HalfInt, ...]
-    gamma: tuple[HalfInt, ...]
-    delta: tuple[HalfInt, ...]
-    chain_k: int = 0
-    chain_side: str = SIDE_NONE
+    alpha_tw: tuple[int, ...]
+    beta_tw: tuple[int, ...]
+    gamma_tw: tuple[int, ...]
+    delta_tw: tuple[int, ...]
+    chain_k: int
+    chain_side: str
+
+    def __init__(
+        self,
+        alpha: Iterable[HalfInt],
+        beta: Iterable[HalfInt],
+        gamma: Iterable[HalfInt],
+        delta: Iterable[HalfInt],
+        chain_k: int = 0,
+        chain_side: str = SIDE_NONE,
+    ) -> None:
+        object.__setattr__(self, "alpha_tw", tuple(v.twice for v in alpha))
+        object.__setattr__(self, "beta_tw", tuple(v.twice for v in beta))
+        object.__setattr__(self, "gamma_tw", tuple(v.twice for v in gamma))
+        object.__setattr__(self, "delta_tw", tuple(v.twice for v in delta))
+        object.__setattr__(self, "chain_k", chain_k)
+        object.__setattr__(self, "chain_side", chain_side)
+        self.__post_init__()
+
+    @classmethod
+    def from_twices(
+        cls,
+        alpha_tw: tuple[int, ...],
+        beta_tw: tuple[int, ...],
+        gamma_tw: tuple[int, ...],
+        delta_tw: tuple[int, ...],
+        chain_k: int = 0,
+        chain_side: str = SIDE_NONE,
+    ) -> "ABGDSplit":
+        """The split with doubled runs."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "alpha_tw", alpha_tw)
+        object.__setattr__(out, "beta_tw", beta_tw)
+        object.__setattr__(out, "gamma_tw", gamma_tw)
+        object.__setattr__(out, "delta_tw", delta_tw)
+        object.__setattr__(out, "chain_k", chain_k)
+        object.__setattr__(out, "chain_side", chain_side)
+        out.__post_init__()
+        return out
 
     def __post_init__(self) -> None:
         if self.chain_side not in (SIDE_P, SIDE_Q, SIDE_NONE):
@@ -376,20 +446,36 @@ class ABGDSplit:
             raise ValueError("chain_k and chain_side must be set together")
 
     @property
+    def alpha(self) -> tuple[HalfInt, ...]:
+        return tuple(HalfInt.halves(t) for t in self.alpha_tw)
+
+    @property
+    def beta(self) -> tuple[HalfInt, ...]:
+        return tuple(HalfInt.halves(t) for t in self.beta_tw)
+
+    @property
+    def gamma(self) -> tuple[HalfInt, ...]:
+        return tuple(HalfInt.halves(t) for t in self.gamma_tw)
+
+    @property
+    def delta(self) -> tuple[HalfInt, ...]:
+        return tuple(HalfInt.halves(t) for t in self.delta_tw)
+
+    @property
     def x(self) -> int:
-        return len(self.alpha)
+        return len(self.alpha_tw)
 
     @property
     def y(self) -> int:
-        return len(self.beta)
+        return len(self.beta_tw)
 
     @property
     def z(self) -> int:
-        return len(self.gamma)
+        return len(self.gamma_tw)
 
     @property
     def w(self) -> int:
-        return len(self.delta)
+        return len(self.delta_tw)
 
 
 def _chain_twices(k: int) -> tuple[int, ...]:
@@ -399,19 +485,17 @@ def _chain_twices(k: int) -> tuple[int, ...]:
 
 def _split_part(part_twices: tuple[int, ...], strict: bool, label: str):
     """Positive prefix / nonpositive suffix of one descending part."""
-    pos = [t for t in part_twices if t > 0]
-    rest = [t for t in part_twices if t <= 0]
-    if strict:
-        for t in rest:
-            if t == 0:
-                raise UnclassifiableZero(f"zero in {label} outside the removed chain")
-    return tuple(pos), tuple(rest)
+    pos = tuple(t for t in part_twices if t > 0)
+    rest = tuple(t for t in part_twices if t <= 0)
+    if strict and 0 in rest:
+        raise UnclassifiableZero(f"zero in {label} outside the removed chain")
+    return pos, rest
 
 
 @lru_cache(maxsize=None)
 def _split_cached(lam: HCParam, m0: int, strict: bool, chain_k: int) -> ABGDSplit:
-    p_tw = tuple(e.twice - m0 for e in lam.p_part)
-    q_tw = tuple(e.twice - m0 for e in lam.q_part)
+    p_tw = tuple(t - m0 for t in lam.p_tw)
+    q_tw = tuple(t - m0 for t in lam.q_tw)
     side = SIDE_NONE
     if chain_k:
         if chain_k < 0:
@@ -429,13 +513,8 @@ def _split_cached(lam: HCParam, m0: int, strict: bool, chain_k: int) -> ABGDSpli
             )
     alpha, beta = _split_part(p_tw, strict, "p-part")
     gamma, delta = _split_part(q_tw, strict, "q-part")
-    return ABGDSplit(
-        alpha=tuple(half(t) for t in alpha),
-        beta=tuple(half(t) for t in beta),
-        gamma=tuple(half(t) for t in gamma),
-        delta=tuple(half(t) for t in delta),
-        chain_k=chain_k if side != SIDE_NONE else 0,
-        chain_side=side,
+    return ABGDSplit.from_twices(
+        alpha, beta, gamma, delta, chain_k if side != SIDE_NONE else 0, side
     )
 
 
@@ -471,9 +550,10 @@ def conjugate_dual(lam: HCParam, ctx: LiftContext) -> HCParam:
 
 @lru_cache(maxsize=None)
 def _conjugate_dual_m0(lam: HCParam, m0: int) -> HCParam:
-    p_new = tuple(half(2 * m0 - e.twice) for e in reversed(lam.p_part))
-    q_new = tuple(half(2 * m0 - e.twice) for e in reversed(lam.q_part))
-    return HCParam(lam.sig, p_new + q_new)
+    tw_m0 = 2 * m0
+    p_new = tuple(tw_m0 - t for t in reversed(lam.p_tw))
+    q_new = tuple(tw_m0 - t for t in reversed(lam.q_tw))
+    return HCParam.from_twices(lam.sig, p_new + q_new)
 
 
 def make_regular_deformation(lam: HCParam, ctx: LiftContext, t: int) -> HCParam:
@@ -489,25 +569,7 @@ def make_regular_deformation(lam: HCParam, ctx: LiftContext, t: int) -> HCParam:
     if not isinstance(t, int) or t < 1:
         raise PreconditionViolation(f"deformation step must be a positive integer, got {t}")
     sp = split_abgd(lam, ctx, LAX)
-    p_tw = [e.twice for e in lam.p_part]
-    q_tw = [e.twice for e in lam.q_part]
-    for i in range(len(p_tw)):
-        p_tw[i] += 2 * t if i < sp.x else -2 * t
-    for j in range(len(q_tw)):
-        q_tw[j] += 2 * t if j < sp.z else -2 * t
-    return HCParam(lam.sig, tuple(half(v) for v in p_tw + q_tw))
-
-
-def descending_merge(*streams: Iterable[tuple[int, object]]) -> Iterator[tuple[int, object]]:
-    """Merge descending (twice, tag) streams into one descending stream.
-
-    Ties are forbidden by the callers (values come from one parameter,
-    so they are globally distinct); assert rather than arbitrate.
-    """
-    items: list[tuple[int, object]] = []
-    for s in streams:
-        items.extend(s)
-    items.sort(key=lambda iv: -iv[0])
-    for (a, _), (b, _) in zip(items, items[1:]):
-        assert a != b, "merge saw a tied value"
-    return iter(items)
+    step = 2 * t
+    p_tw = tuple(v + step if i < sp.x else v - step for i, v in enumerate(lam.p_tw))
+    q_tw = tuple(v + step if j < sp.z else v - step for j, v in enumerate(lam.q_tw))
+    return HCParam.from_twices(lam.sig, p_tw + q_tw)

@@ -1,8 +1,9 @@
 """Exception hierarchy for the theta-lift calculator.
 
 Every domain error derives from ThetaLiftError so callers can catch the
-whole family at once; the CLI maps them to exit code 2 when they arise
-from user input and lets internal-consistency errors propagate.
+whole family at once. Errors that mean a bug rather than bad input derive
+from InternalError as well; the CLI maps them to exit code 3 and every
+other domain error, which arises from user input, to exit code 2.
 """
 
 from __future__ import annotations
@@ -10,6 +11,13 @@ from __future__ import annotations
 
 class ThetaLiftError(Exception):
     """Base class for all domain errors raised by this package."""
+
+
+class InternalError(ThetaLiftError):
+    """An internal-consistency check failed; a bug, not bad input.
+
+    Raised explicitly rather than by assert, so it survives python -O.
+    """
 
 
 class WrongParityClass(ThetaLiftError):
@@ -40,7 +48,7 @@ class SignatureMismatch(ThetaLiftError):
     """A computed signature differs from the requested target."""
 
 
-class InternalWeaklyFairViolation(ThetaLiftError):
+class InternalWeaklyFairViolation(InternalError):
     """A constructed induction datum left the weakly fair range; a bug."""
 
 
@@ -60,7 +68,7 @@ class MalformedCharacter(ThetaLiftError):
     """A sign character violates the constraints of its component group."""
 
 
-class InternalLemmaMismatch(ThetaLiftError):
+class InternalLemmaMismatch(InternalError):
     """Two derivations that must agree disagreed; a bug, not bad input."""
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import LiftContext, Signature
-from .errors import PatternMismatch, PreconditionViolation
+from .errors import InternalError, PatternMismatch, PreconditionViolation
 
 
 @dataclass(frozen=True, slots=True)
@@ -71,7 +71,8 @@ class _Pattern:
 
 def _half_shift(diff: int, m0: int) -> int:
     # (diff + m0)/2; parity is guaranteed by the context invariants.
-    assert (diff + m0) % 2 == 0, "shift parity broke"
+    if (diff + m0) % 2:
+        raise InternalError(f"shift parity broke: ({diff} + {m0})/2 is not an integer")
     return (diff + m0) // 2
 
 

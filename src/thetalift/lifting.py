@@ -13,15 +13,21 @@ compact and in the good range back into the discrete series parameter it
 induces to, choosing the dominant chamber from the expanded coordinate
 string; a tie between coordinates on opposite compact factors leaves the
 chamber undetermined and raises ChamberAmbiguous.
+
+The public lift functions check their preconditions and decide
+occurrence themselves. Each has an unchecked private core (_lift_up,
+_lift_down, _lift_nonzero) for callers that have already decided that
+the lift is nonzero, so occurrence is decided once per case.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import HCParam, HalfInt, LiftContext, STRICT, Signature, half, split_abgd
+from .core import HCParam, HalfInt, LiftContext, STRICT, Signature, half_text, split_abgd
 from .errors import (
     ChamberAmbiguous,
+    InternalError,
     InternalWeaklyFairViolation,
     NotCompactLevi,
     NotGoodRange,
@@ -31,28 +37,51 @@ from .errors import (
 from .nonvanishing import occurs
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AqBlock:
-    """One Levi block U(p_i, q_i) with its integer character value."""
+    """One Levi block U(p_i, q_i) with its integer character value.
+
+    lam_tw stores the value doubled; lam_i renders it as HalfInt.
+    AqBlock(p_i, q_i, lam_i) takes a HalfInt or int value and
+    from_twices(p_i, q_i, lam_tw) the doubled int.
+    """
 
     p_i: int
     q_i: int
-    lam_i: HalfInt
+    lam_tw: int
+
+    def __init__(self, p_i: int, q_i: int, lam_i: HalfInt | int) -> None:
+        object.__setattr__(self, "p_i", p_i)
+        object.__setattr__(self, "q_i", q_i)
+        object.__setattr__(self, "lam_tw", HalfInt(lam_i).twice)
+        self.__post_init__()
+
+    @classmethod
+    def from_twices(cls, p_i: int, q_i: int, lam_tw: int) -> "AqBlock":
+        """The block with value lam_tw/2."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "p_i", p_i)
+        object.__setattr__(out, "q_i", q_i)
+        object.__setattr__(out, "lam_tw", lam_tw)
+        out.__post_init__()
+        return out
 
     def __post_init__(self) -> None:
         if self.p_i < 0 or self.q_i < 0 or self.p_i + self.q_i < 1:
             raise ValueError(f"bad block signature ({self.p_i}, {self.q_i})")
-        lam = self.lam_i if isinstance(self.lam_i, HalfInt) else HalfInt(self.lam_i)
-        object.__setattr__(self, "lam_i", lam)
-        if not lam.is_integer:
-            raise ValueError(f"block value {lam} must be an integer")
+        if self.lam_tw % 2:
+            raise ValueError(f"block value {half_text(self.lam_tw)} must be an integer")
+
+    @property
+    def lam_i(self) -> HalfInt:
+        return HalfInt.halves(self.lam_tw)
 
     @property
     def size(self) -> int:
         return self.p_i + self.q_i
 
     def to_json(self) -> dict:
-        return {"p": self.p_i, "q": self.q_i, "lambda": str(self.lam_i)}
+        return {"p": self.p_i, "q": self.q_i, "lambda": half_text(self.lam_tw)}
 
 
 @dataclass(frozen=True, slots=True)
@@ -73,7 +102,7 @@ class AqLambdaData:
         ) != self.target.q:
             raise SignatureMismatch("block signatures do not sum to the target")
         for a, b in zip(self.blocks, self.blocks[1:]):
-            if a.lam_i.twice - b.lam_i.twice < -(a.size + b.size):
+            if a.lam_tw - b.lam_tw < -(a.size + b.size):
                 raise InternalWeaklyFairViolation(
                     f"blocks {a} then {b} leave the weakly fair range"
                 )
@@ -81,7 +110,7 @@ class AqLambdaData:
     @property
     def in_good_range(self) -> bool:
         return all(
-            a.lam_i.twice - b.lam_i.twice > -2 for a, b in zip(self.blocks, self.blocks[1:])
+            a.lam_tw - b.lam_tw > -2 for a, b in zip(self.blocks, self.blocks[1:])
         )
 
     def to_json(self) -> list[dict]:
@@ -148,54 +177,65 @@ def lift_up(lam: HCParam, ctx: LiftContext, target: Signature) -> AqLambdaData:
     """
     _require_dims(lam, ctx, target)
     n, m = ctx.source_dim, ctx.target_dim
-    r, s = target.p, target.q
     if m < n:
         raise PreconditionViolation(f"lift_up needs target at least as large, got m={m} < n={n}")
     nonzero, pos = occurs(lam, ctx.m0, target)
     if not nonzero:
         raise PreconditionViolation(f"lift of {lam} to {target} vanishes: {pos.reason}")
+    return _lift_up(lam, ctx, target)
 
+
+def _lift_up(lam: HCParam, ctx: LiftContext, target: Signature) -> AqLambdaData:
+    """lift_up() without its checks, for a lift already known to be nonzero."""
+    n, m = ctx.source_dim, ctx.target_dim
+    r, s = target.p, target.q
     sp = split_abgd(lam, ctx)
-    x, y, z, w = sp.x, sp.y, sp.z, sp.w
-    assert x + w <= r and z + y <= s, "occurrence guarantees split capacity"
+    alpha, beta, gamma, delta = sp.alpha_tw, sp.beta_tw, sp.gamma_tw, sp.delta_tw
+    x, y, z, w = len(alpha), len(beta), len(gamma), len(delta)
+    if x + w > r or z + y > s:
+        raise InternalError(
+            f"split ({x},{y},{z},{w}) of {lam} at m0={ctx.m0} does not fit the "
+            f"nonzero lift target {target}"
+        )
     n0 = ctx.n0
+    block = AqBlock.from_twices
 
     blocks: list[AqBlock] = []
 
     # Positive side: alpha entries become (1,0) blocks, gamma entries
     # (0,1) blocks, interleaved by descending split value.
     merged_pos = sorted(
-        [(a.twice, "a", i + 1) for i, a in enumerate(sp.alpha)]
-        + [(g.twice, "g", k + 1) for k, g in enumerate(sp.gamma)],
+        [(a, "a", i + 1) for i, a in enumerate(alpha)]
+        + [(g, "g", k + 1) for k, g in enumerate(gamma)],
         key=lambda v: -v[0],
     )
     for tw, tag, idx in merged_pos:
         if tag == "a":
-            cross = sum(1 for g in sp.gamma if g.twice > tw)
+            cross = sum(1 for g in gamma if g > tw)
             val = tw - (m + 1) + 2 * idx + 2 * cross + n0
-            blocks.append(AqBlock(1, 0, half(val)))
+            blocks.append(block(1, 0, val))
         else:
-            cross = sum(1 for a in sp.alpha if a.twice > tw)
+            cross = sum(1 for a in alpha if a > tw)
             val = tw - (m + 1) + 2 * idx + 2 * cross + n0
-            blocks.append(AqBlock(0, 1, half(val)))
+            blocks.append(block(0, 1, val))
 
     if m > n:
-        blocks.append(AqBlock(r - x - w, s - z - y, half(2 * (x + z) - n + n0)))
+        blocks.append(block(r - x - w, s - z - y, 2 * (x + z) - n + n0))
 
     merged_neg = sorted(
-        [(d.twice, "d", l + 1) for l, d in enumerate(sp.delta)]
-        + [(b.twice, "b", j + 1) for j, b in enumerate(sp.beta)],
+        [(d, "d", l + 1) for l, d in enumerate(delta)]
+        + [(b, "b", j + 1) for j, b in enumerate(beta)],
         key=lambda v: -v[0],
     )
     for tw, tag, idx in merged_neg:
         if tag == "d":
-            cross = sum(1 for b in sp.beta if b.twice < tw)
+            cross = sum(1 for b in beta if b < tw)
             val = tw + (m - 1) + 2 * idx - 2 * w - 2 * cross + n0
-            blocks.append(AqBlock(1, 0, half(val)))
+            blocks.append(block(1, 0, val))
         else:
-            cross = sum(1 for d in sp.delta if d.twice < tw)
+            cross = sum(1 for d in delta if d < tw)
             val = tw + (m - 1) + 2 * idx - 2 * y - 2 * cross + n0
-            blocks.append(AqBlock(0, 1, half(val)))
+            blocks.append(block(0, 1, val))
 
     return AqLambdaData(target, tuple(blocks))
 
@@ -214,17 +254,21 @@ def lift_down(lam: HCParam, ctx: LiftContext, target: Signature) -> HCParam:
     nonzero, pos = occurs(lam, ctx.m0, target)
     if not nonzero:
         raise PreconditionViolation(f"lift of {lam} to {target} vanishes: {pos.reason}")
+    return _lift_down(lam, ctx, target)
 
-    sp = split_abgd(lam, ctx, STRICT, chain_k=n - m)
+
+def _lift_down(lam: HCParam, ctx: LiftContext, target: Signature) -> HCParam:
+    """lift_down() without its checks, for a lift already known to be nonzero."""
+    sp = split_abgd(lam, ctx, STRICT, chain_k=ctx.source_dim - ctx.target_dim)
     if (sp.x + sp.w, sp.z + sp.y) != (target.p, target.q):
         raise SignatureMismatch(
             f"target {target} differs from the split signature "
             f"({sp.x + sp.w},{sp.z + sp.y})"
         )
     n0 = ctx.n0
-    p_part = tuple(half(v.twice + n0) for v in sp.alpha + sp.delta)
-    q_part = tuple(half(v.twice + n0) for v in sp.gamma + sp.beta)
-    return HCParam(target, p_part + q_part)
+    p_part = tuple(v + n0 for v in sp.alpha_tw + sp.delta_tw)
+    q_part = tuple(v + n0 for v in sp.gamma_tw + sp.beta_tw)
+    return HCParam.from_twices(target, p_part + q_part)
 
 
 def lift(lam: HCParam, ctx: LiftContext, target: Signature) -> LiftResult:
@@ -233,9 +277,14 @@ def lift(lam: HCParam, ctx: LiftContext, target: Signature) -> LiftResult:
     nonzero, _pos = occurs(lam, ctx.m0, target)
     if not nonzero:
         return LiftResult.vanishes()
+    return _lift_nonzero(lam, ctx, target)
+
+
+def _lift_nonzero(lam: HCParam, ctx: LiftContext, target: Signature) -> LiftResult:
+    """lift() without its checks, for a lift already known to be nonzero."""
     if ctx.target_dim <= ctx.source_dim:
-        return LiftResult.discrete_series(lift_down(lam, ctx, target))
-    return LiftResult.weakly_fair(lift_up(lam, ctx, target))
+        return LiftResult.discrete_series(_lift_down(lam, ctx, target))
+    return LiftResult.weakly_fair(_lift_up(lam, ctx, target))
 
 
 def aq_infinitesimal_character(aq: AqLambdaData) -> tuple[HalfInt, ...]:
@@ -244,13 +293,21 @@ def aq_infinitesimal_character(aq: AqLambdaData) -> tuple[HalfInt, ...]:
     Expand each block value to size_i copies, then add the usual rho of
     the target group componentwise.
     """
+    return tuple(HalfInt.halves(t) for t in _aq_infinitesimal_twices(aq))
+
+
+def _aq_infinitesimal_twices(aq: AqLambdaData) -> tuple[int, ...]:
+    """aq_infinitesimal_character(), doubled."""
     m = aq.target.n
     vals: list[int] = []
     for b in aq.blocks:
-        vals.extend([b.lam_i.twice] * b.size)
-    assert len(vals) == m
+        vals.extend([b.lam_tw] * b.size)
+    if len(vals) != m:
+        raise InternalError(
+            f"blocks {aq.to_json()} expand to {len(vals)} values, target {aq.target} has {m}"
+        )
     out = [v + (m - 1 - 2 * i) for i, v in enumerate(vals)]
-    return tuple(half(v) for v in sorted(out, reverse=True))
+    return tuple(sorted(out, reverse=True))
 
 
 def aq_to_discrete_series(aq: AqLambdaData) -> HCParam:
@@ -266,17 +323,20 @@ def aq_to_discrete_series(aq: AqLambdaData) -> HCParam:
         if b.p_i and b.q_i:
             raise NotCompactLevi(f"block ({b.p_i},{b.q_i}) is not compact")
     for a, b in zip(aq.blocks, aq.blocks[1:]):
-        if a.lam_i.twice - b.lam_i.twice <= -2:
-            raise NotGoodRange(f"values {a.lam_i} then {b.lam_i} are outside the good range")
+        if a.lam_tw - b.lam_tw <= -2:
+            raise NotGoodRange(
+                f"values {half_text(a.lam_tw)} then {half_text(b.lam_tw)} "
+                "are outside the good range"
+            )
 
     # Expanded coordinates: (value, side, position), p-side first.
     p_coords: list[int] = []
     q_coords: list[int] = []
     for b in aq.blocks:
         if b.p_i:
-            p_coords.extend([b.lam_i.twice] * b.p_i)
+            p_coords.extend([b.lam_tw] * b.p_i)
         else:
-            q_coords.extend([b.lam_i.twice] * b.q_i)
+            q_coords.extend([b.lam_tw] * b.q_i)
     coords = [(v, 0, i) for i, v in enumerate(p_coords)] + [
         (v, 1, i) for i, v in enumerate(q_coords)
     ]
@@ -290,7 +350,7 @@ def aq_to_discrete_series(aq: AqLambdaData) -> HCParam:
             if vu == vv:
                 if su != sv:
                     raise ChamberAmbiguous(
-                        f"value {half(vu)} repeats across both factors"
+                        f"value {half_text(vu)} repeats across both factors"
                     )
                 first_u = iu < iv  # same side: earlier position dominates
             else:
@@ -302,7 +362,7 @@ def aq_to_discrete_series(aq: AqLambdaData) -> HCParam:
                 rho_tw[u] -= 1
                 rho_tw[v] += 1
 
-    entries = tuple(half(coords[u][0] + rho_tw[u]) for u in range(mm))
+    entries = tuple(coords[u][0] + rho_tw[u] for u in range(mm))
     # Construction guarantees a valid dominant parameter here; HCParam
     # validation is the safety net.
-    return HCParam(Signature(len(p_coords), len(q_coords)), entries)
+    return HCParam.from_twices(Signature(len(p_coords), len(q_coords)), entries)

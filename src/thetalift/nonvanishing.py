@@ -34,33 +34,37 @@ from .core import (
     ABGDSplit,
     HCParam,
     HalfInt,
-    LiftContext,
-    SIDE_NONE,
-    SIDE_P,
-    SIDE_Q,
     Signature,
     _conjugate_dual_m0,
     _split_cached,
-    half,
 )
-from .errors import ParityMismatch, PreconditionViolation
+from .errors import InternalError, ParityMismatch, PreconditionViolation
 
 
 @dataclass(frozen=True, slots=True)
 class NVInvariants:
     """Tower invariants of one parameter at one exponent m0.
 
-    X and X_inf are stored as tuples of (value, sign) pairs in
-    descending value order; sign is +1 or -1.
+    X and X_inf are tuples of (value, sign) pairs in descending value
+    order; sign is +1 or -1. X_tw and X_inf_tw store the doubled values,
+    and X and X_inf render them as HalfInt.
     """
 
     k0: int
     k_lambda: int
     r_lambda: int
     s_lambda: int
-    X: tuple[tuple[HalfInt, int], ...]
-    X_inf: tuple[tuple[HalfInt, int], ...]
+    X_tw: tuple[tuple[int, int], ...]
+    X_inf_tw: tuple[tuple[int, int], ...]
     split: ABGDSplit
+
+    @property
+    def X(self) -> tuple[tuple[HalfInt, int], ...]:
+        return tuple((HalfInt.halves(t), s) for t, s in self.X_tw)
+
+    @property
+    def X_inf(self) -> tuple[tuple[HalfInt, int], ...]:
+        return tuple((HalfInt.halves(t), s) for t, s in self.X_inf_tw)
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,13 +109,14 @@ def invariants(lam: HCParam, m0: int, k0: int) -> NVInvariants:
     if (m0 - n - k0) % 2:
         raise ParityMismatch(f"m0={m0} inconsistent with n={n} and k0={k0}")
 
-    p_tw = tuple(e.twice - m0 for e in lam.p_part)
-    q_tw = tuple(e.twice - m0 for e in lam.q_part)
+    p_tw = tuple(t - m0 for t in lam.p_tw)
+    q_tw = tuple(t - m0 for t in lam.q_tw)
 
     k_p = _largest_chain(frozenset(p_tw), k0)
     k_q = _largest_chain(frozenset(q_tw), k0)
     # Entries are globally distinct, so at most one part holds a chain.
-    assert not (k_p and k_q), "chain found in both parts"
+    if k_p and k_q:
+        raise InternalError(f"chain found in both parts of {lam} - {m0}/2")
     k_lam = max(k_p, k_q) or k0
 
     chain_k = k_lam if k_lam >= 1 else 0
@@ -120,19 +125,18 @@ def invariants(lam: HCParam, m0: int, k0: int) -> NVInvariants:
     s_lam = sp.z + sp.y
 
     X = tuple(
-        (half(t), s)
-        for t, s in sorted(
-            [(t, +1) for t in p_tw] + [(t, -1) for t in q_tw], key=lambda v: -v[0]
-        )
+        sorted([(t, +1) for t in p_tw] + [(t, -1) for t in q_tw], key=lambda v: -v[0])
     )
 
     # Classify each doubled value for the cancellation rule. Chain values
     # stay unlabeled: they never cancel but still occupy their slot.
     cls: dict[int, str] = {}
-    for grp, name in ((sp.alpha, "a"), (sp.beta, "b"), (sp.gamma, "g"), (sp.delta, "d")):
-        for v in grp:
-            cls[v.twice] = name
-    work = [(v.twice, s) for v, s in X]
+    for grp, name in (
+        (sp.alpha_tw, "a"), (sp.beta_tw, "b"), (sp.gamma_tw, "g"), (sp.delta_tw, "d")
+    ):
+        for t in grp:
+            cls[t] = name
+    work = list(X)
     while True:
         dead: set[int] = set()
         for i in range(len(work) - 1):
@@ -146,15 +150,14 @@ def invariants(lam: HCParam, m0: int, k0: int) -> NVInvariants:
         if not dead:
             break
         work = [wv for i, wv in enumerate(work) if i not in dead]
-    X_inf = tuple((half(t), s) for t, s in work)
 
     return NVInvariants(
         k0=k0,
         k_lambda=k_lam,
         r_lambda=r_lam,
         s_lambda=s_lam,
-        X=X,
-        X_inf=X_inf,
+        X_tw=X,
+        X_inf_tw=tuple(work),
         split=sp,
     )
 
@@ -167,10 +170,10 @@ def c_count(inv: NVInvariants, sign: int, t: int) -> int:
         return 0
     shift = inv.k_lambda - 1  # doubled value of (k_lambda - 1)/2
     total = 0
-    for xi, s in inv.X_inf:
+    for xi, s in inv.X_inf_tw:
         if s != sign:
             continue
-        v = shift + sign * xi.twice
+        v = shift + sign * xi
         if 0 <= v < 2 * t:
             total += 1
     return total
@@ -203,10 +206,16 @@ def occurs(lam: HCParam, m0: int, target: Signature) -> tuple[bool, TowerPositio
     l = s - inv.s_lambda
     d = r - inv.r_lambda - l
     if inv.k_lambda == -1:
-        assert d % 2 == 1, "step count parity broke for odd towers"
+        if d % 2 != 1:
+            raise InternalError(
+                f"step count parity broke for the odd tower of {lam} at m0={m0}, target {target}"
+            )
         t = (d - 1) // 2
     else:
-        assert d % 2 == 0, "step count parity broke for even towers"
+        if d % 2 != 0:
+            raise InternalError(
+                f"step count parity broke for the even tower of {lam} at m0={m0}, target {target}"
+            )
         t = d // 2
 
     def no(reason: str) -> tuple[bool, TowerPosition]:
@@ -244,13 +253,13 @@ def li_sufficient(lam: HCParam, m0: int, target: Signature) -> bool:
     if sp.x + sp.w > target.p or sp.z + sp.y > target.q:
         return False
     bound = m - n + 1  # doubled value of (m - n + 1)/2
-    if sp.alpha and sp.alpha[-1].twice < bound:
+    if sp.alpha_tw and sp.alpha_tw[-1] < bound:
         return False
-    if sp.beta and -sp.beta[0].twice < bound:
+    if sp.beta_tw and -sp.beta_tw[0] < bound:
         return False
-    if sp.gamma and sp.gamma[-1].twice < bound:
+    if sp.gamma_tw and sp.gamma_tw[-1] < bound:
         return False
-    if sp.delta and -sp.delta[0].twice < bound:
+    if sp.delta_tw and -sp.delta_tw[0] < bound:
         return False
     return True
 

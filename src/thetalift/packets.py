@@ -17,11 +17,13 @@ and compared on every call.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterable
 
-from .core import HCParam, HalfInt, Signature, half
+from .core import HCParam, HalfInt, Signature, half_text
 from .errors import (
+    InternalError,
     InternalLemmaMismatch,
     MalformedCharacter,
     NotDominant,
@@ -35,39 +37,60 @@ PLUS = +1
 MINUS = -1
 
 
-def _check_decreasing_distinct(values: tuple[HalfInt, ...], label: str) -> None:
+def _check_decreasing_distinct(values: tuple[int, ...], label: str) -> None:
     for a, b in zip(values, values[1:]):
-        if a.twice < b.twice:
-            raise NotDominant(f"{label} must decrease: {a} then {b}")
-        if a.twice == b.twice:
-            raise RepeatedEntry(f"{label} repeats {a}")
+        if a < b:
+            raise NotDominant(f"{label} must decrease: {half_text(a)} then {half_text(b)}")
+        if a == b:
+            raise RepeatedEntry(f"{label} repeats {half_text(a)}")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class LParameter:
-    """Strictly decreasing kappa_1 > ... > kappa_n in Z + (n-1)/2."""
+    """Strictly decreasing kappa_1 > ... > kappa_n in Z + (n-1)/2.
 
-    kappas: tuple[HalfInt, ...]
+    kappa_tw stores the values doubled; kappas renders them as HalfInt.
+    LParameter(kappas) takes HalfInt values and from_twices(kappa_tw)
+    the doubled ints.
+    """
+
+    kappa_tw: tuple[int, ...]
+
+    def __init__(self, kappas: Iterable[HalfInt]) -> None:
+        object.__setattr__(self, "kappa_tw", tuple(k.twice for k in kappas))
+        self.__post_init__()
+
+    @classmethod
+    def from_twices(cls, kappa_tw: tuple[int, ...]) -> "LParameter":
+        """The parameter with values kappa_tw[i]/2."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "kappa_tw", kappa_tw)
+        out.__post_init__()
+        return out
 
     def __post_init__(self) -> None:
-        n = len(self.kappas)
+        n = len(self.kappa_tw)
         if n == 0:
             raise ValueError("empty parameter")
         want = (n - 1) % 2
-        for k in self.kappas:
-            if k.twice % 2 != want:
-                raise WrongParityClass(f"{k} is not in Z + ({n}-1)/2")
-        _check_decreasing_distinct(self.kappas, "kappa")
+        for k in self.kappa_tw:
+            if k % 2 != want:
+                raise WrongParityClass(f"{half_text(k)} is not in Z + ({n}-1)/2")
+        _check_decreasing_distinct(self.kappa_tw, "kappa")
+
+    @property
+    def kappas(self) -> tuple[HalfInt, ...]:
+        return tuple(HalfInt.halves(k) for k in self.kappa_tw)
 
     @property
     def n(self) -> int:
-        return len(self.kappas)
+        return len(self.kappa_tw)
 
     def to_json(self) -> dict:
-        return {"kappa": [str(k) for k in self.kappas]}
+        return {"kappa": [half_text(k) for k in self.kappa_tw]}
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class AParameter:
     """Lift parameter: mu_1 > ... > mu_n with mu_0 spliced in at i0.
 
@@ -75,29 +98,58 @@ class AParameter:
     1-based slot with mu_{i0-1} > mu0 >= mu_{i0}. A tie mu0 = mu_{i0}
     can only happen for m = n + 1 and then couples e'_0 to e'_{i0} in
     every admissible sign character.
+
+    mu_tw and mu0_tw store the values doubled; mus and mu0 render them
+    as HalfInt. AParameter(mus, mu0, m) takes HalfInt values and
+    from_twices(mu_tw, mu0_tw, m) the doubled ints.
     """
 
-    mus: tuple[HalfInt, ...]
-    mu0: HalfInt
+    mu_tw: tuple[int, ...]
+    mu0_tw: int
     m: int
-    i0: int = field(init=False)
+    i0: int
+
+    def __init__(self, mus: Iterable[HalfInt], mu0: HalfInt, m: int) -> None:
+        object.__setattr__(self, "mu_tw", tuple(v.twice for v in mus))
+        object.__setattr__(self, "mu0_tw", mu0.twice)
+        object.__setattr__(self, "m", m)
+        self.__post_init__()
+
+    @classmethod
+    def from_twices(cls, mu_tw: tuple[int, ...], mu0_tw: int, m: int) -> "AParameter":
+        """The parameter with values mu_tw[i]/2 and mu0_tw/2."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "mu_tw", mu_tw)
+        object.__setattr__(out, "mu0_tw", mu0_tw)
+        object.__setattr__(out, "m", m)
+        out.__post_init__()
+        return out
 
     def __post_init__(self) -> None:
-        n = len(self.mus)
+        n = len(self.mu_tw)
         if self.m <= n:
             raise PreconditionViolation(f"need m > n, got m={self.m}, n={n}")
         want = (self.m - 1) % 2
-        for v in self.mus:
-            if v.twice % 2 != want:
-                raise WrongParityClass(f"{v} is not in Z + ({self.m}-1)/2")
-        if self.mu0.twice % 2 != n % 2:
-            raise WrongParityClass(f"mu0={self.mu0} is not in Z + {n}/2")
-        _check_decreasing_distinct(self.mus, "mu")
-        object.__setattr__(self, "i0", 1 + sum(1 for v in self.mus if v.twice > self.mu0.twice))
+        for v in self.mu_tw:
+            if v % 2 != want:
+                raise WrongParityClass(f"{half_text(v)} is not in Z + ({self.m}-1)/2")
+        mu0 = self.mu0_tw
+        if mu0 % 2 != n % 2:
+            raise WrongParityClass(f"mu0={half_text(mu0)} is not in Z + {n}/2")
+        _check_decreasing_distinct(self.mu_tw, "mu")
+        object.__setattr__(self, "i0", 1 + sum(1 for v in self.mu_tw if v > mu0))
+
+    @property
+    def mus(self) -> tuple[HalfInt, ...]:
+        return tuple(HalfInt.halves(v) for v in self.mu_tw)
+
+    @property
+    def mu0(self) -> HalfInt:
+        return HalfInt.halves(self.mu0_tw)
 
     @property
     def n(self) -> int:
-        return len(self.mus)
+        return len(self.mu_tw)
 
     @property
     def tie_at_i0(self) -> bool:
@@ -109,12 +161,12 @@ class AParameter:
         """
         if self.m - self.n != 1:
             return False
-        return self.i0 <= self.n and self.mus[self.i0 - 1].twice == self.mu0.twice
+        return self.i0 <= self.n and self.mu_tw[self.i0 - 1] == self.mu0_tw
 
     def to_json(self) -> dict:
         return {
-            "mu": [str(v) for v in self.mus],
-            "mu0": str(self.mu0),
+            "mu": [half_text(v) for v in self.mu_tw],
+            "mu0": half_text(self.mu0_tw),
             "m": self.m,
             "i0": self.i0,
         }
@@ -149,6 +201,15 @@ class SignCharacter:
                 raise MalformedCharacter(f"unexpected character {ch!r} in sign string")
         return cls(tuple(signs))
 
+    @classmethod
+    def from_bits(cls, bits: int, size: int) -> "SignCharacter":
+        """The character whose i-th value is -1 exactly when bit i of bits is set.
+
+        Counting bits up from 0 to 2^size - 1 enumerates every character
+        with the first value varying fastest, + before -.
+        """
+        return cls(tuple(MINUS if (bits >> i) & 1 else PLUS for i in range(size)))
+
     def as_strings(self) -> list[str]:
         return ["+" if v == PLUS else "-" for v in self.values]
 
@@ -177,7 +238,7 @@ def pi_from_eta(phi: LParameter, eta: SignCharacter) -> tuple[Signature, HCParam
         raise MalformedCharacter(f"character has {len(eta.values)} values, parameter wants {n}")
     p_vals = []
     q_vals = []
-    for i, kappa in enumerate(phi.kappas, start=1):
+    for i, kappa in enumerate(phi.kappa_tw, start=1):
         if eta.values[i - 1] == _sign_pow(i - 1):
             p_vals.append(kappa)
         else:
@@ -188,22 +249,26 @@ def pi_from_eta(phi: LParameter, eta: SignCharacter) -> tuple[Signature, HCParam
     prod = 1
     for v in eta.values:
         prod *= v
-    assert prod == epsilon_of_signature(sig.p, sig.q), "determinant identity failed"
-    return sig, HCParam(sig, tuple(p_vals + q_vals))
+    if prod != epsilon_of_signature(sig.p, sig.q):
+        raise InternalError(
+            f"determinant identity failed for kappa {phi.to_json()['kappa']}, "
+            f"character {eta}, signature {sig}"
+        )
+    return sig, HCParam.from_twices(sig, tuple(p_vals + q_vals))
 
 
 @lru_cache(maxsize=None)
 def eta_from_pi(lam: HCParam) -> tuple[LParameter, SignCharacter]:
     """Inverse of pi_from_eta: recover kappa and the sign character."""
-    order = sorted(lam.entries, key=lambda e: -e.twice)
-    p_set = {e.twice for e in lam.p_part}
+    order = tuple(sorted(lam.entries_tw, reverse=True))
+    p_set = set(lam.p_tw)
     signs = []
     for i, kappa in enumerate(order, start=1):
-        if kappa.twice in p_set:
+        if kappa in p_set:
             signs.append(_sign_pow(i - 1))
         else:
             signs.append(_sign_pow(i))
-    return LParameter(tuple(order)), SignCharacter(tuple(signs))
+    return LParameter.from_twices(order), SignCharacter(tuple(signs))
 
 
 def _validate_a_character(phi_p: AParameter, eta_p: SignCharacter) -> None:
@@ -233,23 +298,24 @@ def _unit_block_signs(phi_p: AParameter, eta_p: SignCharacter) -> list[tuple[int
     return out
 
 
-def eta_prime_sign_ok(phi_p: AParameter, eta_p: SignCharacter, target: Signature) -> bool:
-    """The nonvanishing sign gate, evaluated two independent ways.
+def _big_block_balance(units: list[tuple[int, int]], target: Signature) -> tuple[int, int]:
+    """(r_i0, s_i0): what the unit blocks leave of the target for the big block."""
+    return (
+        target.p - sum(r for r, _ in units if r >= 0),
+        target.q - sum(s for _, s in units if s >= 0),
+    )
 
-    Closed form: eta'(e'_0) must equal (-1)^(r_i0 (i0-1) + s_i0 i0 +
-    (m-n)(m-n-1)/2) where (r_i0, s_i0) is the balance left for the big
-    block. Product form: the product of all n + 1 values must equal
-    (-1)^((r-s)(r-s-1)/2). The two are provably equivalent; disagreement
-    raises InternalLemmaMismatch.
+
+def _sign_gate(
+    phi_p: AParameter, eta_p: SignCharacter, target: Signature, r_i0: int, s_i0: int
+) -> bool:
+    """Both forms of the sign gate for a validated character, compared.
+
+    (r_i0, s_i0) is the big block's balance from the character's unit
+    block signs; computed once by the caller, it feeds the closed form
+    only, and the product form never reads it.
     """
-    if target.n != phi_p.m:
-        raise PreconditionViolation(f"target size {target.n} != parameter size {phi_p.m}")
-    _validate_a_character(phi_p, eta_p)
     n, m, i0 = phi_p.n, phi_p.m, phi_p.i0
-    units = _unit_block_signs(phi_p, eta_p)
-    r_i0 = target.p - sum(r for r, _ in units if r >= 0)
-    s_i0 = target.q - sum(s for _, s in units if s >= 0)
-
     dmn = m - n
     closed = _sign_pow(r_i0 * (i0 - 1) + s_i0 * i0 + (dmn * (dmn - 1) // 2))
     ok_closed = eta_p.values[0] == closed
@@ -262,12 +328,25 @@ def eta_prime_sign_ok(phi_p: AParameter, eta_p: SignCharacter, target: Signature
     if ok_closed != ok_product:
         raise InternalLemmaMismatch(
             f"sign gate split: closed={ok_closed} product={ok_product} "
-            f"for {phi_p} {eta_p} {target}"
+            f"for {phi_p.to_json()} {eta_p} {target}"
         )
     return ok_closed
 
 
-ZERO = None
+def eta_prime_sign_ok(phi_p: AParameter, eta_p: SignCharacter, target: Signature) -> bool:
+    """The nonvanishing sign gate, evaluated two independent ways.
+
+    Closed form: eta'(e'_0) must equal (-1)^(r_i0 (i0-1) + s_i0 i0 +
+    (m-n)(m-n-1)/2) where (r_i0, s_i0) is the balance left for the big
+    block. Product form: the product of all n + 1 values must equal
+    (-1)^((r-s)(r-s-1)/2). The two are provably equivalent; disagreement
+    raises InternalLemmaMismatch.
+    """
+    if target.n != phi_p.m:
+        raise PreconditionViolation(f"target size {target.n} != parameter size {phi_p.m}")
+    _validate_a_character(phi_p, eta_p)
+    r_i0, s_i0 = _big_block_balance(_unit_block_signs(phi_p, eta_p), target)
+    return _sign_gate(phi_p, eta_p, target, r_i0, s_i0)
 
 
 def sigma_from_eta_prime(
@@ -276,32 +355,34 @@ def sigma_from_eta_prime(
     """The A_q(lam') member cut out by eta' on the target form, or None.
 
     None means the character kills this form: a unit block count went
-    negative or the sign gate failed.
+    negative or the sign gate failed. The character is validated and
+    its unit block signs computed once; both forms of the sign gate are
+    still evaluated and compared, as in eta_prime_sign_ok.
     """
     if target.n != phi_p.m:
         raise PreconditionViolation(f"target size {target.n} != parameter size {phi_p.m}")
     _validate_a_character(phi_p, eta_p)
     n, m, i0 = phi_p.n, phi_p.m, phi_p.i0
     units = _unit_block_signs(phi_p, eta_p)
-    r_i0 = target.p - sum(r for r, _ in units if r >= 0)
-    s_i0 = target.q - sum(s for _, s in units if s >= 0)
+    r_i0, s_i0 = _big_block_balance(units, target)
     if r_i0 < 0 or s_i0 < 0:
-        return ZERO
-    if not eta_prime_sign_ok(phi_p, eta_p, target):
-        return ZERO
+        return None
+    if not _sign_gate(phi_p, eta_p, target, r_i0, s_i0):
+        return None
 
+    mus = phi_p.mu_tw
     blocks: list[AqBlock] = []
     for i in range(1, n + 2):
         if i < i0:
-            tw = phi_p.mus[i - 1].twice - (m - 1) + 2 * (i - 1)
+            tw = mus[i - 1] - (m - 1) + 2 * (i - 1)
             ri, si = units[i - 1]
         elif i == i0:
-            tw = phi_p.mu0.twice - n + 2 * (i0 - 1)
+            tw = phi_p.mu0_tw - n + 2 * (i0 - 1)
             ri, si = r_i0, s_i0
         else:
-            tw = phi_p.mus[i - 2].twice - (m - 1) + 2 * (i + m - n - 2)
+            tw = mus[i - 2] - (m - 1) + 2 * (i + m - n - 2)
             ri, si = units[i - 1]
-        blocks.append(AqBlock(ri, si, half(tw)))
+        blocks.append(AqBlock.from_twices(ri, si, tw))
     return AqLambdaData(target, tuple(blocks))
 
 
@@ -314,8 +395,7 @@ def packet_members(phi: LParameter) -> list[tuple[SignCharacter, Signature, HCPa
     n = phi.n
     out = []
     for bits in range(1 << n):
-        signs = tuple(MINUS if (bits >> i) & 1 else PLUS for i in range(n))
-        eta = SignCharacter(signs)
+        eta = SignCharacter.from_bits(bits, n)
         sig, lam = pi_from_eta(phi, eta)
         out.append((eta, sig, lam))
     return out

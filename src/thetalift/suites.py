@@ -13,6 +13,10 @@ fixed: sizes ascend, the even-distance family precedes the odd one,
 entry sets run in lexicographic order over the descending value
 universe, and part assignments count up in binary. Deterministic
 output follows from deterministic iteration.
+
+A suite decides occurrence once per case with occurs() and then calls
+the unchecked private cores (_lift_up, _lift_down, _verify_globalization)
+rather than the public functions, which would decide it again.
 """
 
 from __future__ import annotations
@@ -21,14 +25,16 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterator
 
-from .core import HCParam, HalfInt, LiftContext, Signature, conjugate_dual, half
+from .core import HCParam, HalfInt, LiftContext, Signature, conjugate_dual, half_text
 from .errors import ChamberAmbiguous, MalformedCharacter, NotCompactLevi, NotGoodRange
 from .ktypes import KType, correspond_ktype
 from .lifting import (
-    aq_infinitesimal_character,
+    LiftResult,
+    _aq_infinitesimal_twices,
+    _lift_down,
+    _lift_nonzero,
+    _lift_up,
     aq_to_discrete_series,
-    lift,
-    lift_down,
     lift_up,
 )
 from .nonvanishing import c_count, invariants, invariants_for_target, li_sufficient, occurs
@@ -40,7 +46,7 @@ from .packets import (
     eta_prime_sign_ok,
     pi_from_eta,
 )
-from .transfer import sigma_from_eta_prime, transfer_eta, verify_globalization
+from .transfer import _verify_globalization, sigma_from_eta_prime, transfer_eta
 
 Case = tuple[bool, str, dict | None]
 
@@ -79,9 +85,9 @@ def iter_params(bounds: EnumerationBounds) -> Iterator[tuple[HCParam, int, int, 
                 for mask in range(1 << n):
                     p_tw = [combo[i] for i in range(n) if not (mask >> i) & 1]
                     q_tw = [combo[i] for i in range(n) if (mask >> i) & 1]
-                    lam = HCParam(
+                    lam = HCParam.from_twices(
                         Signature(len(p_tw), len(q_tw)),
-                        tuple(half(t + m0) for t in p_tw + q_tw),
+                        tuple(t + m0 for t in p_tw + q_tw),
                     )
                     yield lam, k0, m0, n0
 
@@ -120,7 +126,7 @@ def suite_two_path(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Cas
                 yield True, "vanishing", None
                 continue
             ctx = _ctx(lam, m0, n0, target)
-            path_a = lift_up(lam, ctx, target)
+            path_a = _lift_up(lam, ctx, target)
             phi_p, eta_p = transfer_eta(lam, ctx, target)
             path_b = sigma_from_eta_prime(phi_p, eta_p, target)
             equal = path_b is not None and path_a == path_b
@@ -148,10 +154,12 @@ def suite_round_trip(bounds: EnumerationBounds, emit: bool = True) -> Iterator[C
                 yield True, "vanishing", None
                 continue
             ctx = _ctx(lam, m0, n0, target)
-            sigma = lift_down(lam, ctx, target)
+            sigma = _lift_down(lam, ctx, target)
+            # The reverse lift's occurrence is part of what is checked,
+            # so it goes through the public, checking lift_up.
             back = lift_up(sigma, ctx.reversed(), lam.sig)
-            want = tuple(sorted((e.twice for e in lam.entries), reverse=True))
-            got = tuple(e.twice for e in aq_infinitesimal_character(back))
+            want = tuple(sorted(lam.entries_tw, reverse=True))
+            got = _aq_infinitesimal_twices(back)
             inf_ok = want == got
             ds_status = "match"
             ds_ok = True
@@ -268,10 +276,6 @@ def suite_li(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case]:
             yield ok, "sufficient", record
 
 
-def _character_signs(bits: int, size: int) -> tuple[int, ...]:
-    return tuple(-1 if (bits >> i) & 1 else +1 for i in range(size))
-
-
 def suite_eta_prime(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case]:
     """Closed form versus product form of the sign gate, exhaustively.
 
@@ -289,13 +293,13 @@ def suite_eta_prime(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Ca
             mu0_univ = _value_universe(H, n % 2)
             for mus in itertools.combinations(mu_univ, n):
                 for mu0 in mu0_univ:
-                    phi_p = AParameter(tuple(half(t) for t in mus), half(mu0), m)
+                    phi_p = AParameter.from_twices(mus, mu0, m)
                     key = (n, m, phi_p.i0, phi_p.tie_at_i0)
                     if key not in class_ok:
                         checked = 0
                         skipped = 0
                         for bits in range(1 << (n + 1)):
-                            eta_p = SignCharacter(_character_signs(bits, n + 1))
+                            eta_p = SignCharacter.from_bits(bits, n + 1)
                             if phi_p.tie_at_i0 and eta_p.values[0] != eta_p.values[phi_p.i0]:
                                 # The coupled constraint must reject these.
                                 try:
@@ -314,8 +318,8 @@ def suite_eta_prime(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Ca
                     if emit:
                         record = {
                             "suite": "eta_prime",
-                            "mu": [str(half(t)) for t in mus],
-                            "mu0": str(half(mu0)),
+                            "mu": [half_text(t) for t in mus],
+                            "mu0": half_text(mu0),
                             "m": m,
                             "i0": phi_p.i0,
                             "checks": checked,
@@ -330,10 +334,10 @@ def suite_packets(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case
     for n in range(1, bounds.max_n + 1):
         universe = _value_universe(bounds.height.twice, (n - 1) % 2)
         for combo in itertools.combinations(universe, n):
-            phi = LParameter(tuple(half(t) for t in combo))
+            phi = LParameter.from_twices(combo)
             all_ok = True
             for bits in range(1 << n):
-                eta = SignCharacter(_character_signs(bits, n))
+                eta = SignCharacter.from_bits(bits, n)
                 sig, lam = pi_from_eta(phi, eta)
                 phi_back, eta_back = eta_from_pi(lam)
                 if phi_back != phi or eta_back != eta or sig != lam.sig:
@@ -343,7 +347,7 @@ def suite_packets(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case
             if emit or not all_ok:
                 record = {
                     "suite": "packets",
-                    "kappa": [str(half(t)) for t in combo],
+                    "kappa": [half_text(t) for t in combo],
                     "members": 1 << n,
                     "ok": all_ok,
                 }
@@ -361,7 +365,7 @@ def suite_globalization(bounds: EnumerationBounds, emit: bool = True) -> Iterato
             dm = target.n - lam.sig.n
             t = dm // 2 + 2  # ceil((dm+1)/2) + 1
             ctx = _ctx(lam, m0, n0, target)
-            report = verify_globalization(lam, ctx, target, t)
+            report = _verify_globalization(lam, ctx, target, t)
             record = None
             if emit or not report.passed:
                 record = {
@@ -522,7 +526,7 @@ def iter_enumeration(bounds: EnumerationBounds) -> Iterator[dict]:
         for target in targets:
             nonzero, pos = occurs(lam, m0, target)
             ctx = _ctx(lam, m0, n0, target)
-            result = lift(lam, ctx, target)
+            result = _lift_nonzero(lam, ctx, target) if nonzero else LiftResult.vanishes()
             yield {
                 "lambda": lam.to_json(),
                 "m0": m0,

@@ -11,16 +11,18 @@ verify_globalization shadows the deformation argument that underlies
 the transfer: push the parameter to a regular distance t, confirm the
 sign character does not move, confirm sufficiency kicks in there, and
 confirm the transferred character still cuts out the same induction
-datum for the undeformed values.
+datum for the undeformed values. Like the public lift functions it
+decides occurrence itself; _verify_globalization is the unchecked core
+for callers that have already decided it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import HCParam, HalfInt, LiftContext, Signature, half, make_regular_deformation
+from .core import HCParam, HalfInt, LiftContext, Signature, make_regular_deformation
 from .errors import PreconditionViolation
-from .lifting import AqLambdaData, lift_up
+from .lifting import _lift_up
 from .nonvanishing import li_sufficient, occurs
 from .packets import (
     AParameter,
@@ -84,8 +86,8 @@ def build_a_parameter(phi: LParameter, ctx: LiftContext) -> AParameter:
     if ctx.target_dim <= ctx.source_dim:
         raise PreconditionViolation("transfer needs a strictly larger target")
     shift = ctx.m0 - ctx.n0
-    mus = tuple(half(k.twice - shift) for k in phi.kappas)
-    return AParameter(mus=mus, mu0=half(ctx.n0), m=ctx.target_dim)
+    mus = tuple(k - shift for k in phi.kappa_tw)
+    return AParameter.from_twices(mus, ctx.n0, ctx.target_dim)
 
 
 def transfer_eta(
@@ -113,32 +115,6 @@ def transfer_eta(
 
 
 @dataclass(frozen=True, slots=True)
-class GlobalShape:
-    """Summand shapes (dim, sl2_size) of a square-integrable global datum."""
-
-    summands: tuple[tuple[int, int], ...]
-
-    def __post_init__(self) -> None:
-        for dim, d in self.summands:
-            if dim < 1 or d < 1:
-                raise ValueError(f"bad summand shape ({dim}, {d})")
-
-
-def epsilon_phi_trivial(shape: GlobalShape) -> bool:
-    """Whether the canonical sign character of the shape is trivial.
-
-    Decidable at desk scale only when every sl2 size is 1, where the
-    answer is yes; anything else needs global epsilon factors and raises
-    PreconditionViolation.
-    """
-    if all(d == 1 for _, d in shape.summands):
-        return True
-    raise PreconditionViolation(
-        "triviality is only decided for shapes with all sl2 sizes equal to 1"
-    )
-
-
-@dataclass(frozen=True, slots=True)
 class GlobalizationReport:
     """Outcome of the deformation shadow of the globalization argument."""
 
@@ -147,7 +123,6 @@ class GlobalizationReport:
     eta_preserved: bool
     li_holds: bool
     lift_matches: bool
-    shape_trivial: bool
 
     @property
     def passed(self) -> bool:
@@ -160,7 +135,6 @@ class GlobalizationReport:
             "eta_preserved": self.eta_preserved,
             "li_holds": self.li_holds,
             "lift_matches": self.lift_matches,
-            "shape_trivial": self.shape_trivial,
             "passed": self.passed,
         }
 
@@ -181,7 +155,13 @@ def verify_globalization(
     nonzero, pos = occurs(lam, ctx.m0, target)
     if not nonzero:
         raise PreconditionViolation(f"lift vanishes: {pos.reason}")
+    return _verify_globalization(lam, ctx, target, t)
 
+
+def _verify_globalization(
+    lam: HCParam, ctx: LiftContext, target: Signature, t: int
+) -> GlobalizationReport:
+    """verify_globalization() without its checks, for a nonzero lift."""
     lam_plus = make_regular_deformation(lam, ctx, t)
     eta_preserved = eta_from_pi(lam)[1] == eta_from_pi(lam_plus)[1]
     li_holds = li_sufficient(lam_plus, ctx.m0, target)
@@ -190,14 +170,12 @@ def verify_globalization(
     phi_p = build_a_parameter(phi, ctx)
     _phi_p_plus, eta_p_plus = transfer_eta(lam_plus, ctx, target)
     sigma = sigma_from_eta_prime(phi_p, eta_p_plus, target)
-    lift_matches = sigma == lift_up(lam, ctx, target)
+    lift_matches = sigma == _lift_up(lam, ctx, target)
 
-    shape_trivial = epsilon_phi_trivial(GlobalShape(((1, 1),) * n))
     return GlobalizationReport(
         t=t,
         deformed=lam_plus,
         eta_preserved=eta_preserved,
         li_holds=li_holds,
         lift_matches=lift_matches,
-        shape_trivial=shape_trivial,
     )

@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from thetalift import cli
+from thetalift import InternalLemmaMismatch, cli
 
 
 def run_cli(capsys, *argv):
@@ -66,6 +66,27 @@ class TestLift:
         )
         assert rc == 2
         assert "error:" in err
+
+    def test_internal_error_is_exit_three(self, capsys, monkeypatch):
+        def broken_lift(*_args):
+            raise InternalLemmaMismatch("two derivations disagreed")
+
+        monkeypatch.setattr(cli, "lift", broken_lift)
+        rc, out, err = run_cli(
+            capsys, "lift", "--p", "1", "--q", "0", "--lambda", "2",
+            "--r", "2", "--s", "1",
+        )
+        assert rc == 3
+        assert out == ""
+        assert err.count("\n") == 1
+        assert "InternalLemmaMismatch" in err
+        # Bad input still exits 2 while lift is broken.
+        rc, out, err = run_cli(
+            capsys, "lift", "--p", "1", "--q", "1", "--lambda", "1/2,1/2",
+            "--r", "2", "--s", "0",
+        )
+        assert rc == 2
+        assert "RepeatedEntry" in err
 
     def test_exponents_default_to_dimension_parity(self, capsys):
         # (r+s) odd and (p+q) odd give m0 = n0 = 1, same as the

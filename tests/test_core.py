@@ -21,7 +21,6 @@ from thetalift import (
     make_regular_deformation,
     parse_half_list,
     split_abgd,
-    validate_hc,
 )
 from thetalift.core import LAX, STRICT, SIDE_P, SIDE_Q
 
@@ -130,11 +129,6 @@ def test_hcparam_not_dominant():
         HCParam(Signature(2, 0), (half(-1), half(1)))
     # cross-part order is free
     HCParam(Signature(1, 1), (half(-1), half(1)))
-
-
-def test_validate_hc_coerces_ints():
-    lam = validate_hc((1, 0), [2])
-    assert lam.entries == (HalfInt(2),)
 
 
 def test_lift_context_parity():

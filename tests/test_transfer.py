@@ -10,7 +10,6 @@ from thetalift import (
     PreconditionViolation,
     Signature,
     build_a_parameter,
-    epsilon_phi_trivial,
     half,
     lift_up,
     sigma_from_eta_prime,
@@ -19,7 +18,7 @@ from thetalift import (
     zeta_signs,
 )
 from thetalift.packets import LParameter
-from thetalift.transfer import GlobalShape, eps_half_conjdual
+from thetalift.transfer import eps_half_conjdual
 
 
 def test_zeta_signs_odd_gap_all_plus():
@@ -108,7 +107,6 @@ def test_globalization_report_passes():
     assert report.eta_preserved
     assert report.li_holds
     assert report.lift_matches
-    assert report.shape_trivial
     assert report.passed
     assert report.to_json()["passed"] is True
 
@@ -122,11 +120,3 @@ def test_globalization_guards():
         verify_globalization(lam, ctx, Signature(4, 0), 3)  # vanishing lift
     with pytest.raises(PreconditionViolation):
         verify_globalization(lam, LiftContext(0, 0, 2, 2), Signature(1, 1), 3)
-
-
-def test_global_shape_triviality():
-    assert epsilon_phi_trivial(GlobalShape(((1, 1), (1, 1))))
-    with pytest.raises(PreconditionViolation):
-        epsilon_phi_trivial(GlobalShape(((1, 2),)))
-    with pytest.raises(ValueError):
-        GlobalShape(((0, 1),))
