@@ -20,7 +20,7 @@ from .core import (
     HalfInt,
     LiftContext,
     Signature,
-    conjugate_dual,
+    _conjugate_dual_m0,
     half_text,
     parse_half_list,
 )
@@ -67,10 +67,6 @@ def _add_exponent_flags(sp: argparse.ArgumentParser) -> None:
                     help="source twist exponent, default (p+q) mod 2")
 
 
-def _position_json(pos) -> dict:
-    return {"l": pos.l, "t": pos.t, "swapped": pos.swapped, "reason": pos.reason}
-
-
 def cmd_lift(args: argparse.Namespace) -> int:
     lam = _parse_lambda(args)
     target = Signature(args.r, args.s)
@@ -91,7 +87,7 @@ def cmd_occurs(args: argparse.Namespace) -> int:
         "m0": m0,
         "target": [target.p, target.q],
         "occurs": nonzero,
-        "position": _position_json(pos),
+        "position": pos.to_json(),
     })
     return 0
 
@@ -102,8 +98,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     m0 = args.m0 if args.m0 is not None else n % 2
     k0 = args.k0 if args.k0 is not None else (0 if (m0 - n) % 2 == 0 else -1)
     if args.dual:
-        ctx = LiftContext(m0, n % 2, n, n if (n - m0) % 2 == 0 else n + 1)
-        lam = conjugate_dual(lam, ctx)
+        lam = _conjugate_dual_m0(lam, m0)
     inv = invariants(lam, m0, k0)
     _dump({
         "lambda": lam.to_json(),

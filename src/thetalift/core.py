@@ -316,7 +316,14 @@ class HCParam:
 
     @classmethod
     def parse(cls, text: str) -> "HCParam":
-        """Parse '1 0 | 2' style notation (p-part, bar, q-part)."""
+        """Parse '1 0 | 2' style notation (p-part, bar, q-part).
+
+        One pair of surrounding parentheses is accepted, so str() output
+        parses back to an equal parameter.
+        """
+        text = text.strip()
+        if text.startswith("(") and text.endswith(")"):
+            text = text[1:-1]
         if "|" not in text:
             raise ValueError("expected 'p-part | q-part'")
         left, right = text.split("|", 1)

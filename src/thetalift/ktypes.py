@@ -87,12 +87,7 @@ def _extract_pattern(mu: KType, shift_a: int, shift_b: int) -> _Pattern:
     )
 
 
-def correspond_ktype(mu: KType, ctx: LiftContext, target: Signature) -> KType | None:
-    """The K-type of U(target) paired with mu in the joint harmonics.
-
-    None when the pattern does not fit the target (x + w > r or
-    z + y > s); otherwise the partner weight.
-    """
+def _require_dims(mu: KType, ctx: LiftContext, target: Signature) -> None:
     if mu.sig.n != ctx.source_dim:
         raise PreconditionViolation(
             f"K-type lives on {mu.sig.n} coordinates, context source_dim={ctx.source_dim}"
@@ -101,6 +96,15 @@ def correspond_ktype(mu: KType, ctx: LiftContext, target: Signature) -> KType | 
         raise PreconditionViolation(
             f"target size {target.n} != context target_dim {ctx.target_dim}"
         )
+
+
+def correspond_ktype(mu: KType, ctx: LiftContext, target: Signature) -> KType | None:
+    """The K-type of U(target) paired with mu in the joint harmonics.
+
+    None when the pattern does not fit the target (x + w > r or
+    z + y > s); otherwise the partner weight.
+    """
+    _require_dims(mu, ctx, target)
     r, s = target.p, target.q
     p, q = mu.sig.p, mu.sig.q
     pat = _extract_pattern(
@@ -137,14 +141,7 @@ def split_mu(
     c-runs with the -s/2 twist. m1 and m2 default to the minimal
     admissible pair; explicit values must satisfy m1 = r, m2 = s
     (mod 2) and m1 + m2 = m0."""
-    if mu.sig.n != ctx.source_dim:
-        raise PreconditionViolation(
-            f"K-type lives on {mu.sig.n} coordinates, context source_dim={ctx.source_dim}"
-        )
-    if target.n != ctx.target_dim:
-        raise PreconditionViolation(
-            f"target size {target.n} != context target_dim {ctx.target_dim}"
-        )
+    _require_dims(mu, ctx, target)
     r, s = target.p, target.q
     p, q = mu.sig.p, mu.sig.q
     if m1 is None:

@@ -82,6 +82,9 @@ class TowerPosition:
     swapped: bool
     reason: str | None = None
 
+    def to_json(self) -> dict:
+        return {"l": self.l, "t": self.t, "swapped": self.swapped, "reason": self.reason}
+
 
 def _largest_chain(part_twices: frozenset[int], k0: int) -> int:
     """Largest k >= 1, k = k0 (mod 2), with the full chain inside the part."""
@@ -268,8 +271,3 @@ def first_occurrence(lam: HCParam, m0: int, k0: int) -> Signature:
     """Signature of the first nonzero lift in the k0 tower family."""
     inv = invariants(lam, m0, k0)
     return Signature(inv.r_lambda, inv.s_lambda)
-
-
-def invariants_for_target(lam: HCParam, m0: int, target: Signature) -> NVInvariants:
-    """invariants() with k0 inferred from the target dimension."""
-    return invariants(lam, m0, _k0_for(lam.sig.n, target.n))

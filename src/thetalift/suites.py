@@ -14,6 +14,12 @@ entry sets run in lexicographic order over the descending value
 universe, and part assignments count up in binary. Deterministic
 output follows from deterministic iteration.
 
+tally() is the one loop that counts a case stream's cases, failures and
+tags. run_suite() feeds it a suite from the SUITES registry at given
+bounds; the acceptance gate feeds it suite_ktypes directly, whose
+(max_run, height) grid is not an EnumerationBounds window and so stays
+out of the registry.
+
 A suite decides occurrence once per case with occurs() and then calls
 the unchecked private cores (_lift_up, _lift_down, _verify_globalization)
 rather than the public functions, which would decide it again.
@@ -23,11 +29,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
-from .core import HCParam, HalfInt, LiftContext, Signature, conjugate_dual, half_text
+from .core import HCParam, HalfInt, LiftContext, Signature, _conjugate_dual_m0, half_text
 from .errors import ChamberAmbiguous, MalformedCharacter, NotCompactLevi, NotGoodRange
-from .ktypes import KType, correspond_ktype
+from .ktypes import KType, _extract_pattern, _half_shift, correspond_ktype
 from .lifting import (
     LiftResult,
     _aq_infinitesimal_twices,
@@ -37,7 +43,7 @@ from .lifting import (
     aq_to_discrete_series,
     lift_up,
 )
-from .nonvanishing import c_count, invariants, invariants_for_target, li_sufficient, occurs
+from .nonvanishing import c_count, invariants, li_sufficient, occurs
 from .packets import (
     AParameter,
     LParameter,
@@ -191,11 +197,10 @@ def suite_round_trip(bounds: EnumerationBounds, emit: bool = True) -> Iterator[C
 
 def suite_duality(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case]:
     """Conjugate-dual invariants and occurrence symmetry."""
-    for lam, k0, m0, n0 in iter_params(bounds):
+    for lam, k0, m0, _n0 in iter_params(bounds):
         n = lam.sig.n
-        ctx = LiftContext(m0, n0, n, n if (n - m0) % 2 == 0 else n + 1)
-        dual = conjugate_dual(lam, ctx)
-        involution_ok = conjugate_dual(dual, ctx) == lam
+        dual = _conjugate_dual_m0(lam, m0)
+        involution_ok = _conjugate_dual_m0(dual, m0) == lam
         inv = invariants(lam, m0, k0)
         inv_d = invariants(dual, m0, k0)
         k_ok = inv_d.k_lambda == inv.k_lambda
@@ -246,18 +251,15 @@ def suite_persistence(bounds: EnumerationBounds, emit: bool = True) -> Iterator[
 
 def suite_li(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case]:
     """The sufficiency bound implies occurrence with empty windows."""
-    for lam, _k0, m0, _n0 in iter_params(bounds):
+    for lam, k0, m0, _n0 in iter_params(bounds):
         for target in _up_targets(lam.sig.n, m0, bounds.max_m_minus_n):
             if not li_sufficient(lam, m0, target):
                 yield True, "not_sufficient", None
                 continue
             nonzero, pos = occurs(lam, m0, target)
-            if pos.swapped:
-                ctx = _ctx(lam, m0, lam.sig.n % 2, target)
-                oriented = conjugate_dual(lam, ctx)
-                inv = invariants_for_target(oriented, m0, target)
-            else:
-                inv = invariants_for_target(lam, m0, target)
+            # Every target of one (lam, m0) lies in the k0 tower family.
+            oriented = _conjugate_dual_m0(lam, m0) if pos.swapped else lam
+            inv = invariants(oriented, m0, k0)
             window = pos.l + pos.t
             counts_zero = (
                 c_count(inv, +1, window) == 0 and c_count(inv, -1, window) == 0
@@ -446,8 +448,9 @@ def _ktype_case(a, b, c, d, p, q, r, s, seen, emit) -> Iterator[Case]:
     # zero padding (the r - s dependence).
     ctx2 = LiftContext(m0, n0, p + q, r + s + 2)
     mu2 = correspond_ktype(mu, ctx2, Signature(r + 1, s + 1))
-    pad_ok = mu2 is not None and _strip_padding(mu2, Signature(r + 1, s + 1), n0, p, q) == (
-        _strip_padding(mu_prime, target, n0, p, q)
+    sh_p, sh_q = _half_shift(p - q, n0), _half_shift(q - p, n0)
+    pad_ok = mu2 is not None and (
+        _extract_pattern(mu2, sh_p, sh_q) == _extract_pattern(mu_prime, sh_p, sh_q)
     )
 
     ok = round_ok and inj_ok and pad_ok
@@ -465,20 +468,6 @@ def _ktype_case(a, b, c, d, p, q, r, s, seen, emit) -> Iterator[Case]:
     yield ok, "checked", record
 
 
-def _strip_padding(mu: KType, target: Signature, n0: int, p: int, q: int):
-    """Signed runs of a partner weight, forgetting the zero padding."""
-    sh_a = (p - q + n0) // 2
-    sh_b = (q - p + n0) // 2
-    aa = [v - sh_a for v in mu.a_weights]
-    bb = [v - sh_b for v in mu.b_weights]
-    return (
-        tuple(v for v in aa if v > 0),
-        tuple(v for v in aa if v < 0),
-        tuple(v for v in bb if v > 0),
-        tuple(v for v in bb if v < 0),
-    )
-
-
 SUITES: dict[str, Callable[..., Iterator[Case]]] = {
     "two_path": suite_two_path,
     "round_trip": suite_round_trip,
@@ -487,6 +476,7 @@ SUITES: dict[str, Callable[..., Iterator[Case]]] = {
     "li": suite_li,
     "eta_prime": suite_eta_prime,
     "packets": suite_packets,
+    "globalization": suite_globalization,
 }
 
 
@@ -506,9 +496,16 @@ def run_suite(
     emit: bool = False,
     sink: Callable[[dict], None] | None = None,
 ) -> SuiteSummary:
-    """Drive one named suite, counting cases and failures."""
+    """Drive one registered suite at the given bounds, counting cases and failures."""
+    return tally(name, SUITES[name](bounds, emit), sink)
+
+
+def tally(
+    name: str, cases: Iterable[Case], sink: Callable[[dict], None] | None = None
+) -> SuiteSummary:
+    """Count the cases, failures and tags of any case stream; pass records to sink."""
     summary = SuiteSummary(name)
-    for ok, tag, record in SUITES[name](bounds, emit):
+    for ok, tag, record in cases:
         summary.cases += 1
         summary.tags[tag] = summary.tags.get(tag, 0) + 1
         if not ok:
@@ -533,11 +530,6 @@ def iter_enumeration(bounds: EnumerationBounds) -> Iterator[dict]:
                 "n0": n0,
                 "target": _sig_json(target),
                 "occurs": nonzero,
-                "position": {
-                    "l": pos.l,
-                    "t": pos.t,
-                    "swapped": pos.swapped,
-                    "reason": pos.reason,
-                },
+                "position": pos.to_json(),
                 "result": result.to_json(),
             }

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import HCParam, HalfInt, LiftContext, Signature, make_regular_deformation
+from .core import HCParam, LiftContext, Signature, make_regular_deformation
 from .errors import PreconditionViolation
 from .lifting import _lift_up
 from .nonvanishing import li_sufficient, occurs
@@ -60,17 +60,6 @@ def zeta_signs(m: int, n: int, i0: int) -> ZetaSigns:
     for z in zetas:
         z0 *= z
     return ZetaSigns(zetas, z0)
-
-
-def eps_half_conjdual(kappa: HalfInt) -> int:
-    """Local epsilon sign of the conjugate self-dual character at kappa.
-
-    +1 for integral kappa and for positive half-odd kappa, -1 for
-    negative half-odd kappa.
-    """
-    if kappa.is_integer:
-        return PLUS
-    return PLUS if kappa.twice > 0 else MINUS
 
 
 def build_a_parameter(phi: LParameter, ctx: LiftContext) -> AParameter:

@@ -6,8 +6,6 @@ is deterministic, and a silent change in the universe is as much a
 regression as a wrong answer.
 """
 
-from collections import Counter
-
 from thetalift.core import HCParam, LiftContext, Signature, half
 from thetalift.lifting import lift
 from thetalift.packets import sigma_from_eta_prime
@@ -16,6 +14,7 @@ from thetalift.suites import (
     run_suite,
     suite_globalization,
     suite_ktypes,
+    tally,
 )
 from thetalift.transfer import transfer_eta
 
@@ -25,17 +24,6 @@ FULL = EnumerationBounds(max_n=5, max_m_minus_n=8, height=half(11))
 
 # Packet bijections get their own wider rank bound.
 PACKET_BOUNDS = EnumerationBounds(max_n=6, max_m_minus_n=1, height=half(11))
-
-
-def drain(suite):
-    cases = failures = 0
-    tags: Counter = Counter()
-    for ok, tag, _record in suite:
-        cases += 1
-        tags[tag] += 1
-        if not ok:
-            failures += 1
-    return cases, failures, tags
 
 
 def blocks(result):
@@ -147,7 +135,8 @@ def test_criterion_6_packet_bijections(criterion):
 
 
 def test_criterion_7_globalization_shadow(criterion):
-    cases, failures, tags = drain(suite_globalization(FULL, emit=False))
+    summary = tally("globalization", suite_globalization(FULL, emit=False))
+    cases, failures, tags = summary.cases, summary.failures, summary.tags
     detail = (
         f"{cases} cases, {tags.get('nonzero', 0)} nonzero lifts deformed, "
         f"{failures} failures"
@@ -157,7 +146,8 @@ def test_criterion_7_globalization_shadow(criterion):
 
 
 def test_criterion_8_ktype_correspondence(criterion):
-    cases, failures, tags = drain(suite_ktypes(emit=False))
+    summary = tally("ktypes", suite_ktypes(emit=False))
+    cases, failures, tags = summary.cases, summary.failures, summary.tags
     detail = f"{cases} grid cases, {failures} failures"
     passed = failures == 0 and cases == 159_993 and tags.get("missing", 0) == 0
     criterion(8, "K-type correspondence", passed, detail)

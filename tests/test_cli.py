@@ -9,7 +9,7 @@ import json
 
 import pytest
 
-from thetalift import InternalLemmaMismatch, cli
+from thetalift import SUITES, InternalLemmaMismatch, cli
 
 
 def run_cli(capsys, *argv):
@@ -256,7 +256,7 @@ class TestVerify:
             assert case["path_a"] == case["path_b"]
 
     def test_every_registered_suite_runs_clean_at_small_bounds(self, capsys):
-        for suite in ("round_trip", "duality", "persistence", "li", "eta_prime", "packets"):
+        for suite in SUITES:
             rc, out, _err = run_cli(
                 capsys, "verify", "--suite", suite, "--quiet",
                 "--max-n", "2", "--height", "3/2", "--max-dm", "2",

@@ -12,6 +12,7 @@ from thetalift import (
     correspond_ktype,
     split_mu,
 )
+from thetalift.suites import suite_ktypes, tally
 
 
 CTX = LiftContext(0, 0, 2, 2)
@@ -116,3 +117,10 @@ def test_correspond_round_trip_property(extra_p, extra_q, pos, neg):
         return
     back = correspond_ktype(out, ctx.reversed(), src)
     assert back == mu
+
+
+def test_ktype_suite_counts_at_the_benchmark_window():
+    summary = tally("ktypes", suite_ktypes(emit=False, max_run=1, height=3))
+    assert summary.failures == 0
+    assert summary.cases == 4089
+    assert summary.tags == {"checked": 4089}

@@ -18,7 +18,6 @@ from thetalift import (
     zeta_signs,
 )
 from thetalift.packets import LParameter
-from thetalift.transfer import eps_half_conjdual
 
 
 def test_zeta_signs_odd_gap_all_plus():
@@ -41,13 +40,6 @@ def test_zeta_signs_slot_bounds():
         zeta_signs(2, 2, 4)
     with pytest.raises(PreconditionViolation):
         zeta_signs(2, 2, 0)
-
-
-def test_eps_half_conjdual():
-    assert eps_half_conjdual(HalfInt(1)) == 1
-    assert eps_half_conjdual(HalfInt(-2)) == 1
-    assert eps_half_conjdual(half(1)) == 1
-    assert eps_half_conjdual(half(-3)) == -1
 
 
 def test_build_a_parameter_scalar():

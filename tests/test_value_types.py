@@ -73,6 +73,7 @@ def test_hcparam(case):
     if lam is not None:
         assert lam.entries == halves(tw)
         assert lam.to_json()["p_part"] + lam.to_json()["q_part"] == [str(e) for e in lam.entries]
+        assert HCParam.parse(str(lam)) == lam
 
 
 sides = st.sampled_from((SIDE_NONE, SIDE_P, SIDE_Q, "X"))
