@@ -5,13 +5,16 @@ line, with a fixed key order and canonical half-integer rendering, so
 runs are byte-for-byte reproducible. Exit codes: 0 when the query
 computed (vanishing included), 1 when a verification suite found
 failures, 2 on input errors, 3 when an internal-consistency check failed
-(a bug, not bad input). Errors print one line on standard error.
+(a bug, not bad input), 141 (128 + SIGPIPE) when the reader closed
+standard output early, as `thetalift enumerate | head` does; that exit
+prints nothing. Errors print one line on standard error.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Sequence
 
@@ -28,9 +31,8 @@ from .errors import InternalError, ThetaLiftError
 from .ktypes import KType, correspond_ktype
 from .lifting import lift
 from .nonvanishing import c_count, invariants, occurs
-from .packets import AParameter, SignCharacter, packet_members, LParameter
+from .packets import AParameter, SignCharacter, _SigmaUnits, packet_members, LParameter
 from .suites import EnumerationBounds, SUITES, iter_enumeration, run_suite
-from .transfer import sigma_from_eta_prime
 
 
 def _dump(record: dict) -> None:
@@ -139,12 +141,16 @@ def cmd_apacket(args: argparse.Namespace) -> int:
     n1 = phi_p.n + 1
     for bits in range(1 << n1):
         eta_p = SignCharacter.from_bits(bits, n1)
+        if bits % 2 == 0:
+            # e'_0 is the lowest bit, so each pair of rows shares the
+            # values on e'_1, ..., e'_n and with them the unit blocks.
+            units = _SigmaUnits(phi_p, eta_p.values[1:])
         signs = eta_p.as_strings()
         row: dict = {"eta": {"e0": signs[0], "signs": signs[1:]}}
         if phi_p.tie_at_i0 and signs[0] != signs[phi_p.i0]:
             row["status"] = "invalid_character"
         else:
-            sigma = sigma_from_eta_prime(phi_p, eta_p, target)
+            sigma = units.at(eta_p, target)
             if sigma is None:
                 row["status"] = "zero"
             else:
@@ -272,7 +278,16 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away (`thetalift enumerate | head`). Point
+        # standard output at the null device so the flush at exit stays
+        # quiet, and exit as a process killed by SIGPIPE would.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141
     except InternalError as err:
         print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)
         return 3

@@ -25,14 +25,15 @@ the p-part of lam0 into its positive prefix alpha and nonpositive suffix
 beta, and the q-part into gamma (positive) and delta (nonpositive). The
 strict split first deletes a centered chain ((k-1)/2, (k-3)/2, ..., -(k-1)/2)
 from whichever part contains it, then requires every remaining entry to
-be nonzero.
+be nonzero. Splits and conjugate duals are recomputed on every call, with
+no process-wide cache; callers that reuse one across many targets keep it
+themselves.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 from .errors import (
@@ -492,17 +493,26 @@ def _chain_twices(k: int) -> tuple[int, ...]:
 
 def _split_part(part_twices: tuple[int, ...], strict: bool, label: str):
     """Positive prefix / nonpositive suffix of one descending part."""
-    pos = tuple(t for t in part_twices if t > 0)
-    rest = tuple(t for t in part_twices if t <= 0)
-    if strict and 0 in rest:
+    cut = 0
+    for t in part_twices:
+        if t <= 0:
+            break
+        cut += 1
+    rest = part_twices[cut:]
+    # The part descends, so a zero can only head the nonpositive suffix.
+    if strict and rest and rest[0] == 0:
         raise UnclassifiableZero(f"zero in {label} outside the removed chain")
-    return pos, rest
+    return part_twices[:cut], rest
 
 
-@lru_cache(maxsize=None)
 def _split_cached(lam: HCParam, m0: int, strict: bool, chain_k: int) -> ABGDSplit:
-    p_tw = tuple(t - m0 for t in lam.p_tw)
-    q_tw = tuple(t - m0 for t in lam.q_tw)
+    """split_abgd() on the exponent alone, without the context checks.
+
+    Nothing is memoized: callers that reuse a split across many targets
+    hold on to it themselves.
+    """
+    p_tw = tuple([t - m0 for t in lam.p_tw])
+    q_tw = tuple([t - m0 for t in lam.q_tw])
     side = SIDE_NONE
     if chain_k:
         if chain_k < 0:
@@ -555,11 +565,10 @@ def conjugate_dual(lam: HCParam, ctx: LiftContext) -> HCParam:
     return _conjugate_dual_m0(lam, ctx.m0)
 
 
-@lru_cache(maxsize=None)
 def _conjugate_dual_m0(lam: HCParam, m0: int) -> HCParam:
     tw_m0 = 2 * m0
-    p_new = tuple(tw_m0 - t for t in reversed(lam.p_tw))
-    q_new = tuple(tw_m0 - t for t in reversed(lam.q_tw))
+    p_new = tuple([tw_m0 - t for t in reversed(lam.p_tw)])
+    q_new = tuple([tw_m0 - t for t in reversed(lam.q_tw)])
     return HCParam.from_twices(lam.sig, p_new + q_new)
 
 

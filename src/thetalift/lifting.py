@@ -15,9 +15,13 @@ string; a tie between coordinates on opposite compact factors leaves the
 chamber undetermined and raises ChamberAmbiguous.
 
 The public lift functions check their preconditions and decide
-occurrence themselves. Each has an unchecked private core (_lift_up,
-_lift_down, _lift_nonzero) for callers that have already decided that
-the lift is nonzero, so occurrence is decided once per case.
+occurrence themselves. lift_up and lift_down have unchecked private
+cores (_lift_up, _lift_down) for callers that have already decided that
+the lift is nonzero, so occurrence is decided once per case. _LiftUp
+splits _lift_up at the target form: its unit blocks depend only on the
+parameter and the target size, so a caller that lifts one parameter to
+every form of one size builds them once and adds the interval block
+per form.
 """
 
 from __future__ import annotations
@@ -187,57 +191,82 @@ def lift_up(lam: HCParam, ctx: LiftContext, target: Signature) -> AqLambdaData:
 
 def _lift_up(lam: HCParam, ctx: LiftContext, target: Signature) -> AqLambdaData:
     """lift_up() without its checks, for a lift already known to be nonzero."""
-    n, m = ctx.source_dim, ctx.target_dim
-    r, s = target.p, target.q
-    sp = split_abgd(lam, ctx)
-    alpha, beta, gamma, delta = sp.alpha_tw, sp.beta_tw, sp.gamma_tw, sp.delta_tw
-    x, y, z, w = len(alpha), len(beta), len(gamma), len(delta)
-    if x + w > r or z + y > s:
-        raise InternalError(
-            f"split ({x},{y},{z},{w}) of {lam} at m0={ctx.m0} does not fit the "
-            f"nonzero lift target {target}"
+    return _LiftUp(lam, ctx).at(target)
+
+
+class _LiftUp:
+    """lift_up() for one parameter and one target size, split at the form.
+
+    The unit blocks depend only on the lax split and on (m, n0), so they
+    are built once; at() adds the interval block for one target form,
+    checks that the split fits it, and validates the result.
+    """
+
+    __slots__ = ("lam", "m0", "shape", "head", "tail", "interval_tw")
+
+    def __init__(self, lam: HCParam, ctx: LiftContext) -> None:
+        n, m = ctx.source_dim, ctx.target_dim
+        sp = split_abgd(lam, ctx)
+        alpha, beta, gamma, delta = sp.alpha_tw, sp.beta_tw, sp.gamma_tw, sp.delta_tw
+        x, y, z, w = len(alpha), len(beta), len(gamma), len(delta)
+        n0 = ctx.n0
+        block = AqBlock.from_twices
+
+        # Positive side: alpha entries become (1,0) blocks, gamma entries
+        # (0,1) blocks, interleaved by descending split value.
+        head: list[AqBlock] = []
+        merged_pos = sorted(
+            [(a, "a", i + 1) for i, a in enumerate(alpha)]
+            + [(g, "g", k + 1) for k, g in enumerate(gamma)],
+            key=lambda v: -v[0],
         )
-    n0 = ctx.n0
-    block = AqBlock.from_twices
+        for tw, tag, idx in merged_pos:
+            if tag == "a":
+                cross = sum(1 for g in gamma if g > tw)
+                val = tw - (m + 1) + 2 * idx + 2 * cross + n0
+                head.append(block(1, 0, val))
+            else:
+                cross = sum(1 for a in alpha if a > tw)
+                val = tw - (m + 1) + 2 * idx + 2 * cross + n0
+                head.append(block(0, 1, val))
 
-    blocks: list[AqBlock] = []
+        tail: list[AqBlock] = []
+        merged_neg = sorted(
+            [(d, "d", l + 1) for l, d in enumerate(delta)]
+            + [(b, "b", j + 1) for j, b in enumerate(beta)],
+            key=lambda v: -v[0],
+        )
+        for tw, tag, idx in merged_neg:
+            if tag == "d":
+                cross = sum(1 for b in beta if b < tw)
+                val = tw + (m - 1) + 2 * idx - 2 * w - 2 * cross + n0
+                tail.append(block(1, 0, val))
+            else:
+                cross = sum(1 for d in delta if d < tw)
+                val = tw + (m - 1) + 2 * idx - 2 * y - 2 * cross + n0
+                tail.append(block(0, 1, val))
 
-    # Positive side: alpha entries become (1,0) blocks, gamma entries
-    # (0,1) blocks, interleaved by descending split value.
-    merged_pos = sorted(
-        [(a, "a", i + 1) for i, a in enumerate(alpha)]
-        + [(g, "g", k + 1) for k, g in enumerate(gamma)],
-        key=lambda v: -v[0],
-    )
-    for tw, tag, idx in merged_pos:
-        if tag == "a":
-            cross = sum(1 for g in gamma if g > tw)
-            val = tw - (m + 1) + 2 * idx + 2 * cross + n0
-            blocks.append(block(1, 0, val))
-        else:
-            cross = sum(1 for a in alpha if a > tw)
-            val = tw - (m + 1) + 2 * idx + 2 * cross + n0
-            blocks.append(block(0, 1, val))
+        self.lam = lam
+        self.m0 = ctx.m0
+        self.shape = (x, y, z, w)
+        self.head = tuple(head)
+        self.tail = tuple(tail)
+        # The interval block of size m - n, omitted when m = n.
+        self.interval_tw = 2 * (x + z) - n + n0 if m > n else None
 
-    if m > n:
-        blocks.append(block(r - x - w, s - z - y, 2 * (x + z) - n + n0))
-
-    merged_neg = sorted(
-        [(d, "d", l + 1) for l, d in enumerate(delta)]
-        + [(b, "b", j + 1) for j, b in enumerate(beta)],
-        key=lambda v: -v[0],
-    )
-    for tw, tag, idx in merged_neg:
-        if tag == "d":
-            cross = sum(1 for b in beta if b < tw)
-            val = tw + (m - 1) + 2 * idx - 2 * w - 2 * cross + n0
-            blocks.append(block(1, 0, val))
-        else:
-            cross = sum(1 for d in delta if d < tw)
-            val = tw + (m - 1) + 2 * idx - 2 * y - 2 * cross + n0
-            blocks.append(block(0, 1, val))
-
-    return AqLambdaData(target, tuple(blocks))
+    def at(self, target: Signature) -> AqLambdaData:
+        """The lift to one form of the target size."""
+        x, y, z, w = self.shape
+        r, s = target.p, target.q
+        if x + w > r or z + y > s:
+            raise InternalError(
+                f"split ({x},{y},{z},{w}) of {self.lam} at m0={self.m0} does not fit the "
+                f"nonzero lift target {target}"
+            )
+        if self.interval_tw is None:
+            return AqLambdaData(target, self.head + self.tail)
+        interval = AqBlock.from_twices(r - x - w, s - z - y, self.interval_tw)
+        return AqLambdaData(target, self.head + (interval,) + self.tail)
 
 
 def lift_down(lam: HCParam, ctx: LiftContext, target: Signature) -> HCParam:
@@ -277,11 +306,6 @@ def lift(lam: HCParam, ctx: LiftContext, target: Signature) -> LiftResult:
     nonzero, _pos = occurs(lam, ctx.m0, target)
     if not nonzero:
         return LiftResult.vanishes()
-    return _lift_nonzero(lam, ctx, target)
-
-
-def _lift_nonzero(lam: HCParam, ctx: LiftContext, target: Signature) -> LiftResult:
-    """lift() without its checks, for a lift already known to be nonzero."""
     if ctx.target_dim <= ctx.source_dim:
         return LiftResult.discrete_series(_lift_down(lam, ctx, target))
     return LiftResult.weakly_fair(_lift_up(lam, ctx, target))

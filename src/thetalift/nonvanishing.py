@@ -23,12 +23,16 @@ c_count(inv, sign, t) counts the signed values of X_inf that land in the
 window [0, t) after the affine shift xi -> (k_lambda - 1)/2 + sign * xi;
 it vanishes for t <= 0. These counts, together with the coordinates
 (l, t) of a target signature along the tower, decide occurrence.
+
+Nothing here is memoized. occurs() computes the invariants on every
+call; a caller deciding many targets of one parameter holds a _Tower,
+which computes the parameter's invariants once and the conjugate dual's
+only when a target first needs the swapped orientation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .core import (
     ABGDSplit,
@@ -86,20 +90,18 @@ class TowerPosition:
         return {"l": self.l, "t": self.t, "swapped": self.swapped, "reason": self.reason}
 
 
-def _largest_chain(part_twices: frozenset[int], k0: int) -> int:
-    """Largest k >= 1, k = k0 (mod 2), with the full chain inside the part."""
-    k_best = 0
+def _largest_chain(part_twices: tuple[int, ...], k0: int) -> int:
+    """Largest k >= 1, k = k0 (mod 2), with the full chain inside the part.
+
+    The chain of length k + 2 is the chain of length k plus its two new
+    ends +-(k+1)/2, so lengths are tried upward, one pair of ends each.
+    """
     k = 1 if k0 % 2 else 2
-    while True:
-        chain = range(k - 1, -k, -2)
-        if all(t in part_twices for t in chain):
-            k_best = k
-            k += 2
-        else:
-            return k_best
+    while k - 1 in part_twices and 1 - k in part_twices:
+        k += 2
+    return max(k - 2, 0)
 
 
-@lru_cache(maxsize=None)
 def invariants(lam: HCParam, m0: int, k0: int) -> NVInvariants:
     """All tower invariants of lam at exponent m0 and parity class k0.
 
@@ -112,11 +114,11 @@ def invariants(lam: HCParam, m0: int, k0: int) -> NVInvariants:
     if (m0 - n - k0) % 2:
         raise ParityMismatch(f"m0={m0} inconsistent with n={n} and k0={k0}")
 
-    p_tw = tuple(t - m0 for t in lam.p_tw)
-    q_tw = tuple(t - m0 for t in lam.q_tw)
+    p_tw = tuple([t - m0 for t in lam.p_tw])
+    q_tw = tuple([t - m0 for t in lam.q_tw])
 
-    k_p = _largest_chain(frozenset(p_tw), k0)
-    k_q = _largest_chain(frozenset(q_tw), k0)
+    k_p = _largest_chain(p_tw, k0)
+    k_q = _largest_chain(q_tw, k0)
     # Entries are globally distinct, so at most one part holds a chain.
     if k_p and k_q:
         raise InternalError(f"chain found in both parts of {lam} - {m0}/2")
@@ -127,9 +129,8 @@ def invariants(lam: HCParam, m0: int, k0: int) -> NVInvariants:
     r_lam = sp.x + sp.w
     s_lam = sp.z + sp.y
 
-    X = tuple(
-        sorted([(t, +1) for t in p_tw] + [(t, -1) for t in q_tw], key=lambda v: -v[0])
-    )
+    # Entries are distinct, so the pairs sort by value alone.
+    X = tuple(sorted([(t, +1) for t in p_tw] + [(t, -1) for t in q_tw], reverse=True))
 
     # Classify each doubled value for the cancellation rule. Chain values
     # stay unlabeled: they never cancel but still occupy their slot.
@@ -139,30 +140,20 @@ def invariants(lam: HCParam, m0: int, k0: int) -> NVInvariants:
     ):
         for t in grp:
             cls[t] = name
-    work = list(X)
-    while True:
-        dead: set[int] = set()
-        for i in range(len(work) - 1):
-            if i in dead or i + 1 in dead:
-                continue
-            c1 = cls.get(work[i][0])
-            c2 = cls.get(work[i + 1][0])
-            if (c1 == "a" and c2 == "g") or (c1 == "b" and c2 == "d"):
-                dead.add(i)
-                dead.add(i + 1)
-        if not dead:
-            break
-        work = [wv for i, wv in enumerate(work) if i not in dead]
+    # The deletions alpha-gamma and beta-delta never overlap (no class is
+    # both a left and a right end), so the fixpoint is unique and one
+    # stack pass reaches it: cancel each value against the survivor
+    # directly above it.
+    stack: list[tuple[tuple[int, int], str | None]] = []
+    for v in X:
+        c = cls.get(v[0])
+        if stack and (c == "g" and stack[-1][1] == "a" or c == "d" and stack[-1][1] == "b"):
+            stack.pop()
+        else:
+            stack.append((v, c))
 
-    return NVInvariants(
-        k0=k0,
-        k_lambda=k_lam,
-        r_lambda=r_lam,
-        s_lambda=s_lam,
-        X_tw=X,
-        X_inf_tw=tuple(work),
-        split=sp,
-    )
+    X_inf = tuple([v for v, _c in stack])
+    return NVInvariants(k0, k_lam, r_lam, s_lam, X, X_inf, sp)
 
 
 def c_count(inv: NVInvariants, sign: int, t: int) -> int:
@@ -186,6 +177,83 @@ def _k0_for(n: int, m: int) -> int:
     return 0 if (m - n) % 2 == 0 else -1
 
 
+class _Tower:
+    """The tower of one parameter at one exponent m0.
+
+    Holds the parameter's invariants and, once a target first needs the
+    swapped orientation, the conjugate dual's invariants, so deciding
+    many targets of one parameter computes each at most once. A caller
+    that already has the dual's invariants passes them in. occurs()
+    builds one tower per call; the suites build one per parameter.
+    """
+
+    __slots__ = ("lam", "m0", "inv", "_dual_inv")
+
+    def __init__(
+        self, lam: HCParam, m0: int, inv: NVInvariants, dual_inv: NVInvariants | None = None
+    ) -> None:
+        self.lam = lam
+        self.m0 = m0
+        self.inv = inv
+        self._dual_inv = dual_inv
+
+    @property
+    def dual_inv(self) -> NVInvariants:
+        """Invariants of the conjugate dual, the swapped orientation."""
+        if self._dual_inv is None:
+            dual = _conjugate_dual_m0(self.lam, self.m0)
+            self._dual_inv = invariants(dual, self.m0, self.inv.k0)
+        return self._dual_inv
+
+    def oriented(self, pos: TowerPosition) -> NVInvariants:
+        """The invariants that decided the position: own or dual."""
+        return self.dual_inv if pos.swapped else self.inv
+
+    def position(self, target: Signature) -> tuple[bool, TowerPosition]:
+        """occurs() for one target of the tower's parity class."""
+        inv = self.inv
+        swapped = False
+        r, s = target.p, target.q
+        if r - inv.r_lambda < s - inv.s_lambda:
+            inv = self.dual_inv
+            r, s = s, r
+            swapped = True
+
+        l = s - inv.s_lambda
+        d = r - inv.r_lambda - l
+        if inv.k_lambda == -1:
+            if d % 2 != 1:
+                raise InternalError(
+                    f"step count parity broke for the odd tower of {self.lam} "
+                    f"at m0={self.m0}, target {target}"
+                )
+            t = (d - 1) // 2
+        else:
+            if d % 2 != 0:
+                raise InternalError(
+                    f"step count parity broke for the even tower of {self.lam} "
+                    f"at m0={self.m0}, target {target}"
+                )
+            t = d // 2
+
+        def no(reason: str) -> tuple[bool, TowerPosition]:
+            return False, TowerPosition(l, t, swapped, reason)
+
+        if l < 0:
+            return no("below the first occurrence in its tower")
+        if t < 0:
+            return no("negative plane count")
+        if t == 0:
+            return True, TowerPosition(l, t, swapped)
+        if l < max(inv.k_lambda, 0):
+            return no("step count below the chain length")
+        if c_count(inv, +1, l + t) > l:
+            return no("positive window count exceeds the step count")
+        if c_count(inv, -1, l + t) > l:
+            return no("negative window count exceeds the step count")
+        return True, TowerPosition(l, t, swapped)
+
+
 def occurs(lam: HCParam, m0: int, target: Signature) -> tuple[bool, TowerPosition]:
     """Decide whether the lift of lam to U(target) is nonzero.
 
@@ -196,47 +264,7 @@ def occurs(lam: HCParam, m0: int, target: Signature) -> tuple[bool, TowerPositio
     m = target.n
     if (m0 - m) % 2:
         raise ParityMismatch(f"m0={m0} must match target dimension {m} mod 2")
-    k0 = _k0_for(lam.sig.n, m)
-    inv = invariants(lam, m0, k0)
-
-    swapped = False
-    r, s = target.p, target.q
-    if r - inv.r_lambda < s - inv.s_lambda:
-        inv = invariants(_conjugate_dual_m0(lam, m0), m0, k0)
-        r, s = s, r
-        swapped = True
-
-    l = s - inv.s_lambda
-    d = r - inv.r_lambda - l
-    if inv.k_lambda == -1:
-        if d % 2 != 1:
-            raise InternalError(
-                f"step count parity broke for the odd tower of {lam} at m0={m0}, target {target}"
-            )
-        t = (d - 1) // 2
-    else:
-        if d % 2 != 0:
-            raise InternalError(
-                f"step count parity broke for the even tower of {lam} at m0={m0}, target {target}"
-            )
-        t = d // 2
-
-    def no(reason: str) -> tuple[bool, TowerPosition]:
-        return False, TowerPosition(l, t, swapped, reason)
-
-    if l < 0:
-        return no("below the first occurrence in its tower")
-    if t < 0:
-        return no("negative plane count")
-    if t == 0:
-        return True, TowerPosition(l, t, swapped)
-    if l < max(inv.k_lambda, 0):
-        return no("step count below the chain length")
-    if c_count(inv, +1, l + t) > l:
-        return no("positive window count exceeds the step count")
-    if c_count(inv, -1, l + t) > l:
-        return no("negative window count exceeds the step count")
-    return True, TowerPosition(l, t, swapped)
+    return _Tower(lam, m0, invariants(lam, m0, _k0_for(lam.sig.n, m))).position(target)
 
 
 def li_sufficient(lam: HCParam, m0: int, target: Signature) -> bool:
@@ -247,12 +275,16 @@ def li_sufficient(lam: HCParam, m0: int, target: Signature) -> bool:
     value. Implies occurs() with both window counts zero.
     """
     m = target.n
-    n = lam.sig.n
     if (m0 - m) % 2:
         raise ParityMismatch(f"m0={m0} must match target dimension {m} mod 2")
+    return _li_fits(_split_cached(lam, m0, False, 0), lam.sig.n, target)
+
+
+def _li_fits(sp: ABGDSplit, n: int, target: Signature) -> bool:
+    """li_sufficient() on the lax split of a size-n parameter, unchecked."""
+    m = target.n
     if m < n:
         return False
-    sp = _split_cached(lam, m0, False, 0)
     if sp.x + sp.w > target.p or sp.z + sp.y > target.q:
         return False
     bound = m - n + 1  # doubled value of (m - n + 1)/2

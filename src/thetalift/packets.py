@@ -13,12 +13,17 @@ form of size m or kills it; the gate is a sign condition on eta'(e'_0)
 with two independent formulations (a closed form in the block signature
 at position i0 and a product form over all of eta'). Both are computed
 and compared on every call.
+
+The unit blocks of a lift packet member depend only on phi' and on the
+character's values on e'_1, ..., e'_n; the target form adds the big block
+at i0 and, through e'_0, the sign gate. _SigmaUnits holds the first part
+so that callers iterating over forms or over e'_0 build it once; the
+public sigma_from_eta_prime builds one per call. Nothing is memoized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable
 
 from .core import HCParam, HalfInt, Signature, half_text
@@ -257,7 +262,6 @@ def pi_from_eta(phi: LParameter, eta: SignCharacter) -> tuple[Signature, HCParam
     return sig, HCParam.from_twices(sig, tuple(p_vals + q_vals))
 
 
-@lru_cache(maxsize=None)
 def eta_from_pi(lam: HCParam) -> tuple[LParameter, SignCharacter]:
     """Inverse of pi_from_eta: recover kappa and the sign character."""
     order = tuple(sorted(lam.entries_tw, reverse=True))
@@ -282,28 +286,24 @@ def _validate_a_character(phi_p: AParameter, eta_p: SignCharacter) -> None:
         )
 
 
-def _unit_block_signs(phi_p: AParameter, eta_p: SignCharacter) -> list[tuple[int, int]]:
-    """(r_i, s_i) for every 1 <= i <= n + 1 except i0, which gets (-1, -1)."""
+def _unit_block_signs(phi_p: AParameter, tail: tuple[int, ...]) -> list[tuple[int, int]]:
+    """(r_i, s_i) for every 1 <= i <= n + 1 except i0, which gets (-1, -1).
+
+    tail holds the character's values on e'_1, ..., e'_n; the value on
+    e'_0 never enters a unit block.
+    """
     n, m, i0 = phi_p.n, phi_p.m, phi_p.i0
     out: list[tuple[int, int]] = []
     for i in range(1, n + 2):
         if i == i0:
             out.append((-1, -1))
         elif i < i0:
-            matches = eta_p.values[i] == _sign_pow(i - 1)
+            matches = tail[i - 1] == _sign_pow(i - 1)
             out.append((1, 0) if matches else (0, 1))
         else:
-            matches = eta_p.values[i - 1] == _sign_pow(i + m - n - 2)
+            matches = tail[i - 2] == _sign_pow(i + m - n - 2)
             out.append((1, 0) if matches else (0, 1))
     return out
-
-
-def _big_block_balance(units: list[tuple[int, int]], target: Signature) -> tuple[int, int]:
-    """(r_i0, s_i0): what the unit blocks leave of the target for the big block."""
-    return (
-        target.p - sum(r for r, _ in units if r >= 0),
-        target.q - sum(s for _, s in units if s >= 0),
-    )
 
 
 def _sign_gate(
@@ -345,7 +345,7 @@ def eta_prime_sign_ok(phi_p: AParameter, eta_p: SignCharacter, target: Signature
     if target.n != phi_p.m:
         raise PreconditionViolation(f"target size {target.n} != parameter size {phi_p.m}")
     _validate_a_character(phi_p, eta_p)
-    r_i0, s_i0 = _big_block_balance(_unit_block_signs(phi_p, eta_p), target)
+    r_i0, s_i0 = _SigmaUnits(phi_p, eta_p.values[1:]).balance(target)
     return _sign_gate(phi_p, eta_p, target, r_i0, s_i0)
 
 
@@ -362,28 +362,65 @@ def sigma_from_eta_prime(
     if target.n != phi_p.m:
         raise PreconditionViolation(f"target size {target.n} != parameter size {phi_p.m}")
     _validate_a_character(phi_p, eta_p)
-    n, m, i0 = phi_p.n, phi_p.m, phi_p.i0
-    units = _unit_block_signs(phi_p, eta_p)
-    r_i0, s_i0 = _big_block_balance(units, target)
-    if r_i0 < 0 or s_i0 < 0:
-        return None
-    if not _sign_gate(phi_p, eta_p, target, r_i0, s_i0):
-        return None
+    return _SigmaUnits(phi_p, eta_p.values[1:]).at(eta_p, target)
 
-    mus = phi_p.mu_tw
-    blocks: list[AqBlock] = []
-    for i in range(1, n + 2):
-        if i < i0:
-            tw = mus[i - 1] - (m - 1) + 2 * (i - 1)
-            ri, si = units[i - 1]
-        elif i == i0:
-            tw = phi_p.mu0_tw - n + 2 * (i0 - 1)
-            ri, si = r_i0, s_i0
-        else:
-            tw = mus[i - 2] - (m - 1) + 2 * (i + m - n - 2)
-            ri, si = units[i - 1]
-        blocks.append(AqBlock.from_twices(ri, si, tw))
-    return AqLambdaData(target, tuple(blocks))
+
+class _SigmaUnits:
+    """sigma_from_eta_prime() for one parameter and one tail, split at the form.
+
+    The unit block signs and the unit blocks depend only on phi' and on
+    the character's values on e'_1, ..., e'_n (the tail, of length n),
+    so they are computed once, the blocks when a first form survives
+    the gate. at() takes a full character with that tail and one target
+    form of size m, validates the character, takes the big block's
+    balance, runs both forms of the sign gate and adds the i0 block.
+    """
+
+    __slots__ = ("phi_p", "units", "r_units", "s_units", "_blocks")
+
+    def __init__(self, phi_p: AParameter, tail: tuple[int, ...]) -> None:
+        units = _unit_block_signs(phi_p, tail)
+        self.phi_p = phi_p
+        self.units = units
+        self.r_units = sum(r for r, _ in units if r >= 0)
+        self.s_units = sum(s for _, s in units if s >= 0)
+        self._blocks: tuple[tuple[AqBlock, ...], tuple[AqBlock, ...]] | None = None
+
+    def _unit_blocks(self) -> tuple[tuple[AqBlock, ...], tuple[AqBlock, ...]]:
+        """The unit blocks before and after slot i0."""
+        phi_p = self.phi_p
+        n, m, i0 = phi_p.n, phi_p.m, phi_p.i0
+        mus = phi_p.mu_tw
+        blocks: list[AqBlock] = []
+        for i in range(1, n + 2):
+            if i < i0:
+                tw = mus[i - 1] - (m - 1) + 2 * (i - 1)
+            elif i > i0:
+                tw = mus[i - 2] - (m - 1) + 2 * (i + m - n - 2)
+            else:
+                continue
+            ri, si = self.units[i - 1]
+            blocks.append(AqBlock.from_twices(ri, si, tw))
+        return tuple(blocks[: i0 - 1]), tuple(blocks[i0 - 1 :])
+
+    def balance(self, target: Signature) -> tuple[int, int]:
+        """(r_i0, s_i0): what the unit blocks leave of the target for the big block."""
+        return target.p - self.r_units, target.q - self.s_units
+
+    def at(self, eta_p: SignCharacter, target: Signature) -> AqLambdaData | None:
+        """The member on one target form, or None when the character kills it."""
+        phi_p = self.phi_p
+        _validate_a_character(phi_p, eta_p)
+        r_i0, s_i0 = self.balance(target)
+        if r_i0 < 0 or s_i0 < 0:
+            return None
+        if not _sign_gate(phi_p, eta_p, target, r_i0, s_i0):
+            return None
+        if self._blocks is None:
+            self._blocks = self._unit_blocks()
+        head, tail = self._blocks
+        big = AqBlock.from_twices(r_i0, s_i0, phi_p.mu0_tw - phi_p.n + 2 * (phi_p.i0 - 1))
+        return AqLambdaData(target, head + (big,) + tail)
 
 
 def packet_members(phi: LParameter) -> list[tuple[SignCharacter, Signature, HCParam]]:

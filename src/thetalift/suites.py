@@ -20,9 +20,19 @@ bounds; the acceptance gate feeds it suite_ktypes directly, whose
 (max_run, height) grid is not an EnumerationBounds window and so stays
 out of the registry.
 
-A suite decides occurrence once per case with occurs() and then calls
-the unchecked private cores (_lift_up, _lift_down, _verify_globalization)
-rather than the public functions, which would decide it again.
+No suite relies on a cache. The enumeration suites loop parameter,
+then target size m, then target form (r, s). Each parameter's tower
+invariants are computed once, into a tower object that decides
+occurrence for all of its targets, once per case. The work that depends
+only on the parameter and m (lax splits, unit blocks, the transferred
+character's values, the deformation) is built lazily, at the first
+nonzero target of that m, so a vanishing case costs only its decision;
+each form then adds its own block and sign. That state is dropped when
+the loop moves on, so memory stays flat however large the window.
+Each suite calls the unchecked private halves (_LiftUp, _Transfer,
+_SigmaUnits, _Globalization) rather than the public functions, which
+would decide occurrence again and rebuild the shared part per form; the
+two derivation routes stay separate objects, each the other's oracle.
 """
 
 from __future__ import annotations
@@ -31,28 +41,36 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator
 
-from .core import HCParam, HalfInt, LiftContext, Signature, _conjugate_dual_m0, half_text
+from .core import (
+    HCParam,
+    HalfInt,
+    LiftContext,
+    Signature,
+    _conjugate_dual_m0,
+    _split_cached,
+    half_text,
+)
 from .errors import ChamberAmbiguous, MalformedCharacter, NotCompactLevi, NotGoodRange
 from .ktypes import KType, _extract_pattern, _half_shift, correspond_ktype
 from .lifting import (
     LiftResult,
     _aq_infinitesimal_twices,
     _lift_down,
-    _lift_nonzero,
-    _lift_up,
+    _LiftUp,
     aq_to_discrete_series,
     lift_up,
 )
-from .nonvanishing import c_count, invariants, li_sufficient, occurs
+from .nonvanishing import _li_fits, _Tower, c_count, invariants
 from .packets import (
     AParameter,
     LParameter,
     SignCharacter,
+    _SigmaUnits,
     eta_from_pi,
     eta_prime_sign_ok,
     pi_from_eta,
 )
-from .transfer import _verify_globalization, sigma_from_eta_prime, transfer_eta
+from .transfer import _Globalization, _Transfer
 
 Case = tuple[bool, str, dict | None]
 
@@ -98,25 +116,34 @@ def iter_params(bounds: EnumerationBounds) -> Iterator[tuple[HCParam, int, int, 
                     yield lam, k0, m0, n0
 
 
+def _up_sizes(n: int, m0: int, max_dm: int) -> list[int]:
+    """Target sizes above n of the parity of m0, ascending."""
+    return [m for m in range(n + 1, n + max_dm + 1) if (m - m0) % 2 == 0]
+
+
+def _down_sizes(n: int, m0: int) -> list[int]:
+    """Target sizes below n of the parity of m0, descending."""
+    return [m for m in range(n - 1, -1, -1) if (m - m0) % 2 == 0]
+
+
+def _forms(m: int) -> Iterator[Signature]:
+    """Every signature of size m, (0, m) first."""
+    for r in range(m + 1):
+        yield Signature(r, m - r)
+
+
 def _up_targets(n: int, m0: int, max_dm: int) -> Iterator[Signature]:
-    for dm in range(1, max_dm + 1):
-        m = n + dm
-        if (m - m0) % 2:
-            continue
-        for r in range(m + 1):
-            yield Signature(r, m - r)
+    for m in _up_sizes(n, m0, max_dm):
+        yield from _forms(m)
 
 
 def _down_targets(n: int, m0: int) -> Iterator[Signature]:
-    for m in range(n - 1, -1, -1):
-        if (m - m0) % 2:
-            continue
-        for r in range(m + 1):
-            yield Signature(r, m - r)
+    for m in _down_sizes(n, m0):
+        yield from _forms(m)
 
 
-def _ctx(lam: HCParam, m0: int, n0: int, target: Signature) -> LiftContext:
-    return LiftContext(m0=m0, n0=n0, source_dim=lam.sig.n, target_dim=target.n)
+def _ctx(lam: HCParam, m0: int, n0: int, m: int) -> LiftContext:
+    return LiftContext(m0=m0, n0=n0, source_dim=lam.sig.n, target_dim=m)
 
 
 def _sig_json(sig: Signature) -> list[int]:
@@ -125,41 +152,47 @@ def _sig_json(sig: Signature) -> list[int]:
 
 def suite_two_path(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case]:
     """Lift route versus packet-transfer route, block for block."""
-    for lam, _k0, m0, n0 in iter_params(bounds):
-        for target in _up_targets(lam.sig.n, m0, bounds.max_m_minus_n):
-            nonzero, _pos = occurs(lam, m0, target)
-            if not nonzero:
-                yield True, "vanishing", None
-                continue
-            ctx = _ctx(lam, m0, n0, target)
-            path_a = _lift_up(lam, ctx, target)
-            phi_p, eta_p = transfer_eta(lam, ctx, target)
-            path_b = sigma_from_eta_prime(phi_p, eta_p, target)
-            equal = path_b is not None and path_a == path_b
-            record = None
-            if emit or not equal:
-                record = {
-                    "suite": "two_path",
-                    "lambda": lam.to_json(),
-                    "m0": m0,
-                    "n0": n0,
-                    "target": _sig_json(target),
-                    "path_a": path_a.to_json(),
-                    "path_b": path_b.to_json() if path_b is not None else None,
-                    "equal": equal,
-                }
-            yield equal, "nonzero", record
+    for lam, k0, m0, n0 in iter_params(bounds):
+        tower = _Tower(lam, m0, invariants(lam, m0, k0))
+        for m in _up_sizes(lam.sig.n, m0, bounds.max_m_minus_n):
+            up = None
+            for target in _forms(m):
+                nonzero, _pos = tower.position(target)
+                if not nonzero:
+                    yield True, "vanishing", None
+                    continue
+                if up is None:
+                    ctx = _ctx(lam, m0, n0, m)
+                    up, transfer = _LiftUp(lam, ctx), _Transfer(lam, ctx)
+                    sigma = _SigmaUnits(transfer.phi_p, transfer.tail)
+                path_a = up.at(target)
+                path_b = sigma.at(transfer.eta_at(target), target)
+                equal = path_b is not None and path_a == path_b
+                record = None
+                if emit or not equal:
+                    record = {
+                        "suite": "two_path",
+                        "lambda": lam.to_json(),
+                        "m0": m0,
+                        "n0": n0,
+                        "target": _sig_json(target),
+                        "path_a": path_a.to_json(),
+                        "path_b": path_b.to_json() if path_b is not None else None,
+                        "equal": equal,
+                    }
+                yield equal, "nonzero", record
 
 
 def suite_round_trip(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case]:
     """Lift down, lift back up, compare characters and parameters."""
-    for lam, _k0, m0, n0 in iter_params(bounds):
+    for lam, k0, m0, n0 in iter_params(bounds):
+        tower = _Tower(lam, m0, invariants(lam, m0, k0))
         for target in _down_targets(lam.sig.n, m0):
-            nonzero, _pos = occurs(lam, m0, target)
+            nonzero, _pos = tower.position(target)
             if not nonzero:
                 yield True, "vanishing", None
                 continue
-            ctx = _ctx(lam, m0, n0, target)
+            ctx = _ctx(lam, m0, n0, target.n)
             sigma = _lift_down(lam, ctx, target)
             # The reverse lift's occurrence is part of what is checked,
             # so it goes through the public, checking lift_up.
@@ -203,12 +236,16 @@ def suite_duality(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case
         involution_ok = _conjugate_dual_m0(dual, m0) == lam
         inv = invariants(lam, m0, k0)
         inv_d = invariants(dual, m0, k0)
+        # dual is lam's conjugate dual, and lam is dual's whenever the
+        # involution holds, so each tower takes the other's invariants.
+        tower = _Tower(lam, m0, inv, inv_d)
+        tower_d = _Tower(dual, m0, inv_d, inv if involution_ok else None)
         k_ok = inv_d.k_lambda == inv.k_lambda
         rs_ok = (inv_d.r_lambda, inv_d.s_lambda) == (inv.s_lambda, inv.r_lambda)
         occ_ok = True
         for target in _up_targets(n, m0, bounds.max_m_minus_n):
-            a, _ = occurs(lam, m0, target)
-            b, _ = occurs(dual, m0, Signature(target.q, target.p))
+            a, _ = tower.position(target)
+            b, _ = tower_d.position(Signature(target.q, target.p))
             if a != b:
                 occ_ok = False
                 break
@@ -230,13 +267,14 @@ def suite_duality(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case
 
 def suite_persistence(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case]:
     """Nonvanishing persists one step up the tower."""
-    for lam, _k0, m0, _n0 in iter_params(bounds):
+    for lam, k0, m0, _n0 in iter_params(bounds):
+        tower = _Tower(lam, m0, invariants(lam, m0, k0))
         for target in _up_targets(lam.sig.n, m0, bounds.max_m_minus_n):
-            nonzero, _pos = occurs(lam, m0, target)
+            nonzero, _pos = tower.position(target)
             if not nonzero:
                 yield True, "vanishing", None
                 continue
-            up, _ = occurs(lam, m0, Signature(target.p + 1, target.q + 1))
+            up, _ = tower.position(Signature(target.p + 1, target.q + 1))
             record = None
             if emit or not up:
                 record = {
@@ -252,14 +290,18 @@ def suite_persistence(bounds: EnumerationBounds, emit: bool = True) -> Iterator[
 def suite_li(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case]:
     """The sufficiency bound implies occurrence with empty windows."""
     for lam, k0, m0, _n0 in iter_params(bounds):
-        for target in _up_targets(lam.sig.n, m0, bounds.max_m_minus_n):
-            if not li_sufficient(lam, m0, target):
+        n = lam.sig.n
+        split = _split_cached(lam, m0, False, 0)
+        tower = None
+        for target in _up_targets(n, m0, bounds.max_m_minus_n):
+            if not _li_fits(split, n, target):
                 yield True, "not_sufficient", None
                 continue
-            nonzero, pos = occurs(lam, m0, target)
-            # Every target of one (lam, m0) lies in the k0 tower family.
-            oriented = _conjugate_dual_m0(lam, m0) if pos.swapped else lam
-            inv = invariants(oriented, m0, k0)
+            # The invariants are computed only once a target is sufficient.
+            if tower is None:
+                tower = _Tower(lam, m0, invariants(lam, m0, k0))
+            nonzero, pos = tower.position(target)
+            inv = tower.oriented(pos)
             window = pos.l + pos.t
             counts_zero = (
                 c_count(inv, +1, window) == 0 and c_count(inv, -1, window) == 0
@@ -358,27 +400,31 @@ def suite_packets(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case
 
 def suite_globalization(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case]:
     """Deformation shadow holds at every nonzero lift in the window."""
-    for lam, _k0, m0, n0 in iter_params(bounds):
-        for target in _up_targets(lam.sig.n, m0, bounds.max_m_minus_n):
-            nonzero, _pos = occurs(lam, m0, target)
-            if not nonzero:
-                yield True, "vanishing", None
-                continue
-            dm = target.n - lam.sig.n
-            t = dm // 2 + 2  # ceil((dm+1)/2) + 1
-            ctx = _ctx(lam, m0, n0, target)
-            report = _verify_globalization(lam, ctx, target, t)
-            record = None
-            if emit or not report.passed:
-                record = {
-                    "suite": "globalization",
-                    "lambda": lam.to_json(),
-                    "m0": m0,
-                    "target": _sig_json(target),
-                    "t": t,
-                    "report": report.to_json(),
-                }
-            yield report.passed, "nonzero", record
+    for lam, k0, m0, n0 in iter_params(bounds):
+        n = lam.sig.n
+        tower = _Tower(lam, m0, invariants(lam, m0, k0))
+        for m in _up_sizes(n, m0, bounds.max_m_minus_n):
+            shadow = None
+            for target in _forms(m):
+                nonzero, _pos = tower.position(target)
+                if not nonzero:
+                    yield True, "vanishing", None
+                    continue
+                if shadow is None:
+                    t = (m - n) // 2 + 2  # ceil((m-n+1)/2) + 1
+                    shadow = _Globalization(lam, _ctx(lam, m0, n0, m), t)
+                report = shadow.at(target)
+                record = None
+                if emit or not report.passed:
+                    record = {
+                        "suite": "globalization",
+                        "lambda": lam.to_json(),
+                        "m0": m0,
+                        "target": _sig_json(target),
+                        "t": report.t,
+                        "report": report.to_json(),
+                    }
+                yield report.passed, "nonzero", record
 
 
 def _weight_runs(length: int, height: int, positive: bool) -> list[tuple[int, ...]]:
@@ -517,19 +563,28 @@ def tally(
 
 def iter_enumeration(bounds: EnumerationBounds) -> Iterator[dict]:
     """Every lift decision in the window, as JSON-ready records."""
-    for lam, _k0, m0, n0 in iter_params(bounds):
+    for lam, k0, m0, n0 in iter_params(bounds):
         n = lam.sig.n
-        targets = itertools.chain(_down_targets(n, m0), _up_targets(n, m0, bounds.max_m_minus_n))
-        for target in targets:
-            nonzero, pos = occurs(lam, m0, target)
-            ctx = _ctx(lam, m0, n0, target)
-            result = _lift_nonzero(lam, ctx, target) if nonzero else LiftResult.vanishes()
-            yield {
-                "lambda": lam.to_json(),
-                "m0": m0,
-                "n0": n0,
-                "target": _sig_json(target),
-                "occurs": nonzero,
-                "position": pos.to_json(),
-                "result": result.to_json(),
-            }
+        tower = _Tower(lam, m0, invariants(lam, m0, k0))
+        for m in _down_sizes(n, m0) + _up_sizes(n, m0, bounds.max_m_minus_n):
+            ctx = _ctx(lam, m0, n0, m)
+            up = None
+            for target in _forms(m):
+                nonzero, pos = tower.position(target)
+                if not nonzero:
+                    result = LiftResult.vanishes()
+                elif m < n:
+                    result = LiftResult.discrete_series(_lift_down(lam, ctx, target))
+                else:
+                    if up is None:
+                        up = _LiftUp(lam, ctx)
+                    result = LiftResult.weakly_fair(up.at(target))
+                yield {
+                    "lambda": lam.to_json(),
+                    "m0": m0,
+                    "n0": n0,
+                    "target": _sig_json(target),
+                    "occurs": nonzero,
+                    "position": pos.to_json(),
+                    "result": result.to_json(),
+                }

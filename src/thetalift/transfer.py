@@ -14,22 +14,31 @@ confirm the transferred character still cuts out the same induction
 datum for the undeformed values. Like the public lift functions it
 decides occurrence itself; _verify_globalization is the unchecked core
 for callers that have already decided it.
+
+Both transfer_eta and the globalization check are built from two halves:
+the work that depends only on the parameter and the target size
+(_Transfer: eta_from_pi, build_a_parameter, the zetas; _Globalization:
+the deformation, the preserved character, the deformed lax split and
+both routes' unit blocks) and a per-form step. The public functions run
+both halves on every call; the suites keep the first half across the
+forms of one size. Nothing is memoized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import HCParam, LiftContext, Signature, make_regular_deformation
+from .core import HCParam, LiftContext, Signature, _split_cached, make_regular_deformation
 from .errors import PreconditionViolation
-from .lifting import _lift_up
-from .nonvanishing import li_sufficient, occurs
+from .lifting import _LiftUp
+from .nonvanishing import _li_fits, occurs
 from .packets import (
     AParameter,
     LParameter,
     MINUS,
     PLUS,
     SignCharacter,
+    _SigmaUnits,
     epsilon_of_signature,
     eta_from_pi,
     sigma_from_eta_prime,
@@ -91,16 +100,32 @@ def transfer_eta(
         raise PreconditionViolation(
             f"target size {target.n} != context target_dim {ctx.target_dim}"
         )
-    phi, eta = eta_from_pi(lam)
-    phi_p = build_a_parameter(phi, ctx)
-    zs = zeta_signs(ctx.target_dim, ctx.source_dim, phi_p.i0)
-    vals = tuple(z * e for z, e in zip(zs.zetas, eta.values))
-    e0 = (
-        zs.zeta0
-        * epsilon_of_signature(target.p, target.q)
-        * epsilon_of_signature(lam.sig.p, lam.sig.q)
-    )
-    return phi_p, SignCharacter((e0,) + vals)
+    tr = _Transfer(lam, ctx)
+    return tr.phi_p, tr.eta_at(target)
+
+
+class _Transfer:
+    """transfer_eta() for one parameter and one target size, split at the form.
+
+    The lift parameter phi' and the character's values on e'_1, ..., e'_n
+    (the tail) depend only on lam and the context; eta_at() sets the
+    e'_0 value for one target form.
+    """
+
+    __slots__ = ("phi_p", "tail", "e0_source")
+
+    def __init__(self, lam: HCParam, ctx: LiftContext) -> None:
+        phi, eta = eta_from_pi(lam)
+        phi_p = build_a_parameter(phi, ctx)
+        zs = zeta_signs(ctx.target_dim, ctx.source_dim, phi_p.i0)
+        self.phi_p = phi_p
+        self.tail = tuple(z * e for z, e in zip(zs.zetas, eta.values))
+        self.e0_source = zs.zeta0 * epsilon_of_signature(lam.sig.p, lam.sig.q)
+
+    def eta_at(self, target: Signature) -> SignCharacter:
+        """The transferred character for one target form."""
+        e0 = self.e0_source * epsilon_of_signature(target.p, target.q)
+        return SignCharacter((e0,) + self.tail)
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,20 +176,40 @@ def _verify_globalization(
     lam: HCParam, ctx: LiftContext, target: Signature, t: int
 ) -> GlobalizationReport:
     """verify_globalization() without its checks, for a nonzero lift."""
-    lam_plus = make_regular_deformation(lam, ctx, t)
-    eta_preserved = eta_from_pi(lam)[1] == eta_from_pi(lam_plus)[1]
-    li_holds = li_sufficient(lam_plus, ctx.m0, target)
+    return _Globalization(lam, ctx, t).at(target)
 
-    phi, _eta = eta_from_pi(lam)
-    phi_p = build_a_parameter(phi, ctx)
-    _phi_p_plus, eta_p_plus = transfer_eta(lam_plus, ctx, target)
-    sigma = sigma_from_eta_prime(phi_p, eta_p_plus, target)
-    lift_matches = sigma == _lift_up(lam, ctx, target)
 
-    return GlobalizationReport(
-        t=t,
-        deformed=lam_plus,
-        eta_preserved=eta_preserved,
-        li_holds=li_holds,
-        lift_matches=lift_matches,
-    )
+class _Globalization:
+    """verify_globalization() for one parameter and one target size, split at the form.
+
+    The deformation, the preserved-character check, the lax split of the
+    deformed parameter, and both routes' target-independent parts are
+    built once; at() runs the sufficiency test and compares the two
+    routes on one target form.
+    """
+
+    __slots__ = ("t", "n", "lam_plus", "eta_preserved", "split_plus", "path_a",
+                 "transfer_plus", "path_b")
+
+    def __init__(self, lam: HCParam, ctx: LiftContext, t: int) -> None:
+        lam_plus = make_regular_deformation(lam, ctx, t)
+        phi, eta = eta_from_pi(lam)
+        self.t = t
+        self.n = lam.sig.n
+        self.lam_plus = lam_plus
+        self.eta_preserved = eta == eta_from_pi(lam_plus)[1]
+        self.split_plus = _split_cached(lam_plus, ctx.m0, False, 0)
+        self.path_a = _LiftUp(lam, ctx)
+        self.transfer_plus = _Transfer(lam_plus, ctx)
+        self.path_b = _SigmaUnits(build_a_parameter(phi, ctx), self.transfer_plus.tail)
+
+    def at(self, target: Signature) -> GlobalizationReport:
+        """The report for one target form of the context's size."""
+        sigma = self.path_b.at(self.transfer_plus.eta_at(target), target)
+        return GlobalizationReport(
+            t=self.t,
+            deformed=self.lam_plus,
+            eta_preserved=self.eta_preserved,
+            li_holds=_li_fits(self.split_plus, self.n, target),
+            lift_matches=sigma == self.path_a.at(target),
+        )

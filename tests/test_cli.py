@@ -1,14 +1,20 @@
 """End-to-end tests for the command-line front end.
 
-Every test drives cli.main(argv) directly and reads captured stdout,
-so the assertions cover argument parsing, JSON rendering, and exit
-codes in one pass.
+Every test but the closed-pipe one drives cli.main(argv) directly and
+reads captured stdout, so the assertions cover argument parsing, JSON
+rendering, and exit codes in one pass; the closed-pipe test runs the
+CLI as a child process, since only a real pipe can close early.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import thetalift
 from thetalift import SUITES, InternalLemmaMismatch, cli
 
 
@@ -292,3 +298,18 @@ class TestEnumerate:
         cli.main(argv)
         second = capsys.readouterr().out
         assert first == second
+
+    def test_closed_pipe_is_exit_141_and_silent(self):
+        # A reader that stops early, like `thetalift enumerate | head -1`.
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(Path(thetalift.__file__).resolve().parent.parent)
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "thetalift.cli", "enumerate", "--max-n", "3"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _out, err = proc.communicate(timeout=60)
+        assert json.loads(first)["m0"] in (0, 1)
+        assert proc.returncode == 141
+        assert err == b""

@@ -159,3 +159,48 @@ def test_persistence_along_diagonal(dr, ds):
     stepped = Signature(base.p + dr + 1, base.q + dr + 1)
     ok, _ = occurs(lam, 1, stepped)
     assert ok
+
+
+@st.composite
+def _params_at_exponent(draw):
+    """(lam, m0, k0) with lam of size up to 7 and entries up to 25/2."""
+    n = draw(st.integers(1, 7))
+    k0 = draw(st.sampled_from((0, -1)))
+    parity = (n - 1) % 2
+    values = draw(
+        st.lists(st.integers(-12, 12).map(lambda v: 2 * v + parity),
+                 min_size=n, max_size=n, unique=True)
+    )
+    on_p = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    p_tw = sorted((v for v, p in zip(values, on_p) if p), reverse=True)
+    q_tw = sorted((v for v, p in zip(values, on_p) if not p), reverse=True)
+    lam = HCParam.from_twices(Signature(len(p_tw), len(q_tw)), tuple(p_tw + q_tw))
+    return lam, (n + k0) % 2, k0
+
+
+def _delete_pairs_one_at_a_time(X, cls):
+    """Delete any adjacent alpha-gamma or beta-delta pair until none is left."""
+    work = list(X)
+    while True:
+        for i in range(len(work) - 1):
+            if (cls.get(work[i][0]), cls.get(work[i + 1][0])) in (("a", "g"), ("b", "d")):
+                del work[i : i + 2]
+                break
+        else:
+            return tuple(work)
+
+
+@given(_params_at_exponent())
+def test_x_inf_is_the_fixpoint_of_pair_deletion(case):
+    lam, m0, k0 = case
+    inv = invariants(lam, m0, k0)
+    signed = [(t - m0, +1) for t in lam.p_tw] + [(t - m0, -1) for t in lam.q_tw]
+    assert inv.X_tw == tuple(sorted(signed, key=lambda v: -v[0]))
+    sp = inv.split
+    cls = {
+        t: c
+        for part, c in ((sp.alpha_tw, "a"), (sp.beta_tw, "b"), (sp.gamma_tw, "g"),
+                        (sp.delta_tw, "d"))
+        for t in part
+    }
+    assert inv.X_inf_tw == _delete_pairs_one_at_a_time(inv.X_tw, cls)

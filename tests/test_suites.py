@@ -1,0 +1,68 @@
+"""Every registered suite at the benchmark windows: exact counts, bounded memory.
+
+The acceptance gate checks the frozen totals at full bounds in minutes;
+these tests check the same enumeration at small windows in seconds, so a
+restructured loop that drops or repeats a case fails in the fast tier.
+"""
+
+import gc
+import sys
+import tracemalloc
+
+from thetalift import SUITES, EnumerationBounds, half
+from thetalift.suites import run_suite
+
+ENUMERATION = EnumerationBounds(max_n=3, max_m_minus_n=4, height=half(7))
+PACKETS = EnumerationBounds(max_n=5, max_m_minus_n=1, height=half(9))
+
+# Case and tag counts at the windows above (perfbench/reference.json
+# records the same numbers as reference_counts).
+COUNTS = {
+    "two_path": (12088, {"nonzero": 5332, "vanishing": 6756}),
+    "round_trip": (2310, {"chamber_ambiguous": 58, "match": 116, "vanishing": 2136}),
+    "duality": (954, {"checked": 954}),
+    "persistence": (12088, {"nonzero": 5332, "vanishing": 6756}),
+    "li": (12088, {"not_sufficient": 10352, "sufficient": 1736}),
+    "eta_prime": (2382, {"checked": 2382}),
+    "packets": (474, {"checked": 474}),
+    "globalization": (12088, {"nonzero": 5332, "vanishing": 6756}),
+}
+
+
+def _window(name):
+    return PACKETS if name == "packets" else ENUMERATION
+
+
+def test_suites_retain_no_memory():
+    # Placed before the counts test, so that a memo added anywhere is
+    # still empty here and shows as retained memory.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for name in SUITES:
+            run_suite(name, _window(name))
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 64 * 1024, f"{retained} bytes retained after the suites"
+
+
+def test_suite_counts_at_the_benchmark_windows():
+    assert set(COUNTS) == set(SUITES)
+    for name in SUITES:
+        summary = run_suite(name, _window(name))
+        cases, tags = COUNTS[name]
+        assert (summary.failures, summary.cases, summary.tags) == (0, cases, tags), name
+
+
+def test_no_process_wide_caches():
+    cached = [
+        f"{module_name}.{attr}"
+        for module_name, module in sorted(sys.modules.items())
+        if module_name == "thetalift" or module_name.startswith("thetalift.")
+        for attr, value in vars(module).items()
+        if hasattr(value, "cache_info")
+    ]
+    assert cached == []
