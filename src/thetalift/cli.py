@@ -30,7 +30,7 @@ from .core import (
 from .errors import InternalError, ThetaLiftError
 from .ktypes import KType, correspond_ktype
 from .lifting import lift
-from .nonvanishing import c_count, invariants, occurs
+from .nonvanishing import _k0_for, c_count, invariants, occurs
 from .packets import AParameter, SignCharacter, _SigmaUnits, packet_members, LParameter
 from .suites import EnumerationBounds, SUITES, iter_enumeration, run_suite
 
@@ -98,7 +98,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     lam = _parse_lambda(args)
     n = lam.sig.n
     m0 = args.m0 if args.m0 is not None else n % 2
-    k0 = args.k0 if args.k0 is not None else (0 if (m0 - n) % 2 == 0 else -1)
+    k0 = args.k0 if args.k0 is not None else _k0_for(n, m0)
     if args.dual:
         lam = _conjugate_dual_m0(lam, m0)
     inv = invariants(lam, m0, k0)

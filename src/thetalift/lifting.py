@@ -14,14 +14,24 @@ induces to, choosing the dominant chamber from the expanded coordinate
 string; a tie between coordinates on opposite compact factors leaves the
 chamber undetermined and raises ChamberAmbiguous.
 
+Both builders place each value by its rank, taken from one sort. In
+lift_up (values doubled), the positive split values alpha and gamma
+merge in descending order into (1,0) blocks for alpha and (0,1) blocks
+for gamma, and the k-th largest (k from 1) gets tw - (m+1) + 2k + n0;
+the nonpositive values delta and beta merge into (1,0) blocks for delta
+and (0,1) blocks for beta, and a value with j merged values below it
+gets tw + (m-1) - 2j + n0. The split values are distinct, so the ranks
+are unique. In aq_to_discrete_series the coordinates sort by value,
+then by side, then by position, and the one at rank k (from 0) of mm
+adds rho = mm - 1 - 2k, its count of coordinates after minus before.
+
 The public lift functions check their preconditions and decide
-occurrence themselves. lift_up and lift_down have unchecked private
-cores (_lift_up, _lift_down) for callers that have already decided that
-the lift is nonzero, so occurrence is decided once per case. _LiftUp
-splits _lift_up at the target form: its unit blocks depend only on the
-parameter and the target size, so a caller that lifts one parameter to
-every form of one size builds them once and adds the interval block
-per form.
+occurrence themselves. Callers that have already decided that the lift
+is nonzero use the unchecked private halves, so occurrence is decided
+once per case: _lift_down, and _LiftUp, whose unit blocks depend only
+on the parameter and the target size, so a caller that lifts one
+parameter to every form of one size builds them once and adds the
+interval block per form with at().
 """
 
 from __future__ import annotations
@@ -186,11 +196,6 @@ def lift_up(lam: HCParam, ctx: LiftContext, target: Signature) -> AqLambdaData:
     nonzero, pos = occurs(lam, ctx.m0, target)
     if not nonzero:
         raise PreconditionViolation(f"lift of {lam} to {target} vanishes: {pos.reason}")
-    return _lift_up(lam, ctx, target)
-
-
-def _lift_up(lam: HCParam, ctx: LiftContext, target: Signature) -> AqLambdaData:
-    """lift_up() without its checks, for a lift already known to be nonzero."""
     return _LiftUp(lam, ctx).at(target)
 
 
@@ -212,45 +217,20 @@ class _LiftUp:
         n0 = ctx.n0
         block = AqBlock.from_twices
 
-        # Positive side: alpha entries become (1,0) blocks, gamma entries
-        # (0,1) blocks, interleaved by descending split value.
-        head: list[AqBlock] = []
-        merged_pos = sorted(
-            [(a, "a", i + 1) for i, a in enumerate(alpha)]
-            + [(g, "g", k + 1) for k, g in enumerate(gamma)],
-            key=lambda v: -v[0],
-        )
-        for tw, tag, idx in merged_pos:
-            if tag == "a":
-                cross = sum(1 for g in gamma if g > tw)
-                val = tw - (m + 1) + 2 * idx + 2 * cross + n0
-                head.append(block(1, 0, val))
-            else:
-                cross = sum(1 for a in alpha if a > tw)
-                val = tw - (m + 1) + 2 * idx + 2 * cross + n0
-                head.append(block(0, 1, val))
-
-        tail: list[AqBlock] = []
-        merged_neg = sorted(
-            [(d, "d", l + 1) for l, d in enumerate(delta)]
-            + [(b, "b", j + 1) for j, b in enumerate(beta)],
-            key=lambda v: -v[0],
-        )
-        for tw, tag, idx in merged_neg:
-            if tag == "d":
-                cross = sum(1 for b in beta if b < tw)
-                val = tw + (m - 1) + 2 * idx - 2 * w - 2 * cross + n0
-                tail.append(block(1, 0, val))
-            else:
-                cross = sum(1 for d in delta if d < tw)
-                val = tw + (m - 1) + 2 * idx - 2 * y - 2 * cross + n0
-                tail.append(block(0, 1, val))
+        # The rank rules of the module docstring: k counts the positive
+        # values from the top (from 1), j the nonpositive ones from the bottom.
+        pos = sorted([(a, 1, 0) for a in alpha] + [(g, 0, 1) for g in gamma], reverse=True)
+        neg = sorted([(d, 1, 0) for d in delta] + [(b, 0, 1) for b in beta])
 
         self.lam = lam
         self.m0 = ctx.m0
         self.shape = (x, y, z, w)
-        self.head = tuple(head)
-        self.tail = tuple(tail)
+        self.head = tuple(
+            block(p, q, tw - (m + 1) + 2 * k + n0) for k, (tw, p, q) in enumerate(pos, 1)
+        )
+        self.tail = tuple(
+            block(p, q, tw + (m - 1) - 2 * j + n0) for j, (tw, p, q) in enumerate(neg)
+        )[::-1]
         # The interval block of size m - n, omitted when m = n.
         self.interval_tw = 2 * (x + z) - n + n0 if m > n else None
 
@@ -308,7 +288,7 @@ def lift(lam: HCParam, ctx: LiftContext, target: Signature) -> LiftResult:
         return LiftResult.vanishes()
     if ctx.target_dim <= ctx.source_dim:
         return LiftResult.discrete_series(_lift_down(lam, ctx, target))
-    return LiftResult.weakly_fair(_lift_up(lam, ctx, target))
+    return LiftResult.weakly_fair(_LiftUp(lam, ctx).at(target))
 
 
 def aq_infinitesimal_character(aq: AqLambdaData) -> tuple[HalfInt, ...]:
@@ -353,7 +333,8 @@ def aq_to_discrete_series(aq: AqLambdaData) -> HCParam:
                 "are outside the good range"
             )
 
-    # Expanded coordinates: (value, side, position), p-side first.
+    # Expanded coordinates, p-side first, ranked by value and then index,
+    # so equal values sit next to each other.
     p_coords: list[int] = []
     q_coords: list[int] = []
     for b in aq.blocks:
@@ -361,32 +342,17 @@ def aq_to_discrete_series(aq: AqLambdaData) -> HCParam:
             p_coords.extend([b.lam_tw] * b.p_i)
         else:
             q_coords.extend([b.lam_tw] * b.q_i)
-    coords = [(v, 0, i) for i, v in enumerate(p_coords)] + [
-        (v, 1, i) for i, v in enumerate(q_coords)
-    ]
+    coords = p_coords + q_coords
+    p, mm = len(p_coords), len(coords)
+    order = sorted(range(mm), key=lambda u: (-coords[u], u))
+    for u, v in zip(order, order[1:]):
+        if coords[u] == coords[v] and u < p <= v:
+            raise ChamberAmbiguous(f"value {half_text(coords[u])} repeats across both factors")
 
-    mm = len(coords)
-    rho_tw = [0] * mm
-    for u in range(mm):
-        vu, su, iu = coords[u]
-        for v in range(u + 1, mm):
-            vv, sv, iv = coords[v]
-            if vu == vv:
-                if su != sv:
-                    raise ChamberAmbiguous(
-                        f"value {half_text(vu)} repeats across both factors"
-                    )
-                first_u = iu < iv  # same side: earlier position dominates
-            else:
-                first_u = vu > vv
-            if first_u:
-                rho_tw[u] += 1
-                rho_tw[v] -= 1
-            else:
-                rho_tw[u] -= 1
-                rho_tw[v] += 1
-
-    entries = tuple(coords[u][0] + rho_tw[u] for u in range(mm))
+    # rho at rank k is (coordinates after) - (coordinates before) = mm - 1 - 2k.
+    entries = [0] * mm
+    for k, u in enumerate(order):
+        entries[u] = coords[u] + mm - 1 - 2 * k
     # Construction guarantees a valid dominant parameter here; HCParam
     # validation is the safety net.
-    return HCParam.from_twices(Signature(len(p_coords), len(q_coords)), entries)
+    return HCParam.from_twices(Signature(p, mm - p), tuple(entries))

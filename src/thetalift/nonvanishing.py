@@ -221,20 +221,13 @@ class _Tower:
 
         l = s - inv.s_lambda
         d = r - inv.r_lambda - l
-        if inv.k_lambda == -1:
-            if d % 2 != 1:
-                raise InternalError(
-                    f"step count parity broke for the odd tower of {self.lam} "
-                    f"at m0={self.m0}, target {target}"
-                )
-            t = (d - 1) // 2
-        else:
-            if d % 2 != 0:
-                raise InternalError(
-                    f"step count parity broke for the even tower of {self.lam} "
-                    f"at m0={self.m0}, target {target}"
-                )
-            t = d // 2
+        odd = inv.k_lambda == -1
+        if d % 2 != odd:
+            raise InternalError(
+                f"step count parity broke for the {'odd' if odd else 'even'} tower of "
+                f"{self.lam} at m0={self.m0}, target {target}"
+            )
+        t = (d - odd) // 2
 
         def no(reason: str) -> tuple[bool, TowerPosition]:
             return False, TowerPosition(l, t, swapped, reason)

@@ -14,10 +14,14 @@ with two independent formulations (a closed form in the block signature
 at position i0 and a product form over all of eta'). Both are computed
 and compared on every call.
 
-The unit blocks of a lift packet member depend only on phi' and on the
-character's values on e'_1, ..., e'_n; the target form adds the big block
-at i0 and, through e'_0, the sign gate. _SigmaUnits holds the first part
-so that callers iterating over forms or over e'_0 build it once; the
+The unit blocks of a lift packet member depend only on phi' and on
+the character's values on e'_1, ..., e'_n; the target form adds the big
+block at i0 and, through e'_0, the sign gate. One walk over mu_1, ...,
+mu_n builds them: mu_{j+1} (j from 0) has the exponent e = j before
+slot i0 and e = j + m - n after it, gives a (1,0) block when
+eta'(e'_{j+1}) = (-1)^e and a (0,1) block otherwise, and its block
+value is mu_{j+1} - (m-1)/2 + e. _SigmaUnits holds this first part so
+that callers iterating over forms or over e'_0 build it once; the
 public sigma_from_eta_prime builds one per call. Nothing is memoized.
 """
 
@@ -287,23 +291,17 @@ def _validate_a_character(phi_p: AParameter, eta_p: SignCharacter) -> None:
 
 
 def _unit_block_signs(phi_p: AParameter, tail: tuple[int, ...]) -> list[tuple[int, int]]:
-    """(r_i, s_i) for every 1 <= i <= n + 1 except i0, which gets (-1, -1).
+    """(r, s) of the unit block of each of mu_1, ..., mu_n, in order.
 
     tail holds the character's values on e'_1, ..., e'_n; the value on
-    e'_0 never enters a unit block.
+    e'_0 never enters a unit block. eta'(e'_{j+1}) (j from 0) is
+    compared with (-1)^j before slot i0 and with (-1)^(j + m - n) after it.
     """
-    n, m, i0 = phi_p.n, phi_p.m, phi_p.i0
-    out: list[tuple[int, int]] = []
-    for i in range(1, n + 2):
-        if i == i0:
-            out.append((-1, -1))
-        elif i < i0:
-            matches = tail[i - 1] == _sign_pow(i - 1)
-            out.append((1, 0) if matches else (0, 1))
-        else:
-            matches = tail[i - 2] == _sign_pow(i + m - n - 2)
-            out.append((1, 0) if matches else (0, 1))
-    return out
+    skip, lead = phi_p.i0 - 1, phi_p.m - phi_p.n
+    return [
+        (1, 0) if v == _sign_pow(j if j < skip else j + lead) else (0, 1)
+        for j, v in enumerate(tail)
+    ]
 
 
 def _sign_gate(
@@ -382,26 +380,19 @@ class _SigmaUnits:
         units = _unit_block_signs(phi_p, tail)
         self.phi_p = phi_p
         self.units = units
-        self.r_units = sum(r for r, _ in units if r >= 0)
-        self.s_units = sum(s for _, s in units if s >= 0)
+        self.r_units = sum(r for r, _ in units)
+        self.s_units = phi_p.n - self.r_units
         self._blocks: tuple[tuple[AqBlock, ...], tuple[AqBlock, ...]] | None = None
 
     def _unit_blocks(self) -> tuple[tuple[AqBlock, ...], tuple[AqBlock, ...]]:
-        """The unit blocks before and after slot i0."""
+        """The unit blocks before and after slot i0, valued as the module docstring says."""
         phi_p = self.phi_p
-        n, m, i0 = phi_p.n, phi_p.m, phi_p.i0
-        mus = phi_p.mu_tw
-        blocks: list[AqBlock] = []
-        for i in range(1, n + 2):
-            if i < i0:
-                tw = mus[i - 1] - (m - 1) + 2 * (i - 1)
-            elif i > i0:
-                tw = mus[i - 2] - (m - 1) + 2 * (i + m - n - 2)
-            else:
-                continue
-            ri, si = self.units[i - 1]
-            blocks.append(AqBlock.from_twices(ri, si, tw))
-        return tuple(blocks[: i0 - 1]), tuple(blocks[i0 - 1 :])
+        skip, lead, shift = phi_p.i0 - 1, phi_p.m - phi_p.n, phi_p.m - 1
+        blocks = tuple(
+            AqBlock.from_twices(r, s, mu - shift + 2 * (j if j < skip else j + lead))
+            for j, (mu, (r, s)) in enumerate(zip(phi_p.mu_tw, self.units))
+        )
+        return blocks[:skip], blocks[skip:]
 
     def balance(self, target: Signature) -> tuple[int, int]:
         """(r_i0, s_i0): what the unit blocks leave of the target for the big block."""

@@ -12,8 +12,8 @@ the transfer: push the parameter to a regular distance t, confirm the
 sign character does not move, confirm sufficiency kicks in there, and
 confirm the transferred character still cuts out the same induction
 datum for the undeformed values. Like the public lift functions it
-decides occurrence itself; _verify_globalization is the unchecked core
-for callers that have already decided it.
+decides occurrence itself; callers that have already decided it use
+_Globalization directly.
 
 Both transfer_eta and the globalization check are built from two halves:
 the work that depends only on the parameter and the target size
@@ -169,13 +169,6 @@ def verify_globalization(
     nonzero, pos = occurs(lam, ctx.m0, target)
     if not nonzero:
         raise PreconditionViolation(f"lift vanishes: {pos.reason}")
-    return _verify_globalization(lam, ctx, target, t)
-
-
-def _verify_globalization(
-    lam: HCParam, ctx: LiftContext, target: Signature, t: int
-) -> GlobalizationReport:
-    """verify_globalization() without its checks, for a nonzero lift."""
     return _Globalization(lam, ctx, t).at(target)
 
 

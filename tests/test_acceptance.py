@@ -12,7 +12,6 @@ from thetalift.packets import sigma_from_eta_prime
 from thetalift.suites import (
     EnumerationBounds,
     run_suite,
-    suite_globalization,
     suite_ktypes,
     tally,
 )
@@ -135,7 +134,7 @@ def test_criterion_6_packet_bijections(criterion):
 
 
 def test_criterion_7_globalization_shadow(criterion):
-    summary = tally("globalization", suite_globalization(FULL, emit=False))
+    summary = run_suite("globalization", FULL)
     cases, failures, tags = summary.cases, summary.failures, summary.tags
     detail = (
         f"{cases} cases, {tags.get('nonzero', 0)} nonzero lifts deformed, "

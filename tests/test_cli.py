@@ -6,6 +6,7 @@ rendering, and exit codes in one pass; the closed-pipe test runs the
 CLI as a child process, since only a real pipe can close early.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -313,3 +314,35 @@ class TestEnumerate:
         assert json.loads(first)["m0"] in (0, 1)
         assert proc.returncode == 141
         assert err == b""
+
+
+# sha256 of standard output for `enumerate --max-n 3` and for
+# `verify --suite NAME` at the default bounds. Any change to a lift, a
+# record field, a key order or a number's rendering changes a digest;
+# update one only for a change that is meant to alter the output.
+DIGESTS = {
+    "enumerate": "a656823b357ae3cf253727f18808e9419f194ad93a6f761120e1035656d2f1eb",
+    "duality": "57b7768a64e862913b55a26da58594283e62305a73b17a72210f90a1a0d9f736",
+    "eta_prime": "bad2fb599e46f64ee720918f2800597cfa19d016a004505c6efd1baa11dc4d8b",
+    "globalization": "0b70f2e957f8b2af8329c21c6408610c1ee69c8387e1d0b7ae204ab3d0dad45c",
+    "li": "6c2f0399d93667317068baeb3a722d5beefaad44f12c3d13287b2d6238bd956d",
+    "packets": "85b8445819d0a6bdc097768d26d432ee9bfd8bc3523e168b52a4db121bc6828b",
+    "persistence": "db4e44cc0cceaf7b0f86f23db4c99f119380789e60195b8eb890524921705bbd",
+    "round_trip": "e8a3e247db2d98a850008857712558ffecf9199cad0f012d8f3ffa37f6523d31",
+    "two_path": "7780cc55738a3f3e17121cff7e81ca0a7b7dd28fe82ad46d25fc1a42d9afcfdc",
+}
+
+
+class TestOutputDigests:
+    def test_enumerate_and_every_suite_are_pinned(self):
+        assert set(DIGESTS) == set(SUITES) | {"enumerate"}
+
+    @pytest.mark.parametrize("name", sorted(DIGESTS))
+    def test_output_is_byte_identical(self, capsys, name):
+        if name == "enumerate":
+            argv = ["enumerate", "--max-n", "3"]
+        else:
+            argv = ["verify", "--suite", name]
+        rc, out, err = run_cli(capsys, *argv)
+        assert (rc, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[name]

@@ -1,17 +1,25 @@
 """Character transport to the target side and the deformation check."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from thetalift import (
+    ChamberAmbiguous,
     GlobalizationReport,
     HCParam,
     HalfInt,
     LiftContext,
+    NotCompactLevi,
+    NotGoodRange,
     PreconditionViolation,
     Signature,
+    aq_to_discrete_series,
     build_a_parameter,
     half,
+    lift_down,
     lift_up,
+    occurs,
     sigma_from_eta_prime,
     transfer_eta,
     verify_globalization,
@@ -112,3 +120,46 @@ def test_globalization_guards():
         verify_globalization(lam, ctx, Signature(4, 0), 3)  # vanishing lift
     with pytest.raises(PreconditionViolation):
         verify_globalization(lam, LiftContext(0, 0, 2, 2), Signature(1, 1), 3)
+
+
+@st.composite
+def wide_params(draw):
+    """(lam, m0, n0) with n = 6..8 and |lam - m0/2| <= 15/2, as the suites enumerate them."""
+    n = draw(st.integers(6, 8))
+    k0 = draw(st.sampled_from((0, -1)))
+    m0 = (n + k0) % 2
+    universe = [t for t in range(-15, 16) if t % 2 == (k0 - 1) % 2]
+    values = sorted(
+        draw(st.lists(st.sampled_from(universe), min_size=n, max_size=n, unique=True)),
+        reverse=True,
+    )
+    on_q = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    p_tw = [t + m0 for t, q in zip(values, on_q) if not q]
+    q_tw = [t + m0 for t, q in zip(values, on_q) if q]
+    lam = HCParam.from_twices(Signature(len(p_tw), len(q_tw)), tuple(p_tw + q_tw))
+    return lam, m0, n % 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(wide_params())
+def test_both_routes_agree_beyond_the_acceptance_window(params):
+    # The acceptance gate enumerates n <= 5; this samples n = 6..8.
+    lam, m0, n0 = params
+    n = lam.sig.n
+    for m in range(m0, n + 5, 2):
+        ctx = LiftContext(m0, n0, n, m)
+        for r in range(m + 1):
+            target = Signature(r, m - r)
+            if m == n or not occurs(lam, m0, target)[0]:
+                continue
+            if m > n:
+                aq = lift_up(lam, ctx, target)
+                assert aq == sigma_from_eta_prime(*transfer_eta(lam, ctx, target), target)
+                assert verify_globalization(lam, ctx, target, (m - n) // 2 + 2).passed
+                continue
+            back = lift_up(lift_down(lam, ctx, target), ctx.reversed(), lam.sig)
+            try:
+                resolved = aq_to_discrete_series(back)
+            except (ChamberAmbiguous, NotCompactLevi, NotGoodRange):
+                continue
+            assert resolved == lam
