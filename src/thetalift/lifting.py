@@ -32,11 +32,26 @@ once per case: _lift_down, and _LiftUp, whose unit blocks depend only
 on the parameter and the target size, so a caller that lifts one
 parameter to every form of one size builds them once and adds the
 interval block per form with at().
+
+AqLambdaData holds its blocks as doubled (p, q, lam_tw) int triples and
+is always checked: each block is a valid AqBlock, the block signatures
+sum to the target, and every seam (pair of consecutive blocks) is in the
+weakly fair range. Its public constructor runs all of these. The two
+builders run each where its result can change. _LiftUp.__init__ checks
+the unit blocks, the seams among the head blocks and among the tail
+blocks, and sums their signatures, once per (lam, m); when m = n there
+is no interval block and the one head/tail seam is checked there too.
+_LiftUp.at() checks per form only the interval block, the sums and the
+two seams next to the interval block. packets._SigmaUnits does the same
+with its unit blocks (once per parameter, m and tail) and its big block
+(per form). The checkers live here, with the type whose invariants
+they are.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterable
 
 from .core import HCParam, HalfInt, LiftContext, STRICT, Signature, half_text, split_abgd
 from .errors import (
@@ -81,10 +96,7 @@ class AqBlock:
         return out
 
     def __post_init__(self) -> None:
-        if self.p_i < 0 or self.q_i < 0 or self.p_i + self.q_i < 1:
-            raise ValueError(f"bad block signature ({self.p_i}, {self.q_i})")
-        if self.lam_tw % 2:
-            raise ValueError(f"block value {half_text(self.lam_tw)} must be an integer")
+        _check_block(self.p_i, self.q_i, self.lam_tw)
 
     @property
     def lam_i(self) -> HalfInt:
@@ -98,37 +110,134 @@ class AqBlock:
         return {"p": self.p_i, "q": self.q_i, "lambda": half_text(self.lam_tw)}
 
 
-@dataclass(frozen=True, slots=True)
+Triple = tuple[int, int, int]
+
+
+def _check_block(p: int, q: int, lam_tw: int) -> None:
+    """Raise ValueError unless (p, q, lam_tw) is a valid AqBlock."""
+    if p < 0 or q < 0 or p + q < 1:
+        raise ValueError(f"bad block signature ({p}, {q})")
+    if lam_tw % 2:
+        raise ValueError(f"block value {half_text(lam_tw)} must be an integer")
+
+
+def _check_blocks(triples: tuple[Triple, ...]) -> tuple[int, int]:
+    """Check every triple as _check_block does; return the sums of p and of q."""
+    sum_p = sum_q = 0
+    for p, q, lam_tw in triples:
+        if p < 0 or q < 0 or p + q < 1 or lam_tw % 2:
+            _check_block(p, q, lam_tw)
+        sum_p += p
+        sum_q += q
+    return sum_p, sum_q
+
+
+def _check_seams(triples: tuple[Triple, ...]) -> None:
+    """Raise InternalWeaklyFairViolation at the first seam outside the weakly fair range."""
+    for a, b in zip(triples, triples[1:]):
+        if a[2] - b[2] < -(a[0] + a[1] + b[0] + b[1]):
+            raise InternalWeaklyFairViolation(
+                f"blocks {AqBlock.from_twices(*a)} then {AqBlock.from_twices(*b)} "
+                "leave the weakly fair range"
+            )
+
+
+def _check_sums(target: Signature, p: int, q: int) -> None:
+    """Raise SignatureMismatch unless the block signatures sum to (p, q) = target."""
+    if p != target.p or q != target.q:
+        raise SignatureMismatch("block signatures do not sum to the target")
+
+
+@dataclass(frozen=True, slots=True, init=False, eq=False)
 class AqLambdaData:
     """Ordered Levi blocks of a weakly fair A_q(lam') on U(target).
 
     Block signatures sum to the target and consecutive values satisfy
     lam_i - lam_{i+1} >= -(size_i + size_{i+1})/2, the weakly fair
     bound; violating it here means a construction bug upstream.
+
+    triples holds the blocks as doubled (p_i, q_i, lam_tw) int triples;
+    blocks renders them as AqBlocks. Equality and hashing compare the
+    triples alone, which fix the target through the sum check.
+
+    AqLambdaData(target, blocks) checks every block, the sums and every
+    seam. The two builders (_LiftUp, packets._SigmaUnits) check their
+    unit blocks and the seams among them once per parameter and target
+    size, then build each form with _spliced, which checks the interval
+    or big block, the sums and the two seams next to that block.
     """
 
     target: Signature
-    blocks: tuple[AqBlock, ...]
+    triples: tuple[Triple, ...]
 
-    def __post_init__(self) -> None:
-        if sum(b.p_i for b in self.blocks) != self.target.p or sum(
-            b.q_i for b in self.blocks
-        ) != self.target.q:
-            raise SignatureMismatch("block signatures do not sum to the target")
-        for a, b in zip(self.blocks, self.blocks[1:]):
-            if a.lam_tw - b.lam_tw < -(a.size + b.size):
-                raise InternalWeaklyFairViolation(
-                    f"blocks {a} then {b} leave the weakly fair range"
-                )
+    def __init__(self, target: Signature, blocks: Iterable[AqBlock]) -> None:
+        triples = tuple((b.p_i, b.q_i, b.lam_tw) for b in blocks)
+        _check_sums(target, *_check_blocks(triples))
+        _check_seams(triples)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "triples", triples)
+
+    @classmethod
+    def _from_checked(cls, target: Signature, triples: tuple[Triple, ...]) -> "AqLambdaData":
+        """The data for triples whose blocks, sums and seams the caller has checked."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "target", target)
+        object.__setattr__(out, "triples", triples)
+        return out
+
+    @classmethod
+    def _spliced(
+        cls,
+        target: Signature,
+        head: tuple[Triple, ...],
+        block: Triple,
+        tail: tuple[Triple, ...],
+        units_p: int,
+        units_q: int,
+    ) -> "AqLambdaData":
+        """The data head + (block,) + tail, checking only what block adds.
+
+        The caller has checked the blocks of head and tail and the seams
+        within each, and passes their signature sums. This checks block,
+        the sums and the seams on either side of block. Each test is
+        inlined and, when it fails, hands over to the checker above that
+        raises, so the exceptions and messages are the constructor's.
+        """
+        p, q, lam_tw = block
+        if p < 0 or q < 0 or p + q < 1 or lam_tw % 2:
+            _check_block(p, q, lam_tw)
+        if units_p + p != target.p or units_q + q != target.q:
+            _check_sums(target, units_p + p, units_q + q)
+        size = p + q
+        if head:
+            a = head[-1]
+            if a[2] - lam_tw < -(a[0] + a[1] + size):
+                _check_seams((a, block))
+        if tail:
+            b = tail[0]
+            if lam_tw - b[2] < -(size + b[0] + b[1]):
+                _check_seams((block, b))
+        return cls._from_checked(target, head + (block,) + tail)
+
+    @property
+    def blocks(self) -> tuple[AqBlock, ...]:
+        return tuple(AqBlock.from_twices(*t) for t in self.triples)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not AqLambdaData:
+            return NotImplemented
+        return self.triples == other.triples
+
+    def __hash__(self) -> int:
+        return hash(self.triples)
 
     @property
     def in_good_range(self) -> bool:
-        return all(
-            a.lam_tw - b.lam_tw > -2 for a, b in zip(self.blocks, self.blocks[1:])
-        )
+        t = self.triples
+        return all(a[2] - b[2] > -2 for a, b in zip(t, t[1:]))
 
     def to_json(self) -> list[dict]:
-        return [b.to_json() for b in self.blocks]
+        return [{"p": p, "q": q, "lambda": half_text(tw)} for p, q, tw in self.triples]
 
 
 VANISHES = "vanishes"
@@ -164,9 +273,11 @@ class LiftResult:
         if self.kind == VANISHES:
             return {"status": "vanishes"}
         if self.kind == DISCRETE_SERIES:
-            assert self.param is not None
+            if self.param is None:
+                raise InternalError("discrete series lift result without a parameter")
             return {"status": "nonzero", "kind": self.kind, "param": self.param.to_json()}
-        assert self.aq is not None
+        if self.aq is None:
+            raise InternalError(f"{self.kind} lift result without block data")
         return {"status": "nonzero", "kind": self.kind, "blocks": self.aq.to_json()}
 
 
@@ -203,11 +314,12 @@ class _LiftUp:
     """lift_up() for one parameter and one target size, split at the form.
 
     The unit blocks depend only on the lax split and on (m, n0), so they
-    are built once; at() adds the interval block for one target form,
-    checks that the split fits it, and validates the result.
+    are built and checked once, with the seams between them and their
+    signature sums; at() checks that the split fits one target form, adds
+    the interval block and checks that block, the sums and its two seams.
     """
 
-    __slots__ = ("lam", "m0", "shape", "head", "tail", "interval_tw")
+    __slots__ = ("lam", "m0", "shape", "head", "tail", "units_p", "units_q", "interval_tw")
 
     def __init__(self, lam: HCParam, ctx: LiftContext) -> None:
         n, m = ctx.source_dim, ctx.target_dim
@@ -215,7 +327,6 @@ class _LiftUp:
         alpha, beta, gamma, delta = sp.alpha_tw, sp.beta_tw, sp.gamma_tw, sp.delta_tw
         x, y, z, w = len(alpha), len(beta), len(gamma), len(delta)
         n0 = ctx.n0
-        block = AqBlock.from_twices
 
         # The rank rules of the module docstring: k counts the positive
         # values from the top (from 1), j the nonpositive ones from the bottom.
@@ -225,14 +336,20 @@ class _LiftUp:
         self.lam = lam
         self.m0 = ctx.m0
         self.shape = (x, y, z, w)
-        self.head = tuple(
-            block(p, q, tw - (m + 1) + 2 * k + n0) for k, (tw, p, q) in enumerate(pos, 1)
-        )
-        self.tail = tuple(
-            block(p, q, tw + (m - 1) - 2 * j + n0) for j, (tw, p, q) in enumerate(neg)
-        )[::-1]
-        # The interval block of size m - n, omitted when m = n.
-        self.interval_tw = 2 * (x + z) - n + n0 if m > n else None
+        head = tuple((p, q, tw - (m + 1) + 2 * k + n0) for k, (tw, p, q) in enumerate(pos, 1))
+        tail = tuple((p, q, tw + (m - 1) - 2 * j + n0) for j, (tw, p, q) in enumerate(neg))[::-1]
+        units = head + tail
+        self.units_p, self.units_q = _check_blocks(units)
+        if m > n:
+            _check_seams(head)
+            _check_seams(tail)
+            # The interval block of size m - n sits between head and tail.
+            self.interval_tw = 2 * (x + z) - n + n0
+        else:
+            _check_seams(units)
+            self.interval_tw = None
+        self.head = head
+        self.tail = tail
 
     def at(self, target: Signature) -> AqLambdaData:
         """The lift to one form of the target size."""
@@ -244,9 +361,12 @@ class _LiftUp:
                 f"nonzero lift target {target}"
             )
         if self.interval_tw is None:
-            return AqLambdaData(target, self.head + self.tail)
-        interval = AqBlock.from_twices(r - x - w, s - z - y, self.interval_tw)
-        return AqLambdaData(target, self.head + (interval,) + self.tail)
+            _check_sums(target, self.units_p, self.units_q)
+            return AqLambdaData._from_checked(target, self.head + self.tail)
+        interval = (r - x - w, s - z - y, self.interval_tw)
+        return AqLambdaData._spliced(
+            target, self.head, interval, self.tail, self.units_p, self.units_q
+        )
 
 
 def lift_down(lam: HCParam, ctx: LiftContext, target: Signature) -> HCParam:
@@ -304,8 +424,8 @@ def _aq_infinitesimal_twices(aq: AqLambdaData) -> tuple[int, ...]:
     """aq_infinitesimal_character(), doubled."""
     m = aq.target.n
     vals: list[int] = []
-    for b in aq.blocks:
-        vals.extend([b.lam_tw] * b.size)
+    for p, q, lam_tw in aq.triples:
+        vals.extend([lam_tw] * (p + q))
     if len(vals) != m:
         raise InternalError(
             f"blocks {aq.to_json()} expand to {len(vals)} values, target {aq.target} has {m}"
@@ -323,25 +443,25 @@ def aq_to_discrete_series(aq: AqLambdaData) -> HCParam:
     position; a cross-side tie raises ChamberAmbiguous. Adding the
     half-sum of the resulting positive system yields the parameter.
     """
-    for b in aq.blocks:
-        if b.p_i and b.q_i:
-            raise NotCompactLevi(f"block ({b.p_i},{b.q_i}) is not compact")
-    for a, b in zip(aq.blocks, aq.blocks[1:]):
-        if a.lam_tw - b.lam_tw <= -2:
+    triples = aq.triples
+    for p, q, _ in triples:
+        if p and q:
+            raise NotCompactLevi(f"block ({p},{q}) is not compact")
+    for a, b in zip(triples, triples[1:]):
+        if a[2] - b[2] <= -2:
             raise NotGoodRange(
-                f"values {half_text(a.lam_tw)} then {half_text(b.lam_tw)} "
-                "are outside the good range"
+                f"values {half_text(a[2])} then {half_text(b[2])} are outside the good range"
             )
 
     # Expanded coordinates, p-side first, ranked by value and then index,
     # so equal values sit next to each other.
     p_coords: list[int] = []
     q_coords: list[int] = []
-    for b in aq.blocks:
-        if b.p_i:
-            p_coords.extend([b.lam_tw] * b.p_i)
+    for p, q, lam_tw in triples:
+        if p:
+            p_coords.extend([lam_tw] * p)
         else:
-            q_coords.extend([b.lam_tw] * b.q_i)
+            q_coords.extend([lam_tw] * q)
     coords = p_coords + q_coords
     p, mm = len(p_coords), len(coords)
     order = sorted(range(mm), key=lambda u: (-coords[u], u))

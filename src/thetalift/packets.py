@@ -40,7 +40,7 @@ from .errors import (
     RepeatedEntry,
     WrongParityClass,
 )
-from .lifting import AqBlock, AqLambdaData
+from .lifting import AqLambdaData, Triple, _check_blocks, _check_seams
 
 PLUS = +1
 MINUS = -1
@@ -369,9 +369,11 @@ class _SigmaUnits:
     The unit block signs and the unit blocks depend only on phi' and on
     the character's values on e'_1, ..., e'_n (the tail, of length n),
     so they are computed once, the blocks when a first form survives
-    the gate. at() takes a full character with that tail and one target
-    form of size m, validates the character, takes the big block's
-    balance, runs both forms of the sign gate and adds the i0 block.
+    the gate; the blocks, the seams between them and their signature
+    sums are checked then, once. at() takes a full character with that
+    tail and one target form of size m, validates the character, takes
+    the big block's balance, runs both forms of the sign gate, adds the
+    i0 block and checks that block, the sums and its two seams.
     """
 
     __slots__ = ("phi_p", "units", "r_units", "s_units", "_blocks")
@@ -382,17 +384,24 @@ class _SigmaUnits:
         self.units = units
         self.r_units = sum(r for r, _ in units)
         self.s_units = phi_p.n - self.r_units
-        self._blocks: tuple[tuple[AqBlock, ...], tuple[AqBlock, ...]] | None = None
+        self._blocks: tuple[tuple[Triple, ...], tuple[Triple, ...], int, int] | None = None
 
-    def _unit_blocks(self) -> tuple[tuple[AqBlock, ...], tuple[AqBlock, ...]]:
-        """The unit blocks before and after slot i0, valued as the module docstring says."""
+    def _unit_blocks(self) -> tuple[tuple[Triple, ...], tuple[Triple, ...], int, int]:
+        """The checked unit blocks before and after slot i0, and their p and q sums.
+
+        Blocks are (p, q, lam_tw) triples, valued as the module docstring says.
+        """
         phi_p = self.phi_p
         skip, lead, shift = phi_p.i0 - 1, phi_p.m - phi_p.n, phi_p.m - 1
         blocks = tuple(
-            AqBlock.from_twices(r, s, mu - shift + 2 * (j if j < skip else j + lead))
+            (r, s, mu - shift + 2 * (j if j < skip else j + lead))
             for j, (mu, (r, s)) in enumerate(zip(phi_p.mu_tw, self.units))
         )
-        return blocks[:skip], blocks[skip:]
+        units_p, units_q = _check_blocks(blocks)
+        head, tail = blocks[:skip], blocks[skip:]
+        _check_seams(head)
+        _check_seams(tail)
+        return head, tail, units_p, units_q
 
     def balance(self, target: Signature) -> tuple[int, int]:
         """(r_i0, s_i0): what the unit blocks leave of the target for the big block."""
@@ -409,9 +418,9 @@ class _SigmaUnits:
             return None
         if self._blocks is None:
             self._blocks = self._unit_blocks()
-        head, tail = self._blocks
-        big = AqBlock.from_twices(r_i0, s_i0, phi_p.mu0_tw - phi_p.n + 2 * (phi_p.i0 - 1))
-        return AqLambdaData(target, head + (big,) + tail)
+        head, tail, units_p, units_q = self._blocks
+        big = (r_i0, s_i0, phi_p.mu0_tw - phi_p.n + 2 * (phi_p.i0 - 1))
+        return AqLambdaData._spliced(target, head, big, tail, units_p, units_q)
 
 
 def packet_members(phi: LParameter) -> list[tuple[SignCharacter, Signature, HCParam]]:

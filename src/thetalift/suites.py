@@ -50,7 +50,13 @@ from .core import (
     _split_cached,
     half_text,
 )
-from .errors import ChamberAmbiguous, MalformedCharacter, NotCompactLevi, NotGoodRange
+from .errors import (
+    ChamberAmbiguous,
+    InternalError,
+    MalformedCharacter,
+    NotCompactLevi,
+    NotGoodRange,
+)
 from .ktypes import KType, _extract_pattern, _half_shift, correspond_ktype
 from .lifting import (
     LiftResult,
@@ -348,10 +354,13 @@ def suite_eta_prime(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Ca
                                 # The coupled constraint must reject these.
                                 try:
                                     eta_prime_sign_ok(phi_p, eta_p, Signature(m, 0))
-                                    raise AssertionError("tie constraint not enforced")
                                 except MalformedCharacter:
                                     skipped += 1
-                                continue
+                                    continue
+                                raise InternalError(
+                                    f"tie constraint not enforced at (n, m, i0) = "
+                                    f"({n}, {m}, {phi_p.i0}) for character {eta_p}"
+                                )
                             for r in range(m + 1):
                                 # Raises InternalLemmaMismatch on any split.
                                 eta_prime_sign_ok(phi_p, eta_p, Signature(r, m - r))

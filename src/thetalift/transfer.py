@@ -107,17 +107,18 @@ def transfer_eta(
 class _Transfer:
     """transfer_eta() for one parameter and one target size, split at the form.
 
-    The lift parameter phi' and the character's values on e'_1, ..., e'_n
-    (the tail) depend only on lam and the context; eta_at() sets the
-    e'_0 value for one target form.
+    The source character eta, the lift parameter phi' and the character's
+    values on e'_1, ..., e'_n (the tail) depend only on lam and the
+    context; eta_at() sets the e'_0 value for one target form.
     """
 
-    __slots__ = ("phi_p", "tail", "e0_source")
+    __slots__ = ("eta", "phi_p", "tail", "e0_source")
 
     def __init__(self, lam: HCParam, ctx: LiftContext) -> None:
         phi, eta = eta_from_pi(lam)
         phi_p = build_a_parameter(phi, ctx)
         zs = zeta_signs(ctx.target_dim, ctx.source_dim, phi_p.i0)
+        self.eta = eta
         self.phi_p = phi_p
         self.tail = tuple(z * e for z, e in zip(zs.zetas, eta.values))
         self.e0_source = zs.zeta0 * epsilon_of_signature(lam.sig.p, lam.sig.q)
@@ -190,10 +191,10 @@ class _Globalization:
         self.t = t
         self.n = lam.sig.n
         self.lam_plus = lam_plus
-        self.eta_preserved = eta == eta_from_pi(lam_plus)[1]
+        self.transfer_plus = _Transfer(lam_plus, ctx)
+        self.eta_preserved = eta == self.transfer_plus.eta
         self.split_plus = _split_cached(lam_plus, ctx.m0, False, 0)
         self.path_a = _LiftUp(lam, ctx)
-        self.transfer_plus = _Transfer(lam_plus, ctx)
         self.path_b = _SigmaUnits(build_a_parameter(phi, ctx), self.transfer_plus.tail)
 
     def at(self, target: Signature) -> GlobalizationReport:

@@ -1,5 +1,7 @@
 """Explicit lifts in both directions and the block-data helpers."""
 
+from types import SimpleNamespace
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -24,6 +26,9 @@ from thetalift import (
     lift_down,
     lift_up,
 )
+from thetalift import lifting
+from thetalift.core import split_abgd
+from thetalift.lifting import _LiftUp
 
 
 def _blocks(aq):
@@ -211,3 +216,62 @@ def test_lift_up_blocks_partition_target(extra, shift):
     chi = aq_infinitesimal_character(aq)
     assert len(chi) == m
     assert all(a.twice >= b.twice for a, b in zip(chi, chi[1:]))
+
+
+# The builders check each block and seam where it is fixed: _LiftUp.__init__
+# the unit blocks and the seams among them, once per (lam, m); _LiftUp.at the
+# interval block, its two seams and the signature sums. These mutations show
+# that each moved check still fires. They use pytest.raises, so they also
+# run under python -O.
+
+MUT_LAM = HCParam(Signature(0, 3), (HalfInt(4), HalfInt(3), HalfInt(0)))
+MUT_CTX = LiftContext(1, 1, 3, 5)
+MUT_TARGET = Signature(2, 3)
+
+
+class _Upside(int):
+    """An int that compares upside down, so sorting it puts it in climbing order."""
+
+    def __lt__(self, other):
+        return int.__gt__(self, other)
+
+    def __gt__(self, other):
+        return int.__lt__(self, other)
+
+
+def test_lift_up_checks_the_head_seams_once_per_size(monkeypatch):
+    up = _LiftUp(MUT_LAM, MUT_CTX)
+    assert len(up.head) == 2 and len(up.tail) == 1
+    # A split of plain ints cannot break a head seam, since the merge sorts
+    # it; values that sort upside down make the head climb.
+    sp = split_abgd(MUT_LAM, MUT_CTX)
+    doctored = SimpleNamespace(
+        alpha_tw=sp.alpha_tw,
+        beta_tw=sp.beta_tw,
+        gamma_tw=tuple(map(_Upside, sp.gamma_tw)),
+        delta_tw=sp.delta_tw,
+    )
+    monkeypatch.setattr(lifting, "split_abgd", lambda lam, ctx: doctored)
+    with pytest.raises(InternalWeaklyFairViolation, match="leave the weakly fair range"):
+        _LiftUp(MUT_LAM, MUT_CTX)
+
+
+def test_lift_up_checks_the_interval_seams_per_form():
+    up = _LiftUp(MUT_LAM, MUT_CTX)
+    good = up.interval_tw
+    assert up.at(MUT_TARGET) == lift_up(MUT_LAM, MUT_CTX, MUT_TARGET)
+    # too high for the head block before it, then too low for the tail block after it
+    for broken in (good + 100, good - 100):
+        up.interval_tw = broken
+        with pytest.raises(InternalWeaklyFairViolation):
+            up.at(MUT_TARGET)
+
+
+def test_lift_up_checks_the_signature_sums_per_form():
+    up = _LiftUp(MUT_LAM, MUT_CTX)
+    x, y, z, w = up.shape
+    # The interval block takes what the split leaves; a wrong split shape
+    # gives it one column too many.
+    up.shape = (x, y, z - 1, w)
+    with pytest.raises(SignatureMismatch):
+        up.at(MUT_TARGET)

@@ -8,12 +8,14 @@ from thetalift import (
     AParameter,
     HCParam,
     HalfInt,
+    InternalWeaklyFairViolation,
     LParameter,
     MalformedCharacter,
     PreconditionViolation,
     RepeatedEntry,
     SignCharacter,
     Signature,
+    SignatureMismatch,
     WrongParityClass,
     epsilon_of_signature,
     eta_from_pi,
@@ -21,7 +23,7 @@ from thetalift import (
     packet_members,
     pi_from_eta,
 )
-from thetalift.packets import eta_prime_sign_ok, sigma_from_eta_prime
+from thetalift.packets import _SigmaUnits, eta_prime_sign_ok, sigma_from_eta_prime
 
 
 def test_epsilon_of_signature():
@@ -198,3 +200,45 @@ def test_determinant_identity_all_characters(n, data):
         prod *= v
     assert prod == epsilon_of_signature(sig.p, sig.q)
     assert sig.p + sig.q == n
+
+
+# _SigmaUnits checks its unit blocks and the seams among them once, when a
+# first form survives the gate, and per form the big block, its two seams
+# and the signature sums. These mutations show that each check still fires.
+
+MUT_ETA = SignCharacter((1, -1, 1, 1))
+MUT_TARGET = Signature(2, 3)
+
+
+def _mutation_units(**doctored):
+    """_SigmaUnits for mu = (4, 3, 0), mu0 = 1/2, m = 5 (i0 = 3), some fields replaced."""
+    phi_p = AParameter((HalfInt(4), HalfInt(3), HalfInt(0)), half(1), 5)
+    assert phi_p.i0 == 3
+    for name, value in doctored.items():
+        object.__setattr__(phi_p, name, value)
+    return _SigmaUnits(phi_p, MUT_ETA.values[1:])
+
+
+def test_sigma_checks_the_unit_block_seams():
+    # mu_1 and mu_2 swapped: the two unit blocks before i0 climb.
+    units = _mutation_units(mu_tw=(6, 8, 0))
+    seam = r"lam_tw=2\) then AqBlock\(p_i=0, q_i=1, lam_tw=6\)"
+    with pytest.raises(InternalWeaklyFairViolation, match=seam):
+        units.at(MUT_ETA, MUT_TARGET)
+
+
+def test_sigma_checks_the_big_block_seams_per_form():
+    units = _mutation_units(mu0_tw=1 + 200)
+    seam = r"lam_tw=4\) then AqBlock\(p_i=1, q_i=1, lam_tw=202\)"
+    with pytest.raises(InternalWeaklyFairViolation, match=seam):
+        units.at(MUT_ETA, MUT_TARGET)
+
+
+def test_sigma_checks_the_signature_sums_per_form():
+    units = _mutation_units()
+    assert units.at(MUT_ETA, MUT_TARGET) is not None
+    # One unit block too many counted on the p side leaves the big block
+    # one p column short; with i0 odd the sign gate still passes.
+    units.r_units += 1
+    with pytest.raises(SignatureMismatch):
+        units.at(MUT_ETA, MUT_TARGET)

@@ -9,7 +9,9 @@ import gc
 import sys
 import tracemalloc
 
-from thetalift import SUITES, EnumerationBounds, half
+import pytest
+
+from thetalift import SUITES, EnumerationBounds, InternalError, cli, half, suites
 from thetalift.suites import run_suite
 
 ENUMERATION = EnumerationBounds(max_n=3, max_m_minus_n=4, height=half(7))
@@ -66,3 +68,18 @@ def test_no_process_wide_caches():
         if hasattr(value, "cache_info")
     ]
     assert cached == []
+
+
+def test_untied_character_accepted_is_an_internal_error(monkeypatch, capsys):
+    # A gate that accepts a character breaking the tie at i0 is a bug in the
+    # package: the suite raises InternalError and verify exits 3.
+    monkeypatch.setattr(suites, "eta_prime_sign_ok", lambda phi_p, eta_p, target: True)
+    tied = r"tie constraint not enforced at \(n, m, i0\) = \(1, 2, 1\) for character -\+"
+    with pytest.raises(InternalError, match=tied):
+        run_suite("eta_prime", EnumerationBounds(max_n=1, max_m_minus_n=1, height=half(3)))
+    capsys.readouterr()
+    argv = ["verify", "--suite", "eta_prime", "--max-n", "1", "--max-dm", "1", "--height", "3/2"]
+    assert cli.main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("internal error: InternalError: tie constraint not enforced")

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetalift import (
+    AqLambdaData,
     ChamberAmbiguous,
     GlobalizationReport,
     HCParam,
@@ -163,3 +164,29 @@ def test_both_routes_agree_beyond_the_acceptance_window(params):
             except (ChamberAmbiguous, NotCompactLevi, NotGoodRange):
                 continue
             assert resolved == lam
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_params())
+def test_builders_agree_with_the_public_block_constructor(params):
+    # Both routes check only what each form adds and skip the public
+    # constructor; rebuilding their result through it must give the same
+    # object, hash, JSON and good-range flag.
+    lam, m0, n0 = params
+    n = lam.sig.n
+    for m in range(m0, n + 5, 2):
+        if m <= n:
+            continue
+        ctx = LiftContext(m0, n0, n, m)
+        for r in range(m + 1):
+            target = Signature(r, m - r)
+            if not occurs(lam, m0, target)[0]:
+                continue
+            path_a = lift_up(lam, ctx, target)
+            path_b = sigma_from_eta_prime(*transfer_eta(lam, ctx, target), target)
+            for aq in (path_a, path_b):
+                public = AqLambdaData(aq.target, aq.blocks)
+                assert public == aq
+                assert hash(public) == hash(aq)
+                assert public.to_json() == aq.to_json()
+                assert public.in_good_range == aq.in_good_range
