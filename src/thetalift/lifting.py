@@ -28,10 +28,12 @@ adds rho = mm - 1 - 2k, its count of coordinates after minus before.
 The public lift functions check their preconditions and decide
 occurrence themselves. Callers that have already decided that the lift
 is nonzero use the unchecked private halves, so occurrence is decided
-once per case: _lift_down, and _LiftUp, whose unit blocks depend only
-on the parameter and the target size, so a caller that lifts one
-parameter to every form of one size builds them once and adds the
-interval block per form with at().
+once per case: _lift_down, and _LiftUp. Within one Witt tower (one
+parameter and one exponent pair m0, n0) the unit blocks of lift_up are
+the same at every target size m: only their doubled values move, the
+head by -m and the tail by +m. So a caller that lifts one parameter to many
+sizes builds one _LiftUp, which follows the size, and adds the interval
+block per form with at().
 
 AqLambdaData holds its blocks as doubled (p, q, lam_tw) int triples and
 is always checked: each block is a valid AqBlock, the block signatures
@@ -39,13 +41,16 @@ sum to the target, and every seam (pair of consecutive blocks) is in the
 weakly fair range. Its public constructor runs all of these. The two
 builders run each where its result can change. _LiftUp.__init__ checks
 the unit blocks, the seams among the head blocks and among the tail
-blocks, and sums their signatures, once per (lam, m); when m = n there
-is no interval block and the one head/tail seam is checked there too.
-_LiftUp.at() checks per form only the interval block, the sums and the
-two seams next to the interval block. packets._SigmaUnits does the same
-with its unit blocks (once per parameter, m and tail) and its big block
-(per form). The checkers live here, with the type whose invariants
-they are.
+blocks, and sums their signatures, once per parameter: every size of a
+tower has m = m0 (mod 2), so the shift keeps each value's parity and
+each seam's difference. When the size is m = n there is no interval
+block, and the one head/tail seam, which does move with m, is checked
+once for that size. _LiftUp.at() checks per form only the interval
+block, the sums and the two seams next to the interval block.
+packets._SigmaUnits does the same with its unit blocks (once per
+parameter and tail, for every size of one parity) and its big block
+(per form). The checkers
+live here, with the type whose invariants they are.
 """
 
 from __future__ import annotations
@@ -161,10 +166,11 @@ class AqLambdaData:
     triples alone, which fix the target through the sum check.
 
     AqLambdaData(target, blocks) checks every block, the sums and every
-    seam. The two builders (_LiftUp, packets._SigmaUnits) check their
-    unit blocks and the seams among them once per parameter and target
-    size, then build each form with _spliced, which checks the interval
-    or big block, the sums and the two seams next to that block.
+    seam. The two builders check their unit blocks and the seams among
+    them once, _LiftUp per parameter and packets._SigmaUnits per
+    parameter and tail; then they build each form with _spliced,
+    which checks the interval or big block, the sums and the two seams
+    next to that block.
     """
 
     target: Signature
@@ -311,15 +317,19 @@ def lift_up(lam: HCParam, ctx: LiftContext, target: Signature) -> AqLambdaData:
 
 
 class _LiftUp:
-    """lift_up() for one parameter and one target size, split at the form.
+    """lift_up() for one parameter and exponent pair, split at the size and the form.
 
-    The unit blocks depend only on the lax split and on (m, n0), so they
-    are built and checked once, with the seams between them and their
-    signature sums; at() checks that the split fits one target form, adds
-    the interval block and checks that block, the sums and its two seams.
+    The unit blocks depend only on the lax split and on (m, n0), and m
+    only shifts their values, so they are built and checked once per
+    parameter, with the seams between them and their signature sums.
+    The object holds them at one size m, the size of the last target,
+    and moves them when a target of another size comes: the doubled head
+    values by -d and the tail values by +d for a size step d, which must
+    be even. at() checks that the split fits one target form, adds the
+    interval block and checks that block, the sums and its two seams.
     """
 
-    __slots__ = ("lam", "m0", "shape", "head", "tail", "units_p", "units_q", "interval_tw")
+    __slots__ = ("lam", "m0", "n", "shape", "units_p", "units_q", "interval_tw", "m", "head", "tail")
 
     def __init__(self, lam: HCParam, ctx: LiftContext) -> None:
         n, m = ctx.source_dim, ctx.target_dim
@@ -335,24 +345,36 @@ class _LiftUp:
 
         self.lam = lam
         self.m0 = ctx.m0
+        self.n = n
         self.shape = (x, y, z, w)
         head = tuple((p, q, tw - (m + 1) + 2 * k + n0) for k, (tw, p, q) in enumerate(pos, 1))
         tail = tuple((p, q, tw + (m - 1) - 2 * j + n0) for j, (tw, p, q) in enumerate(neg))[::-1]
-        units = head + tail
-        self.units_p, self.units_q = _check_blocks(units)
-        if m > n:
-            _check_seams(head)
-            _check_seams(tail)
-            # The interval block of size m - n sits between head and tail.
-            self.interval_tw = 2 * (x + z) - n + n0
-        else:
-            _check_seams(units)
-            self.interval_tw = None
-        self.head = head
-        self.tail = tail
+        self.units_p, self.units_q = _check_blocks(head + tail)
+        _check_seams(head)
+        _check_seams(tail)
+        # The interval block of size m - n sits between head and tail when m > n.
+        self.interval_tw = 2 * (x + z) - n + n0
+        self.m, self.head, self.tail = m, head, tail
+        if m == n:
+            _check_seams(head[-1:] + tail[:1])
+
+    def _resize(self, m: int) -> None:
+        """Move the unit blocks to size m; check the head/tail seam if m = n."""
+        d = m - self.m
+        if d % 2:
+            raise InternalError(
+                f"size {m} is outside the tower of {self.lam} at m0={self.m0}"
+            )
+        self.head = tuple((p, q, tw - d) for p, q, tw in self.head)
+        self.tail = tuple((p, q, tw + d) for p, q, tw in self.tail)
+        self.m = m
+        if m == self.n:
+            _check_seams(self.head[-1:] + self.tail[:1])
 
     def at(self, target: Signature) -> AqLambdaData:
-        """The lift to one form of the target size."""
+        """The lift to one form of any size of the tower."""
+        if target.n != self.m:
+            self._resize(target.n)
         x, y, z, w = self.shape
         r, s = target.p, target.q
         if x + w > r or z + y > s:
@@ -360,7 +382,7 @@ class _LiftUp:
                 f"split ({x},{y},{z},{w}) of {self.lam} at m0={self.m0} does not fit the "
                 f"nonzero lift target {target}"
             )
-        if self.interval_tw is None:
+        if self.m == self.n:
             _check_sums(target, self.units_p, self.units_q)
             return AqLambdaData._from_checked(target, self.head + self.tail)
         interval = (r - x - w, s - z - y, self.interval_tw)

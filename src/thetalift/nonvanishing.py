@@ -211,6 +211,15 @@ class _Tower:
 
     def position(self, target: Signature) -> tuple[bool, TowerPosition]:
         """occurs() for one target of the tower's parity class."""
+        l, t, swapped, reason = self.decide(target)
+        return reason is None, TowerPosition(l, t, swapped, reason)
+
+    def decide(self, target: Signature) -> tuple[int, int, bool, str | None]:
+        """The decision of position() as a plain (l, t, swapped, reason) tuple.
+
+        reason is None when the lift occurs. Callers that only need the
+        answer use this and build no TowerPosition.
+        """
         inv = self.inv
         swapped = False
         r, s = target.p, target.q
@@ -229,22 +238,19 @@ class _Tower:
             )
         t = (d - odd) // 2
 
-        def no(reason: str) -> tuple[bool, TowerPosition]:
-            return False, TowerPosition(l, t, swapped, reason)
-
         if l < 0:
-            return no("below the first occurrence in its tower")
+            return l, t, swapped, "below the first occurrence in its tower"
         if t < 0:
-            return no("negative plane count")
+            return l, t, swapped, "negative plane count"
         if t == 0:
-            return True, TowerPosition(l, t, swapped)
+            return l, t, swapped, None
         if l < max(inv.k_lambda, 0):
-            return no("step count below the chain length")
+            return l, t, swapped, "step count below the chain length"
         if c_count(inv, +1, l + t) > l:
-            return no("positive window count exceeds the step count")
+            return l, t, swapped, "positive window count exceeds the step count"
         if c_count(inv, -1, l + t) > l:
-            return no("negative window count exceeds the step count")
-        return True, TowerPosition(l, t, swapped)
+            return l, t, swapped, "negative window count exceeds the step count"
+        return l, t, swapped, None
 
 
 def occurs(lam: HCParam, m0: int, target: Signature) -> tuple[bool, TowerPosition]:

@@ -20,9 +20,12 @@ block at i0 and, through e'_0, the sign gate. One walk over mu_1, ...,
 mu_n builds them: mu_{j+1} (j from 0) has the exponent e = j before
 slot i0 and e = j + m - n after it, gives a (1,0) block when
 eta'(e'_{j+1}) = (-1)^e and a (0,1) block otherwise, and its block
-value is mu_{j+1} - (m-1)/2 + e. _SigmaUnits holds this first part so
-that callers iterating over forms or over e'_0 build it once; the
-public sigma_from_eta_prime builds one per call. Nothing is memoized.
+value is mu_{j+1} - (m-1)/2 + e. So as m grows by 2, the values before
+i0 fall by 1 and those after rise by 1, and the signs depend on m only
+through the parity of m - n. _SigmaUnits holds this first part so that
+callers iterating over forms, over e'_0 or over the sizes of one parity
+build it once; the public sigma_from_eta_prime builds one per call.
+Nothing is memoized.
 """
 
 from __future__ import annotations
@@ -364,16 +367,21 @@ def sigma_from_eta_prime(
 
 
 class _SigmaUnits:
-    """sigma_from_eta_prime() for one parameter and one tail, split at the form.
+    """sigma_from_eta_prime() for one parameter and one tail, split at the size and the form.
 
     The unit block signs and the unit blocks depend only on phi' and on
     the character's values on e'_1, ..., e'_n (the tail, of length n),
     so they are computed once, the blocks when a first form survives
     the gate; the blocks, the seams between them and their signature
-    sums are checked then, once. at() takes a full character with that
-    tail and one target form of size m, validates the character, takes
-    the big block's balance, runs both forms of the sign gate, adds the
-    i0 block and checks that block, the sums and its two seams.
+    sums are checked then, once. phi' changes with the size m only in m
+    itself, and the unit signs only with the parity of m - n, so the
+    object serves every size of one parity: it holds phi' at the size of
+    the last target and, for a size step d, which must be even, rebuilds
+    phi' and moves the doubled unit block values before i0 by -d and
+    those after by +d. at() takes a full character with that tail and
+    one target form, validates the character, takes the big block's
+    balance, runs both forms of the sign gate, adds the i0 block and
+    checks that block, the sums and its two seams.
     """
 
     __slots__ = ("phi_p", "units", "r_units", "s_units", "_blocks")
@@ -407,8 +415,26 @@ class _SigmaUnits:
         """(r_i0, s_i0): what the unit blocks leave of the target for the big block."""
         return target.p - self.r_units, target.q - self.s_units
 
+    def _resize(self, m: int) -> None:
+        """Move phi' and the unit blocks to size m."""
+        phi_p = self.phi_p
+        d = m - phi_p.m
+        if d % 2:
+            raise InternalError(f"size {m} has the wrong parity for {phi_p.to_json()}")
+        self.phi_p = AParameter.from_twices(phi_p.mu_tw, phi_p.mu0_tw, m)
+        if self._blocks is not None:
+            head, tail, units_p, units_q = self._blocks
+            self._blocks = (
+                tuple((r, s, v - d) for r, s, v in head),
+                tuple((r, s, v + d) for r, s, v in tail),
+                units_p,
+                units_q,
+            )
+
     def at(self, eta_p: SignCharacter, target: Signature) -> AqLambdaData | None:
         """The member on one target form, or None when the character kills it."""
+        if target.n != self.phi_p.m:
+            self._resize(target.n)
         phi_p = self.phi_p
         _validate_a_character(phi_p, eta_p)
         r_i0, s_i0 = self.balance(target)

@@ -21,18 +21,24 @@ bounds; the acceptance gate feeds it suite_ktypes directly, whose
 out of the registry.
 
 No suite relies on a cache. The enumeration suites loop parameter,
-then target size m, then target form (r, s). Each parameter's tower
-invariants are computed once, into a tower object that decides
-occurrence for all of its targets, once per case. The work that depends
-only on the parameter and m (lax splits, unit blocks, the transferred
-character's values, the deformation) is built lazily, at the first
-nonzero target of that m, so a vanishing case costs only its decision;
-each form then adds its own block and sign. That state is dropped when
-the loop moves on, so memory stays flat however large the window.
+then target size m, then target form (r, s), and do each piece of work
+at the loop level it depends on:
+- per run, the table of target signatures, each built once;
+- per parameter, the tower invariants, in a tower object that decides
+  occurrence for all of its targets, once per case, as a plain tuple;
+  and, at its first nonzero target, path A (_LiftUp) and path B
+  (_Transfer, _SigmaUnits), whose unit blocks follow the size;
+- per size, at its first nonzero target, the globalization shadow's
+  deformation with its character, its lax split and its path B unit
+  blocks, since the deformation step grows with m;
+- per form, the interval or big block, the e'_0 sign and the checks.
+So a vanishing case costs only its decision. That state is dropped
+when the loop moves on, so memory stays flat however large the window.
 Each suite calls the unchecked private halves (_LiftUp, _Transfer,
 _SigmaUnits, _Globalization) rather than the public functions, which
-would decide occurrence again and rebuild the shared part per form; the
-two derivation routes stay separate objects, each the other's oracle.
+would decide occurrence again and rebuild the shared parts per call;
+the two derivation routes stay separate objects, each the other's
+oracle.
 """
 
 from __future__ import annotations
@@ -132,20 +138,24 @@ def _down_sizes(n: int, m0: int) -> list[int]:
     return [m for m in range(n - 1, -1, -1) if (m - m0) % 2 == 0]
 
 
-def _forms(m: int) -> Iterator[Signature]:
-    """Every signature of size m, (0, m) first."""
-    for r in range(m + 1):
-        yield Signature(r, m - r)
+def _forms_table(bounds: EnumerationBounds) -> list[tuple[Signature, ...]]:
+    """Every signature of each size a run reaches; entry m is (0, m), ..., (m, 0).
+
+    Sizes go up to two above the largest up target, the step that
+    persistence takes. Each suite run builds one and drops it at its end.
+    """
+    top = bounds.max_n + bounds.max_m_minus_n + 2
+    return [tuple(Signature(r, m - r) for r in range(m + 1)) for m in range(top + 1)]
 
 
-def _up_targets(n: int, m0: int, max_dm: int) -> Iterator[Signature]:
+def _up_targets(forms: list, n: int, m0: int, max_dm: int) -> Iterator[Signature]:
     for m in _up_sizes(n, m0, max_dm):
-        yield from _forms(m)
+        yield from forms[m]
 
 
-def _down_targets(n: int, m0: int) -> Iterator[Signature]:
+def _down_targets(forms: list, n: int, m0: int) -> Iterator[Signature]:
     for m in _down_sizes(n, m0):
-        yield from _forms(m)
+        yield from forms[m]
 
 
 def _ctx(lam: HCParam, m0: int, n0: int, m: int) -> LiftContext:
@@ -158,13 +168,13 @@ def _sig_json(sig: Signature) -> list[int]:
 
 def suite_two_path(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case]:
     """Lift route versus packet-transfer route, block for block."""
+    forms = _forms_table(bounds)
     for lam, k0, m0, n0 in iter_params(bounds):
         tower = _Tower(lam, m0, invariants(lam, m0, k0))
+        up = None
         for m in _up_sizes(lam.sig.n, m0, bounds.max_m_minus_n):
-            up = None
-            for target in _forms(m):
-                nonzero, _pos = tower.position(target)
-                if not nonzero:
+            for target in forms[m]:
+                if tower.decide(target)[3] is not None:
                     yield True, "vanishing", None
                     continue
                 if up is None:
@@ -191,11 +201,11 @@ def suite_two_path(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Cas
 
 def suite_round_trip(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case]:
     """Lift down, lift back up, compare characters and parameters."""
+    forms = _forms_table(bounds)
     for lam, k0, m0, n0 in iter_params(bounds):
         tower = _Tower(lam, m0, invariants(lam, m0, k0))
-        for target in _down_targets(lam.sig.n, m0):
-            nonzero, _pos = tower.position(target)
-            if not nonzero:
+        for target in _down_targets(forms, lam.sig.n, m0):
+            if tower.decide(target)[3] is not None:
                 yield True, "vanishing", None
                 continue
             ctx = _ctx(lam, m0, n0, target.n)
@@ -236,6 +246,7 @@ def suite_round_trip(bounds: EnumerationBounds, emit: bool = True) -> Iterator[C
 
 def suite_duality(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case]:
     """Conjugate-dual invariants and occurrence symmetry."""
+    forms = _forms_table(bounds)
     for lam, k0, m0, _n0 in iter_params(bounds):
         n = lam.sig.n
         dual = _conjugate_dual_m0(lam, m0)
@@ -249,9 +260,10 @@ def suite_duality(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case
         k_ok = inv_d.k_lambda == inv.k_lambda
         rs_ok = (inv_d.r_lambda, inv_d.s_lambda) == (inv.s_lambda, inv.r_lambda)
         occ_ok = True
-        for target in _up_targets(n, m0, bounds.max_m_minus_n):
-            a, _ = tower.position(target)
-            b, _ = tower_d.position(Signature(target.q, target.p))
+        for target in _up_targets(forms, n, m0, bounds.max_m_minus_n):
+            # forms[m][q] is the transposed target (q, p).
+            a = tower.decide(target)[3] is None
+            b = tower_d.decide(forms[target.n][target.q])[3] is None
             if a != b:
                 occ_ok = False
                 break
@@ -273,14 +285,15 @@ def suite_duality(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case
 
 def suite_persistence(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case]:
     """Nonvanishing persists one step up the tower."""
+    forms = _forms_table(bounds)
     for lam, k0, m0, _n0 in iter_params(bounds):
         tower = _Tower(lam, m0, invariants(lam, m0, k0))
-        for target in _up_targets(lam.sig.n, m0, bounds.max_m_minus_n):
-            nonzero, _pos = tower.position(target)
-            if not nonzero:
+        for target in _up_targets(forms, lam.sig.n, m0, bounds.max_m_minus_n):
+            if tower.decide(target)[3] is not None:
                 yield True, "vanishing", None
                 continue
-            up, _ = tower.position(Signature(target.p + 1, target.q + 1))
+            # forms[m + 2][p + 1] is the target one step up, (p + 1, q + 1).
+            up = tower.decide(forms[target.n + 2][target.p + 1])[3] is None
             record = None
             if emit or not up:
                 record = {
@@ -295,11 +308,12 @@ def suite_persistence(bounds: EnumerationBounds, emit: bool = True) -> Iterator[
 
 def suite_li(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case]:
     """The sufficiency bound implies occurrence with empty windows."""
+    forms = _forms_table(bounds)
     for lam, k0, m0, _n0 in iter_params(bounds):
         n = lam.sig.n
         split = _split_cached(lam, m0, False, 0)
         tower = None
-        for target in _up_targets(n, m0, bounds.max_m_minus_n):
+        for target in _up_targets(forms, n, m0, bounds.max_m_minus_n):
             if not _li_fits(split, n, target):
                 yield True, "not_sufficient", None
                 continue
@@ -409,19 +423,23 @@ def suite_packets(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case
 
 def suite_globalization(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case]:
     """Deformation shadow holds at every nonzero lift in the window."""
+    forms = _forms_table(bounds)
     for lam, k0, m0, n0 in iter_params(bounds):
         n = lam.sig.n
         tower = _Tower(lam, m0, invariants(lam, m0, k0))
+        path_a = None
         for m in _up_sizes(n, m0, bounds.max_m_minus_n):
             shadow = None
-            for target in _forms(m):
-                nonzero, _pos = tower.position(target)
-                if not nonzero:
+            for target in forms[m]:
+                if tower.decide(target)[3] is not None:
                     yield True, "vanishing", None
                     continue
                 if shadow is None:
+                    ctx = _ctx(lam, m0, n0, m)
+                    if path_a is None:
+                        path_a, source = _LiftUp(lam, ctx), eta_from_pi(lam)
                     t = (m - n) // 2 + 2  # ceil((m-n+1)/2) + 1
-                    shadow = _Globalization(lam, _ctx(lam, m0, n0, m), t)
+                    shadow = _Globalization(lam, ctx, t, path_a, source)
                 report = shadow.at(target)
                 record = None
                 if emit or not report.passed:
@@ -572,21 +590,22 @@ def tally(
 
 def iter_enumeration(bounds: EnumerationBounds) -> Iterator[dict]:
     """Every lift decision in the window, as JSON-ready records."""
+    forms = _forms_table(bounds)
     for lam, k0, m0, n0 in iter_params(bounds):
         n = lam.sig.n
         tower = _Tower(lam, m0, invariants(lam, m0, k0))
+        up = None
         for m in _down_sizes(n, m0) + _up_sizes(n, m0, bounds.max_m_minus_n):
-            ctx = _ctx(lam, m0, n0, m)
-            up = None
-            for target in _forms(m):
+            for target in forms[m]:
                 nonzero, pos = tower.position(target)
                 if not nonzero:
                     result = LiftResult.vanishes()
                 elif m < n:
+                    ctx = _ctx(lam, m0, n0, m)
                     result = LiftResult.discrete_series(_lift_down(lam, ctx, target))
                 else:
                     if up is None:
-                        up = _LiftUp(lam, ctx)
+                        up = _LiftUp(lam, _ctx(lam, m0, n0, m))
                     result = LiftResult.weakly_fair(up.at(target))
                 yield {
                     "lambda": lam.to_json(),

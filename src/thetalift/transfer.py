@@ -15,13 +15,18 @@ datum for the undeformed values. Like the public lift functions it
 decides occurrence itself; callers that have already decided it use
 _Globalization directly.
 
-Both transfer_eta and the globalization check are built from two halves:
-the work that depends only on the parameter and the target size
-(_Transfer: eta_from_pi, build_a_parameter, the zetas; _Globalization:
-the deformation, the preserved character, the deformed lax split and
-both routes' unit blocks) and a per-form step. The public functions run
-both halves on every call; the suites keep the first half across the
-forms of one size. Nothing is memoized.
+Both transfer_eta and the globalization check are built from parts
+that depend on less than the case. _Transfer (eta_from_pi,
+build_a_parameter, the zetas) depends on the parameter and, through
+the zetas, on the parity of m - n only, so one serves every size of a
+tower. Path A (lifting._LiftUp) and the source character (phi, eta) =
+eta_from_pi(lam) depend only on the parameter and the exponents;
+_Globalization takes them from its caller and builds per target size
+the deformation, whose step t grows with m, the deformed character and
+its check, the deformed lax split and path B's unit blocks. A per-form
+step then adds the e'_0 value, the sufficiency test and the comparison.
+The public functions build every part on every call; the suites keep
+each part for as long as it holds. Nothing is memoized.
 """
 
 from __future__ import annotations
@@ -109,7 +114,10 @@ class _Transfer:
 
     The source character eta, the lift parameter phi' and the character's
     values on e'_1, ..., e'_n (the tail) depend only on lam and the
-    context; eta_at() sets the e'_0 value for one target form.
+    context; eta_at() sets the e'_0 value for one target form. The zetas
+    depend on the target size only through the parity of m - n, so the
+    tail and eta_at() serve every size of the context's tower; phi' is
+    the one at the context's size.
     """
 
     __slots__ = ("eta", "phi_p", "tail", "e0_source")
@@ -170,31 +178,40 @@ def verify_globalization(
     nonzero, pos = occurs(lam, ctx.m0, target)
     if not nonzero:
         raise PreconditionViolation(f"lift vanishes: {pos.reason}")
-    return _Globalization(lam, ctx, t).at(target)
+    return _Globalization(lam, ctx, t, _LiftUp(lam, ctx), eta_from_pi(lam)).at(target)
 
 
 class _Globalization:
     """verify_globalization() for one parameter and one target size, split at the form.
 
-    The deformation, the preserved-character check, the lax split of the
-    deformed parameter, and both routes' target-independent parts are
-    built once; at() runs the sufficiency test and compares the two
-    routes on one target form.
+    path_a is the parameter's lifting._LiftUp and source its undeformed
+    (phi, eta), both built once per parameter by the caller. The
+    deformation, the preserved-character check, the lax split of the
+    deformed parameter, and path B's unit blocks are built once per size;
+    at() runs the sufficiency test and compares the two routes on one
+    target form.
     """
 
     __slots__ = ("t", "n", "lam_plus", "eta_preserved", "split_plus", "path_a",
                  "transfer_plus", "path_b")
 
-    def __init__(self, lam: HCParam, ctx: LiftContext, t: int) -> None:
+    def __init__(
+        self,
+        lam: HCParam,
+        ctx: LiftContext,
+        t: int,
+        path_a: _LiftUp,
+        source: tuple[LParameter, SignCharacter],
+    ) -> None:
+        phi, eta = source
         lam_plus = make_regular_deformation(lam, ctx, t)
-        phi, eta = eta_from_pi(lam)
         self.t = t
         self.n = lam.sig.n
         self.lam_plus = lam_plus
         self.transfer_plus = _Transfer(lam_plus, ctx)
         self.eta_preserved = eta == self.transfer_plus.eta
         self.split_plus = _split_cached(lam_plus, ctx.m0, False, 0)
-        self.path_a = _LiftUp(lam, ctx)
+        self.path_a = path_a
         self.path_b = _SigmaUnits(build_a_parameter(phi, ctx), self.transfer_plus.tail)
 
     def at(self, target: Signature) -> GlobalizationReport:

@@ -3,7 +3,7 @@
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetalift import (
@@ -12,6 +12,7 @@ from thetalift import (
     ChamberAmbiguous,
     HCParam,
     HalfInt,
+    InternalError,
     InternalWeaklyFairViolation,
     LiftContext,
     NotCompactLevi,
@@ -25,10 +26,15 @@ from thetalift import (
     lift,
     lift_down,
     lift_up,
+    occurs,
+    sigma_from_eta_prime,
+    transfer_eta,
 )
 from thetalift import lifting
 from thetalift.core import split_abgd
 from thetalift.lifting import _LiftUp
+
+from strategies import wide_params
 
 
 def _blocks(aq):
@@ -219,10 +225,11 @@ def test_lift_up_blocks_partition_target(extra, shift):
 
 
 # The builders check each block and seam where it is fixed: _LiftUp.__init__
-# the unit blocks and the seams among them, once per (lam, m); _LiftUp.at the
-# interval block, its two seams and the signature sums. These mutations show
-# that each moved check still fires. They use pytest.raises, so they also
-# run under python -O.
+# the unit blocks and the seams among them, once per parameter; _LiftUp.at
+# the head/tail seam once for the size m = n, and per form the interval
+# block, its two seams and the signature sums. These mutations show that
+# each moved check still fires. They use pytest.raises, so they also run
+# under python -O.
 
 MUT_LAM = HCParam(Signature(0, 3), (HalfInt(4), HalfInt(3), HalfInt(0)))
 MUT_CTX = LiftContext(1, 1, 3, 5)
@@ -239,7 +246,7 @@ class _Upside(int):
         return int.__lt__(self, other)
 
 
-def test_lift_up_checks_the_head_seams_once_per_size(monkeypatch):
+def test_lift_up_checks_the_head_seams_once_per_parameter(monkeypatch):
     up = _LiftUp(MUT_LAM, MUT_CTX)
     assert len(up.head) == 2 and len(up.tail) == 1
     # A split of plain ints cannot break a head seam, since the merge sorts
@@ -252,8 +259,29 @@ def test_lift_up_checks_the_head_seams_once_per_size(monkeypatch):
         delta_tw=sp.delta_tw,
     )
     monkeypatch.setattr(lifting, "split_abgd", lambda lam, ctx: doctored)
+    # The builder serves every size of the tower, so the check fires when
+    # it is built, before any size is asked for.
     with pytest.raises(InternalWeaklyFairViolation, match="leave the weakly fair range"):
         _LiftUp(MUT_LAM, MUT_CTX)
+
+
+def test_lift_up_checks_the_head_tail_seam_at_the_source_size():
+    # MUT_LAM's tower has the sizes 3, 5, ...; at m = n = 3 there is no
+    # interval block and the last head block meets the first tail block.
+    source_size = Signature(1, 2)
+    up = _LiftUp(MUT_LAM, MUT_CTX)
+    assert up.at(source_size) == lift_up(MUT_LAM, LiftContext(1, 1, 3, 3), source_size)
+    up.at(MUT_TARGET)
+    # Tail values raised far above the head break only that seam.
+    up.tail = tuple((p, q, tw + 100) for p, q, tw in up.tail)
+    with pytest.raises(InternalWeaklyFairViolation, match="leave the weakly fair range"):
+        up.at(source_size)
+
+
+def test_lift_up_rejects_a_size_outside_its_tower():
+    up = _LiftUp(MUT_LAM, MUT_CTX)
+    with pytest.raises(InternalError, match="size 4 is outside the tower"):
+        up.at(Signature(2, 2))
 
 
 def test_lift_up_checks_the_interval_seams_per_form():
@@ -275,3 +303,30 @@ def test_lift_up_checks_the_signature_sums_per_form():
     up.shape = (x, y, z - 1, w)
     with pytest.raises(SignatureMismatch):
         up.at(MUT_TARGET)
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_params())
+def test_one_lift_up_serves_every_size_of_its_tower(params):
+    # The builder holds one size at a time; going up, down, up again and
+    # then to m = n must give what a fresh builder gives for each size.
+    lam, m0, n0 = params
+    n = lam.sig.n
+    sizes = [m + (m - m0) % 2 for m in (n + 3, n + 1, n + 3, n)]
+    up = None
+    for m in sizes:
+        ctx = LiftContext(m0, n0, n, m)
+        for r in range(m + 1):
+            target = Signature(r, m - r)
+            if not occurs(lam, m0, target)[0]:
+                continue
+            if up is None:
+                up = _LiftUp(lam, ctx)
+            aq = up.at(target)
+            fresh = [lift_up(lam, ctx, target)]
+            if m > n:
+                fresh.append(sigma_from_eta_prime(*transfer_eta(lam, ctx, target), target))
+            for want in fresh:
+                assert aq == want
+                assert hash(aq) == hash(want)
+                assert aq.to_json() == want.to_json()

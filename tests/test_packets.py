@@ -1,14 +1,16 @@
 """Tempered packet bookkeeping and lift-packet members."""
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetalift import (
     AParameter,
     HCParam,
     HalfInt,
+    InternalError,
     InternalWeaklyFairViolation,
+    LiftContext,
     LParameter,
     MalformedCharacter,
     PreconditionViolation,
@@ -20,10 +22,14 @@ from thetalift import (
     epsilon_of_signature,
     eta_from_pi,
     half,
+    occurs,
     packet_members,
     pi_from_eta,
+    transfer_eta,
 )
 from thetalift.packets import _SigmaUnits, eta_prime_sign_ok, sigma_from_eta_prime
+
+from strategies import wide_params
 
 
 def test_epsilon_of_signature():
@@ -203,8 +209,9 @@ def test_determinant_identity_all_characters(n, data):
 
 
 # _SigmaUnits checks its unit blocks and the seams among them once, when a
-# first form survives the gate, and per form the big block, its two seams
-# and the signature sums. These mutations show that each check still fires.
+# first form survives the gate, for every size it serves, and per form the
+# big block, its two seams and the signature sums. These mutations show
+# that each check still fires.
 
 MUT_ETA = SignCharacter((1, -1, 1, 1))
 MUT_TARGET = Signature(2, 3)
@@ -242,3 +249,36 @@ def test_sigma_checks_the_signature_sums_per_form():
     units.r_units += 1
     with pytest.raises(SignatureMismatch):
         units.at(MUT_ETA, MUT_TARGET)
+
+
+def test_sigma_units_reject_a_size_of_the_other_parity():
+    units = _mutation_units()
+    with pytest.raises(InternalError, match="size 6 has the wrong parity"):
+        units.at(SignCharacter((1, -1, 1, 1)), Signature(3, 3))
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_params())
+def test_one_sigma_units_serves_every_size_of_its_parity(params):
+    # The builder holds one size at a time; going up, down and up again
+    # must give what a fresh sigma_from_eta_prime gives for each size. The
+    # transferred character's tail is the same at every size of the tower.
+    lam, m0, n0 = params
+    n = lam.sig.n
+    sizes = [m + (m - m0) % 2 for m in (n + 3, n + 1, n + 3)]
+    units = None
+    for m in sizes:
+        ctx = LiftContext(m0, n0, n, m)
+        for r in range(m + 1):
+            target = Signature(r, m - r)
+            if not occurs(lam, m0, target)[0]:
+                continue
+            phi_p, eta_p = transfer_eta(lam, ctx, target)
+            if units is None:
+                units, tail = _SigmaUnits(phi_p, eta_p.values[1:]), eta_p.values[1:]
+            assert eta_p.values[1:] == tail
+            aq = units.at(eta_p, target)
+            want = sigma_from_eta_prime(phi_p, eta_p, target)
+            assert aq == want
+            assert hash(aq) == hash(want)
+            assert aq.to_json() == want.to_json()

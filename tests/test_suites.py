@@ -6,13 +6,15 @@ restructured loop that drops or repeats a case fails in the fast tier.
 """
 
 import gc
+import json
+import subprocess
 import sys
 import tracemalloc
 
 import pytest
 
 from thetalift import SUITES, EnumerationBounds, InternalError, cli, half, suites
-from thetalift.suites import run_suite
+from thetalift.suites import run_suite, tally
 
 ENUMERATION = EnumerationBounds(max_n=3, max_m_minus_n=4, height=half(7))
 PACKETS = EnumerationBounds(max_n=5, max_m_minus_n=1, height=half(9))
@@ -59,15 +61,61 @@ def test_suite_counts_at_the_benchmark_windows():
         assert (summary.failures, summary.cases, summary.tags) == (0, cases, tags), name
 
 
+def _package_modules():
+    return [
+        (name, module)
+        for name, module in sorted(sys.modules.items())
+        if name == "thetalift" or name.startswith("thetalift.")
+    ]
+
+
+def _container_lengths():
+    """len() of every module-level dict, list and set in the package."""
+    return {
+        f"{module_name}.{attr}": len(value)
+        for module_name, module in _package_modules()
+        for attr, value in vars(module).items()
+        if isinstance(value, (dict, list, set)) and attr != "__builtins__"
+    }
+
+
+# Prints _container_lengths() in a fresh interpreter with the given
+# sys.path, after importing the given modules.
+_FRESH_LENGTHS = """
+import importlib, json, sys
+path, modules = json.loads(sys.stdin.read())
+sys.path[:] = path
+for name in modules:
+    importlib.import_module(name)
+import test_suites
+print(json.dumps(test_suites._container_lengths()))
+"""
+
+
 def test_no_process_wide_caches():
     cached = [
         f"{module_name}.{attr}"
-        for module_name, module in sorted(sys.modules.items())
-        if module_name == "thetalift" or module_name.startswith("thetalift.")
+        for module_name, module in _package_modules()
         for attr, value in vars(module).items()
         if hasattr(value, "cache_info")
     ]
     assert cached == []
+    # A memo kept in a plain module-level container can be too small for
+    # the retained-memory test to see, but its length grows. Earlier tests
+    # in this process may have filled it already, so after every suite the
+    # lengths must still be those of a fresh interpreter.
+    for name in SUITES:
+        run_suite(name, _window(name))
+    tally("ktypes", suites.suite_ktypes(emit=False, max_run=1, height=2))
+    modules = [name for name, _ in _package_modules()]
+    fresh = subprocess.run(
+        [sys.executable, "-c", _FRESH_LENGTHS],
+        input=json.dumps([sys.path, modules]),
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert _container_lengths() == json.loads(fresh.stdout)
 
 
 def test_untied_character_accepted_is_an_internal_error(monkeypatch, capsys):
