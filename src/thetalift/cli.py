@@ -27,7 +27,7 @@ from .core import (
     half_text,
     parse_half_list,
 )
-from .errors import InternalError, ThetaLiftError
+from .errors import InternalError, MalformedCharacter, ThetaLiftError
 from .ktypes import KType, correspond_ktype
 from .lifting import lift
 from .nonvanishing import _k0_for, c_count, invariants, occurs
@@ -147,10 +147,11 @@ def cmd_apacket(args: argparse.Namespace) -> int:
             units = _SigmaUnits(phi_p, eta_p.values[1:])
         signs = eta_p.as_strings()
         row: dict = {"eta": {"e0": signs[0], "signs": signs[1:]}}
-        if phi_p.tie_at_i0 and signs[0] != signs[phi_p.i0]:
+        try:
+            sigma = units.at(eta_p.values[0], target)
+        except MalformedCharacter:
             row["status"] = "invalid_character"
         else:
-            sigma = units.at(eta_p, target)
             if sigma is None:
                 row["status"] = "zero"
             else:

@@ -6,7 +6,8 @@ decreasing integer tuples. After subtracting the normalization shift
 into the pattern (a, 0...0, b; c, 0...0, d) with a, c positive and b, d
 negative; the correspondence swaps b with d, re-pads with zeros to the
 target lengths, and adds the shift of the opposite side. It exists if
-and only if the target has room: x + w <= r and z + y <= s.
+and only if the target has room: x + w <= r and z + y <= s, x, y, z, w
+being the lengths of the runs. A pattern is the plain tuple (a, b, c, d).
 
 split_mu factors a matching weight through the compact pair
 U(r) x U(s): the two returned weights are again K-types of U(p, q)
@@ -43,32 +44,6 @@ class KType:
         return {"a": list(self.a_weights), "b": list(self.b_weights)}
 
 
-@dataclass(frozen=True, slots=True)
-class _Pattern:
-    """The shift-normalized shape of a K-type: signed runs and zero counts."""
-
-    a: tuple[int, ...]  # positives from the first part
-    b: tuple[int, ...]  # negatives from the first part
-    c: tuple[int, ...]  # positives from the second part
-    d: tuple[int, ...]  # negatives from the second part
-
-    @property
-    def x(self) -> int:
-        return len(self.a)
-
-    @property
-    def y(self) -> int:
-        return len(self.b)
-
-    @property
-    def z(self) -> int:
-        return len(self.c)
-
-    @property
-    def w(self) -> int:
-        return len(self.d)
-
-
 def _half_shift(diff: int, m0: int) -> int:
     # (diff + m0)/2; parity is guaranteed by the context invariants.
     if (diff + m0) % 2:
@@ -76,14 +51,15 @@ def _half_shift(diff: int, m0: int) -> int:
     return (diff + m0) // 2
 
 
-def _extract_pattern(mu: KType, shift_a: int, shift_b: int) -> _Pattern:
+def _extract_pattern(mu: KType, shift_a: int, shift_b: int) -> tuple[tuple[int, ...], ...]:
+    """mu's runs (a, b, c, d) after the shifts: each part's positives, then negatives."""
     sa = [v - shift_a for v in mu.a_weights]
     sb = [v - shift_b for v in mu.b_weights]
-    return _Pattern(
-        a=tuple(v for v in sa if v > 0),
-        b=tuple(v for v in sa if v < 0),
-        c=tuple(v for v in sb if v > 0),
-        d=tuple(v for v in sb if v < 0),
+    return (
+        tuple(v for v in sa if v > 0),
+        tuple(v for v in sa if v < 0),
+        tuple(v for v in sb if v > 0),
+        tuple(v for v in sb if v < 0),
     )
 
 
@@ -98,6 +74,14 @@ def _require_dims(mu: KType, ctx: LiftContext, target: Signature) -> None:
         )
 
 
+def _pattern_at(mu: KType, ctx: LiftContext, target: Signature) -> tuple[tuple, bool]:
+    """mu's pattern at the target's shifts, and the room test x + w <= r, z + y <= s."""
+    r, s = target.p, target.q
+    pat = _extract_pattern(mu, _half_shift(r - s, ctx.m0), _half_shift(s - r, ctx.m0))
+    a, b, c, d = pat
+    return pat, len(a) + len(d) <= r and len(c) + len(b) <= s
+
+
 def correspond_ktype(mu: KType, ctx: LiftContext, target: Signature) -> KType | None:
     """The K-type of U(target) paired with mu in the joint harmonics.
 
@@ -105,24 +89,21 @@ def correspond_ktype(mu: KType, ctx: LiftContext, target: Signature) -> KType | 
     z + y > s); otherwise the partner weight.
     """
     _require_dims(mu, ctx, target)
-    r, s = target.p, target.q
-    p, q = mu.sig.p, mu.sig.q
-    pat = _extract_pattern(
-        mu, _half_shift(r - s, ctx.m0), _half_shift(s - r, ctx.m0)
-    )
-    if pat.x + pat.w > r or pat.z + pat.y > s:
+    (a, b, c, d), fits = _pattern_at(mu, ctx, target)
+    if not fits:
         return None
+    p, q = mu.sig.p, mu.sig.q
     out_shift_a = _half_shift(p - q, ctx.n0)
     out_shift_b = _half_shift(q - p, ctx.n0)
     new_a = (
-        tuple(v + out_shift_a for v in pat.a)
-        + (out_shift_a,) * (r - pat.x - pat.w)
-        + tuple(v + out_shift_a for v in pat.d)
+        tuple(v + out_shift_a for v in a)
+        + (out_shift_a,) * (target.p - len(a) - len(d))
+        + tuple(v + out_shift_a for v in d)
     )
     new_b = (
-        tuple(v + out_shift_b for v in pat.c)
-        + (out_shift_b,) * (s - pat.z - pat.y)
-        + tuple(v + out_shift_b for v in pat.b)
+        tuple(v + out_shift_b for v in c)
+        + (out_shift_b,) * (target.q - len(c) - len(b))
+        + tuple(v + out_shift_b for v in b)
     )
     return KType(target, new_a, new_b)
 
@@ -155,26 +136,24 @@ def split_mu(
     if m1 + m2 != ctx.m0:
         raise PatternMismatch(f"m1 + m2 must equal m0={ctx.m0}, got {m1}+{m2}")
 
-    pat = _extract_pattern(
-        mu, _half_shift(r - s, ctx.m0), _half_shift(s - r, ctx.m0)
-    )
-    if pat.x + pat.w > r or pat.z + pat.y > s:
+    (a, b, c, d), fits = _pattern_at(mu, ctx, target)
+    if not fits:
         raise PatternMismatch(
-            f"pattern ({pat.x},{pat.y},{pat.z},{pat.w}) does not fit target {target}"
+            f"pattern ({len(a)},{len(b)},{len(c)},{len(d)}) does not fit target {target}"
         )
 
     sh1 = _half_shift(r, m1)  # (r + m1)/2
     sh1neg = _half_shift(-r, m1)
     mu1 = KType(
         mu.sig,
-        tuple(v + sh1 for v in pat.a) + (sh1,) * (p - pat.x),
-        (sh1neg,) * (q - pat.w) + tuple(v + sh1neg for v in pat.d),
+        tuple(v + sh1 for v in a) + (sh1,) * (p - len(a)),
+        (sh1neg,) * (q - len(d)) + tuple(v + sh1neg for v in d),
     )
     sh2 = _half_shift(-s, m2)  # (m2 - s)/2
     sh2pos = _half_shift(s, m2)
     mu2 = KType(
         mu.sig,
-        (sh2,) * (p - pat.y) + tuple(v + sh2 for v in pat.b),
-        tuple(v + sh2pos for v in pat.c) + (sh2pos,) * (q - pat.z),
+        (sh2,) * (p - len(b)) + tuple(v + sh2 for v in b),
+        tuple(v + sh2pos for v in c) + (sh2pos,) * (q - len(c)),
     )
     return mu1, mu2

@@ -27,7 +27,8 @@ it vanishes for t <= 0. These counts, together with the coordinates
 Nothing here is memoized. occurs() computes the invariants on every
 call; a caller deciding many targets of one parameter holds a _Tower,
 which computes the parameter's invariants once and the conjugate dual's
-only when a target first needs the swapped orientation.
+only when a target first needs the swapped orientation; its one
+decision method, decide(), returns a plain tuple.
 """
 
 from __future__ import annotations
@@ -183,8 +184,9 @@ class _Tower:
     Holds the parameter's invariants and, once a target first needs the
     swapped orientation, the conjugate dual's invariants, so deciding
     many targets of one parameter computes each at most once. A caller
-    that already has the dual's invariants passes them in. occurs()
-    builds one tower per call; the suites build one per parameter.
+    that already has the dual's invariants passes them in. decide() is
+    its one decision method. occurs() builds one tower per call; the
+    suites build one per parameter.
     """
 
     __slots__ = ("lam", "m0", "inv", "_dual_inv")
@@ -205,20 +207,11 @@ class _Tower:
             self._dual_inv = invariants(dual, self.m0, self.inv.k0)
         return self._dual_inv
 
-    def oriented(self, pos: TowerPosition) -> NVInvariants:
-        """The invariants that decided the position: own or dual."""
-        return self.dual_inv if pos.swapped else self.inv
-
-    def position(self, target: Signature) -> tuple[bool, TowerPosition]:
-        """occurs() for one target of the tower's parity class."""
-        l, t, swapped, reason = self.decide(target)
-        return reason is None, TowerPosition(l, t, swapped, reason)
-
     def decide(self, target: Signature) -> tuple[int, int, bool, str | None]:
-        """The decision of position() as a plain (l, t, swapped, reason) tuple.
+        """occurs() for one target of the tower's parity class, as a plain tuple.
 
-        reason is None when the lift occurs. Callers that only need the
-        answer use this and build no TowerPosition.
+        (l, t, swapped, reason) are a TowerPosition's fields; reason is
+        None when the lift occurs, and swapped says dual_inv decided.
         """
         inv = self.inv
         swapped = False
@@ -263,7 +256,8 @@ def occurs(lam: HCParam, m0: int, target: Signature) -> tuple[bool, TowerPositio
     m = target.n
     if (m0 - m) % 2:
         raise ParityMismatch(f"m0={m0} must match target dimension {m} mod 2")
-    return _Tower(lam, m0, invariants(lam, m0, _k0_for(lam.sig.n, m))).position(target)
+    pos = _Tower(lam, m0, invariants(lam, m0, _k0_for(lam.sig.n, m))).decide(target)
+    return pos[3] is None, TowerPosition(*pos)
 
 
 def li_sufficient(lam: HCParam, m0: int, target: Signature) -> bool:

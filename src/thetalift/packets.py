@@ -15,21 +15,23 @@ at position i0 and a product form over all of eta'). Both are computed
 and compared on every call.
 
 The unit blocks of a lift packet member depend only on phi' and on
-the character's values on e'_1, ..., e'_n; the target form adds the big
+the character's values on e'_1, ..., e'_n (its tail); the target form adds the big
 block at i0 and, through e'_0, the sign gate. One walk over mu_1, ...,
 mu_n builds them: mu_{j+1} (j from 0) has the exponent e = j before
 slot i0 and e = j + m - n after it, gives a (1,0) block when
 eta'(e'_{j+1}) = (-1)^e and a (0,1) block otherwise, and its block
 value is mu_{j+1} - (m-1)/2 + e. So as m grows by 2, the values before
 i0 fall by 1 and those after rise by 1, and the signs depend on m only
-through the parity of m - n. _SigmaUnits holds this first part so that
-callers iterating over forms, over e'_0 or over the sizes of one parity
-build it once; the public sigma_from_eta_prime builds one per call.
-Nothing is memoized.
+through the parity of m - n. _SigmaUnits holds this first part and the
+tail's product, so that callers iterating over forms, over e'_0 or over
+the sizes of one parity build it once; per form it takes only e'_0's
+value, an int, and the target. The public sigma_from_eta_prime builds
+one per call. Nothing is memoized.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -106,10 +108,11 @@ class LParameter:
 class AParameter:
     """Lift parameter: mu_1 > ... > mu_n with mu_0 spliced in at i0.
 
-    mus live in Z + (m-1)/2, mu0 in Z + n/2, and i0 is the unique
-    1-based slot with mu_{i0-1} > mu0 >= mu_{i0}. A tie mu0 = mu_{i0}
-    can only happen for m = n + 1 and then couples e'_0 to e'_{i0} in
-    every admissible sign character.
+    mus live in Z + (m-1)/2 and mu0 in Z + n/2; n = len(mus) and i0,
+    the unique 1-based slot with mu_{i0-1} > mu0 >= mu_{i0}, are set
+    once at construction. A tie mu0 = mu_{i0} can only happen for
+    m = n + 1 and then couples e'_0 to e'_{i0} in every admissible sign
+    character.
 
     mu_tw and mu0_tw store the values doubled; mus and mu0 render them
     as HalfInt. AParameter(mus, mu0, m) takes HalfInt values and
@@ -119,6 +122,7 @@ class AParameter:
     mu_tw: tuple[int, ...]
     mu0_tw: int
     m: int
+    n: int
     i0: int
 
     def __init__(self, mus: Iterable[HalfInt], mu0: HalfInt, m: int) -> None:
@@ -139,6 +143,7 @@ class AParameter:
 
     def __post_init__(self) -> None:
         n = len(self.mu_tw)
+        object.__setattr__(self, "n", n)
         if self.m <= n:
             raise PreconditionViolation(f"need m > n, got m={self.m}, n={n}")
         want = (self.m - 1) % 2
@@ -158,10 +163,6 @@ class AParameter:
     @property
     def mu0(self) -> HalfInt:
         return HalfInt.halves(self.mu0_tw)
-
-    @property
-    def n(self) -> int:
-        return len(self.mu_tw)
 
     @property
     def tie_at_i0(self) -> bool:
@@ -282,15 +283,18 @@ def eta_from_pi(lam: HCParam) -> tuple[LParameter, SignCharacter]:
     return LParameter.from_twices(order), SignCharacter(tuple(signs))
 
 
+def _check_tie(phi_p: AParameter, e0: int, tail: tuple[int, ...]) -> None:
+    """The tie rule on e0 = eta'(e'_0) and the tail eta'(e'_1), ..., eta'(e'_n)."""
+    if phi_p.tie_at_i0 and e0 != tail[phi_p.i0 - 1]:
+        raise MalformedCharacter("tied parameter requires eta'(e'_0) = eta'(e'_i0)")
+
+
 def _validate_a_character(phi_p: AParameter, eta_p: SignCharacter) -> None:
     if len(eta_p.values) != phi_p.n + 1:
         raise MalformedCharacter(
             f"character has {len(eta_p.values)} values, parameter wants {phi_p.n + 1}"
         )
-    if phi_p.tie_at_i0 and eta_p.values[0] != eta_p.values[phi_p.i0]:
-        raise MalformedCharacter(
-            "tied parameter requires eta'(e'_0) = eta'(e'_i0)"
-        )
+    _check_tie(phi_p, eta_p.values[0], eta_p.values[1:])
 
 
 def _unit_block_signs(phi_p: AParameter, tail: tuple[int, ...]) -> list[tuple[int, int]]:
@@ -307,33 +311,6 @@ def _unit_block_signs(phi_p: AParameter, tail: tuple[int, ...]) -> list[tuple[in
     ]
 
 
-def _sign_gate(
-    phi_p: AParameter, eta_p: SignCharacter, target: Signature, r_i0: int, s_i0: int
-) -> bool:
-    """Both forms of the sign gate for a validated character, compared.
-
-    (r_i0, s_i0) is the big block's balance from the character's unit
-    block signs; computed once by the caller, it feeds the closed form
-    only, and the product form never reads it.
-    """
-    n, m, i0 = phi_p.n, phi_p.m, phi_p.i0
-    dmn = m - n
-    closed = _sign_pow(r_i0 * (i0 - 1) + s_i0 * i0 + (dmn * (dmn - 1) // 2))
-    ok_closed = eta_p.values[0] == closed
-
-    prod = 1
-    for v in eta_p.values:
-        prod *= v
-    ok_product = prod == epsilon_of_signature(target.p, target.q)
-
-    if ok_closed != ok_product:
-        raise InternalLemmaMismatch(
-            f"sign gate split: closed={ok_closed} product={ok_product} "
-            f"for {phi_p.to_json()} {eta_p} {target}"
-        )
-    return ok_closed
-
-
 def eta_prime_sign_ok(phi_p: AParameter, eta_p: SignCharacter, target: Signature) -> bool:
     """The nonvanishing sign gate, evaluated two independent ways.
 
@@ -346,8 +323,8 @@ def eta_prime_sign_ok(phi_p: AParameter, eta_p: SignCharacter, target: Signature
     if target.n != phi_p.m:
         raise PreconditionViolation(f"target size {target.n} != parameter size {phi_p.m}")
     _validate_a_character(phi_p, eta_p)
-    r_i0, s_i0 = _SigmaUnits(phi_p, eta_p.values[1:]).balance(target)
-    return _sign_gate(phi_p, eta_p, target, r_i0, s_i0)
+    units = _SigmaUnits(phi_p, eta_p.values[1:])
+    return units.sign_ok(eta_p.values[0], target, *units.balance(target))
 
 
 def sigma_from_eta_prime(
@@ -363,7 +340,7 @@ def sigma_from_eta_prime(
     if target.n != phi_p.m:
         raise PreconditionViolation(f"target size {target.n} != parameter size {phi_p.m}")
     _validate_a_character(phi_p, eta_p)
-    return _SigmaUnits(phi_p, eta_p.values[1:]).at(eta_p, target)
+    return _SigmaUnits(phi_p, eta_p.values[1:]).at(eta_p.values[0], target)
 
 
 class _SigmaUnits:
@@ -378,17 +355,19 @@ class _SigmaUnits:
     object serves every size of one parity: it holds phi' at the size of
     the last target and, for a size step d, which must be even, rebuilds
     phi' and moves the doubled unit block values before i0 by -d and
-    those after by +d. at() takes a full character with that tail and
-    one target form, validates the character, takes the big block's
-    balance, runs both forms of the sign gate, adds the i0 block and
-    checks that block, the sums and its two seams.
+    those after by +d. Per form, at() takes e'_0's value as an int and
+    one target form, checks the tie rule, takes the big block's balance,
+    runs both forms of the sign gate, adds the i0 block and checks that
+    block, the sums and its two seams.
     """
 
-    __slots__ = ("phi_p", "units", "r_units", "s_units", "_blocks")
+    __slots__ = ("phi_p", "tail", "tail_product", "units", "r_units", "s_units", "_blocks")
 
     def __init__(self, phi_p: AParameter, tail: tuple[int, ...]) -> None:
         units = _unit_block_signs(phi_p, tail)
         self.phi_p = phi_p
+        self.tail = tail
+        self.tail_product = math.prod(tail)
         self.units = units
         self.r_units = sum(r for r, _ in units)
         self.s_units = phi_p.n - self.r_units
@@ -431,16 +410,34 @@ class _SigmaUnits:
                 units_q,
             )
 
-    def at(self, eta_p: SignCharacter, target: Signature) -> AqLambdaData | None:
-        """The member on one target form, or None when the character kills it."""
+    def sign_ok(self, e0: int, target: Signature, r_i0: int, s_i0: int) -> bool:
+        """Both forms of the sign gate for eta'(e'_0) = e0 on one form, compared.
+
+        The balance (r_i0, s_i0) feeds the closed form only; the product
+        form is e0 times the tail's product.
+        """
+        phi_p = self.phi_p
+        i0, dmn = phi_p.i0, phi_p.m - phi_p.n
+        closed = _sign_pow(r_i0 * (i0 - 1) + s_i0 * i0 + (dmn * (dmn - 1) // 2))
+        ok_closed = e0 == closed
+        ok_product = e0 * self.tail_product == epsilon_of_signature(target.p, target.q)
+        if ok_closed != ok_product:
+            raise InternalLemmaMismatch(
+                f"sign gate split: closed={ok_closed} product={ok_product} "
+                f"for {phi_p.to_json()} {SignCharacter((e0,) + self.tail)} {target}"
+            )
+        return ok_closed
+
+    def at(self, e0: int, target: Signature) -> AqLambdaData | None:
+        """The member for eta'(e'_0) = e0 on one target form, or None when it is killed."""
         if target.n != self.phi_p.m:
             self._resize(target.n)
         phi_p = self.phi_p
-        _validate_a_character(phi_p, eta_p)
+        _check_tie(phi_p, e0, self.tail)
         r_i0, s_i0 = self.balance(target)
         if r_i0 < 0 or s_i0 < 0:
             return None
-        if not _sign_gate(phi_p, eta_p, target, r_i0, s_i0):
+        if not self.sign_ok(e0, target, r_i0, s_i0):
             return None
         if self._blocks is None:
             self._blocks = self._unit_blocks()

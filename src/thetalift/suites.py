@@ -72,7 +72,7 @@ from .lifting import (
     aq_to_discrete_series,
     lift_up,
 )
-from .nonvanishing import _li_fits, _Tower, c_count, invariants
+from .nonvanishing import TowerPosition, _li_fits, _Tower, c_count, invariants
 from .packets import (
     AParameter,
     LParameter,
@@ -182,7 +182,7 @@ def suite_two_path(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Cas
                     up, transfer = _LiftUp(lam, ctx), _Transfer(lam, ctx)
                     sigma = _SigmaUnits(transfer.phi_p, transfer.tail)
                 path_a = up.at(target)
-                path_b = sigma.at(transfer.eta_at(target), target)
+                path_b = sigma.at(transfer.e0_at(target), target)
                 equal = path_b is not None and path_a == path_b
                 record = None
                 if emit or not equal:
@@ -320,9 +320,10 @@ def suite_li(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case]:
             # The invariants are computed only once a target is sufficient.
             if tower is None:
                 tower = _Tower(lam, m0, invariants(lam, m0, k0))
-            nonzero, pos = tower.position(target)
-            inv = tower.oriented(pos)
-            window = pos.l + pos.t
+            l, t, swapped, reason = tower.decide(target)
+            nonzero = reason is None
+            inv = tower.dual_inv if swapped else tower.inv
+            window = l + t
             counts_zero = (
                 c_count(inv, +1, window) == 0 and c_count(inv, -1, window) == 0
             )
@@ -597,7 +598,8 @@ def iter_enumeration(bounds: EnumerationBounds) -> Iterator[dict]:
         up = None
         for m in _down_sizes(n, m0) + _up_sizes(n, m0, bounds.max_m_minus_n):
             for target in forms[m]:
-                nonzero, pos = tower.position(target)
+                pos = tower.decide(target)
+                nonzero = pos[3] is None
                 if not nonzero:
                     result = LiftResult.vanishes()
                 elif m < n:
@@ -613,6 +615,6 @@ def iter_enumeration(bounds: EnumerationBounds) -> Iterator[dict]:
                     "n0": n0,
                     "target": _sig_json(target),
                     "occurs": nonzero,
-                    "position": pos.to_json(),
+                    "position": TowerPosition(*pos).to_json(),
                     "result": result.to_json(),
                 }

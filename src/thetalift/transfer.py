@@ -24,9 +24,9 @@ eta_from_pi(lam) depend only on the parameter and the exponents;
 _Globalization takes them from its caller and builds per target size
 the deformation, whose step t grows with m, the deformed character and
 its check, the deformed lax split and path B's unit blocks. A per-form
-step then adds the e'_0 value, the sufficiency test and the comparison.
-The public functions build every part on every call; the suites keep
-each part for as long as it holds. Nothing is memoized.
+step then adds the e'_0 value, an int, the sufficiency test and the
+comparison. The public functions build every part on every call; the
+suites keep each part for as long as it holds. Nothing is memoized.
 """
 
 from __future__ import annotations
@@ -106,7 +106,7 @@ def transfer_eta(
             f"target size {target.n} != context target_dim {ctx.target_dim}"
         )
     tr = _Transfer(lam, ctx)
-    return tr.phi_p, tr.eta_at(target)
+    return tr.phi_p, SignCharacter((tr.e0_at(target),) + tr.tail)
 
 
 class _Transfer:
@@ -114,10 +114,10 @@ class _Transfer:
 
     The source character eta, the lift parameter phi' and the character's
     values on e'_1, ..., e'_n (the tail) depend only on lam and the
-    context; eta_at() sets the e'_0 value for one target form. The zetas
-    depend on the target size only through the parity of m - n, so the
-    tail and eta_at() serve every size of the context's tower; phi' is
-    the one at the context's size.
+    context; e0_at() gives the value on e'_0, an int, for one target
+    form. The zetas depend on the target size only through the parity
+    of m - n, so the tail and e0_at() serve every size of the context's
+    tower; phi' is the one at the context's size.
     """
 
     __slots__ = ("eta", "phi_p", "tail", "e0_source")
@@ -131,10 +131,9 @@ class _Transfer:
         self.tail = tuple(z * e for z, e in zip(zs.zetas, eta.values))
         self.e0_source = zs.zeta0 * epsilon_of_signature(lam.sig.p, lam.sig.q)
 
-    def eta_at(self, target: Signature) -> SignCharacter:
-        """The transferred character for one target form."""
-        e0 = self.e0_source * epsilon_of_signature(target.p, target.q)
-        return SignCharacter((e0,) + self.tail)
+    def e0_at(self, target: Signature) -> int:
+        """The transferred character's value on e'_0 for one target form."""
+        return self.e0_source * epsilon_of_signature(target.p, target.q)
 
 
 @dataclass(frozen=True, slots=True)
@@ -189,7 +188,7 @@ class _Globalization:
     deformation, the preserved-character check, the lax split of the
     deformed parameter, and path B's unit blocks are built once per size;
     at() runs the sufficiency test and compares the two routes on one
-    target form.
+    target form, handing path B only that form's e'_0 value.
     """
 
     __slots__ = ("t", "n", "lam_plus", "eta_preserved", "split_plus", "path_a",
@@ -216,7 +215,7 @@ class _Globalization:
 
     def at(self, target: Signature) -> GlobalizationReport:
         """The report for one target form of the context's size."""
-        sigma = self.path_b.at(self.transfer_plus.eta_at(target), target)
+        sigma = self.path_b.at(self.transfer_plus.e0_at(target), target)
         return GlobalizationReport(
             t=self.t,
             deformed=self.lam_plus,

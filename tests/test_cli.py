@@ -9,6 +9,7 @@ CLI as a child process, since only a real pipe can close early.
 import hashlib
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -346,3 +347,22 @@ class TestOutputDigests:
         rc, out, err = run_cli(capsys, *argv)
         assert (rc, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[name]
+
+
+def test_readme_examples_print_what_the_readme_shows(capsys):
+    # Each `$ thetalift ...` line of README.md, run through cli.main, must
+    # print the lines under it, up to a blank line or the end of the block.
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    ran = 0
+    for i, line in enumerate(lines):
+        if not line.startswith("$ thetalift "):
+            continue
+        expected = []
+        for follow in lines[i + 1:]:
+            if not follow or follow.startswith("```"):
+                break
+            expected.append(follow + "\n")
+        rc, out, err = run_cli(capsys, *shlex.split(line)[2:])
+        assert (rc, err, out) == (0, "", "".join(expected)), line
+        ran += 1
+    assert ran == 6

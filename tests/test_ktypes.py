@@ -1,5 +1,9 @@
 """Joint-harmonics weight correspondence and the compact-pair split."""
 
+import hashlib
+import itertools
+import json
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -124,3 +128,41 @@ def test_ktype_suite_counts_at_the_benchmark_window():
     assert summary.failures == 0
     assert summary.cases == 4089
     assert summary.tags == {"checked": 4089}
+
+
+def _grid_rows():
+    """One JSON row per (K-type, target): the partner and the split, or its error.
+
+    Sources are the K-types of U(p, q) with 1 <= p + q <= 3 and weights
+    in -3..3; targets are every (r, s) with r + s <= 4.
+    """
+    weights = range(3, -4, -1)
+    for n in range(1, 4):
+        for p in range(n + 1):
+            for a in itertools.combinations_with_replacement(weights, p):
+                for b in itertools.combinations_with_replacement(weights, n - p):
+                    mu = KType(Signature(p, n - p), a, b)
+                    for m in range(5):
+                        ctx = LiftContext(m % 2, n % 2, n, m)
+                        for r in range(m + 1):
+                            target = Signature(r, m - r)
+                            partner = correspond_ktype(mu, ctx, target)
+                            try:
+                                split = [k.to_json() for k in split_mu(mu, ctx, target)]
+                            except PatternMismatch as exc:
+                                split = [type(exc).__name__, str(exc)]
+                            row = [
+                                mu.to_json(),
+                                [r, m - r],
+                                partner.to_json() if partner is not None else None,
+                                split,
+                            ]
+                            yield json.dumps(row, separators=(",", ":"))
+
+
+def test_correspondence_and_split_are_pinned_on_a_grid():
+    rows = list(_grid_rows())
+    assert len(rows) == 10185
+    assert sum(1 for row in rows if json.loads(row)[2] is None) == 7752
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == "7e7939685528e89f820899326cdd34bf6cfb6cb68e398f1e3d785e8fc239d612"

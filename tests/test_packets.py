@@ -9,6 +9,7 @@ from thetalift import (
     HCParam,
     HalfInt,
     InternalError,
+    InternalLemmaMismatch,
     InternalWeaklyFairViolation,
     LiftContext,
     LParameter,
@@ -231,30 +232,41 @@ def test_sigma_checks_the_unit_block_seams():
     units = _mutation_units(mu_tw=(6, 8, 0))
     seam = r"lam_tw=2\) then AqBlock\(p_i=0, q_i=1, lam_tw=6\)"
     with pytest.raises(InternalWeaklyFairViolation, match=seam):
-        units.at(MUT_ETA, MUT_TARGET)
+        units.at(MUT_ETA.values[0], MUT_TARGET)
 
 
 def test_sigma_checks_the_big_block_seams_per_form():
     units = _mutation_units(mu0_tw=1 + 200)
     seam = r"lam_tw=4\) then AqBlock\(p_i=1, q_i=1, lam_tw=202\)"
     with pytest.raises(InternalWeaklyFairViolation, match=seam):
-        units.at(MUT_ETA, MUT_TARGET)
+        units.at(MUT_ETA.values[0], MUT_TARGET)
 
 
 def test_sigma_checks_the_signature_sums_per_form():
     units = _mutation_units()
-    assert units.at(MUT_ETA, MUT_TARGET) is not None
+    assert units.at(MUT_ETA.values[0], MUT_TARGET) is not None
     # One unit block too many counted on the p side leaves the big block
     # one p column short; with i0 odd the sign gate still passes.
     units.r_units += 1
     with pytest.raises(SignatureMismatch):
-        units.at(MUT_ETA, MUT_TARGET)
+        units.at(MUT_ETA.values[0], MUT_TARGET)
+
+
+def test_sigma_product_form_reads_e0_and_the_whole_tail():
+    units = _mutation_units()
+    assert units.at(MUT_ETA.values[0], MUT_TARGET) is not None
+    # A wrong tail product splits the product form from the closed form,
+    # and the message names the full character, e'_0 and tail.
+    units.tail_product = -units.tail_product
+    split = r"closed=True product=False .* \+-\+\+ \(2,3\)"
+    with pytest.raises(InternalLemmaMismatch, match=split):
+        units.at(MUT_ETA.values[0], MUT_TARGET)
 
 
 def test_sigma_units_reject_a_size_of_the_other_parity():
     units = _mutation_units()
     with pytest.raises(InternalError, match="size 6 has the wrong parity"):
-        units.at(SignCharacter((1, -1, 1, 1)), Signature(3, 3))
+        units.at(SignCharacter((1, -1, 1, 1)).values[0], Signature(3, 3))
 
 
 @settings(max_examples=100, deadline=None)
@@ -277,7 +289,7 @@ def test_one_sigma_units_serves_every_size_of_its_parity(params):
             if units is None:
                 units, tail = _SigmaUnits(phi_p, eta_p.values[1:]), eta_p.values[1:]
             assert eta_p.values[1:] == tail
-            aq = units.at(eta_p, target)
+            aq = units.at(eta_p.values[0], target)
             want = sigma_from_eta_prime(phi_p, eta_p, target)
             assert aq == want
             assert hash(aq) == hash(want)
