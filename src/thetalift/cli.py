@@ -31,12 +31,16 @@ from .errors import InternalError, MalformedCharacter, ThetaLiftError
 from .ktypes import KType, correspond_ktype
 from .lifting import lift
 from .nonvanishing import _k0_for, c_count, invariants, occurs
-from .packets import AParameter, SignCharacter, _SigmaUnits, packet_members, LParameter
+from .packets import PLUS, AParameter, LParameter, SignCharacter, _SigmaUnits, packet_members
 from .suites import EnumerationBounds, SUITES, iter_enumeration, run_suite
 
 
+# Built once: json.dumps with separators= builds a new encoder per call.
+_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def _dump(record: dict) -> None:
-    sys.stdout.write(json.dumps(record, separators=(",", ":")) + "\n")
+    sys.stdout.write(_ENCODER.encode(record) + "\n")
 
 
 def _parse_lambda(args: argparse.Namespace) -> HCParam:
@@ -50,11 +54,16 @@ def _exponents(args: argparse.Namespace, n: int, m: int) -> tuple[int, int]:
     return m0, n0
 
 
+# argparse reads a value such as -1/2 as a flag unless it is attached with =.
+_EQUALS_HINT = "a value that begins with a minus sign needs =, as in {}=-1/2"
+
+
 def _add_source_flags(sp: argparse.ArgumentParser) -> None:
     sp.add_argument("--p", type=int, required=True)
     sp.add_argument("--q", type=int, required=True)
     sp.add_argument("--lambda", dest="lam", required=True, metavar="ENTRIES",
-                    help="comma-separated half-integers, p-part then q-part")
+                    help="comma-separated half-integers, p-part then q-part; "
+                    + _EQUALS_HINT.format("--lambda"))
 
 
 def _add_target_flags(sp: argparse.ArgumentParser) -> None:
@@ -138,17 +147,16 @@ def cmd_apacket(args: argparse.Namespace) -> int:
     mu0 = HalfInt.parse(args.mu0)
     target = Signature(args.r, args.s)
     phi_p = AParameter(mus, mu0, target.n)
-    n1 = phi_p.n + 1
-    for bits in range(1 << n1):
-        eta_p = SignCharacter.from_bits(bits, n1)
-        if bits % 2 == 0:
-            # e'_0 is the lowest bit, so each pair of rows shares the
+    for eta_p in SignCharacter.every(phi_p.n + 1):
+        e0 = eta_p.values[0]
+        if e0 == PLUS:
+            # e'_0 varies fastest, so each pair of rows shares the
             # values on e'_1, ..., e'_n and with them the unit blocks.
             units = _SigmaUnits(phi_p, eta_p.values[1:])
         signs = eta_p.as_strings()
         row: dict = {"eta": {"e0": signs[0], "signs": signs[1:]}}
         try:
-            sigma = units.at(eta_p.values[0], target)
+            sigma = units.at(e0, target)
         except MalformedCharacter:
             row["status"] = "invalid_character"
         else:
@@ -239,12 +247,17 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_invariants)
 
     sp = sub.add_parser("packet", help="all members of a tempered packet")
-    sp.add_argument("--kappas", required=True, metavar="ENTRIES")
+    sp.add_argument("--kappas", required=True, metavar="ENTRIES",
+                    help="comma-separated half-integers, strictly decreasing; "
+                    + _EQUALS_HINT.format("--kappas"))
     sp.set_defaults(func=cmd_packet)
 
     sp = sub.add_parser("apacket", help="all characters of a lift packet on one form")
-    sp.add_argument("--mus", required=True, metavar="ENTRIES")
-    sp.add_argument("--mu0", required=True)
+    sp.add_argument("--mus", required=True, metavar="ENTRIES",
+                    help="comma-separated half-integers, strictly decreasing; "
+                    + _EQUALS_HINT.format("--mus"))
+    sp.add_argument("--mu0", required=True,
+                    help="one half-integer; " + _EQUALS_HINT.format("--mu0"))
     _add_target_flags(sp)
     sp.set_defaults(func=cmd_apacket)
 

@@ -4,6 +4,10 @@ A tempered parameter for size n is a strictly decreasing tuple kappa in
 Z + (n-1)/2; its component group is (Z/2)^n with basis e_1, ..., e_n,
 and a sign character eta picks one discrete series per real form: the
 indices where eta(e_i) = (-1)^(i-1) contribute kappa_i to the p-part.
+SignCharacter.every(k) walks all 2^k characters of (Z/2)^k in bit
+order: the first value varies fastest, + before -, as in binary
+counting with the first value as the low bit. Packet rows and the
+packet suites all list characters in that order.
 
 A lift parameter for a pair of sizes n < m keeps the n values mu_i
 (shifted into Z + (m-1)/2) and inserts one extra value mu_0 in Z + n/2
@@ -31,9 +35,10 @@ one per call. Nothing is memoized.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import HCParam, HalfInt, Signature, half_text
 from .errors import (
@@ -108,11 +113,13 @@ class LParameter:
 class AParameter:
     """Lift parameter: mu_1 > ... > mu_n with mu_0 spliced in at i0.
 
-    mus live in Z + (m-1)/2 and mu0 in Z + n/2; n = len(mus) and i0,
-    the unique 1-based slot with mu_{i0-1} > mu0 >= mu_{i0}, are set
-    once at construction. A tie mu0 = mu_{i0} can only happen for
-    m = n + 1 and then couples e'_0 to e'_{i0} in every admissible sign
-    character.
+    mus live in Z + (m-1)/2 and mu0 in Z + n/2; n = len(mus), i0, the
+    unique 1-based slot with mu_{i0-1} > mu0 >= mu_{i0}, and tie_at_i0
+    are set once at construction. tie_at_i0 says that mu0 = mu_{i0} on
+    a one-step target, m = n + 1; the tie then couples e'_0 to e'_{i0}
+    in every admissible sign character. A repeated value only collapses
+    the component group when the stretched summand has length one, so
+    there is no tie whenever m - n > 1.
 
     mu_tw and mu0_tw store the values doubled; mus and mu0 render them
     as HalfInt. AParameter(mus, mu0, m) takes HalfInt values and
@@ -124,6 +131,7 @@ class AParameter:
     m: int
     n: int
     i0: int
+    tie_at_i0: bool
 
     def __init__(self, mus: Iterable[HalfInt], mu0: HalfInt, m: int) -> None:
         object.__setattr__(self, "mu_tw", tuple(v.twice for v in mus))
@@ -154,7 +162,11 @@ class AParameter:
         if mu0 % 2 != n % 2:
             raise WrongParityClass(f"mu0={half_text(mu0)} is not in Z + {n}/2")
         _check_decreasing_distinct(self.mu_tw, "mu")
-        object.__setattr__(self, "i0", 1 + sum(1 for v in self.mu_tw if v > mu0))
+        i0 = 1 + sum(1 for v in self.mu_tw if v > mu0)
+        object.__setattr__(self, "i0", i0)
+        object.__setattr__(
+            self, "tie_at_i0", self.m - n == 1 and i0 <= n and self.mu_tw[i0 - 1] == mu0
+        )
 
     @property
     def mus(self) -> tuple[HalfInt, ...]:
@@ -163,18 +175,6 @@ class AParameter:
     @property
     def mu0(self) -> HalfInt:
         return HalfInt.halves(self.mu0_tw)
-
-    @property
-    def tie_at_i0(self) -> bool:
-        """mu0 equals mu_{i0} on a one-step target; couples the character.
-
-        A repeated value only collapses the component group when the
-        stretched summand has length one, so the constraint is empty
-        whenever m - n > 1.
-        """
-        if self.m - self.n != 1:
-            return False
-        return self.i0 <= self.n and self.mu_tw[self.i0 - 1] == self.mu0_tw
 
     def to_json(self) -> dict:
         return {
@@ -193,6 +193,8 @@ class SignCharacter:
     AParameter, values[0] is eta'(e'_0) and values[i] is eta'(e'_i), so
     len == n + 1. Constraints tying values together (such as the tie at
     i0) belong to the parameter and are enforced by the operations.
+    every(k) yields all 2^k characters of size k in bit order, the first
+    value varying fastest, + before -.
     """
 
     values: tuple[int, ...]
@@ -215,13 +217,14 @@ class SignCharacter:
         return cls(tuple(signs))
 
     @classmethod
-    def from_bits(cls, bits: int, size: int) -> "SignCharacter":
-        """The character whose i-th value is -1 exactly when bit i of bits is set.
+    def every(cls, size: int) -> Iterator["SignCharacter"]:
+        """Every character of size values, in bit order.
 
-        Counting bits up from 0 to 2^size - 1 enumerates every character
-        with the first value varying fastest, + before -.
+        The i-th character has value -1 exactly where bit i of its index
+        is set: the first value varies fastest, + before -.
         """
-        return cls(tuple(MINUS if (bits >> i) & 1 else PLUS for i in range(size)))
+        for values in itertools.product((PLUS, MINUS), repeat=size):
+            yield cls(values[::-1])
 
     def as_strings(self) -> list[str]:
         return ["+" if v == PLUS else "-" for v in self.values]
@@ -251,18 +254,14 @@ def pi_from_eta(phi: LParameter, eta: SignCharacter) -> tuple[Signature, HCParam
         raise MalformedCharacter(f"character has {len(eta.values)} values, parameter wants {n}")
     p_vals = []
     q_vals = []
-    for i, kappa in enumerate(phi.kappa_tw, start=1):
-        if eta.values[i - 1] == _sign_pow(i - 1):
-            p_vals.append(kappa)
-        else:
-            q_vals.append(kappa)
+    sign = PLUS  # (-1)^(i-1) for kappa_i
+    for kappa, v in zip(phi.kappa_tw, eta.values):
+        (p_vals if v == sign else q_vals).append(kappa)
+        sign = -sign
     sig = Signature(len(p_vals), len(q_vals))
     # Determinant identity: the product of the values is forced by the
     # signature alone. Machine-checked at scale by the packet suite.
-    prod = 1
-    for v in eta.values:
-        prod *= v
-    if prod != epsilon_of_signature(sig.p, sig.q):
+    if math.prod(eta.values) != epsilon_of_signature(sig.p, sig.q):
         raise InternalError(
             f"determinant identity failed for kappa {phi.to_json()['kappa']}, "
             f"character {eta}, signature {sig}"
@@ -275,11 +274,10 @@ def eta_from_pi(lam: HCParam) -> tuple[LParameter, SignCharacter]:
     order = tuple(sorted(lam.entries_tw, reverse=True))
     p_set = set(lam.p_tw)
     signs = []
-    for i, kappa in enumerate(order, start=1):
-        if kappa in p_set:
-            signs.append(_sign_pow(i - 1))
-        else:
-            signs.append(_sign_pow(i))
+    sign = PLUS  # (-1)^(i-1) for the i-th largest value
+    for kappa in order:
+        signs.append(sign if kappa in p_set else -sign)
+        sign = -sign
     return LParameter.from_twices(order), SignCharacter(tuple(signs))
 
 
@@ -302,13 +300,19 @@ def _unit_block_signs(phi_p: AParameter, tail: tuple[int, ...]) -> list[tuple[in
 
     tail holds the character's values on e'_1, ..., e'_n; the value on
     e'_0 never enters a unit block. eta'(e'_{j+1}) (j from 0) is
-    compared with (-1)^j before slot i0 and with (-1)^(j + m - n) after it.
+    compared with (-1)^j before slot i0 and with (-1)^(j + m - n) after it:
+    a sign that flips once per entry, and once more at slot i0 when m - n
+    is odd.
     """
-    skip, lead = phi_p.i0 - 1, phi_p.m - phi_p.n
-    return [
-        (1, 0) if v == _sign_pow(j if j < skip else j + lead) else (0, 1)
-        for j, v in enumerate(tail)
-    ]
+    skip, flip_at_i0 = phi_p.i0 - 1, (phi_p.m - phi_p.n) % 2
+    out = []
+    sign = PLUS
+    for j, v in enumerate(tail):
+        if j == skip and flip_at_i0:
+            sign = -sign
+        out.append((1, 0) if v == sign else (0, 1))
+        sign = -sign
+    return out
 
 
 def eta_prime_sign_ok(phi_p: AParameter, eta_p: SignCharacter, target: Signature) -> bool:
@@ -447,15 +451,13 @@ class _SigmaUnits:
 
 
 def packet_members(phi: LParameter) -> list[tuple[SignCharacter, Signature, HCParam]]:
-    """All 2^n members of the packet, in a fixed enumeration order.
+    """All 2^n members of the packet, their characters in bit order.
 
-    eta(e_1) varies fastest, + before -, like binary counting with the
-    leftmost sign as the low bit. Deterministic for serialization.
+    The order is SignCharacter.every's: eta(e_1) varies fastest, + before
+    -. Deterministic for serialization.
     """
-    n = phi.n
     out = []
-    for bits in range(1 << n):
-        eta = SignCharacter.from_bits(bits, n)
+    for eta in SignCharacter.every(phi.n):
         sig, lam = pi_from_eta(phi, eta)
         out.append((eta, sig, lam))
     return out

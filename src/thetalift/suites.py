@@ -363,8 +363,7 @@ def suite_eta_prime(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Ca
                     if key not in class_ok:
                         checked = 0
                         skipped = 0
-                        for bits in range(1 << (n + 1)):
-                            eta_p = SignCharacter.from_bits(bits, n + 1)
+                        for eta_p in SignCharacter.every(n + 1):
                             if phi_p.tie_at_i0 and eta_p.values[0] != eta_p.values[phi_p.i0]:
                                 # The coupled constraint must reject these.
                                 try:
@@ -404,8 +403,7 @@ def suite_packets(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case
         for combo in itertools.combinations(universe, n):
             phi = LParameter.from_twices(combo)
             all_ok = True
-            for bits in range(1 << n):
-                eta = SignCharacter.from_bits(bits, n)
+            for eta in SignCharacter.every(n):
                 sig, lam = pi_from_eta(phi, eta)
                 phi_back, eta_back = eta_from_pi(lam)
                 if phi_back != phi or eta_back != eta or sig != lam.sig:

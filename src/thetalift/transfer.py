@@ -46,7 +46,6 @@ from .packets import (
     _SigmaUnits,
     epsilon_of_signature,
     eta_from_pi,
-    sigma_from_eta_prime,
 )
 
 

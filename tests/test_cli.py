@@ -6,7 +6,10 @@ rendering, and exit codes in one pass; the closed-pipe test runs the
 CLI as a child process, since only a real pipe can close early.
 """
 
+import argparse
+import collections
 import hashlib
+import itertools
 import json
 import os
 import shlex
@@ -18,6 +21,7 @@ import pytest
 
 import thetalift
 from thetalift import SUITES, InternalLemmaMismatch, cli
+from thetalift.core import half_text
 
 
 def run_cli(capsys, *argv):
@@ -349,6 +353,42 @@ class TestOutputDigests:
         assert hashlib.sha256(out.encode()).hexdigest() == DIGESTS[name]
 
 
+def _doubled(top, parity):
+    return [t for t in range(top, -top - 1, -1) if t % 2 == parity]
+
+
+def test_packet_and_apacket_grids_are_pinned(capsys):
+    # Every row of `packet` on a grid of kappas, and of `apacket` on a grid
+    # of (mus, mu0, r, s), hashed over stdout in loop order.
+    for n in range(1, 5):
+        for combo in itertools.combinations(_doubled(7, (n - 1) % 2), n):
+            kappas = ",".join(half_text(t) for t in combo)
+            assert cli.cmd_packet(argparse.Namespace(kappas=kappas)) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 1526
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "d9439b79fdf56bd0ebff2ef2587fd8a6331eb87614c3a2ae8189a46c1d8fc0b2"
+    )
+
+    queries = 0
+    for n in range(1, 3):
+        for m in range(n + 1, n + 4):
+            for combo in itertools.combinations(_doubled(5, (m - 1) % 2), n):
+                mus = ",".join(half_text(t) for t in combo)
+                for mu0 in _doubled(5, n % 2):
+                    for r in range(m + 1):
+                        args = argparse.Namespace(mus=mus, mu0=half_text(mu0), r=r, s=m - r)
+                        assert cli.cmd_apacket(args) == 0
+                        queries += 1
+    out = capsys.readouterr().out
+    statuses = collections.Counter(json.loads(line)["status"] for line in out.splitlines())
+    assert queries == 1283
+    assert statuses == {"zero": 5656, "nonzero": 2620, "invalid_character": 356}
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "a6e9dbaf17e1fd3e2fb1a8046220359555353c454ff843f3571cb2d6a3cc947b"
+    )
+
+
 def test_readme_examples_print_what_the_readme_shows(capsys):
     # Each `$ thetalift ...` line of README.md, run through cli.main, must
     # print the lines under it, up to a blank line or the end of the block.
@@ -365,4 +405,4 @@ def test_readme_examples_print_what_the_readme_shows(capsys):
         rc, out, err = run_cli(capsys, *shlex.split(line)[2:])
         assert (rc, err, out) == (0, "", "".join(expected)), line
         ran += 1
-    assert ran == 6
+    assert ran == 7

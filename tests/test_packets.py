@@ -108,6 +108,17 @@ def test_packet_members_order_and_count():
     assert [(r[1].p, r[1].q) for r in rows] == [(1, 1), (0, 2), (2, 0), (1, 1)]
 
 
+def test_every_character_in_bit_order():
+    # The b-th character is -1 exactly where bit i of b is set.
+    for size in range(7):
+        want = [
+            tuple(-1 if b >> i & 1 else 1 for i in range(size)) for b in range(1 << size)
+        ]
+        got = list(SignCharacter.every(size))
+        assert all(type(eta) is SignCharacter for eta in got)
+        assert [eta.values for eta in got] == want
+
+
 def test_aparameter_validation():
     phi_p = AParameter((HalfInt(2),), half(1), 3)
     assert phi_p.i0 == 2
