@@ -2,12 +2,17 @@
 
 K-types of U(p, q) are highest weights for U(p) x U(q): two weakly
 decreasing integer tuples. After subtracting the normalization shift
-((r-s+m0)/2 on the first part, (s-r+m0)/2 on the second) a weight falls
-into the pattern (a, 0...0, b; c, 0...0, d) with a, c positive and b, d
-negative; the correspondence swaps b with d, re-pads with zeros to the
-target lengths, and adds the shift of the opposite side. It exists if
-and only if the target has room: x + w <= r and z + y <= s, x, y, z, w
-being the lengths of the runs. A pattern is the plain tuple (a, b, c, d).
+((r-s+m0)/2 on the first part, (s-r+m0)/2 = m0 - (r-s+m0)/2 on the
+second) a weight falls into the pattern (a, 0...0, b; c, 0...0, d) with
+a, c positive and b, d negative; the correspondence swaps b with d,
+re-pads with zeros to the target lengths, and adds the shift of the
+opposite side. It exists if and only if the target has room: x + w <= r
+and z + y <= s, x, y, z, w being the lengths of the runs.
+
+A part weakly decreases, so its entries above the shift are a prefix
+and those below it a suffix: each part's runs are read as two cut
+indices (_cut), and the correspondence and the split build their
+weights from slices of the unshifted parts, one offset per slice.
 
 split_mu factors a matching weight through the compact pair
 U(r) x U(s): the two returned weights are again K-types of U(p, q)
@@ -18,7 +23,9 @@ m1 = r, m2 = s (mod 2) and m1 + m2 = m0.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from operator import ge, neg
 
 from .core import LiftContext, Signature
 from .errors import InternalError, PatternMismatch, PreconditionViolation
@@ -33,12 +40,13 @@ class KType:
     b_weights: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if len(self.a_weights) != self.sig.p or len(self.b_weights) != self.sig.q:
+        a, b = self.a_weights, self.b_weights
+        if len(a) != self.sig.p or len(b) != self.sig.q:
             raise ValueError("weight lengths must match the signature")
-        for part, label in ((self.a_weights, "a"), (self.b_weights, "b")):
-            for u, v in zip(part, part[1:]):
-                if u < v:
-                    raise ValueError(f"{label}-weights must weakly decrease")
+        if not all(map(ge, a, a[1:])):
+            raise ValueError("a-weights must weakly decrease")
+        if not all(map(ge, b, b[1:])):
+            raise ValueError("b-weights must weakly decrease")
 
     def to_json(self) -> dict:
         return {"a": list(self.a_weights), "b": list(self.b_weights)}
@@ -51,16 +59,9 @@ def _half_shift(diff: int, m0: int) -> int:
     return (diff + m0) // 2
 
 
-def _extract_pattern(mu: KType, shift_a: int, shift_b: int) -> tuple[tuple[int, ...], ...]:
-    """mu's runs (a, b, c, d) after the shifts: each part's positives, then negatives."""
-    sa = [v - shift_a for v in mu.a_weights]
-    sb = [v - shift_b for v in mu.b_weights]
-    return (
-        tuple(v for v in sa if v > 0),
-        tuple(v for v in sa if v < 0),
-        tuple(v for v in sb if v > 0),
-        tuple(v for v in sb if v < 0),
-    )
+def _cut(part: tuple[int, ...], shift: int) -> tuple[int, int]:
+    """(i, j) with part[:i] above shift and part[j:] below it (part weakly decreases)."""
+    return bisect_left(part, -shift, key=neg), bisect_right(part, -shift, key=neg)
 
 
 def _require_dims(mu: KType, ctx: LiftContext, target: Signature) -> None:
@@ -74,14 +75,6 @@ def _require_dims(mu: KType, ctx: LiftContext, target: Signature) -> None:
         )
 
 
-def _pattern_at(mu: KType, ctx: LiftContext, target: Signature) -> tuple[tuple, bool]:
-    """mu's pattern at the target's shifts, and the room test x + w <= r, z + y <= s."""
-    r, s = target.p, target.q
-    pat = _extract_pattern(mu, _half_shift(r - s, ctx.m0), _half_shift(s - r, ctx.m0))
-    a, b, c, d = pat
-    return pat, len(a) + len(d) <= r and len(c) + len(b) <= s
-
-
 def correspond_ktype(mu: KType, ctx: LiftContext, target: Signature) -> KType | None:
     """The K-type of U(target) paired with mu in the joint harmonics.
 
@@ -89,23 +82,27 @@ def correspond_ktype(mu: KType, ctx: LiftContext, target: Signature) -> KType | 
     z + y > s); otherwise the partner weight.
     """
     _require_dims(mu, ctx, target)
-    (a, b, c, d), fits = _pattern_at(mu, ctx, target)
-    if not fits:
-        return None
+    r, s = target.p, target.q
     p, q = mu.sig.p, mu.sig.q
-    out_shift_a = _half_shift(p - q, ctx.n0)
-    out_shift_b = _half_shift(q - p, ctx.n0)
-    new_a = (
-        tuple(v + out_shift_a for v in a)
-        + (out_shift_a,) * (target.p - len(a) - len(d))
-        + tuple(v + out_shift_a for v in d)
+    a, b = mu.a_weights, mu.b_weights
+    sh_a = _half_shift(r - s, ctx.m0)
+    sh_b = ctx.m0 - sh_a
+    # the runs are a[:ia], a[ja:], b[:ib], b[jb:], less the shifts
+    ia, ja = _cut(a, sh_a)
+    ib, jb = _cut(b, sh_b)
+    pad_a = r - ia - (q - jb)  # r - x - w
+    pad_b = s - ib - (p - ja)  # s - z - y
+    if pad_a < 0 or pad_b < 0:
+        return None
+    out_a = _half_shift(p - q, ctx.n0)
+    out_b = ctx.n0 - out_a
+    ka, kd = out_a - sh_a, out_a - sh_b
+    kc, kb = out_b - sh_b, out_b - sh_a
+    return KType(
+        target,
+        tuple([v + ka for v in a[:ia]] + [out_a] * pad_a + [v + kd for v in b[jb:]]),
+        tuple([v + kc for v in b[:ib]] + [out_b] * pad_b + [v + kb for v in a[ja:]]),
     )
-    new_b = (
-        tuple(v + out_shift_b for v in c)
-        + (out_shift_b,) * (target.q - len(c) - len(b))
-        + tuple(v + out_shift_b for v in b)
-    )
-    return KType(target, new_a, new_b)
 
 
 def split_mu(
@@ -136,24 +133,29 @@ def split_mu(
     if m1 + m2 != ctx.m0:
         raise PatternMismatch(f"m1 + m2 must equal m0={ctx.m0}, got {m1}+{m2}")
 
-    (a, b, c, d), fits = _pattern_at(mu, ctx, target)
-    if not fits:
-        raise PatternMismatch(
-            f"pattern ({len(a)},{len(b)},{len(c)},{len(d)}) does not fit target {target}"
-        )
+    a, b = mu.a_weights, mu.b_weights
+    sh_a = _half_shift(r - s, ctx.m0)
+    sh_b = ctx.m0 - sh_a
+    ia, ja = _cut(a, sh_a)
+    ib, jb = _cut(b, sh_b)
+    x, y, z, w = ia, p - ja, ib, q - jb
+    if x + w > r or z + y > s:
+        raise PatternMismatch(f"pattern ({x},{y},{z},{w}) does not fit target {target}")
 
     sh1 = _half_shift(r, m1)  # (r + m1)/2
-    sh1neg = _half_shift(-r, m1)
+    sh1neg = m1 - sh1  # (m1 - r)/2
+    ka, kd = sh1 - sh_a, sh1neg - sh_b
     mu1 = KType(
         mu.sig,
-        tuple(v + sh1 for v in a) + (sh1,) * (p - len(a)),
-        (sh1neg,) * (q - len(d)) + tuple(v + sh1neg for v in d),
+        tuple([v + ka for v in a[:ia]] + [sh1] * (p - x)),
+        tuple([sh1neg] * (q - w) + [v + kd for v in b[jb:]]),
     )
     sh2 = _half_shift(-s, m2)  # (m2 - s)/2
-    sh2pos = _half_shift(s, m2)
+    sh2pos = m2 - sh2  # (m2 + s)/2
+    kb, kc = sh2 - sh_a, sh2pos - sh_b
     mu2 = KType(
         mu.sig,
-        (sh2,) * (p - len(b)) + tuple(v + sh2 for v in b),
-        tuple(v + sh2pos for v in c) + (sh2pos,) * (q - len(c)),
+        tuple([sh2] * (p - y) + [v + kb for v in a[ja:]]),
+        tuple([v + kc for v in b[:ib]] + [sh2pos] * (q - z)),
     )
     return mu1, mu2

@@ -68,7 +68,7 @@ from .errors import (
     PreconditionViolation,
     SignatureMismatch,
 )
-from .nonvanishing import occurs
+from .nonvanishing import TowerPosition, occurs
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -253,15 +253,21 @@ AQ_WEAKLY_FAIR = "aq_weakly_fair"
 
 @dataclass(frozen=True, slots=True)
 class LiftResult:
-    """Outcome of a lift: zero, a discrete series, or an A_q(lam')."""
+    """Outcome of a lift: zero, a discrete series, or an A_q(lam').
+
+    position, when set, is where the occurrence decision placed the
+    target in its tower; lift() sets it on a vanishing result, so the
+    answer says which condition failed.
+    """
 
     kind: str
     param: HCParam | None = None
     aq: AqLambdaData | None = None
+    position: TowerPosition | None = None
 
     @classmethod
-    def vanishes(cls) -> "LiftResult":
-        return cls(VANISHES)
+    def vanishes(cls, position: TowerPosition | None = None) -> "LiftResult":
+        return cls(VANISHES, position=position)
 
     @classmethod
     def discrete_series(cls, param: HCParam) -> "LiftResult":
@@ -277,7 +283,9 @@ class LiftResult:
 
     def to_json(self) -> dict:
         if self.kind == VANISHES:
-            return {"status": "vanishes"}
+            if self.position is None:
+                return {"status": "vanishes"}
+            return {"status": "vanishes", "position": self.position.to_json()}
         if self.kind == DISCRETE_SERIES:
             if self.param is None:
                 raise InternalError("discrete series lift result without a parameter")
@@ -423,11 +431,11 @@ def _lift_down(lam: HCParam, ctx: LiftContext, target: Signature) -> HCParam:
 
 
 def lift(lam: HCParam, ctx: LiftContext, target: Signature) -> LiftResult:
-    """Full decision: vanishes, discrete series, or weakly fair A_q."""
+    """Full decision: vanishes (with its tower position), discrete series, or weakly fair A_q."""
     _require_dims(lam, ctx, target)
-    nonzero, _pos = occurs(lam, ctx.m0, target)
+    nonzero, pos = occurs(lam, ctx.m0, target)
     if not nonzero:
-        return LiftResult.vanishes()
+        return LiftResult.vanishes(pos)
     if ctx.target_dim <= ctx.source_dim:
         return LiftResult.discrete_series(_lift_down(lam, ctx, target))
     return LiftResult.weakly_fair(_LiftUp(lam, ctx).at(target))

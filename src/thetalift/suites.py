@@ -63,7 +63,7 @@ from .errors import (
     NotCompactLevi,
     NotGoodRange,
 )
-from .ktypes import KType, _extract_pattern, _half_shift, correspond_ktype
+from .ktypes import KType, _cut, _half_shift, correspond_ktype
 from .lifting import (
     LiftResult,
     _aq_infinitesimal_twices,
@@ -462,11 +462,18 @@ def _weight_runs(length: int, height: int, positive: bool) -> list[tuple[int, ..
 
 
 def suite_ktypes(emit: bool = True, max_run: int = 2, height: int = 3) -> Iterator[Case]:
-    """K-type correspondence round trip, injectivity, r - s dependence."""
+    """K-type correspondence round trip, injectivity, r - s dependence.
+
+    Everything that depends only on the group (p, q, r, s) is built once
+    per group, in a _KTypeGroup kept beside that group's injectivity
+    record: the three contexts (the forward one, its reverse, and the
+    one pushed up to r + s + 2), the three signatures, and the shifts.
+    """
     runs_pos = {k: _weight_runs(k, height, True) for k in range(max_run + 1)}
     runs_neg = {k: _weight_runs(k, height, False) for k in range(max_run + 1)}
-    # Injectivity bookkeeping spans all weights sharing one (p,q,r,s).
-    seen: dict[tuple, dict[tuple, KType]] = {}
+    # Injectivity bookkeeping spans all weights sharing one (p,q,r,s),
+    # so each group's state lives until the grid is done.
+    groups: dict[tuple[int, int, int, int], _KTypeGroup] = {}
     for x, y, z, w in itertools.product(range(max_run + 1), repeat=4):
         for a in runs_pos[x]:
             for b in runs_neg[y]:
@@ -480,37 +487,69 @@ def suite_ktypes(emit: bool = True, max_run: int = 2, height: int = 3) -> Iterat
                                 r, s = x + w + er, z + y + es
                                 if r + s == 0:
                                     continue
-                                group = seen.setdefault((p, q, r, s), {})
-                                yield from _ktype_case(
-                                    a, b, c, d, p, q, r, s, group, emit
-                                )
+                                key = (p, q, r, s)
+                                group = groups.get(key)
+                                if group is None:
+                                    group = groups[key] = _KTypeGroup(p, q, r, s)
+                                yield _ktype_case(a, b, c, d, group, emit)
 
 
-def _ktype_case(a, b, c, d, p, q, r, s, seen, emit) -> Iterator[Case]:
-    m0, n0 = (r + s) % 2, (p + q) % 2
-    sh_a = (r - s + m0) // 2
-    sh_b = (s - r + m0) // 2
-    mu = KType(
-        Signature(p, q),
-        tuple(v + sh_a for v in a) + (sh_a,) * (p - len(a) - len(b)) + tuple(v + sh_a for v in b),
-        tuple(v + sh_b for v in c) + (sh_b,) * (q - len(c) - len(d)) + tuple(v + sh_b for v in d),
+class _KTypeGroup:
+    """The per-(p, q, r, s) state of the K-type grid."""
+
+    __slots__ = (
+        "source", "target", "up_target", "ctx", "back_ctx", "up_ctx",
+        "sh_a", "sh_b", "sh_p", "sh_q", "seen",
     )
-    ctx = LiftContext(m0, n0, p + q, r + s)
-    target = Signature(r, s)
-    mu_prime = correspond_ktype(mu, ctx, target)
+
+    def __init__(self, p: int, q: int, r: int, s: int) -> None:
+        m0, n0 = (r + s) % 2, (p + q) % 2
+        self.source = Signature(p, q)
+        self.target = Signature(r, s)
+        self.up_target = Signature(r + 1, s + 1)
+        self.ctx = LiftContext(m0, n0, p + q, r + s)
+        self.back_ctx = self.ctx.reversed()
+        self.up_ctx = LiftContext(m0, n0, p + q, r + s + 2)
+        # mu's shifts at the target, and the partner's at the source.
+        self.sh_a = (r - s + m0) // 2
+        self.sh_b = m0 - self.sh_a
+        self.sh_p = _half_shift(p - q, n0)
+        self.sh_q = n0 - self.sh_p
+        # partner weights -> the weight that produced them
+        self.seen: dict[tuple, KType] = {}
+
+
+def _same_runs(u: tuple[int, ...], v: tuple[int, ...], shift: int) -> bool:
+    """Whether two weakly decreasing parts have the same runs above and below shift."""
+    iu, ju = _cut(u, shift)
+    iv, jv = _cut(v, shift)
+    return u[:iu] == v[:iv] and u[ju:] == v[jv:]
+
+
+def _ktype_case(a, b, c, d, group: _KTypeGroup, emit: bool) -> Case:
+    sh_a, sh_b = group.sh_a, group.sh_b
+    source, target = group.source, group.target
+    zeros_a = source.p - len(a) - len(b)
+    zeros_b = source.q - len(c) - len(d)
+    mu = KType(
+        source,
+        tuple([v + sh_a for v in a] + [sh_a] * zeros_a + [v + sh_a for v in b]),
+        tuple([v + sh_b for v in c] + [sh_b] * zeros_b + [v + sh_b for v in d]),
+    )
+    mu_prime = correspond_ktype(mu, group.ctx, target)
     if mu_prime is None:
-        yield False, "missing", {
+        return False, "missing", {
             "suite": "ktypes",
             "mu": mu.to_json(),
             "target": _sig_json(target),
             "ok": False,
             "why": "expected a partner inside capacity",
         }
-        return
-    back = correspond_ktype(mu_prime, ctx.reversed(), Signature(p, q))
+    back = correspond_ktype(mu_prime, group.back_ctx, source)
     round_ok = back == mu
 
     # Injectivity within this (p,q,r,s) group: one partner per weight.
+    seen = group.seen
     inj_key = (mu_prime.a_weights, mu_prime.b_weights)
     prior = seen.get(inj_key)
     inj_ok = prior is None or prior == mu
@@ -518,11 +557,11 @@ def _ktype_case(a, b, c, d, p, q, r, s, seen, emit) -> Iterator[Case]:
 
     # Same pattern, target pushed up the tower: partner differs only in
     # zero padding (the r - s dependence).
-    ctx2 = LiftContext(m0, n0, p + q, r + s + 2)
-    mu2 = correspond_ktype(mu, ctx2, Signature(r + 1, s + 1))
-    sh_p, sh_q = _half_shift(p - q, n0), _half_shift(q - p, n0)
-    pad_ok = mu2 is not None and (
-        _extract_pattern(mu2, sh_p, sh_q) == _extract_pattern(mu_prime, sh_p, sh_q)
+    mu2 = correspond_ktype(mu, group.up_ctx, group.up_target)
+    pad_ok = (
+        mu2 is not None
+        and _same_runs(mu2.a_weights, mu_prime.a_weights, group.sh_p)
+        and _same_runs(mu2.b_weights, mu_prime.b_weights, group.sh_q)
     )
 
     ok = round_ok and inj_ok and pad_ok
@@ -537,7 +576,7 @@ def _ktype_case(a, b, c, d, p, q, r, s, seen, emit) -> Iterator[Case]:
             "injective_ok": inj_ok,
             "padding_ok": pad_ok,
         }
-    yield ok, "checked", record
+    return ok, "checked", record
 
 
 SUITES: dict[str, Callable[..., Iterator[Case]]] = {

@@ -60,7 +60,15 @@ class TestLift:
         assert rc == 0
         assert err == ""
         (row,) = out_lines(out)
-        assert row == {"status": "vanishes"}
+        assert row == {
+            "status": "vanishes",
+            "position": {
+                "l": 0,
+                "t": 1,
+                "swapped": False,
+                "reason": "positive window count exceeds the step count",
+            },
+        }
 
     def test_repeated_entry_is_exit_two(self, capsys):
         rc, out, err = run_cli(
@@ -405,4 +413,4 @@ def test_readme_examples_print_what_the_readme_shows(capsys):
         rc, out, err = run_cli(capsys, *shlex.split(line)[2:])
         assert (rc, err, out) == (0, "", "".join(expected)), line
         ran += 1
-    assert ran == 7
+    assert ran == 9

@@ -5,7 +5,7 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetalift import (
@@ -16,6 +16,7 @@ from thetalift import (
     correspond_ktype,
     split_mu,
 )
+from thetalift import suites
 from thetalift.suites import suite_ktypes, tally
 
 
@@ -25,10 +26,12 @@ TARGET = Signature(2, 0)
 
 def test_ktype_validation():
     KType(Signature(2, 1), (3, 3), (-1,))
-    with pytest.raises(ValueError):
-        KType(Signature(2, 1), (3,), (-1,))  # wrong length
-    with pytest.raises(ValueError):
-        KType(Signature(2, 0), (1, 2), ())  # must weakly decrease
+    with pytest.raises(ValueError, match="weight lengths must match the signature"):
+        KType(Signature(2, 1), (3,), (-1,))
+    with pytest.raises(ValueError, match="a-weights must weakly decrease"):
+        KType(Signature(2, 0), (1, 2), ())
+    with pytest.raises(ValueError, match="b-weights must weakly decrease"):
+        KType(Signature(1, 3), (5,), (2, 2, 3))
     assert KType(Signature(1, 1), (1,), (-1,)).to_json() == {"a": [1], "b": [-1]}
 
 
@@ -123,11 +126,201 @@ def test_correspond_round_trip_property(extra_p, extra_q, pos, neg):
     assert back == mu
 
 
+def _reference_runs(mu, shift_a, shift_b):
+    # The filter reader: shift each part, keep its positives and negatives.
+    sa = [v - shift_a for v in mu.a_weights]
+    sb = [v - shift_b for v in mu.b_weights]
+    return (
+        [v for v in sa if v > 0],
+        [v for v in sa if v < 0],
+        [v for v in sb if v > 0],
+        [v for v in sb if v < 0],
+    )
+
+
+def _reference_correspond(mu, ctx, target):
+    r, s = target.p, target.q
+    p, q = mu.sig.p, mu.sig.q
+    a, b, c, d = _reference_runs(
+        mu, (r - s + ctx.m0) // 2, (s - r + ctx.m0) // 2
+    )
+    if len(a) + len(d) > r or len(c) + len(b) > s:
+        return None
+    oa, ob = (p - q + ctx.n0) // 2, (q - p + ctx.n0) // 2
+    return KType(
+        target,
+        tuple(v + oa for v in a + [0] * (r - len(a) - len(d)) + d),
+        tuple(v + ob for v in c + [0] * (s - len(c) - len(b)) + b),
+    )
+
+
+def _reference_split(mu, ctx, target, m1, m2):
+    r, s = target.p, target.q
+    p, q = mu.sig.p, mu.sig.q
+    m1 = r % 2 if m1 is None else m1
+    m2 = ctx.m0 - m1 if m2 is None else m2
+    if (m1 - r) % 2:
+        return f"m1={m1} must have the parity of r={r}"
+    if (m2 - s) % 2:
+        return f"m2={m2} must have the parity of s={s}"
+    if m1 + m2 != ctx.m0:
+        return f"m1 + m2 must equal m0={ctx.m0}, got {m1}+{m2}"
+    a, b, c, d = _reference_runs(
+        mu, (r - s + ctx.m0) // 2, (s - r + ctx.m0) // 2
+    )
+    if len(a) + len(d) > r or len(c) + len(b) > s:
+        return f"pattern ({len(a)},{len(b)},{len(c)},{len(d)}) does not fit target {target}"
+    sh1, sh1neg = (r + m1) // 2, (m1 - r) // 2
+    sh2, sh2pos = (m2 - s) // 2, (s + m2) // 2
+    return (
+        KType(
+            mu.sig,
+            tuple(v + sh1 for v in a + [0] * (p - len(a))),
+            tuple(v + sh1neg for v in [0] * (q - len(d)) + d),
+        ),
+        KType(
+            mu.sig,
+            tuple(v + sh2 for v in [0] * (p - len(b)) + b),
+            tuple(v + sh2pos for v in c + [0] * (q - len(c))),
+        ),
+    )
+
+
+_parts = st.lists(st.integers(-6, 6), max_size=4).map(
+    lambda part: tuple(sorted(part, reverse=True))
+)
+_maybe_exponent = st.none() | st.integers(-5, 5)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    _parts,
+    _parts,
+    st.integers(0, 9).flatmap(lambda m: st.tuples(st.just(m), st.integers(0, m))),
+    st.integers(-3, 3),
+    st.integers(-3, 3),
+    _maybe_exponent,
+    _maybe_exponent,
+)
+def test_correspond_and_split_at_non_minimal_exponents(a, b, size, i, j, m1, m2):
+    m, r = size
+    mu = KType(Signature(len(a), len(b)), a, b)
+    n = mu.sig.n
+    ctx = LiftContext(m % 2 + 2 * i, n % 2 + 2 * j, n, m)
+    target = Signature(r, m - r)
+    assert correspond_ktype(mu, ctx, target) == _reference_correspond(mu, ctx, target)
+    expected = _reference_split(mu, ctx, target, m1, m2)
+    try:
+        got = split_mu(mu, ctx, target, m1, m2)
+    except PatternMismatch as exc:
+        got = str(exc)
+    assert got == expected
+
+
 def test_ktype_suite_counts_at_the_benchmark_window():
     summary = tally("ktypes", suite_ktypes(emit=False, max_run=1, height=3))
     assert summary.failures == 0
     assert summary.cases == 4089
     assert summary.tags == {"checked": 4089}
+
+
+def test_ktype_suite_records_are_pinned_at_the_benchmark_window():
+    rows = [
+        json.dumps(record, separators=(",", ":"))
+        for _ok, _tag, record in suite_ktypes(emit=True, max_run=1, height=3)
+    ]
+    assert len(rows) == 4089
+    digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
+    assert digest == "5b5cb5813849f5fb8148a2d9b73bfd629d3bbee9492dd36e239df4b22c36888d"
+
+
+def _grid_failures(monkeypatch, rewrite):
+    """Run a small K-type grid with its correspondence calls routed through rewrite.
+
+    Per case the grid calls correspond_ktype forward on mu, back on the
+    partner it got, then up the tower on mu again; rewrite(kind, real,
+    mu, ctx, target) answers each call, kind being "forward", "back" or
+    "up". Returns the summary and the records of the failing cases.
+    """
+    real = suites.correspond_ktype
+    last = {"mu": None, "partner": None}
+
+    def patched(mu, ctx, target):
+        if mu is last["partner"]:
+            kind = "back"
+        elif mu is last["mu"]:
+            kind = "up"
+        else:
+            kind = "forward"
+        out = rewrite(kind, real, mu, ctx, target)
+        if kind == "forward":
+            last["mu"], last["partner"] = mu, out
+        return out
+
+    monkeypatch.setattr(suites, "correspond_ktype", patched)
+    records = []
+    summary = tally("ktypes", suite_ktypes(emit=False, max_run=1, height=2), records.append)
+    assert summary.failures > 0
+    assert len(records) == summary.failures
+    return summary, records
+
+
+def _shifted(mu, da, db):
+    return KType(
+        mu.sig,
+        tuple(v + da for v in mu.a_weights),
+        tuple(v + db for v in mu.b_weights),
+    )
+
+
+def test_grid_flags_a_broken_round_trip(monkeypatch):
+    def rewrite(kind, real, mu, ctx, target):
+        out = real(mu, ctx, target)
+        return _shifted(out, 1, 1) if kind == "back" else out
+
+    summary, records = _grid_failures(monkeypatch, rewrite)
+    assert summary.failures == summary.cases
+    for record in records:
+        assert (record["round_trip_ok"], record["injective_ok"], record["padding_ok"]) == (
+            False, True, True,
+        )
+
+
+def test_grid_flags_two_weights_with_one_partner(monkeypatch):
+    # Every weight of the first group is answered as that group's first
+    # weight, and the round trip leads back to the weight that asked.
+    state = {}
+
+    def rewrite(kind, real, mu, ctx, target):
+        if kind == "forward":
+            state.setdefault("group", (mu.sig, target))
+            state.setdefault("first", mu)
+            state["mu"] = mu
+            state["hit"] = state["group"] == (mu.sig, target)
+        if not state["hit"]:
+            return real(mu, ctx, target)
+        if kind == "back":
+            return state["mu"]
+        return real(state["first"], ctx, target)
+
+    _summary, records = _grid_failures(monkeypatch, rewrite)
+    for record in records:
+        assert (record["round_trip_ok"], record["injective_ok"], record["padding_ok"]) == (
+            True, False, True,
+        )
+
+
+def test_grid_flags_a_run_moved_up_the_tower(monkeypatch):
+    def rewrite(kind, real, mu, ctx, target):
+        out = real(mu, ctx, target)
+        return _shifted(out, 1, 0) if kind == "up" else out
+
+    summary, records = _grid_failures(monkeypatch, rewrite)
+    assert summary.failures == summary.cases
+    for record in records:
+        assert (record["round_trip_ok"], record["injective_ok"], record["padding_ok"]) == (
+            True, True, False,
+        )
 
 
 def _grid_rows():

@@ -15,6 +15,7 @@ from thetalift import (
     InternalError,
     InternalWeaklyFairViolation,
     LiftContext,
+    LiftResult,
     NotCompactLevi,
     NotGoodRange,
     PreconditionViolation,
@@ -100,7 +101,17 @@ def test_lift_dispatch():
     assert up.nonzero and up.kind == "aq_weakly_fair"
     gone = lift(lam, LiftContext(0, 0, 2, 4), Signature(4, 0))
     assert not gone.nonzero
-    assert gone.to_json() == {"status": "vanishes"}
+    assert gone.to_json() == {
+        "status": "vanishes",
+        "position": {
+            "l": 0,
+            "t": 1,
+            "swapped": False,
+            "reason": "positive window count exceeds the step count",
+        },
+    }
+    assert gone.position == occurs(lam, 0, Signature(4, 0))[1]
+    assert LiftResult.vanishes().to_json() == {"status": "vanishes"}
     lam3 = HCParam(Signature(2, 1), (half(2), half(0), half(4)))
     down = lift(lam3, LiftContext(1, 1, 3, 1), Signature(0, 1))
     assert down.nonzero and down.kind == "discrete_series"
