@@ -7,7 +7,9 @@ computed (vanishing included), 1 when a verification suite found
 failures, 2 on input errors, 3 when an internal-consistency check failed
 (a bug, not bad input), 141 (128 + SIGPIPE) when the reader closed
 standard output early, as `thetalift enumerate | head` does; that exit
-prints nothing. Errors print one line on standard error.
+prints nothing. Errors print one line on standard error, except the
+usage errors argparse finds itself, which exit 2 with the usage text and
+an error line.
 """
 
 from __future__ import annotations
@@ -106,7 +108,8 @@ def cmd_occurs(args: argparse.Namespace) -> int:
 def cmd_invariants(args: argparse.Namespace) -> int:
     lam = _parse_lambda(args)
     n = lam.sig.n
-    m0 = args.m0 if args.m0 is not None else n % 2
+    # The minimal exponent of the tower family, as suites.iter_params uses.
+    m0 = args.m0 if args.m0 is not None else (n + (args.k0 or 0)) % 2
     k0 = args.k0 if args.k0 is not None else _k0_for(n, m0)
     if args.dual:
         lam = _conjugate_dual_m0(lam, m0)
@@ -240,7 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("invariants", help="tower invariants and window counts")
     _add_source_flags(sp)
-    sp.add_argument("--m0", type=int, default=None, help="twist exponent, default n mod 2")
+    sp.add_argument("--m0", type=int, default=None,
+                    help="twist exponent, default (n+k0) mod 2, which is n mod 2 "
+                    "unless --k0 is -1")
     sp.add_argument("--k0", type=int, choices=(0, -1), default=None,
                     help="tower parity, default derived from m0")
     sp.add_argument("--dual", action="store_true", help="use the conjugate-dual orientation")

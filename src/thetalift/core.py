@@ -1,13 +1,13 @@
-"""Half-integer arithmetic, signatures, and Harish-Chandra parameters.
+"""Half-integers as doubled ints, signatures, and Harish-Chandra parameters.
 
 Everything downstream works with elements of (1/2)Z, stored as their
 doubles: the value types (HCParam, ABGDSplit here, and the block and
 packet types downstream) hold tuples of doubled ints in their *_tw
 fields, and all arithmetic is exact integer arithmetic on them; floats
 never appear. HalfInt, an immutable wrapper around twice the value, is
-the type for parsing and rendering: the public accessors (entries,
-p_part, alpha, ...) return HalfInt, and HalfInt arguments are accepted
-by the public constructors.
+the type for parsing and rendering only, with no arithmetic or ordering
+of its own: the public accessors (entries, p_part, alpha, ...) return
+HalfInt, and HalfInt arguments are accepted by the public constructors.
 
 A discrete series of U(p, q) is recorded by its Harish-Chandra parameter:
 an n-tuple (n = p + q) of half-integers in Z + (n-1)/2, strictly
@@ -52,12 +52,13 @@ _HALF_RE = re.compile(r"^([+-]?\d+)(/2)?$")
 class HalfInt:
     """An element of (1/2)Z stored exactly as its double.
 
-    HalfInt(k) is the integer k; HalfInt.halves(t) is t/2. Comparison
-    and addition mix freely with int. Multiplication is by int only;
-    there is no division, since nothing downstream needs it.
+    HalfInt(k) is the integer k; HalfInt.halves(t) is t/2. It parses,
+    renders, compares equal to the int of the same value and hashes like
+    it; it has no arithmetic or ordering, since all computation runs on
+    the doubled ints in .twice.
 
-    >>> HalfInt.parse("-3/2") + 2
-    1/2
+    >>> HalfInt.parse("-3/2").twice
+    -3
     >>> str(HalfInt(2)), str(HalfInt.halves(5))
     ('2', '5/2')
     """
@@ -100,82 +101,17 @@ class HalfInt:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("HalfInt is immutable")
 
-    @property
-    def is_integer(self) -> bool:
-        return self.twice % 2 == 0
-
     def as_int(self) -> int:
         if self.twice % 2:
             raise ValueError(f"{self} is not an integer")
         return self.twice // 2
 
-    @staticmethod
-    def _twice_of(other: object) -> int | None:
-        if isinstance(other, HalfInt):
-            return other.twice
-        if isinstance(other, int):
-            return 2 * other
-        return None
-
-    def __add__(self, other: object) -> "HalfInt":
-        t = self._twice_of(other)
-        if t is None:
-            return NotImplemented
-        return HalfInt.halves(self.twice + t)
-
-    __radd__ = __add__
-
-    def __sub__(self, other: object) -> "HalfInt":
-        t = self._twice_of(other)
-        if t is None:
-            return NotImplemented
-        return HalfInt.halves(self.twice - t)
-
-    def __rsub__(self, other: object) -> "HalfInt":
-        t = self._twice_of(other)
-        if t is None:
-            return NotImplemented
-        return HalfInt.halves(t - self.twice)
-
-    def __neg__(self) -> "HalfInt":
-        return HalfInt.halves(-self.twice)
-
-    def __mul__(self, other: object) -> "HalfInt":
-        if not isinstance(other, int):
-            return NotImplemented
-        return HalfInt.halves(self.twice * other)
-
-    __rmul__ = __mul__
-
     def __eq__(self, other: object) -> bool:
-        t = self._twice_of(other)
-        if t is None:
-            return NotImplemented
-        return self.twice == t
-
-    def __lt__(self, other: object) -> bool:
-        t = self._twice_of(other)
-        if t is None:
-            return NotImplemented
-        return self.twice < t
-
-    def __le__(self, other: object) -> bool:
-        t = self._twice_of(other)
-        if t is None:
-            return NotImplemented
-        return self.twice <= t
-
-    def __gt__(self, other: object) -> bool:
-        t = self._twice_of(other)
-        if t is None:
-            return NotImplemented
-        return self.twice > t
-
-    def __ge__(self, other: object) -> bool:
-        t = self._twice_of(other)
-        if t is None:
-            return NotImplemented
-        return self.twice >= t
+        if isinstance(other, HalfInt):
+            return self.twice == other.twice
+        if isinstance(other, int):
+            return self.twice == 2 * other
+        return NotImplemented
 
     def __hash__(self) -> int:
         # Integral values hash like the int they equal.

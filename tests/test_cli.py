@@ -8,7 +8,9 @@ CLI as a child process, since only a real pipe can close early.
 
 import argparse
 import collections
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import os
@@ -18,6 +20,8 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import thetalift
 from thetalift import SUITES, InternalLemmaMismatch, cli
@@ -168,6 +172,21 @@ class TestOccursAndInvariants:
         (row,) = out_lines(out)
         assert row["dual"] is True
         assert (row["r_lambda"], row["s_lambda"]) == (0, 2)
+
+    @pytest.mark.parametrize("n, lam", [(1, "1"), (2, "3/2,1/2"), (3, "2,1,0")])
+    def test_invariants_k0_alone_picks_the_minimal_exponent(self, capsys, n, lam):
+        # With --k0 and no --m0, m0 is (n + k0) mod 2, the exponent
+        # suites.iter_params enumerates for that tower family.
+        source = ["--p", str(n), "--q", "0", "--lambda", lam]
+        for k0 in (0, -1):
+            rc, out, err = run_cli(capsys, "invariants", *source, "--k0", str(k0))
+            assert (rc, err) == (0, "")
+            (row,) = out_lines(out)
+            assert (row["m0"], row["k0"]) == ((n + k0) % 2, k0)
+            rc, explicit, _err = run_cli(
+                capsys, "invariants", *source, "--k0", str(k0), "--m0", str(row["m0"]),
+            )
+            assert (rc, explicit) == (0, out)
 
 
 class TestPackets:
@@ -327,6 +346,145 @@ class TestEnumerate:
         assert json.loads(first)["m0"] in (0, 1)
         assert proc.returncode == 141
         assert err == b""
+
+
+# Malformed argv at the CLI boundary. Each subcommand has a small valid
+# argv; a test draws one or two replacements that make it invalid and
+# expects exit 2 with no traceback. Windows stay tiny (--max-n <= 2) or
+# invalid, so no example starts a large enumeration.
+VALID_ARGV = {
+    "lift": {"--p": "1", "--q": "0", "--lambda": "2", "--r": "2", "--s": "1"},
+    "occurs": {"--p": "1", "--q": "0", "--lambda": "2", "--r": "2", "--s": "1"},
+    "invariants": {"--p": "1", "--q": "0", "--lambda": "2", "--k0": "0"},
+    "packet": {"--kappas": "1/2,-1/2"},
+    "apacket": {"--mus": "3/2,1/2", "--mu0": "0", "--r": "2", "--s": "2"},
+    "ktype-map": {"--p": "1", "--q": "1", "--a": "1", "--b": "-1", "--r": "2", "--s": "2"},
+    "verify": {"--suite": "two_path", "--max-n": "1", "--height": "1/2", "--max-dm": "1"},
+    "enumerate": {"--max-n": "2", "--height": "1/2", "--max-dm": "1"},
+}
+
+
+def _is_int(text):
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _is_half(text):
+    try:
+        thetalift.HalfInt.parse(text)
+    except ValueError:
+        return False
+    return True
+
+
+def _argv(command, args):
+    return [command] + [f"{flag}={value}" for flag, value in args.items()]
+
+
+def _bad(flags, values):
+    return st.tuples(st.sampled_from(flags), values)
+
+
+not_ints = st.one_of(
+    st.sampled_from(["", "x", "1.5", "1/2", "one", "0x1", "2e3"]),
+    st.text(alphabet="0123456789abx./+-_ ", max_size=6).filter(lambda t: not _is_int(t)),
+)
+negatives = st.integers(-5, -1).map(str)
+# No comma or space, so a list flag cannot split the bad literal into good ones.
+not_halves = st.one_of(
+    st.builds("{}/{}".format, st.integers(-9, 9), st.integers(3, 9)),
+    st.builds("{}/2".format, st.integers(-5, 5).map(lambda k: 2 * k)),
+    st.builds("{}.5".format, st.integers(-5, 5)),
+    st.text(alphabet="0123456789ab./+-", min_size=1, max_size=6).filter(lambda t: not _is_half(t)),
+)
+not_half_lists = st.one_of(not_halves, not_halves.map("1/2,{}".format))
+lift_bad = (
+    _bad(("--p", "--q", "--r", "--s", "--m0", "--n0"), not_ints),
+    _bad(("--p", "--q", "--r", "--s"), negatives),
+    _bad(("--lambda",), not_half_lists),
+)
+# The wrong parity class, an empty list, a twist exponent of the wrong parity.
+lift_wrong = [("--lambda", "3/2"), ("--lambda", ""), ("--m0", "0")]
+window_bad = (
+    _bad(("--max-n", "--max-dm"), st.one_of(not_ints, st.integers(-3, 0).map(str))),
+    _bad(("--height",), st.one_of(not_halves, st.sampled_from(["0", "-1/2", "-3"]))),
+)
+# Replacements that each make VALID_ARGV[command] invalid, whatever else
+# is replaced with it.
+MALFORMED = {
+    "lift": lift_bad + (st.sampled_from(lift_wrong + [("--n0", "0")]),),
+    "occurs": lift_bad + (st.sampled_from(lift_wrong),),
+    "invariants": (
+        _bad(("--p", "--q", "--m0", "--k0"), not_ints),
+        _bad(("--p", "--q"), negatives),
+        _bad(("--lambda",), not_half_lists),
+        st.sampled_from([("--lambda", "5/2"), ("--lambda", ""), ("--m0", "0")]),
+    ),
+    "packet": (
+        _bad(("--kappas",), not_half_lists),
+        st.sampled_from([("--kappas", "1,0"), ("--kappas", "1/2"), ("--kappas", "")]),
+    ),
+    "apacket": (
+        _bad(("--r", "--s"), st.one_of(not_ints, negatives)),
+        _bad(("--mus",), not_half_lists),
+        _bad(("--mu0",), not_halves),
+        st.sampled_from([("--mu0", "1/2"), ("--mus", "2,1")]),
+    ),
+    "ktype-map": (
+        _bad(("--p", "--q", "--r", "--s", "--m0", "--n0", "--a", "--b"), not_ints),
+        _bad(("--p", "--q", "--r", "--s"), negatives),
+        st.sampled_from([("--a", ""), ("--m0", "1"), ("--n0", "1")]),
+    ),
+    "verify": window_bad + (
+        _bad(("--suite",), st.text(max_size=8).filter(lambda t: t not in SUITES)),
+    ),
+    "enumerate": window_bad,
+}
+
+
+@st.composite
+def malformed_argv(draw):
+    """A subcommand's valid argv with one or two replacements that break it."""
+    command = draw(st.sampled_from(sorted(VALID_ARGV)))
+    changes = draw(st.lists(st.one_of(MALFORMED[command]), min_size=1, max_size=2))
+    return _argv(command, dict(VALID_ARGV[command], **dict(changes)))
+
+
+def run_captured(argv):
+    """cli.main(argv) with both streams captured: (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = cli.main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+    return rc, out.getvalue(), err.getvalue()
+
+
+class TestBoundary:
+    @pytest.mark.parametrize("command", sorted(VALID_ARGV))
+    def test_valid_argv_runs(self, command):
+        argv = _argv(command, VALID_ARGV[command])
+        rc, out, err = run_captured(argv)
+        assert (rc, err) == (0, ""), argv
+        assert out
+
+    @settings(max_examples=200, deadline=None)
+    @given(malformed_argv())
+    def test_malformed_argv_is_exit_two_without_traceback(self, argv):
+        # An exception escaping cli.main would be a traceback; argparse's
+        # own usage errors exit 2 through SystemExit with a usage line.
+        rc, out, err = run_captured(argv)
+        lines = err.splitlines()
+        assert (rc, out) == (2, ""), (argv, err)
+        assert "Traceback" not in err
+        if lines[0].startswith("usage: thetalift"):
+            assert lines[-1].startswith(f"thetalift {argv[0]}: error: "), err
+        else:
+            assert len(lines) == 1 and lines[0].startswith("error: "), err
 
 
 # sha256 of standard output for `enumerate --max-n 3` and for

@@ -1,4 +1,6 @@
-"""Half-integer arithmetic, parameter validation, splits, duality."""
+"""Half-integer parsing and rendering, parameter validation, splits, duality."""
+
+from operator import attrgetter
 
 import pytest
 from hypothesis import given
@@ -29,9 +31,7 @@ def test_halfint_construction():
     assert HalfInt(3).twice == 6
     assert half(3).twice == 3
     assert HalfInt.halves(7) == half(7)
-    assert half(4).is_integer
     assert half(4).as_int() == 2
-    assert not half(7).is_integer
     with pytest.raises(ValueError):
         half(7).as_int()
 
@@ -47,14 +47,14 @@ def test_halfint_parse_and_str():
             HalfInt.parse(bad)
 
 
-def test_halfint_arithmetic_mixes_with_int():
-    assert half(3) + 1 == half(5)
-    assert 1 + half(3) == half(5)
-    assert half(3) - half(1) == 1
-    assert -half(3) == half(-3)
-    assert half(3) * 2 == 3
-    assert half(3) < 2 < half(5)
-    assert sorted([half(5), 0, half(-1)]) == [half(-1), 0, half(5)]
+def test_halfint_has_no_arithmetic_or_ordering():
+    # Computation runs on the doubled ints; HalfInt only parses and renders.
+    with pytest.raises(TypeError):
+        half(3) + 1
+    with pytest.raises(TypeError):
+        -half(3)
+    with pytest.raises(TypeError):
+        half(1) < half(3)
 
 
 def test_halfint_hash_agrees_with_int():
@@ -69,10 +69,9 @@ def test_halfint_immutable():
         v.twice = 5
 
 
-@given(st.integers(-50, 50), st.integers(-50, 50))
-def test_halfint_add_sub_roundtrip(a, b):
-    x, y = HalfInt.halves(a), HalfInt.halves(b)
-    assert (x + y) - y == x
+@given(st.integers(-50, 50))
+def test_halfint_str_parse_roundtrip(a):
+    x = HalfInt.halves(a)
     assert str(HalfInt.parse(str(x))) == str(x)
 
 
@@ -238,7 +237,10 @@ def test_hcparam_accepts_any_dominant_interleaving(p, q, data):
     mask = data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
     if sum(mask) != q:
         return
-    p_part = sorted((v for v, m in zip(chosen, mask) if not m), reverse=True)
-    q_part = sorted((v for v, m in zip(chosen, mask) if m), reverse=True)
+    by_value = attrgetter("twice")
+    p_part = sorted((v for v, m in zip(chosen, mask) if not m), key=by_value, reverse=True)
+    q_part = sorted((v for v, m in zip(chosen, mask) if m), key=by_value, reverse=True)
     lam = HCParam(Signature(p, q), tuple(p_part) + tuple(q_part))
-    assert sorted(lam.entries, reverse=True) == sorted(chosen, reverse=True)
+    assert sorted(lam.entries, key=by_value, reverse=True) == sorted(
+        chosen, key=by_value, reverse=True
+    )

@@ -6,6 +6,7 @@ ints. On any input, valid or not, the two must give equal objects with
 equal hashes and the same JSON, or raise the same exception class.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -159,3 +160,16 @@ def test_internal_check_survives_optimize():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["1", "InternalError"]
+
+
+def test_package_has_no_assert_statements():
+    # python -O strips assert statements, so an invariant written as one
+    # would silently stop holding; every check must be an explicit raise.
+    package = Path(thetalift.__file__).resolve().parent
+    found = [
+        f"{path.relative_to(package)}:{node.lineno}"
+        for path in sorted(package.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == [], f"assert statements in thetalift: {found}"
