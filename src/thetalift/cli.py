@@ -50,10 +50,11 @@ def _parse_lambda(args: argparse.Namespace) -> HCParam:
     return HCParam(Signature(args.p, args.q), entries)
 
 
-def _exponents(args: argparse.Namespace, n: int, m: int) -> tuple[int, int]:
+def _context(args: argparse.Namespace, n: int, m: int) -> LiftContext:
+    """The context of the exponent flags, which default to their dimensions' parity."""
     m0 = args.m0 if args.m0 is not None else m % 2
     n0 = args.n0 if args.n0 is not None else n % 2
-    return m0, n0
+    return LiftContext(m0, n0, n, m)
 
 
 # argparse reads a value such as -1/2 as a flag unless it is attached with =.
@@ -83,8 +84,7 @@ def _add_exponent_flags(sp: argparse.ArgumentParser) -> None:
 def cmd_lift(args: argparse.Namespace) -> int:
     lam = _parse_lambda(args)
     target = Signature(args.r, args.s)
-    m0, n0 = _exponents(args, lam.sig.n, target.n)
-    ctx = LiftContext(m0, n0, lam.sig.n, target.n)
+    ctx = _context(args, lam.sig.n, target.n)
     result = lift(lam, ctx, target)
     _dump(result.to_json())
     return 0
@@ -93,11 +93,11 @@ def cmd_lift(args: argparse.Namespace) -> int:
 def cmd_occurs(args: argparse.Namespace) -> int:
     lam = _parse_lambda(args)
     target = Signature(args.r, args.s)
-    m0, _n0 = _exponents(args, lam.sig.n, target.n)
-    nonzero, pos = occurs(lam, m0, target)
+    ctx = _context(args, lam.sig.n, target.n)
+    nonzero, pos = occurs(lam, ctx.m0, target)
     _dump({
         "lambda": lam.to_json(),
-        "m0": m0,
+        "m0": ctx.m0,
         "target": [target.p, target.q],
         "occurs": nonzero,
         "position": pos.to_json(),
@@ -183,8 +183,7 @@ def cmd_ktype_map(args: argparse.Namespace) -> int:
     sig = Signature(args.p, args.q)
     mu = KType(sig, _parse_weights(args.a), _parse_weights(args.b))
     target = Signature(args.r, args.s)
-    m0, n0 = _exponents(args, sig.n, target.n)
-    ctx = LiftContext(m0, n0, sig.n, target.n)
+    ctx = _context(args, sig.n, target.n)
     partner = correspond_ktype(mu, ctx, target)
     _dump({
         "mu": mu.to_json(),

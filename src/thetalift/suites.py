@@ -14,38 +14,44 @@ entry sets run in lexicographic order over the descending value
 universe, and part assignments count up in binary. Deterministic
 output follows from deterministic iteration.
 
-tally() is the one loop that counts a case stream's cases, failures and
-tags. run_suite() feeds it a suite from the SUITES registry at given
-bounds; the acceptance gate feeds it suite_ktypes directly, whose
-(max_run, height) grid is not an EnumerationBounds window and so stays
-out of the registry.
+The growth suites, two_path, globalization, persistence and li, check
+the same cases, so walk() enumerates them once and feeds each case to
+any subset of their check functions; each of their SUITES entries is
+the walk with one check. _count() is the one loop that counts a case
+stream's cases, failures and tags: run_suite() feeds it a suite from
+the SUITES registry, run_suites() several growth checks in one walk,
+and tally() any stream, such as suite_ktypes, whose (max_run, height)
+grid is not an EnumerationBounds window and so stays out of SUITES.
 
-No suite relies on a cache. The enumeration suites loop parameter,
-then target size m, then target form (r, s), and do each piece of work
-at the loop level it depends on:
+No suite relies on a cache. The walk loops parameter, then target size
+m, then target form (r, s), and does each piece of work at the loop
+level it depends on, only for a check that asks for it:
 - per run, the table of target signatures, each built once;
 - per parameter, the tower invariants, in a tower object that decides
-  occurrence for all of its targets, once per case, as a plain tuple;
-  and, at its first nonzero target, path A (_LiftUp) and path B
-  (_Transfer, _SigmaUnits), whose unit blocks follow the size;
+  occurrence for all of its targets, as a plain tuple; li's lax split;
+  and, at its first nonzero target, path A (_LiftUp), path B (_Transfer,
+  _SigmaUnits) and the source character; their unit blocks follow m;
 - per size, at its first nonzero target, the globalization shadow's
   deformation with its character, its lax split and its path B unit
   blocks, since the deformation step grows with m;
-- per form, the interval or big block, the e'_0 sign and the checks.
-So a vanishing case costs only its decision. That state is dropped
-when the loop moves on, so memory stays flat however large the window.
-Each suite calls the unchecked private halves (_LiftUp, _Transfer,
-_SigmaUnits, _Globalization) rather than the public functions, which
-would decide occurrence again and rebuild the shared parts per call;
-the two derivation routes stay separate objects, each the other's
-oracle.
+- per form, one decision and one path A lift, shared by the checks, then
+  each check's own block, sign, step up the tower or window counts.
+li alone decides only the targets it finds sufficient. So a vanishing
+case costs only its decision or its sufficiency test. That state is
+dropped when the loop moves on, so memory stays flat however large the
+window. The checks call the unchecked private halves (_LiftUp,
+_Transfer, _SigmaUnits, _Globalization), not the public functions,
+which would decide occurrence again and rebuild the shared parts per
+call. The walk shares results, not routes: the two derivation routes
+stay separate objects, each the other's oracle.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator
+from functools import partial
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
     HCParam,
@@ -148,16 +154,6 @@ def _forms_table(bounds: EnumerationBounds) -> list[tuple[Signature, ...]]:
     return [tuple(Signature(r, m - r) for r in range(m + 1)) for m in range(top + 1)]
 
 
-def _up_targets(forms: list, n: int, m0: int, max_dm: int) -> Iterator[Signature]:
-    for m in _up_sizes(n, m0, max_dm):
-        yield from forms[m]
-
-
-def _down_targets(forms: list, n: int, m0: int) -> Iterator[Signature]:
-    for m in _down_sizes(n, m0):
-        yield from forms[m]
-
-
 def _ctx(lam: HCParam, m0: int, n0: int, m: int) -> LiftContext:
     return LiftContext(m0=m0, n0=n0, source_dim=lam.sig.n, target_dim=m)
 
@@ -166,37 +162,125 @@ def _sig_json(sig: Signature) -> list[int]:
     return [sig.p, sig.q]
 
 
-def suite_two_path(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case]:
+class _Param:
+    """The walk's state for one parameter, each part built when a check first asks.
+
+    So li alone computes the tower's invariants only at a sufficient target.
+    """
+
+    __slots__ = ("lam", "k0", "m0", "n0", "n", "forms", "_tower", "split",
+                 "transfer", "sigma", "source", "shadow")
+
+    def __init__(self, lam: HCParam, k0: int, m0: int, n0: int, forms: list) -> None:
+        self.lam, self.k0, self.m0, self.n0, self.n, self.forms = lam, k0, m0, n0, lam.sig.n, forms
+        self._tower = self.split = self.transfer = self.sigma = self.source = self.shadow = None
+
+    @property
+    def tower(self) -> _Tower:
+        if self._tower is None:
+            self._tower = _Tower(self.lam, self.m0, invariants(self.lam, self.m0, self.k0))
+        return self._tower
+
+    def record(self, suite: str, **fields) -> dict:
+        return {"suite": suite, "lambda": self.lam.to_json(), "m0": self.m0, **fields}
+
+
+def _check_two_path(p: _Param, target: Signature, pos, aq, emit: bool) -> Case:
     """Lift route versus packet-transfer route, block for block."""
+    if pos[3] is not None:
+        return True, "vanishing", None
+    if p.sigma is None:
+        p.transfer = _Transfer(p.lam, _ctx(p.lam, p.m0, p.n0, target.n))
+        p.sigma = _SigmaUnits(p.transfer.phi_p, p.transfer.tail)
+    path_b = p.sigma.at(p.transfer.e0_at(target), target)
+    equal = path_b is not None and aq == path_b
+    record = None
+    if emit or not equal:
+        record = p.record(
+            "two_path", n0=p.n0, target=_sig_json(target), path_a=aq.to_json(),
+            path_b=path_b.to_json() if path_b is not None else None, equal=equal,
+        )
+    return equal, "nonzero", record
+
+
+def _check_globalization(p: _Param, target: Signature, pos, aq, emit: bool) -> Case:
+    """Deformation shadow holds at every nonzero lift in the window."""
+    if pos[3] is not None:
+        return True, "vanishing", None
+    m = target.n
+    if p.shadow is None or p.shadow.m != m:
+        p.source = p.source or eta_from_pi(p.lam)
+        t = (m - p.n) // 2 + 2  # ceil((m-n+1)/2) + 1
+        p.shadow = _Globalization(p.lam, _ctx(p.lam, p.m0, p.n0, m), t, p.source)
+    report = p.shadow.at(target, aq)
+    record = None
+    if emit or not report.passed:
+        record = p.record(
+            "globalization", target=_sig_json(target), t=report.t, report=report.to_json()
+        )
+    return report.passed, "nonzero", record
+
+
+def _check_persistence(p: _Param, target: Signature, pos, aq, emit: bool) -> Case:
+    """Nonvanishing persists one step up the tower."""
+    if pos[3] is not None:
+        return True, "vanishing", None
+    # forms[m + 2][p + 1] is the target one step up, (p + 1, q + 1).
+    up = p.tower.decide(p.forms[target.n + 2][target.p + 1])[3] is None
+    record = None
+    if emit or not up:
+        record = p.record("persistence", target=_sig_json(target), ok=up)
+    return up, "nonzero", record
+
+
+def _check_li(p: _Param, target: Signature, pos, aq, emit: bool) -> Case:
+    """The sufficiency bound implies occurrence with empty windows."""
+    if p.split is None:
+        p.split = _split_cached(p.lam, p.m0, False, 0)
+    if not _li_fits(p.split, p.n, target):
+        return True, "not_sufficient", None
+    l, t, swapped, reason = pos if pos is not None else p.tower.decide(target)
+    inv = p.tower.dual_inv if swapped else p.tower.inv
+    counts_zero = c_count(inv, +1, l + t) == 0 and c_count(inv, -1, l + t) == 0
+    ok = reason is None and counts_zero
+    record = None
+    if emit or not ok:
+        target_json = _sig_json(target)
+        record = p.record("li", target=target_json, occurs=reason is None, counts_zero=counts_zero)
+    return ok, "sufficient", record
+
+
+_CHECKS = {"two_path": _check_two_path, "globalization": _check_globalization,
+           "persistence": _check_persistence, "li": _check_li}
+
+
+def walk(bounds: EnumerationBounds, emit: bool = True, *, names: Sequence[str]) -> Iterator[Case]:
+    """The named growth checks on every target above n in the window.
+
+    Yields one Case per check per target, in the order of names. A target
+    is decided at most once, up front unless li runs alone, and lifted by
+    path A at most once. Each check takes the _Param, the target, its
+    decision (l, t, swapped, reason) or None, path A's lift or None, and emit.
+    """
+    checks = [_CHECKS[name] for name in names]
+    decide_all = any(name != "li" for name in names)
+    lifts = "two_path" in names or "globalization" in names
     forms = _forms_table(bounds)
     for lam, k0, m0, n0 in iter_params(bounds):
-        tower = _Tower(lam, m0, invariants(lam, m0, k0))
+        p = _Param(lam, k0, m0, n0, forms)
+        decide = p.tower.decide if decide_all else None
         up = None
-        for m in _up_sizes(lam.sig.n, m0, bounds.max_m_minus_n):
+        for m in _up_sizes(p.n, m0, bounds.max_m_minus_n):
             for target in forms[m]:
-                if tower.decide(target)[3] is not None:
-                    yield True, "vanishing", None
-                    continue
-                if up is None:
-                    ctx = _ctx(lam, m0, n0, m)
-                    up, transfer = _LiftUp(lam, ctx), _Transfer(lam, ctx)
-                    sigma = _SigmaUnits(transfer.phi_p, transfer.tail)
-                path_a = up.at(target)
-                path_b = sigma.at(transfer.e0_at(target), target)
-                equal = path_b is not None and path_a == path_b
-                record = None
-                if emit or not equal:
-                    record = {
-                        "suite": "two_path",
-                        "lambda": lam.to_json(),
-                        "m0": m0,
-                        "n0": n0,
-                        "target": _sig_json(target),
-                        "path_a": path_a.to_json(),
-                        "path_b": path_b.to_json() if path_b is not None else None,
-                        "equal": equal,
-                    }
-                yield equal, "nonzero", record
+                pos = aq = None
+                if decide_all:
+                    pos = decide(target)
+                    if lifts and pos[3] is None:
+                        if up is None:
+                            up = _LiftUp(lam, _ctx(lam, m0, n0, m))
+                        aq = up.at(target)
+                for check in checks:
+                    yield check(p, target, pos, aq, emit)
 
 
 def suite_round_trip(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case]:
@@ -204,7 +288,8 @@ def suite_round_trip(bounds: EnumerationBounds, emit: bool = True) -> Iterator[C
     forms = _forms_table(bounds)
     for lam, k0, m0, n0 in iter_params(bounds):
         tower = _Tower(lam, m0, invariants(lam, m0, k0))
-        for target in _down_targets(forms, lam.sig.n, m0):
+        sizes = _down_sizes(lam.sig.n, m0)
+        for target in itertools.chain.from_iterable(forms[m] for m in sizes):
             if tower.decide(target)[3] is not None:
                 yield True, "vanishing", None
                 continue
@@ -260,7 +345,8 @@ def suite_duality(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case
         k_ok = inv_d.k_lambda == inv.k_lambda
         rs_ok = (inv_d.r_lambda, inv_d.s_lambda) == (inv.s_lambda, inv.r_lambda)
         occ_ok = True
-        for target in _up_targets(forms, n, m0, bounds.max_m_minus_n):
+        sizes = _up_sizes(n, m0, bounds.max_m_minus_n)
+        for target in itertools.chain.from_iterable(forms[m] for m in sizes):
             # forms[m][q] is the transposed target (q, p).
             a = tower.decide(target)[3] is None
             b = tower_d.decide(forms[target.n][target.q])[3] is None
@@ -281,64 +367,6 @@ def suite_duality(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case
                 "occurs_match": occ_ok,
             }
         yield ok, "checked", record
-
-
-def suite_persistence(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case]:
-    """Nonvanishing persists one step up the tower."""
-    forms = _forms_table(bounds)
-    for lam, k0, m0, _n0 in iter_params(bounds):
-        tower = _Tower(lam, m0, invariants(lam, m0, k0))
-        for target in _up_targets(forms, lam.sig.n, m0, bounds.max_m_minus_n):
-            if tower.decide(target)[3] is not None:
-                yield True, "vanishing", None
-                continue
-            # forms[m + 2][p + 1] is the target one step up, (p + 1, q + 1).
-            up = tower.decide(forms[target.n + 2][target.p + 1])[3] is None
-            record = None
-            if emit or not up:
-                record = {
-                    "suite": "persistence",
-                    "lambda": lam.to_json(),
-                    "m0": m0,
-                    "target": _sig_json(target),
-                    "ok": up,
-                }
-            yield up, "nonzero", record
-
-
-def suite_li(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case]:
-    """The sufficiency bound implies occurrence with empty windows."""
-    forms = _forms_table(bounds)
-    for lam, k0, m0, _n0 in iter_params(bounds):
-        n = lam.sig.n
-        split = _split_cached(lam, m0, False, 0)
-        tower = None
-        for target in _up_targets(forms, n, m0, bounds.max_m_minus_n):
-            if not _li_fits(split, n, target):
-                yield True, "not_sufficient", None
-                continue
-            # The invariants are computed only once a target is sufficient.
-            if tower is None:
-                tower = _Tower(lam, m0, invariants(lam, m0, k0))
-            l, t, swapped, reason = tower.decide(target)
-            nonzero = reason is None
-            inv = tower.dual_inv if swapped else tower.inv
-            window = l + t
-            counts_zero = (
-                c_count(inv, +1, window) == 0 and c_count(inv, -1, window) == 0
-            )
-            ok = nonzero and counts_zero
-            record = None
-            if emit or not ok:
-                record = {
-                    "suite": "li",
-                    "lambda": lam.to_json(),
-                    "m0": m0,
-                    "target": _sig_json(target),
-                    "occurs": nonzero,
-                    "counts_zero": counts_zero,
-                }
-            yield ok, "sufficient", record
 
 
 def suite_eta_prime(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case]:
@@ -418,39 +446,6 @@ def suite_packets(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case
                     "ok": all_ok,
                 }
             yield all_ok, "checked", record
-
-
-def suite_globalization(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case]:
-    """Deformation shadow holds at every nonzero lift in the window."""
-    forms = _forms_table(bounds)
-    for lam, k0, m0, n0 in iter_params(bounds):
-        n = lam.sig.n
-        tower = _Tower(lam, m0, invariants(lam, m0, k0))
-        path_a = None
-        for m in _up_sizes(n, m0, bounds.max_m_minus_n):
-            shadow = None
-            for target in forms[m]:
-                if tower.decide(target)[3] is not None:
-                    yield True, "vanishing", None
-                    continue
-                if shadow is None:
-                    ctx = _ctx(lam, m0, n0, m)
-                    if path_a is None:
-                        path_a, source = _LiftUp(lam, ctx), eta_from_pi(lam)
-                    t = (m - n) // 2 + 2  # ceil((m-n+1)/2) + 1
-                    shadow = _Globalization(lam, ctx, t, path_a, source)
-                report = shadow.at(target)
-                record = None
-                if emit or not report.passed:
-                    record = {
-                        "suite": "globalization",
-                        "lambda": lam.to_json(),
-                        "m0": m0,
-                        "target": _sig_json(target),
-                        "t": report.t,
-                        "report": report.to_json(),
-                    }
-                yield report.passed, "nonzero", record
 
 
 def _weight_runs(length: int, height: int, positive: bool) -> list[tuple[int, ...]]:
@@ -580,14 +575,14 @@ def _ktype_case(a, b, c, d, group: _KTypeGroup, emit: bool) -> Case:
 
 
 SUITES: dict[str, Callable[..., Iterator[Case]]] = {
-    "two_path": suite_two_path,
+    "two_path": partial(walk, names=("two_path",)),
     "round_trip": suite_round_trip,
     "duality": suite_duality,
-    "persistence": suite_persistence,
-    "li": suite_li,
+    "persistence": partial(walk, names=("persistence",)),
+    "li": partial(walk, names=("li",)),
     "eta_prime": suite_eta_prime,
     "packets": suite_packets,
-    "globalization": suite_globalization,
+    "globalization": partial(walk, names=("globalization",)),
 }
 
 
@@ -611,19 +606,35 @@ def run_suite(
     return tally(name, SUITES[name](bounds, emit), sink)
 
 
+def run_suites(
+    names: Sequence[str],
+    bounds: EnumerationBounds,
+    emit: bool = False,
+    sink: Callable[[dict], None] | None = None,
+) -> list[SuiteSummary]:
+    """Drive several growth checks through one walk: one summary per name, in order."""
+    return _count([SuiteSummary(name) for name in names], walk(bounds, emit, names=names), sink)
+
+
 def tally(
     name: str, cases: Iterable[Case], sink: Callable[[dict], None] | None = None
 ) -> SuiteSummary:
     """Count the cases, failures and tags of any case stream; pass records to sink."""
-    summary = SuiteSummary(name)
-    for ok, tag, record in cases:
+    return _count([SuiteSummary(name)], cases, sink)[0]
+
+
+def _count(
+    summaries: list[SuiteSummary], cases: Iterable[Case], sink: Callable[[dict], None] | None
+) -> list[SuiteSummary]:
+    """Count a stream whose cases go to the summaries in turn, one each."""
+    for summary, (ok, tag, record) in zip(itertools.cycle(summaries), cases):
         summary.cases += 1
         summary.tags[tag] = summary.tags.get(tag, 0) + 1
         if not ok:
             summary.failures += 1
         if sink is not None and record is not None:
             sink(record)
-    return summary
+    return summaries
 
 
 def iter_enumeration(bounds: EnumerationBounds) -> Iterator[dict]:

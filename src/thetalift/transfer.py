@@ -12,21 +12,18 @@ the transfer: push the parameter to a regular distance t, confirm the
 sign character does not move, confirm sufficiency kicks in there, and
 confirm the transferred character still cuts out the same induction
 datum for the undeformed values. Like the public lift functions it
-decides occurrence itself; callers that have already decided it use
-_Globalization directly.
+decides occurrence and lifts by path A itself; the suites' walk, which
+has done both for the case, uses _Globalization directly.
 
-Both transfer_eta and the globalization check are built from parts
-that depend on less than the case. _Transfer (eta_from_pi,
-build_a_parameter, the zetas) depends on the parameter and, through
+transfer_eta and verify_globalization are built from parts that depend
+on less than the case. _Transfer depends on the parameter and, through
 the zetas, on the parity of m - n only, so one serves every size of a
-tower. Path A (lifting._LiftUp) and the source character (phi, eta) =
-eta_from_pi(lam) depend only on the parameter and the exponents;
-_Globalization takes them from its caller and builds per target size
-the deformation, whose step t grows with m, the deformed character and
-its check, the deformed lax split and path B's unit blocks. A per-form
-step then adds the e'_0 value, an int, the sufficiency test and the
-comparison. The public functions build every part on every call; the
-suites keep each part for as long as it holds. Nothing is memoized.
+tower. _Globalization takes the source character (phi, eta), which
+depends only on the parameter, from its caller and builds per target
+size the deformation, whose step t grows with m, the deformed character
+and its check, the deformed lax split and path B's unit blocks; per form
+it takes path A's lift from its caller and adds the e'_0 value, the
+sufficiency test and the comparison. Nothing is memoized.
 """
 
 from __future__ import annotations
@@ -35,7 +32,7 @@ from dataclasses import dataclass
 
 from .core import HCParam, LiftContext, Signature, _split_cached, make_regular_deformation
 from .errors import PreconditionViolation
-from .lifting import _LiftUp
+from .lifting import AqLambdaData, _LiftUp
 from .nonvanishing import _li_fits, occurs
 from .packets import (
     AParameter,
@@ -176,49 +173,42 @@ def verify_globalization(
     nonzero, pos = occurs(lam, ctx.m0, target)
     if not nonzero:
         raise PreconditionViolation(f"lift vanishes: {pos.reason}")
-    return _Globalization(lam, ctx, t, _LiftUp(lam, ctx), eta_from_pi(lam)).at(target)
+    path_a = _LiftUp(lam, ctx).at(target)
+    return _Globalization(lam, ctx, t, eta_from_pi(lam)).at(target, path_a)
 
 
 class _Globalization:
-    """verify_globalization() for one parameter and one target size, split at the form.
+    """verify_globalization() for one parameter and one target size m, split at the form.
 
-    path_a is the parameter's lifting._LiftUp and source its undeformed
-    (phi, eta), both built once per parameter by the caller. The
-    deformation, the preserved-character check, the lax split of the
-    deformed parameter, and path B's unit blocks are built once per size;
-    at() runs the sufficiency test and compares the two routes on one
-    target form, handing path B only that form's e'_0 value.
+    source is the parameter's undeformed (phi, eta), built once per
+    parameter by the caller. The deformation, its character check, its
+    lax split and path B's unit blocks are built once per size. at()
+    takes one form and the caller's path A lift to it, runs the
+    sufficiency test and hands path B only that form's e'_0 value.
     """
 
-    __slots__ = ("t", "n", "lam_plus", "eta_preserved", "split_plus", "path_a",
+    __slots__ = ("t", "n", "m", "lam_plus", "eta_preserved", "split_plus",
                  "transfer_plus", "path_b")
 
     def __init__(
-        self,
-        lam: HCParam,
-        ctx: LiftContext,
-        t: int,
-        path_a: _LiftUp,
-        source: tuple[LParameter, SignCharacter],
+        self, lam: HCParam, ctx: LiftContext, t: int, source: tuple[LParameter, SignCharacter]
     ) -> None:
         phi, eta = source
         lam_plus = make_regular_deformation(lam, ctx, t)
-        self.t = t
-        self.n = lam.sig.n
+        self.t, self.n, self.m = t, lam.sig.n, ctx.target_dim
         self.lam_plus = lam_plus
         self.transfer_plus = _Transfer(lam_plus, ctx)
         self.eta_preserved = eta == self.transfer_plus.eta
         self.split_plus = _split_cached(lam_plus, ctx.m0, False, 0)
-        self.path_a = path_a
         self.path_b = _SigmaUnits(build_a_parameter(phi, ctx), self.transfer_plus.tail)
 
-    def at(self, target: Signature) -> GlobalizationReport:
-        """The report for one target form of the context's size."""
+    def at(self, target: Signature, path_a: AqLambdaData) -> GlobalizationReport:
+        """The report for one target form of size m, given path A's lift to it."""
         sigma = self.path_b.at(self.transfer_plus.e0_at(target), target)
         return GlobalizationReport(
             t=self.t,
             deformed=self.lam_plus,
             eta_preserved=self.eta_preserved,
             li_holds=_li_fits(self.split_plus, self.n, target),
-            lift_matches=sigma == self.path_a.at(target),
+            lift_matches=sigma == path_a,
         )

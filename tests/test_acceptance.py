@@ -1,10 +1,13 @@
 """Acceptance gate: the eight shipping criteria, each as one test.
 
 Every criterion runs at its stated bounds, so this module is the slow
-one (a few minutes on one core). Case totals are frozen: enumeration
-is deterministic, and a silent change in the universe is as much a
-regression as a wrong answer.
+one (a few minutes on one core). Criteria 1, 5 and 7 read their growth
+suites from one walk over the shared cases. Case totals are frozen:
+enumeration is deterministic, and a silent change in the universe is as
+much a regression as a wrong answer.
 """
+
+import pytest
 
 from thetalift.core import HCParam, LiftContext, Signature, half
 from thetalift.lifting import lift
@@ -12,6 +15,7 @@ from thetalift.packets import sigma_from_eta_prime
 from thetalift.suites import (
     EnumerationBounds,
     run_suite,
+    run_suites,
     suite_ktypes,
     tally,
 )
@@ -25,13 +29,20 @@ FULL = EnumerationBounds(max_n=5, max_m_minus_n=8, height=half(11))
 PACKET_BOUNDS = EnumerationBounds(max_n=6, max_m_minus_n=1, height=half(11))
 
 
+@pytest.fixture(scope="module")
+def growth():
+    """two_path, globalization, persistence and li in one walk at FULL, by name."""
+    names = ("two_path", "globalization", "persistence", "li")
+    return dict(zip(names, run_suites(names, FULL)))
+
+
 def blocks(result):
     assert result.aq is not None
     return [(b.p_i, b.q_i, b.lam_i) for b in result.aq.blocks]
 
 
-def test_criterion_1_two_path_equivalence(criterion):
-    summary = run_suite("two_path", FULL)
+def test_criterion_1_two_path_equivalence(criterion, growth):
+    summary = growth["two_path"]
     detail = (
         f"{summary.cases} cases, {summary.tags.get('nonzero', 0)} nonzero, "
         f"{summary.failures} mismatches"
@@ -108,10 +119,10 @@ def test_criterion_4_sign_gate_reproof(criterion):
     criterion(4, "sign gate, closed form vs product form", passed, detail)
 
 
-def test_criterion_5_nonvanishing_consistency(criterion):
-    li = run_suite("li", FULL)
+def test_criterion_5_nonvanishing_consistency(criterion, growth):
+    li = growth["li"]
     duality = run_suite("duality", FULL)
-    persistence = run_suite("persistence", FULL)
+    persistence = growth["persistence"]
     detail = (
         f"sufficiency {li.cases} cases ({li.tags.get('sufficient', 0)} sufficient), "
         f"duality {duality.cases}, persistence {persistence.cases}; "
@@ -133,8 +144,8 @@ def test_criterion_6_packet_bijections(criterion):
     criterion(6, "packet bijections", passed, detail)
 
 
-def test_criterion_7_globalization_shadow(criterion):
-    summary = run_suite("globalization", FULL)
+def test_criterion_7_globalization_shadow(criterion, growth):
+    summary = growth["globalization"]
     cases, failures, tags = summary.cases, summary.failures, summary.tags
     detail = (
         f"{cases} cases, {tags.get('nonzero', 0)} nonzero lifts deformed, "

@@ -138,6 +138,15 @@ class TestOccursAndInvariants:
         assert row["target"] == [2, 0]
         assert row["position"] == {"l": 0, "t": 0, "swapped": False, "reason": None}
 
+    def test_occurs_checks_the_source_exponent(self, capsys):
+        # occurs builds the lift's context, so it refuses what lift refuses.
+        rc, out, err = run_cli(
+            capsys, "occurs", "--p", "1", "--q", "0", "--lambda", "2",
+            "--r", "2", "--s", "1", "--n0", "0",
+        )
+        assert (rc, out) == (2, "")
+        assert err == "error: ParityMismatch: n0=0 must match source_dim=1 mod 2\n"
+
     def test_occurs_reports_reason_when_vanishing(self, capsys):
         rc, out, _err = run_cli(
             capsys, "occurs", "--p", "1", "--q", "1", "--lambda", "1/2,-1/2",
@@ -406,8 +415,8 @@ lift_bad = (
     _bad(("--p", "--q", "--r", "--s"), negatives),
     _bad(("--lambda",), not_half_lists),
 )
-# The wrong parity class, an empty list, a twist exponent of the wrong parity.
-lift_wrong = [("--lambda", "3/2"), ("--lambda", ""), ("--m0", "0")]
+# The wrong parity class, an empty list, twist exponents of the wrong parity.
+lift_wrong = [("--lambda", "3/2"), ("--lambda", ""), ("--m0", "0"), ("--n0", "0")]
 window_bad = (
     _bad(("--max-n", "--max-dm"), st.one_of(not_ints, st.integers(-3, 0).map(str))),
     _bad(("--height",), st.one_of(not_halves, st.sampled_from(["0", "-1/2", "-3"]))),
@@ -415,7 +424,7 @@ window_bad = (
 # Replacements that each make VALID_ARGV[command] invalid, whatever else
 # is replaced with it.
 MALFORMED = {
-    "lift": lift_bad + (st.sampled_from(lift_wrong + [("--n0", "0")]),),
+    "lift": lift_bad + (st.sampled_from(lift_wrong),),
     "occurs": lift_bad + (st.sampled_from(lift_wrong),),
     "invariants": (
         _bad(("--p", "--q", "--m0", "--k0"), not_ints),

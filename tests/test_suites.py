@@ -14,7 +14,7 @@ import tracemalloc
 import pytest
 
 from thetalift import SUITES, EnumerationBounds, InternalError, cli, half, suites
-from thetalift.suites import run_suite, tally
+from thetalift.suites import run_suite, run_suites, tally
 
 ENUMERATION = EnumerationBounds(max_n=3, max_m_minus_n=4, height=half(7))
 PACKETS = EnumerationBounds(max_n=5, max_m_minus_n=1, height=half(9))
@@ -33,6 +33,10 @@ COUNTS = {
 }
 
 
+# The suites that run as checks of one walk over the growth targets.
+GROWTH = ("two_path", "globalization", "persistence", "li")
+
+
 def _window(name):
     return PACKETS if name == "packets" else ENUMERATION
 
@@ -46,6 +50,7 @@ def test_suites_retain_no_memory():
         before = tracemalloc.get_traced_memory()[0]
         for name in SUITES:
             run_suite(name, _window(name))
+        run_suites(GROWTH, ENUMERATION)
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -59,6 +64,33 @@ def test_suite_counts_at_the_benchmark_windows():
         summary = run_suite(name, _window(name))
         cases, tags = COUNTS[name]
         assert (summary.failures, summary.cases, summary.tags) == (0, cases, tags), name
+    # The four growth checks in one walk count what each counts alone.
+    fused = run_suites(GROWTH, ENUMERATION)
+    assert [summary.name for summary in fused] == list(GROWTH)
+    for summary in fused:
+        cases, tags = COUNTS[summary.name]
+        assert (summary.failures, summary.cases, summary.tags) == (0, cases, tags), summary.name
+
+
+def test_fused_walk_keeps_each_suites_records_and_failures(monkeypatch):
+    # Each suite's records in the fused stream are its solo records, in
+    # order; a failing check is counted under its own name only.
+    small = EnumerationBounds(max_n=2, max_m_minus_n=3, height=half(5))
+    stream = []
+    fused = run_suites(GROWTH, small, emit=True, sink=stream.append)
+    for name in GROWTH:
+        solo = []
+        run_suite(name, small, emit=True, sink=solo.append)
+        assert solo and [r for r in stream if r["suite"] == name] == solo, name
+    # A window count of 1 breaks li's claim on every sufficient target.
+    monkeypatch.setattr(suites, "c_count", lambda inv, sign, t: 1)
+    broken = run_suites(GROWTH, small)
+    for before, after in zip(fused, broken):
+        if before.name == "li":
+            assert after.failures == before.tags["sufficient"] > 0
+            assert (after.cases, after.tags) == (before.cases, before.tags)
+        else:
+            assert after == before, before.name
 
 
 def _package_modules():
@@ -106,6 +138,7 @@ def test_no_process_wide_caches():
     # lengths must still be those of a fresh interpreter.
     for name in SUITES:
         run_suite(name, _window(name))
+    run_suites(GROWTH, ENUMERATION)
     tally("ktypes", suites.suite_ktypes(emit=False, max_run=1, height=2))
     modules = [name for name, _ in _package_modules()]
     fresh = subprocess.run(
