@@ -2,14 +2,20 @@
 
 All output is UTF-8 JSON or JSONL on standard output, one record per
 line, with a fixed key order and canonical half-integer rendering, so
-runs are byte-for-byte reproducible. Exit codes: 0 when the query
-computed (vanishing included), 1 when a verification suite found
-failures, 2 on input errors, 3 when an internal-consistency check failed
-(a bug, not bad input), 141 (128 + SIGPIPE) when the reader closed
-standard output early, as `thetalift enumerate | head` does; that exit
-prints nothing. Errors print one line on standard error, except the
-usage errors argparse finds itself, which exit 2 with the usage text and
-an error line.
+runs are byte-for-byte reproducible. Most records go through one shared
+JSONEncoder. `packet` and `apacket` put each row's text together from
+pieces rendered once per query (the kappa texts, the block texts, the
+sign texts of a character's tail) and write it as soon as its member is
+built, so their rows stream; the bytes are those the encoder gives for
+the same record.
+
+Exit codes: 0 when the query computed (vanishing included), 1 when a
+verification suite found failures, 2 on input errors, 3 when an
+internal-consistency check failed (a bug, not bad input), 141 (128 +
+SIGPIPE) when the reader closed standard output early, as `thetalift
+enumerate | head` does; that exit prints nothing. Errors print one line
+on standard error, except the usage errors argparse finds itself, which
+exit 2 with the usage text and an error line.
 """
 
 from __future__ import annotations
@@ -31,9 +37,17 @@ from .core import (
 )
 from .errors import InternalError, MalformedCharacter, ThetaLiftError
 from .ktypes import KType, correspond_ktype
-from .lifting import lift
+from .lifting import Triple, lift
 from .nonvanishing import _k0_for, c_count, invariants, occurs
-from .packets import PLUS, AParameter, LParameter, SignCharacter, _SigmaUnits, packet_members
+from .packets import (
+    MINUS,
+    PLUS,
+    AParameter,
+    LParameter,
+    SignCharacter,
+    _SigmaUnits,
+    pi_from_eta,
+)
 from .suites import EnumerationBounds, SUITES, iter_enumeration, run_suite
 
 
@@ -43,6 +57,10 @@ _ENCODER = json.JSONEncoder(separators=(",", ":"))
 
 def _dump(record: dict) -> None:
     sys.stdout.write(_ENCODER.encode(record) + "\n")
+
+
+# The JSON text of each sign value, as _ENCODER renders "+" and "-".
+_SIGN_TEXT = {PLUS: _ENCODER.encode("+"), MINUS: _ENCODER.encode("-")}
 
 
 def _parse_lambda(args: argparse.Namespace) -> HCParam:
@@ -135,14 +153,30 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 def cmd_packet(args: argparse.Namespace) -> int:
     kappas = parse_half_list(args.kappas)
     phi = LParameter(kappas)
-    for eta, sig, lam in packet_members(phi):
-        _dump({
-            "eta": eta.as_strings(),
-            "p": sig.p,
-            "q": sig.q,
-            "lambda": lam.to_json(),
-        })
+    kappa_text = {t: _ENCODER.encode(half_text(t)) for t in phi.kappa_tw}
+    write = sys.stdout.write
+    # One member at a time, each row the text _ENCODER gives for
+    # {"eta": ..., "p": ..., "q": ..., "lambda": lam.to_json()}.
+    for eta in SignCharacter.every(phi.n):
+        sig, lam = pi_from_eta(phi, eta)
+        p, q, tw = sig.p, sig.q, lam.entries_tw
+        signs = ",".join([_SIGN_TEXT[v] for v in eta.values])
+        p_part = ",".join([kappa_text[t] for t in tw[:p]])
+        q_part = ",".join([kappa_text[t] for t in tw[p:]])
+        write(
+            f'{{"eta":[{signs}],"p":{p},"q":{q},"lambda":'
+            f'{{"p":{p},"q":{q},"p_part":[{p_part}],"q_part":[{q_part}]}}}}\n'
+        )
     return 0
+
+
+class _BlockTexts(dict):
+    """The JSON text of each (p, q, lam_tw) block of one query, rendered on first use."""
+
+    def __missing__(self, block: Triple) -> str:
+        p, q, lam_tw = block
+        text = self[block] = _ENCODER.encode({"p": p, "q": q, "lambda": half_text(lam_tw)})
+        return text
 
 
 def cmd_apacket(args: argparse.Namespace) -> int:
@@ -150,25 +184,28 @@ def cmd_apacket(args: argparse.Namespace) -> int:
     mu0 = HalfInt.parse(args.mu0)
     target = Signature(args.r, args.s)
     phi_p = AParameter(mus, mu0, target.n)
+    block_text = _BlockTexts()
+    write = sys.stdout.write
+    # Each row is the text _ENCODER gives for {"eta": {"e0": ..., "signs":
+    # [...]}, "status": ...}, with "blocks": sigma.to_json() when nonzero.
     for eta_p in SignCharacter.every(phi_p.n + 1):
         e0 = eta_p.values[0]
         if e0 == PLUS:
             # e'_0 varies fastest, so each pair of rows shares the
             # values on e'_1, ..., e'_n and with them the unit blocks.
             units = _SigmaUnits(phi_p, eta_p.values[1:])
-        signs = eta_p.as_strings()
-        row: dict = {"eta": {"e0": signs[0], "signs": signs[1:]}}
+            signs = ",".join([_SIGN_TEXT[v] for v in units.tail])
+        head = f'{{"eta":{{"e0":{_SIGN_TEXT[e0]},"signs":[{signs}]}},"status":'
         try:
             sigma = units.at(e0, target)
         except MalformedCharacter:
-            row["status"] = "invalid_character"
+            write(head + '"invalid_character"}\n')
         else:
             if sigma is None:
-                row["status"] = "zero"
+                write(head + '"zero"}\n')
             else:
-                row["status"] = "nonzero"
-                row["blocks"] = sigma.to_json()
-        _dump(row)
+                blocks = ",".join([block_text[b] for b in sigma.triples])
+                write(f'{head}"nonzero","blocks":[{blocks}]}}\n')
     return 0
 
 
@@ -305,6 +342,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # quiet, and exit as a process killed by SIGPIPE would.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
         return 141
     except InternalError as err:
         print(f"internal error: {type(err).__name__}: {err}", file=sys.stderr)

@@ -1,9 +1,11 @@
 """End-to-end tests for the command-line front end.
 
-Every test but the closed-pipe one drives cli.main(argv) directly and
-reads captured stdout, so the assertions cover argument parsing, JSON
-rendering, and exit codes in one pass; the closed-pipe test runs the
-CLI as a child process, since only a real pipe can close early.
+Most tests drive cli.main(argv) directly and read captured stdout, so the
+assertions cover argument parsing, JSON rendering, and exit codes in one
+pass; the packet grids and row properties call the cmd_* functions
+themselves. The closed-pipe test runs the CLI as a child process, since
+only a real pipe can close early; the packet streaming test stands in a
+stdout whose second write fails.
 """
 
 import argparse
@@ -24,7 +26,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import thetalift
-from thetalift import SUITES, InternalLemmaMismatch, cli
+from thetalift import SUITES, InternalLemmaMismatch, cli, packets
 from thetalift.core import half_text
 
 
@@ -36,6 +38,27 @@ def run_cli(capsys, *argv):
 
 def out_lines(text):
     return [json.loads(line) for line in text.splitlines() if line]
+
+
+def _stdout_of(command, args):
+    """What one cmd_* function writes, for tests that cannot use capsys."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert command(args) == 0
+    return out.getvalue()
+
+
+def _lowest_free_fd():
+    probe = os.open(os.devnull, os.O_RDONLY)
+    os.close(probe)
+    return probe
+
+
+def _draw_doubled(data, n, parity):
+    """n distinct doubled values of one parity, |value| <= 31/2, descending."""
+    universe = [t for t in range(-31, 32) if t % 2 == parity]
+    values = data.draw(st.lists(st.sampled_from(universe), min_size=n, max_size=n, unique=True))
+    return tuple(sorted(values, reverse=True))
 
 
 class TestLift:
@@ -235,6 +258,52 @@ class TestPackets:
             {"p": 0, "q": 1, "lambda": "1"},
         ]
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_packet_rows_match_the_public_objects(self, data):
+        # The ranks and heights of the benchmark's packet queries.
+        n = data.draw(st.integers(1, 6))
+        kappa_tw = _draw_doubled(data, n, (n - 1) % 2)
+        kappas = ",".join(half_text(t) for t in kappa_tw)
+        phi = thetalift.LParameter.from_twices(kappa_tw)
+        want = []
+        for eta in thetalift.SignCharacter.every(n):
+            sig, lam = thetalift.pi_from_eta(phi, eta)
+            record = {"eta": eta.as_strings(), "p": sig.p, "q": sig.q, "lambda": lam.to_json()}
+            want.append(cli._ENCODER.encode(record) + "\n")
+        assert _stdout_of(cli.cmd_packet, argparse.Namespace(kappas=kappas)) == "".join(want)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_apacket_rows_match_the_public_objects(self, data):
+        # The ranks, sizes and heights of the benchmark's apacket queries.
+        n = data.draw(st.integers(1, 5))
+        m = n + data.draw(st.integers(1, 8))
+        mu_tw = _draw_doubled(data, n, (m - 1) % 2)
+        (mu0_tw,) = _draw_doubled(data, 1, n % 2)
+        r = data.draw(st.integers(0, m))
+        phi_p = thetalift.AParameter.from_twices(mu_tw, mu0_tw, m)
+        target = thetalift.Signature(r, m - r)
+        want = []
+        for eta_p in thetalift.SignCharacter.every(n + 1):
+            signs = eta_p.as_strings()
+            record = {"eta": {"e0": signs[0], "signs": signs[1:]}}
+            try:
+                sigma = thetalift.sigma_from_eta_prime(phi_p, eta_p, target)
+            except thetalift.MalformedCharacter:
+                record["status"] = "invalid_character"
+            else:
+                if sigma is None:
+                    record["status"] = "zero"
+                else:
+                    record["status"] = "nonzero"
+                    record["blocks"] = sigma.to_json()
+            want.append(cli._ENCODER.encode(record) + "\n")
+        args = argparse.Namespace(
+            mus=",".join(half_text(t) for t in mu_tw), mu0=half_text(mu0_tw), r=r, s=m - r,
+        )
+        assert _stdout_of(cli.cmd_apacket, args) == "".join(want)
+
     def test_apacket_counts_zero_rows(self, capsys):
         # Capacity (0,3) kills every character with a unit block on
         # the first side.
@@ -246,6 +315,66 @@ class TestPackets:
         assert len(rows) == 4
         assert {r["status"] for r in rows} <= {"zero", "nonzero"}
         assert any(r["status"] == "zero" for r in rows)
+
+    def test_packet_rows_check_the_determinant_identity(self, capsys, monkeypatch):
+        real = packets.epsilon_of_signature
+        monkeypatch.setattr(packets, "epsilon_of_signature", lambda p, q: -real(p, q))
+        rc, out, err = run_cli(capsys, "packet", "--kappas=2,0,-1")
+        assert (rc, out) == (3, "")
+        assert err.startswith("internal error: InternalError: determinant identity failed ")
+        assert err.count("\n") == 1
+
+    def test_apacket_rows_compare_both_forms_of_the_sign_gate(self, capsys, monkeypatch):
+        real = packets.epsilon_of_signature
+        monkeypatch.setattr(packets, "epsilon_of_signature", lambda p, q: -real(p, q))
+        rc, _out, err = run_cli(
+            capsys, "apacket", "--mus=3/2,1/2,-5/2", "--mu0=1/2", "--r", "2", "--s", "2",
+        )
+        assert rc == 3
+        assert err.startswith("internal error: InternalLemmaMismatch: sign gate split: ")
+        assert err.count("\n") == 1
+
+    def test_packet_streams_one_member_at_a_time(self, capsys, monkeypatch, tmp_path):
+        # A reader that closes the pipe after the first row: the second
+        # write fails, and by then at most two of the 256 members exist.
+        built = []
+        real = cli.pi_from_eta
+
+        def counting(phi, eta):
+            built.append(eta)
+            return real(phi, eta)
+
+        class ClosesAfterOneRow:
+            def __init__(self, fd):
+                self.fd, self.writes = fd, 0
+
+            def write(self, text):
+                self.writes += 1
+                if self.writes > 1:
+                    raise BrokenPipeError
+                return len(text)
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return self.fd
+
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr(cli, "pi_from_eta", counting)
+            monkeypatch.setattr(sys, "stdout", ClosesAfterOneRow(fd))
+            # A new descriptor takes the lowest free number, so the two
+            # probes differ only if main leaves a descriptor open.
+            free_before = _lowest_free_fd()
+            rc = cli.main(["packet", "--kappas=7/2,5/2,3/2,1/2,-1/2,-3/2,-5/2,-7/2"])
+            free_after = _lowest_free_fd()
+        finally:
+            os.close(fd)
+        assert rc == 141
+        assert 1 <= len(built) <= 2
+        assert capsys.readouterr().err == ""
+        assert free_after == free_before
 
 
 class TestKTypeMap:
