@@ -183,7 +183,7 @@ def cmd_apacket(args: argparse.Namespace) -> int:
     mus = parse_half_list(args.mus)
     mu0 = HalfInt.parse(args.mu0)
     target = Signature(args.r, args.s)
-    phi_p = AParameter(mus, mu0, target.n)
+    phi_p = AParameter(tuple(v.twice for v in mus), mu0.twice, target.n)
     block_text = _BlockTexts()
     write = sys.stdout.write
     # Each row is the text _ENCODER gives for {"eta": {"e0": ..., "signs":

@@ -6,8 +6,10 @@ packet types downstream) hold tuples of doubled ints in their *_tw
 fields, and all arithmetic is exact integer arithmetic on them; floats
 never appear. HalfInt, an immutable wrapper around twice the value, is
 the type for parsing and rendering only, with no arithmetic or ordering
-of its own: the public accessors (entries, p_part, alpha, ...) return
-HalfInt, and HalfInt arguments are accepted by the public constructors.
+of its own. Only the edges that parse user text take it: HCParam and
+LParameter accept HalfInt values besides their from_twices constructors,
+and HCParam.entries renders back to it. Every other value type has one
+constructor, over its doubled ints.
 
 A discrete series of U(p, q) is recorded by its Harish-Chandra parameter:
 an n-tuple (n = p + q) of half-integers in Z + (n-1)/2, strictly
@@ -68,12 +70,9 @@ class HalfInt:
     twice: int
 
     def __init__(self, value: int = 0):
-        if isinstance(value, HalfInt):
-            object.__setattr__(self, "twice", value.twice)
-        elif isinstance(value, int):
-            object.__setattr__(self, "twice", 2 * value)
-        else:
+        if not isinstance(value, int):
             raise TypeError(f"HalfInt() takes an int, not {type(value).__name__}")
+        object.__setattr__(self, "twice", 2 * value)
 
     @classmethod
     def halves(cls, twice: int) -> "HalfInt":
@@ -100,11 +99,6 @@ class HalfInt:
     # Attribute assignment is blocked to keep instances hashable-safe.
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("HalfInt is immutable")
-
-    def as_int(self) -> int:
-        if self.twice % 2:
-            raise ValueError(f"{self} is not an integer")
-        return self.twice // 2
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, HalfInt):
@@ -178,9 +172,9 @@ class HCParam:
     """Harish-Chandra parameter of a discrete series of U(p, q).
 
     entries_tw holds the doubled entries, the p-part followed by the
-    q-part; entries, p_part and q_part render them as HalfInt. Validity:
-    every entry lies in Z + (n-1)/2, each part strictly decreases, and no
-    value repeats across the whole tuple.
+    q-part, and p_tw and q_tw slice it; entries renders it as HalfInt.
+    Validity: every entry lies in Z + (n-1)/2, each part strictly
+    decreases, and no value repeats across the whole tuple.
 
     HCParam(sig, entries) takes HalfInt entries and from_twices(sig, tw)
     the doubled ints; both validate through __post_init__.
@@ -233,14 +227,6 @@ class HCParam:
     @property
     def entries(self) -> tuple[HalfInt, ...]:
         return tuple(HalfInt.halves(t) for t in self.entries_tw)
-
-    @property
-    def p_part(self) -> tuple[HalfInt, ...]:
-        return tuple(HalfInt.halves(t) for t in self.p_tw)
-
-    @property
-    def q_part(self) -> tuple[HalfInt, ...]:
-        return tuple(HalfInt.halves(t) for t in self.q_tw)
 
     @property
     def n(self) -> int:
@@ -327,83 +313,29 @@ SIDE_Q = "Q"
 SIDE_NONE = "NONE"
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class ABGDSplit:
     """Positive/nonpositive split of lam - m0/2, with an optional chain.
 
-    alpha and beta partition the (chain-stripped) p-part of lam0 into
-    positive and nonpositive runs, gamma and delta the q-part; all four
-    keep the ambient descending order and are stored doubled in the *_tw
-    fields. x, y, z, w are their lengths and chain_k / chain_side record
-    the removed centered chain, if any.
+    alpha_tw and beta_tw partition the (chain-stripped) p-part of lam0,
+    doubled, into positive and nonpositive runs, gamma_tw and delta_tw
+    the q-part; all four keep the ambient descending order. x, y, z, w
+    are their lengths and chain_k / chain_side record the removed
+    centered chain, if any.
     """
 
     alpha_tw: tuple[int, ...]
     beta_tw: tuple[int, ...]
     gamma_tw: tuple[int, ...]
     delta_tw: tuple[int, ...]
-    chain_k: int
-    chain_side: str
-
-    def __init__(
-        self,
-        alpha: Iterable[HalfInt],
-        beta: Iterable[HalfInt],
-        gamma: Iterable[HalfInt],
-        delta: Iterable[HalfInt],
-        chain_k: int = 0,
-        chain_side: str = SIDE_NONE,
-    ) -> None:
-        object.__setattr__(self, "alpha_tw", tuple(v.twice for v in alpha))
-        object.__setattr__(self, "beta_tw", tuple(v.twice for v in beta))
-        object.__setattr__(self, "gamma_tw", tuple(v.twice for v in gamma))
-        object.__setattr__(self, "delta_tw", tuple(v.twice for v in delta))
-        object.__setattr__(self, "chain_k", chain_k)
-        object.__setattr__(self, "chain_side", chain_side)
-        self.__post_init__()
-
-    @classmethod
-    def from_twices(
-        cls,
-        alpha_tw: tuple[int, ...],
-        beta_tw: tuple[int, ...],
-        gamma_tw: tuple[int, ...],
-        delta_tw: tuple[int, ...],
-        chain_k: int = 0,
-        chain_side: str = SIDE_NONE,
-    ) -> "ABGDSplit":
-        """The split with doubled runs."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "alpha_tw", alpha_tw)
-        object.__setattr__(out, "beta_tw", beta_tw)
-        object.__setattr__(out, "gamma_tw", gamma_tw)
-        object.__setattr__(out, "delta_tw", delta_tw)
-        object.__setattr__(out, "chain_k", chain_k)
-        object.__setattr__(out, "chain_side", chain_side)
-        out.__post_init__()
-        return out
+    chain_k: int = 0
+    chain_side: str = SIDE_NONE
 
     def __post_init__(self) -> None:
         if self.chain_side not in (SIDE_P, SIDE_Q, SIDE_NONE):
             raise ValueError(f"bad chain side {self.chain_side!r}")
         if (self.chain_k == 0) != (self.chain_side == SIDE_NONE):
             raise ValueError("chain_k and chain_side must be set together")
-
-    @property
-    def alpha(self) -> tuple[HalfInt, ...]:
-        return tuple(HalfInt.halves(t) for t in self.alpha_tw)
-
-    @property
-    def beta(self) -> tuple[HalfInt, ...]:
-        return tuple(HalfInt.halves(t) for t in self.beta_tw)
-
-    @property
-    def gamma(self) -> tuple[HalfInt, ...]:
-        return tuple(HalfInt.halves(t) for t in self.gamma_tw)
-
-    @property
-    def delta(self) -> tuple[HalfInt, ...]:
-        return tuple(HalfInt.halves(t) for t in self.delta_tw)
 
     @property
     def x(self) -> int:
@@ -466,9 +398,7 @@ def _split_cached(lam: HCParam, m0: int, strict: bool, chain_k: int) -> ABGDSpli
             )
     alpha, beta = _split_part(p_tw, strict, "p-part")
     gamma, delta = _split_part(q_tw, strict, "q-part")
-    return ABGDSplit.from_twices(
-        alpha, beta, gamma, delta, chain_k if side != SIDE_NONE else 0, side
-    )
+    return ABGDSplit(alpha, beta, gamma, delta, chain_k if side != SIDE_NONE else 0, side)
 
 
 def split_abgd(lam: HCParam, ctx: LiftContext, mode: str = LAX, chain_k: int = 0) -> ABGDSplit:
@@ -516,8 +446,6 @@ def make_regular_deformation(lam: HCParam, ctx: LiftContext, t: int) -> HCParam:
     result is again a valid parameter with the same split shape and the
     same packet sign character.
     """
-    if isinstance(t, HalfInt):
-        t = t.as_int()
     if not isinstance(t, int) or t < 1:
         raise PreconditionViolation(f"deformation step must be a positive integer, got {t}")
     sp = split_abgd(lam, ctx, LAX)

@@ -36,10 +36,11 @@ sizes builds one _LiftUp, which follows the size, and adds the interval
 block per form with at().
 
 AqLambdaData holds its blocks as doubled (p, q, lam_tw) int triples and
-is always checked: each block is a valid AqBlock, the block signatures
-sum to the target, and every seam (pair of consecutive blocks) is in the
-weakly fair range. Its public constructor runs all of these. The two
-builders run each where its result can change. _LiftUp.__init__ checks
+is always checked: each block has a nonempty signature and an integer
+value, the block signatures sum to the target, and every seam (pair of
+consecutive blocks) is in the weakly fair range. Its public constructor,
+AqLambdaData(target, triples), runs all of these. The two builders run
+each where its result can change. _LiftUp.__init__ checks
 the unit blocks, the seams among the head blocks and among the tail
 blocks, and sums their signatures, once per parameter: every size of a
 tower has m = m0 (mod 2), so the shift keeps each value's parity and
@@ -71,55 +72,11 @@ from .errors import (
 from .nonvanishing import TowerPosition, occurs
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class AqBlock:
-    """One Levi block U(p_i, q_i) with its integer character value.
-
-    lam_tw stores the value doubled; lam_i renders it as HalfInt.
-    AqBlock(p_i, q_i, lam_i) takes a HalfInt or int value and
-    from_twices(p_i, q_i, lam_tw) the doubled int.
-    """
-
-    p_i: int
-    q_i: int
-    lam_tw: int
-
-    def __init__(self, p_i: int, q_i: int, lam_i: HalfInt | int) -> None:
-        object.__setattr__(self, "p_i", p_i)
-        object.__setattr__(self, "q_i", q_i)
-        object.__setattr__(self, "lam_tw", HalfInt(lam_i).twice)
-        self.__post_init__()
-
-    @classmethod
-    def from_twices(cls, p_i: int, q_i: int, lam_tw: int) -> "AqBlock":
-        """The block with value lam_tw/2."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "p_i", p_i)
-        object.__setattr__(out, "q_i", q_i)
-        object.__setattr__(out, "lam_tw", lam_tw)
-        out.__post_init__()
-        return out
-
-    def __post_init__(self) -> None:
-        _check_block(self.p_i, self.q_i, self.lam_tw)
-
-    @property
-    def lam_i(self) -> HalfInt:
-        return HalfInt.halves(self.lam_tw)
-
-    @property
-    def size(self) -> int:
-        return self.p_i + self.q_i
-
-    def to_json(self) -> dict:
-        return {"p": self.p_i, "q": self.q_i, "lambda": half_text(self.lam_tw)}
-
-
 Triple = tuple[int, int, int]
 
 
 def _check_block(p: int, q: int, lam_tw: int) -> None:
-    """Raise ValueError unless (p, q, lam_tw) is a valid AqBlock."""
+    """Raise ValueError unless (p, q) is a nonempty signature and lam_tw/2 an integer."""
     if p < 0 or q < 0 or p + q < 1:
         raise ValueError(f"bad block signature ({p}, {q})")
     if lam_tw % 2:
@@ -142,8 +99,8 @@ def _check_seams(triples: tuple[Triple, ...]) -> None:
     for a, b in zip(triples, triples[1:]):
         if a[2] - b[2] < -(a[0] + a[1] + b[0] + b[1]):
             raise InternalWeaklyFairViolation(
-                f"blocks {AqBlock.from_twices(*a)} then {AqBlock.from_twices(*b)} "
-                "leave the weakly fair range"
+                f"blocks ({a[0]}, {a[1]}, {half_text(a[2])}) then "
+                f"({b[0]}, {b[1]}, {half_text(b[2])}) leave the weakly fair range"
             )
 
 
@@ -161,23 +118,25 @@ class AqLambdaData:
     lam_i - lam_{i+1} >= -(size_i + size_{i+1})/2, the weakly fair
     bound; violating it here means a construction bug upstream.
 
-    triples holds the blocks as doubled (p_i, q_i, lam_tw) int triples;
-    blocks renders them as AqBlocks. Equality and hashing compare the
-    triples alone, which fix the target through the sum check.
+    triples holds the blocks as doubled (p_i, q_i, lam_tw) int triples,
+    lam_tw = 2 lam_i. Equality and hashing compare the triples alone,
+    which fix the target through the sum check.
 
-    AqLambdaData(target, blocks) checks every block, the sums and every
-    seam. The two builders check their unit blocks and the seams among
-    them once, _LiftUp per parameter and packets._SigmaUnits per
-    parameter and tail; then they build each form with _spliced,
-    which checks the interval or big block, the sums and the two seams
-    next to that block.
+    AqLambdaData(target, triples) checks that every entry is an int
+    (TypeError), every block (ValueError), the sums and every seam. The
+    two builders check their unit blocks and the seams among them once,
+    _LiftUp per parameter and packets._SigmaUnits per parameter and
+    tail; then they build each form with _spliced, which checks the
+    interval or big block, the sums and the two seams next to that block.
     """
 
     target: Signature
     triples: tuple[Triple, ...]
 
-    def __init__(self, target: Signature, blocks: Iterable[AqBlock]) -> None:
-        triples = tuple((b.p_i, b.q_i, b.lam_tw) for b in blocks)
+    def __init__(self, target: Signature, triples: Iterable[Triple]) -> None:
+        triples = tuple((p, q, lam_tw) for p, q, lam_tw in triples)
+        if not all(isinstance(v, int) for block in triples for v in block):
+            raise TypeError(f"block entries must be ints: {triples}")
         _check_sums(target, *_check_blocks(triples))
         _check_seams(triples)
         object.__setattr__(self, "target", target)
@@ -224,10 +183,6 @@ class AqLambdaData:
             if lam_tw - b[2] < -(size + b[0] + b[1]):
                 _check_seams((block, b))
         return cls._from_checked(target, head + (block,) + tail)
-
-    @property
-    def blocks(self) -> tuple[AqBlock, ...]:
-        return tuple(AqBlock.from_twices(*t) for t in self.triples)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not AqLambdaData:

@@ -38,7 +38,6 @@ from dataclasses import dataclass
 from .core import (
     ABGDSplit,
     HCParam,
-    HalfInt,
     Signature,
     _conjugate_dual_m0,
     _split_cached,
@@ -50,9 +49,8 @@ from .errors import InternalError, ParityMismatch, PreconditionViolation
 class NVInvariants:
     """Tower invariants of one parameter at one exponent m0.
 
-    X and X_inf are tuples of (value, sign) pairs in descending value
-    order; sign is +1 or -1. X_tw and X_inf_tw store the doubled values,
-    and X and X_inf render them as HalfInt.
+    X_tw and X_inf_tw hold X and X_inf as tuples of (doubled value,
+    sign) pairs in descending value order; sign is +1 or -1.
     """
 
     k0: int
@@ -62,14 +60,6 @@ class NVInvariants:
     X_tw: tuple[tuple[int, int], ...]
     X_inf_tw: tuple[tuple[int, int], ...]
     split: ABGDSplit
-
-    @property
-    def X(self) -> tuple[tuple[HalfInt, int], ...]:
-        return tuple((HalfInt.halves(t), s) for t, s in self.X_tw)
-
-    @property
-    def X_inf(self) -> tuple[tuple[HalfInt, int], ...]:
-        return tuple((HalfInt.halves(t), s) for t, s in self.X_inf_tw)
 
 
 @dataclass(frozen=True, slots=True)

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
 from .core import HCParam, HalfInt, Signature, half_text
@@ -68,9 +68,9 @@ def _check_decreasing_distinct(values: tuple[int, ...], label: str) -> None:
 class LParameter:
     """Strictly decreasing kappa_1 > ... > kappa_n in Z + (n-1)/2.
 
-    kappa_tw stores the values doubled; kappas renders them as HalfInt.
-    LParameter(kappas) takes HalfInt values and from_twices(kappa_tw)
-    the doubled ints.
+    kappa_tw stores the values doubled. LParameter(kappas) takes the
+    HalfInt values that parsing gives, and from_twices(kappa_tw) the
+    doubled ints.
     """
 
     kappa_tw: tuple[int, ...]
@@ -98,10 +98,6 @@ class LParameter:
         _check_decreasing_distinct(self.kappa_tw, "kappa")
 
     @property
-    def kappas(self) -> tuple[HalfInt, ...]:
-        return tuple(HalfInt.halves(k) for k in self.kappa_tw)
-
-    @property
     def n(self) -> int:
         return len(self.kappa_tw)
 
@@ -109,45 +105,26 @@ class LParameter:
         return {"kappa": [half_text(k) for k in self.kappa_tw]}
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class AParameter:
     """Lift parameter: mu_1 > ... > mu_n with mu_0 spliced in at i0.
 
-    mus live in Z + (m-1)/2 and mu0 in Z + n/2; n = len(mus), i0, the
+    AParameter(mu_tw, mu0_tw, m) takes the values doubled: mu_tw in
+    Z + (m-1)/2 and mu0_tw in Z + n/2, n = len(mu_tw). n, i0, the
     unique 1-based slot with mu_{i0-1} > mu0 >= mu_{i0}, and tie_at_i0
     are set once at construction. tie_at_i0 says that mu0 = mu_{i0} on
     a one-step target, m = n + 1; the tie then couples e'_0 to e'_{i0}
     in every admissible sign character. A repeated value only collapses
     the component group when the stretched summand has length one, so
     there is no tie whenever m - n > 1.
-
-    mu_tw and mu0_tw store the values doubled; mus and mu0 render them
-    as HalfInt. AParameter(mus, mu0, m) takes HalfInt values and
-    from_twices(mu_tw, mu0_tw, m) the doubled ints.
     """
 
     mu_tw: tuple[int, ...]
     mu0_tw: int
     m: int
-    n: int
-    i0: int
-    tie_at_i0: bool
-
-    def __init__(self, mus: Iterable[HalfInt], mu0: HalfInt, m: int) -> None:
-        object.__setattr__(self, "mu_tw", tuple(v.twice for v in mus))
-        object.__setattr__(self, "mu0_tw", mu0.twice)
-        object.__setattr__(self, "m", m)
-        self.__post_init__()
-
-    @classmethod
-    def from_twices(cls, mu_tw: tuple[int, ...], mu0_tw: int, m: int) -> "AParameter":
-        """The parameter with values mu_tw[i]/2 and mu0_tw/2."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "mu_tw", mu_tw)
-        object.__setattr__(out, "mu0_tw", mu0_tw)
-        object.__setattr__(out, "m", m)
-        out.__post_init__()
-        return out
+    n: int = field(init=False)
+    i0: int = field(init=False)
+    tie_at_i0: bool = field(init=False)
 
     def __post_init__(self) -> None:
         n = len(self.mu_tw)
@@ -167,14 +144,6 @@ class AParameter:
         object.__setattr__(
             self, "tie_at_i0", self.m - n == 1 and i0 <= n and self.mu_tw[i0 - 1] == mu0
         )
-
-    @property
-    def mus(self) -> tuple[HalfInt, ...]:
-        return tuple(HalfInt.halves(v) for v in self.mu_tw)
-
-    @property
-    def mu0(self) -> HalfInt:
-        return HalfInt.halves(self.mu0_tw)
 
     def to_json(self) -> dict:
         return {
@@ -404,7 +373,7 @@ class _SigmaUnits:
         d = m - phi_p.m
         if d % 2:
             raise InternalError(f"size {m} has the wrong parity for {phi_p.to_json()}")
-        self.phi_p = AParameter.from_twices(phi_p.mu_tw, phi_p.mu0_tw, m)
+        self.phi_p = AParameter(phi_p.mu_tw, phi_p.mu0_tw, m)
         if self._blocks is not None:
             head, tail, units_p, units_q = self._blocks
             self._blocks = (

@@ -386,7 +386,7 @@ def suite_eta_prime(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Ca
             mu0_univ = _value_universe(H, n % 2)
             for mus in itertools.combinations(mu_univ, n):
                 for mu0 in mu0_univ:
-                    phi_p = AParameter.from_twices(mus, mu0, m)
+                    phi_p = AParameter(mus, mu0, m)
                     key = (n, m, phi_p.i0, phi_p.tie_at_i0)
                     if key not in class_ok:
                         checked = 0

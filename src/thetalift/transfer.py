@@ -86,7 +86,7 @@ def build_a_parameter(phi: LParameter, ctx: LiftContext) -> AParameter:
         raise PreconditionViolation("transfer needs a strictly larger target")
     shift = ctx.m0 - ctx.n0
     mus = tuple(k - shift for k in phi.kappa_tw)
-    return AParameter.from_twices(mus, ctx.n0, ctx.target_dim)
+    return AParameter(mus, ctx.n0, ctx.target_dim)
 
 
 def transfer_eta(

@@ -38,7 +38,7 @@ def growth():
 
 def blocks(result):
     assert result.aq is not None
-    return [(b.p_i, b.q_i, b.lam_i) for b in result.aq.blocks]
+    return [(p, q, half(lam_tw)) for p, q, lam_tw in result.aq.triples]
 
 
 def test_criterion_1_two_path_equivalence(criterion, growth):

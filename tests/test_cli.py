@@ -282,7 +282,7 @@ class TestPackets:
         mu_tw = _draw_doubled(data, n, (m - 1) % 2)
         (mu0_tw,) = _draw_doubled(data, 1, n % 2)
         r = data.draw(st.integers(0, m))
-        phi_p = thetalift.AParameter.from_twices(mu_tw, mu0_tw, m)
+        phi_p = thetalift.AParameter(mu_tw, mu0_tw, m)
         target = thetalift.Signature(r, m - r)
         want = []
         for eta_p in thetalift.SignCharacter.every(n + 1):

@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from thetalift import (
-    AqBlock,
     AqLambdaData,
     ChamberAmbiguous,
     HCParam,
@@ -39,7 +38,8 @@ from strategies import wide_params
 
 
 def _blocks(aq):
-    return [(b.p_i, b.q_i, b.lam_i.as_int()) for b in aq.blocks]
+    """The blocks as (p_i, q_i, lambda_i), each value an integer."""
+    return [(p, q, lam_tw // 2) for p, q, lam_tw in aq.triples]
 
 
 def test_lift_up_scalar_to_rank_three():
@@ -135,50 +135,48 @@ def test_lift_result_json_for_blocks():
     }
 
 
-def test_aq_block_validation():
-    with pytest.raises(ValueError):
-        AqBlock(0, 0, HalfInt(1))
-    with pytest.raises(ValueError):
-        AqBlock(1, 0, half(1))  # block values must be integers
+def test_aq_lambda_data_checks_blocks():
+    # Blocks are doubled (p_i, q_i, lam_tw) triples.
+    with pytest.raises(ValueError, match="bad block signature"):
+        AqLambdaData(Signature(0, 0), ((0, 0, 2),))
+    with pytest.raises(ValueError, match="must be an integer"):
+        AqLambdaData(Signature(1, 0), ((1, 0, 1),))  # lambda_i = 1/2
+
+
+def test_aq_lambda_data_takes_only_ints():
+    for value in (2.0, half(2), "2"):
+        with pytest.raises(TypeError):
+            AqLambdaData(Signature(1, 0), ((1, 0, value),))
 
 
 def test_aq_lambda_data_checks_sums():
     with pytest.raises(SignatureMismatch):
-        AqLambdaData(Signature(2, 1), (AqBlock(1, 0, HalfInt(0)),))
+        AqLambdaData(Signature(2, 1), ((1, 0, 0),))
 
 
 def test_aq_lambda_data_weakly_fair_guard():
     # values may climb by at most the mean of the block sizes
-    with pytest.raises(InternalWeaklyFairViolation):
-        AqLambdaData(
-            Signature(2, 0),
-            (AqBlock(1, 0, HalfInt(-1)), AqBlock(1, 0, HalfInt(1))),
-        )
+    with pytest.raises(InternalWeaklyFairViolation, match=r"\(1, 0, -1\) then \(1, 0, 1\)"):
+        AqLambdaData(Signature(2, 0), ((1, 0, -2), (1, 0, 2)))
+    # sizes 1 and 3: a climb of 2 sits on the bound, a climb of 3 is past it
+    AqLambdaData(Signature(4, 0), ((1, 0, 0), (3, 0, 4)))
+    with pytest.raises(InternalWeaklyFairViolation, match=r"\(1, 0, 0\) then \(3, 0, 3\)"):
+        AqLambdaData(Signature(4, 0), ((1, 0, 0), (3, 0, 6)))
     # any decrease is fine
-    AqLambdaData(
-        Signature(2, 0),
-        (AqBlock(1, 0, HalfInt(1)), AqBlock(1, 0, HalfInt(-1))),
-    )
+    AqLambdaData(Signature(2, 0), ((1, 0, 2), (1, 0, -2)))
 
 
 def test_aq_good_range_flag():
-    equal = AqLambdaData(
-        Signature(2, 0), (AqBlock(1, 0, HalfInt(1)), AqBlock(1, 0, HalfInt(1)))
-    )
+    equal = AqLambdaData(Signature(2, 0), ((1, 0, 2), (1, 0, 2)))
     assert equal.in_good_range
     # a climb of one is weakly fair but not good
-    boundary = AqLambdaData(
-        Signature(2, 0), (AqBlock(1, 0, HalfInt(0)), AqBlock(1, 0, HalfInt(1)))
-    )
+    boundary = AqLambdaData(Signature(2, 0), ((1, 0, 0), (1, 0, 2)))
     assert not boundary.in_good_range
 
 
 def test_infinitesimal_character():
     # the lift adds a zero-centered segment to the source entries
-    aq = AqLambdaData(
-        Signature(3, 1),
-        (AqBlock(1, 0, HalfInt(-1)), AqBlock(1, 1, HalfInt(0)), AqBlock(1, 0, HalfInt(1))),
-    )
+    aq = AqLambdaData(Signature(3, 1), ((1, 0, -2), (1, 1, 0), (1, 0, 2)))
     assert aq_infinitesimal_character(aq) == (
         half(1),
         half(1),
@@ -195,24 +193,20 @@ def test_aq_to_discrete_series_roundtrip():
 
 
 def test_aq_to_discrete_series_rejects_mixed_block():
-    aq = AqLambdaData(Signature(1, 1), (AqBlock(1, 1, HalfInt(0)),))
+    aq = AqLambdaData(Signature(1, 1), ((1, 1, 0),))
     with pytest.raises(NotCompactLevi):
         aq_to_discrete_series(aq)
 
 
 def test_aq_to_discrete_series_chamber_tie():
     # two blocks on opposite sides with equal values cannot be ordered
-    aq = AqLambdaData(
-        Signature(1, 1), (AqBlock(1, 0, HalfInt(0)), AqBlock(0, 1, HalfInt(0)))
-    )
+    aq = AqLambdaData(Signature(1, 1), ((1, 0, 0), (0, 1, 0)))
     with pytest.raises(ChamberAmbiguous):
         aq_to_discrete_series(aq)
 
 
 def test_aq_to_discrete_series_not_good_range():
-    aq = AqLambdaData(
-        Signature(2, 0), (AqBlock(1, 0, HalfInt(0)), AqBlock(1, 0, HalfInt(1)))
-    )
+    aq = AqLambdaData(Signature(2, 0), ((1, 0, 0), (1, 0, 2)))
     with pytest.raises(NotGoodRange):
         aq_to_discrete_series(aq)
 
@@ -225,11 +219,12 @@ def test_lift_up_blocks_partition_target(extra, shift):
     ctx = LiftContext(0, 0, 2, m)
     target = Signature(2 + extra, m - 2 - extra)
     aq = lift_up(lam, ctx, target)
-    assert sum(b.p_i for b in aq.blocks) == target.p
-    assert sum(b.q_i for b in aq.blocks) == target.q
+    assert sum(p for p, _, _ in aq.triples) == target.p
+    assert sum(q for _, q, _ in aq.triples) == target.q
     # two rank-one blocks from the source plus one filler block
-    assert len(aq.blocks) == 3
-    assert aq.blocks[2].size == m - 2
+    assert len(aq.triples) == 3
+    p, q, _ = aq.triples[2]
+    assert p + q == m - 2
     chi = aq_infinitesimal_character(aq)
     assert len(chi) == m
     assert all(a.twice >= b.twice for a, b in zip(chi, chi[1:]))

@@ -30,8 +30,8 @@ def test_invariants_u11_half_pair():
     # the would-be chain straddles both parts, so no chain
     assert inv.k_lambda == 0
     assert (inv.r_lambda, inv.s_lambda) == (2, 0)
-    assert inv.X == ((half(1), +1), (half(-1), -1))
-    assert inv.X_inf == inv.X
+    assert inv.X_tw == ((1, +1), (-1, -1))
+    assert inv.X_inf_tw == inv.X_tw
     assert (c_count(inv, +1, 1), c_count(inv, -1, 1)) == (1, 1)
     assert (c_count(inv, +1, 4), c_count(inv, -1, 4)) == (1, 1)
     assert c_count(inv, +1, 0) == 0
@@ -43,7 +43,7 @@ def test_invariants_chain_inside_one_part():
     assert inv.k_lambda == 2
     assert (inv.r_lambda, inv.s_lambda) == (0, 0)
     # chain values never cancel out of the fixed point
-    assert inv.X_inf == ((half(1), +1), (half(-1), +1))
+    assert inv.X_inf_tw == ((1, +1), (-1, +1))
 
 
 def test_invariants_no_chain_tower():
@@ -64,10 +64,10 @@ def test_pair_deletion_cancels_adjacent_classes():
     # alpha directly above gamma cancels; the reverse order stays
     lam = HCParam(Signature(1, 1), (half(3), half(1)))
     inv = invariants(lam, 0, 0)
-    assert inv.X_inf == ()
+    assert inv.X_inf_tw == ()
     assert (inv.r_lambda, inv.s_lambda) == (1, 1)
     kept = invariants(HCParam(Signature(1, 1), (half(1), half(3))), 0, 0)
-    assert kept.X_inf == ((half(3), -1), (half(1), +1))
+    assert kept.X_inf_tw == ((3, -1), (1, +1))
 
 
 def test_occurs_examples_u11():

@@ -14,6 +14,7 @@ from thetalift import (
     LiftContext,
     LParameter,
     MalformedCharacter,
+    NotDominant,
     PreconditionViolation,
     RepeatedEntry,
     SignCharacter,
@@ -76,13 +77,13 @@ def test_pi_from_eta_alternating_gives_definite():
 
 def test_eta_from_pi_examples():
     phi, eta = eta_from_pi(HCParam(Signature(1, 1), (half(1), half(-1))))
-    assert phi.kappas == (half(1), half(-1))
+    assert phi.kappa_tw == (1, -1)
     assert eta.values == (1, 1)
     phi, eta = eta_from_pi(HCParam(Signature(1, 0), (HalfInt(2),)))
     assert eta.values == (1,)
     # kappa_1 = 2 sits in the q-part, kappa_2 = 1 and kappa_3 = 0 in the p-part
     phi, eta = eta_from_pi(HCParam(Signature(2, 1), (half(2), half(0), half(4))))
-    assert phi.kappas == (HalfInt(2), HalfInt(1), HalfInt(0))
+    assert phi.kappa_tw == (4, 2, 0)
     assert eta.values == (-1, -1, 1)
 
 
@@ -90,7 +91,7 @@ def test_packet_round_trip_small():
     phi = LParameter((HalfInt(2), HalfInt(1), HalfInt(-3)))
     for eta, sig, lam in packet_members(phi):
         phi2, eta2 = eta_from_pi(lam)
-        assert phi2.kappas == phi.kappas
+        assert phi2.kappa_tw == phi.kappa_tw
         assert eta2.values == eta.values
 
 
@@ -120,84 +121,82 @@ def test_every_character_in_bit_order():
 
 
 def test_aparameter_validation():
-    phi_p = AParameter((HalfInt(2),), half(1), 3)
+    phi_p = AParameter((4,), 1, 3)
     assert phi_p.i0 == 2
     assert not phi_p.tie_at_i0
     with pytest.raises(PreconditionViolation):
-        AParameter((HalfInt(2),), half(1), 1)  # m must exceed n
+        AParameter((4,), 1, 1)  # m must exceed n
     with pytest.raises(WrongParityClass):
-        AParameter((half(1),), half(1), 3)  # mus must sit in Z + (m-1)/2
+        AParameter((1,), 1, 3)  # mus must sit in Z + (m-1)/2
+    with pytest.raises(WrongParityClass):
+        AParameter((4,), 0, 3)  # mu0 must sit in Z + n/2
+    with pytest.raises(NotDominant):
+        AParameter((2, 4), 0, 3)
+    with pytest.raises(RepeatedEntry):
+        AParameter((4, 4), 0, 3)
 
 
 def test_aparameter_tie_needs_one_step():
     # numeric tie with m - n = 1 couples the character
-    tied = AParameter((half(1),), half(1), 2)
+    tied = AParameter((1,), 1, 2)
     assert tied.i0 == 1 and tied.tie_at_i0
     # the same numeric tie three steps up leaves the group free
-    free = AParameter((half(3),), half(3), 4)
+    free = AParameter((3,), 3, 4)
     assert free.i0 == 1 and not free.tie_at_i0
 
 
 def test_sigma_blocks_scalar_case():
-    phi_p = AParameter((HalfInt(2),), half(1), 3)
+    phi_p = AParameter((4,), 1, 3)
     eta_p = SignCharacter((1, 1))  # e0' first, then e1'
     aq = sigma_from_eta_prime(phi_p, eta_p, Signature(2, 1))
-    assert [(b.p_i, b.q_i, b.lam_i.as_int()) for b in aq.blocks] == [
-        (1, 0, 1),
-        (1, 1, 1),
-    ]
+    assert aq.triples == ((1, 0, 2), (1, 1, 2))
 
 
 def test_sigma_blocks_rank_two_case():
-    phi_p = AParameter((half(1), half(-1)), HalfInt(0), 4)
+    phi_p = AParameter((1, -1), 0, 4)
     assert phi_p.i0 == 2
     eta_p = SignCharacter((1, 1, -1))
     aq = sigma_from_eta_prime(phi_p, eta_p, Signature(3, 1))
-    assert [(b.p_i, b.q_i, b.lam_i.as_int()) for b in aq.blocks] == [
-        (1, 0, -1),
-        (1, 1, 0),
-        (1, 0, 1),
-    ]
+    assert aq.triples == ((1, 0, -2), (1, 1, 0), (1, 0, 2))
 
 
 def test_sigma_zero_when_sign_gate_fails():
-    phi_p = AParameter((HalfInt(2),), half(1), 3)
+    phi_p = AParameter((4,), 1, 3)
     flipped = SignCharacter((-1, 1))
     assert sigma_from_eta_prime(phi_p, flipped, Signature(2, 1)) is None
 
 
 def test_sigma_zero_when_capacity_fails():
-    phi_p = AParameter((HalfInt(2),), half(1), 3)
+    phi_p = AParameter((4,), 1, 3)
     eta_p = SignCharacter((1, 1))
     assert sigma_from_eta_prime(phi_p, eta_p, Signature(0, 3)) is None
 
 
 def test_sigma_rejects_tie_breaking_character():
-    tied = AParameter((half(1),), half(1), 2)
+    tied = AParameter((1,), 1, 2)
     with pytest.raises(MalformedCharacter):
         sigma_from_eta_prime(tied, SignCharacter((1, -1)), Signature(1, 1))
 
 
 def test_eta_prime_sign_ok_closed_form():
-    phi_p = AParameter((HalfInt(2),), half(1), 3)
+    phi_p = AParameter((4,), 1, 3)
     assert eta_prime_sign_ok(phi_p, SignCharacter((1, 1)), Signature(2, 1))
     assert not eta_prime_sign_ok(phi_p, SignCharacter((-1, 1)), Signature(2, 1))
-    rank2 = AParameter((half(1), half(-1)), HalfInt(0), 4)
+    rank2 = AParameter((1, -1), 0, 4)
     assert eta_prime_sign_ok(rank2, SignCharacter((1, 1, -1)), Signature(3, 1))
     assert not eta_prime_sign_ok(rank2, SignCharacter((-1, 1, -1)), Signature(3, 1))
 
 
 def test_sigma_injective_on_nonzero():
-    phi_p = AParameter((half(3), half(-1)), HalfInt(0), 4)
+    phi_p = AParameter((3, -1), 0, 4)
     seen = {}
     for bits in range(8):
         signs = tuple(-1 if (bits >> i) & 1 else 1 for i in range(3))
         aq = sigma_from_eta_prime(phi_p, SignCharacter(signs), Signature(2, 2))
         if aq is None:
             continue
-        key = tuple((b.p_i, b.q_i, b.lam_i.twice) for b in aq.blocks)
-        assert key not in seen
-        seen[key] = signs
+        assert aq.triples not in seen
+        seen[aq.triples] = signs
 
 
 @given(st.integers(1, 5), st.data())
@@ -231,7 +230,7 @@ MUT_TARGET = Signature(2, 3)
 
 def _mutation_units(**doctored):
     """_SigmaUnits for mu = (4, 3, 0), mu0 = 1/2, m = 5 (i0 = 3), some fields replaced."""
-    phi_p = AParameter((HalfInt(4), HalfInt(3), HalfInt(0)), half(1), 5)
+    phi_p = AParameter((8, 6, 0), 1, 5)
     assert phi_p.i0 == 3
     for name, value in doctored.items():
         object.__setattr__(phi_p, name, value)
@@ -241,14 +240,14 @@ def _mutation_units(**doctored):
 def test_sigma_checks_the_unit_block_seams():
     # mu_1 and mu_2 swapped: the two unit blocks before i0 climb.
     units = _mutation_units(mu_tw=(6, 8, 0))
-    seam = r"lam_tw=2\) then AqBlock\(p_i=0, q_i=1, lam_tw=6\)"
+    seam = r"blocks \(0, 1, 1\) then \(0, 1, 3\) leave"
     with pytest.raises(InternalWeaklyFairViolation, match=seam):
         units.at(MUT_ETA.values[0], MUT_TARGET)
 
 
 def test_sigma_checks_the_big_block_seams_per_form():
     units = _mutation_units(mu0_tw=1 + 200)
-    seam = r"lam_tw=4\) then AqBlock\(p_i=1, q_i=1, lam_tw=202\)"
+    seam = r"blocks \(0, 1, 2\) then \(1, 1, 101\) leave"
     with pytest.raises(InternalWeaklyFairViolation, match=seam):
         units.at(MUT_ETA.values[0], MUT_TARGET)
 

@@ -55,8 +55,8 @@ def test_zeta_signs_slot_bounds():
 def test_build_a_parameter_scalar():
     phi = LParameter((HalfInt(2),))
     phi_p = build_a_parameter(phi, LiftContext(1, 1, 1, 3))
-    assert phi_p.mus == (HalfInt(2),)
-    assert phi_p.mu0 == half(1)
+    assert phi_p.mu_tw == (4,)
+    assert phi_p.mu0_tw == 1
     assert phi_p.m == 3
     assert phi_p.i0 == 2
 
@@ -93,10 +93,7 @@ def test_transfer_eta_tied_slot():
     assert phi_p.tie_at_i0 and phi_p.i0 == 1
     assert eta_p.values[0] == eta_p.values[1] == 1
     aq = sigma_from_eta_prime(phi_p, eta_p, Signature(1, 1))
-    assert [(b.p_i, b.q_i, b.lam_i.as_int()) for b in aq.blocks] == [
-        (1, 0, 0),
-        (0, 1, 1),
-    ]
+    assert aq.triples == ((1, 0, 0), (0, 1, 2))
     assert aq == lift_up(lam, ctx, Signature(1, 1))
 
 
@@ -168,7 +165,7 @@ def test_builders_agree_with_the_public_block_constructor(params):
             path_a = lift_up(lam, ctx, target)
             path_b = sigma_from_eta_prime(*transfer_eta(lam, ctx, target), target)
             for aq in (path_a, path_b):
-                public = AqLambdaData(aq.target, aq.blocks)
+                public = AqLambdaData(aq.target, aq.triples)
                 assert public == aq
                 assert hash(public) == hash(aq)
                 assert public.to_json() == aq.to_json()

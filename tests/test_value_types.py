@@ -1,9 +1,12 @@
-"""Doubled-int and HalfInt construction of the value types agree.
+"""The value types: one constructor over doubled ints, HalfInt at the edges.
 
-Every value type stores doubled ints and has two constructors: the
-public one taking HalfInt values and from_twices taking the doubled
-ints. On any input, valid or not, the two must give equal objects with
-equal hashes and the same JSON, or raise the same exception class.
+HCParam and LParameter are built from parsed text, so besides
+from_twices, which takes the doubled ints, their public constructors
+take HalfInt values; on any input, valid or not, the two must give
+equal objects with equal hashes and the same JSON, or raise the same
+exception class. ABGDSplit, AParameter and AqLambdaData have one
+constructor, over doubled ints, and each of their validation rules is
+checked through it. A guard pins where the package names HalfInt at all.
 """
 
 import ast
@@ -16,8 +19,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import thetalift
-from thetalift import AParameter, AqBlock, HCParam, LParameter, Signature, half
-from thetalift.core import SIDE_NONE, SIDE_P, SIDE_Q, ABGDSplit
+from thetalift import (
+    AParameter,
+    AqLambdaData,
+    HCParam,
+    LParameter,
+    NotDominant,
+    PreconditionViolation,
+    RepeatedEntry,
+    Signature,
+    WrongParityClass,
+    half,
+)
+from thetalift.core import SIDE_NONE, SIDE_P, SIDE_Q, ABGDSplit, half_text
 
 twices = st.integers(-13, 13)
 runs = st.lists(twices, max_size=5).map(tuple)
@@ -77,30 +91,6 @@ def test_hcparam(case):
         assert HCParam.parse(str(lam)) == lam
 
 
-sides = st.sampled_from((SIDE_NONE, SIDE_P, SIDE_Q, "X"))
-
-
-@given(runs, runs, runs, runs, st.integers(0, 3), sides)
-def test_abgd_split(a, b, g, d, chain_k, side):
-    sp = assert_same(
-        lambda: ABGDSplit.from_twices(a, b, g, d, chain_k, side),
-        lambda: ABGDSplit(halves(a), halves(b), halves(g), halves(d), chain_k, side),
-    )
-    if sp is not None:
-        assert (sp.alpha, sp.beta, sp.gamma, sp.delta) == (halves(a), halves(b), halves(g), halves(d))
-
-
-@given(st.integers(-1, 3), st.integers(-1, 3), twices)
-def test_aq_block(p_i, q_i, tw):
-    block = assert_same(
-        lambda: AqBlock.from_twices(p_i, q_i, tw),
-        lambda: AqBlock(p_i, q_i, half(tw)),
-    )
-    if block is not None:
-        assert block.lam_i == half(tw)
-        assert block.to_json()["lambda"] == str(half(tw))
-
-
 @st.composite
 def l_inputs(draw):
     if draw(st.booleans()):
@@ -115,7 +105,37 @@ def test_lparameter(case):
     phi = assert_same(lambda: LParameter.from_twices(tw), lambda: LParameter(halves(tw)))
     assert phi is not None or not valid
     if phi is not None:
-        assert phi.kappas == halves(tw)
+        assert phi.kappa_tw == tw
+        assert phi.to_json()["kappa"] == [half_text(t) for t in tw]
+
+
+sides = st.sampled_from((SIDE_NONE, SIDE_P, SIDE_Q, "X"))
+
+
+@given(runs, runs, runs, runs, st.integers(0, 3), sides)
+def test_abgd_split(a, b, g, d, chain_k, side):
+    # A known side, set exactly when there is a chain.
+    valid = side in (SIDE_NONE, SIDE_P, SIDE_Q) and (chain_k == 0) == (side == SIDE_NONE)
+    sp, err = build(lambda: ABGDSplit(a, b, g, d, chain_k, side))
+    assert err is (None if valid else ValueError)
+    if valid:
+        assert (sp.alpha_tw, sp.beta_tw, sp.gamma_tw, sp.delta_tw) == (a, b, g, d)
+        assert (sp.x, sp.y, sp.z, sp.w) == (len(a), len(b), len(g), len(d))
+    if chain_k == 0:
+        assert ABGDSplit(a, b, g, d) == ABGDSplit(a, b, g, d, 0, SIDE_NONE)
+
+
+@given(st.integers(-1, 3), st.integers(-1, 3), twices)
+def test_aq_lambda_data_block_triple(p_i, q_i, tw):
+    # One block filling its own signature: only the block rules apply.
+    target = Signature(max(p_i, 0), max(q_i, 0))
+    valid = p_i >= 0 and q_i >= 0 and p_i + q_i >= 1 and tw % 2 == 0
+    aq, err = build(lambda: AqLambdaData(target, [[p_i, q_i, tw]]))
+    assert err is (None if valid else ValueError)
+    if valid:
+        assert aq.triples == ((p_i, q_i, tw),)
+        assert aq.to_json() == [{"p": p_i, "q": q_i, "lambda": str(half(tw))}]
+        assert hash(aq) == hash(AqLambdaData(target, ((p_i, q_i, tw),)))
 
 
 @st.composite
@@ -129,17 +149,35 @@ def a_inputs(draw):
     return tw, draw(twices), draw(st.integers(0, 7)), False
 
 
+def a_parameter_error(tw, tw0, m):
+    """The class AParameter(tw, tw0, m) raises, by its rules in order, or None."""
+    n = len(tw)
+    if m <= n:
+        return PreconditionViolation
+    if any(v % 2 != (m - 1) % 2 for v in tw) or tw0 % 2 != n % 2:
+        return WrongParityClass
+    for a, b in zip(tw, tw[1:]):
+        if a <= b:
+            return NotDominant if a < b else RepeatedEntry
+    return None
+
+
 @given(a_inputs())
 def test_aparameter(case):
     tw, tw0, m, valid = case
-    phi_p = assert_same(
-        lambda: AParameter.from_twices(tw, tw0, m),
-        lambda: AParameter(halves(tw), half(tw0), m),
-    )
+    phi_p, err = build(lambda: AParameter(tw, tw0, m))
+    assert err is a_parameter_error(tw, tw0, m)
     assert phi_p is not None or not valid
     if phi_p is not None:
-        assert (phi_p.mus, phi_p.mu0) == (halves(tw), half(tw0))
-        assert phi_p.to_json()["mu"] == [str(v) for v in phi_p.mus]
+        i0 = 1 + sum(1 for v in tw if v > tw0)
+        assert (phi_p.mu_tw, phi_p.mu0_tw, phi_p.m, phi_p.n, phi_p.i0) == (tw, tw0, m, len(tw), i0)
+        assert phi_p.tie_at_i0 == (m - len(tw) == 1 and i0 <= len(tw) and tw[i0 - 1] == tw0)
+        assert phi_p.to_json() == {
+            "mu": [half_text(v) for v in tw],
+            "mu0": half_text(tw0),
+            "m": m,
+            "i0": i0,
+        }
 
 
 def test_internal_check_survives_optimize():
@@ -173,3 +211,47 @@ def test_package_has_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == [], f"assert statements in thetalift: {found}"
+
+
+# Where the package names HalfInt, half or halves: the parse and render
+# edges. A new entry means a value type or helper grew a HalfInt path
+# again; compute on the doubled ints instead, or add it here on purpose.
+HALFINT_EDGE = {
+    "cli._bounds",
+    "cli.cmd_apacket",
+    "core.HCParam.__init__",
+    "core.HCParam.entries",
+    "core.HalfInt.__eq__",
+    "core.HalfInt.parse",
+    "core.half",
+    "core.parse_half_list",
+    "lifting.aq_infinitesimal_character",
+    "packets.LParameter.__init__",
+    "suites.EnumerationBounds",
+}
+
+
+def _scopes_naming(package: Path, names: set[str]) -> set[str]:
+    """'module.Class.function' of each innermost def or class whose code uses one of names."""
+    found = set()
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, f"{scope}.{child.name}")
+                continue
+            if (isinstance(child, ast.Name) and child.id in names) or (
+                isinstance(child, ast.Attribute) and child.attr in names
+            ):
+                found.add(scope)
+            visit(child, scope)
+
+    for path in sorted(package.rglob("*.py")):
+        module = ".".join(path.relative_to(package).with_suffix("").parts)
+        visit(ast.parse(path.read_text(encoding="utf-8"), str(path)), module)
+    return found
+
+
+def test_halfint_is_named_only_at_the_edges():
+    package = Path(thetalift.__file__).resolve().parent
+    assert _scopes_naming(package, {"HalfInt", "half", "halves"}) == HALFINT_EDGE
