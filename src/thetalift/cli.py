@@ -3,11 +3,13 @@
 All output is UTF-8 JSON or JSONL on standard output, one record per
 line, with a fixed key order and canonical half-integer rendering, so
 runs are byte-for-byte reproducible. Most records go through one shared
-JSONEncoder. `packet` and `apacket` put each row's text together from
-pieces rendered once per query (the kappa texts, the block texts, the
-sign texts of a character's tail) and write it as soon as its member is
-built, so their rows stream; the bytes are those the encoder gives for
-the same record.
+JSONEncoder. `packet` and `apacket` walk the characters as tuples of
+values and build each member from state built once per query (the
+packet's signatures and epsilons, the unit blocks shared by a pair of
+rows). They put each row's text together from pieces rendered once per
+query (the kappa texts, the block texts, the sign texts of a character's
+tail) and write it as soon as its member is built, so their rows stream;
+the bytes are those the encoder gives for the same record.
 
 Exit codes: 0 when the query computed (vanishing included), 1 when a
 verification suite found failures, 2 on input errors, 3 when an
@@ -44,9 +46,9 @@ from .packets import (
     PLUS,
     AParameter,
     LParameter,
-    SignCharacter,
+    _characters,
+    _Members,
     _SigmaUnits,
-    pi_from_eta,
 )
 from .suites import EnumerationBounds, SUITES, iter_enumeration, run_suite
 
@@ -153,14 +155,15 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 def cmd_packet(args: argparse.Namespace) -> int:
     kappas = parse_half_list(args.kappas)
     phi = LParameter(kappas)
+    members = _Members(phi)
     kappa_text = {t: _ENCODER.encode(half_text(t)) for t in phi.kappa_tw}
     write = sys.stdout.write
     # One member at a time, each row the text _ENCODER gives for
     # {"eta": ..., "p": ..., "q": ..., "lambda": lam.to_json()}.
-    for eta in SignCharacter.every(phi.n):
-        sig, lam = pi_from_eta(phi, eta)
+    for values in _characters(phi.n):
+        sig, lam = members.at(values)
         p, q, tw = sig.p, sig.q, lam.entries_tw
-        signs = ",".join([_SIGN_TEXT[v] for v in eta.values])
+        signs = ",".join([_SIGN_TEXT[v] for v in values])
         p_part = ",".join([kappa_text[t] for t in tw[:p]])
         q_part = ",".join([kappa_text[t] for t in tw[p:]])
         write(
@@ -188,12 +191,12 @@ def cmd_apacket(args: argparse.Namespace) -> int:
     write = sys.stdout.write
     # Each row is the text _ENCODER gives for {"eta": {"e0": ..., "signs":
     # [...]}, "status": ...}, with "blocks": sigma.to_json() when nonzero.
-    for eta_p in SignCharacter.every(phi_p.n + 1):
-        e0 = eta_p.values[0]
+    for values in _characters(phi_p.n + 1):
+        e0 = values[0]
         if e0 == PLUS:
             # e'_0 varies fastest, so each pair of rows shares the
             # values on e'_1, ..., e'_n and with them the unit blocks.
-            units = _SigmaUnits(phi_p, eta_p.values[1:])
+            units = _SigmaUnits(phi_p, values[1:])
             signs = ",".join([_SIGN_TEXT[v] for v in units.tail])
         head = f'{{"eta":{{"e0":{_SIGN_TEXT[e0]},"signs":[{signs}]}},"status":'
         try:

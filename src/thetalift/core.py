@@ -8,7 +8,8 @@ never appear. HalfInt, an immutable wrapper around twice the value, is
 the type for parsing and rendering only, with no arithmetic or ordering
 of its own. Only the edges that parse user text take it: HCParam and
 LParameter accept HalfInt values besides their from_twices constructors,
-and HCParam.entries renders back to it. Every other value type has one
+and raise TypeError for any other entry, and HCParam.entries renders
+back to it. Every other value type has one
 constructor, over its doubled ints.
 
 A discrete series of U(p, q) is recorded by its Harish-Chandra parameter:
@@ -131,6 +132,18 @@ def half(twice: int) -> HalfInt:
     return HalfInt.halves(twice)
 
 
+def _halfint_twices(entries: Iterable[HalfInt], owner: str) -> tuple[int, ...]:
+    """The doubled ints of the HalfInt entries given to owner's constructor."""
+    entries = tuple(entries)
+    for e in entries:
+        if not isinstance(e, HalfInt):
+            raise TypeError(
+                f"{owner}() takes HalfInt entries, not {type(e).__name__}; "
+                f"{owner}.from_twices takes doubled ints"
+            )
+    return tuple(e.twice for e in entries)
+
+
 def parse_half_list(text: str) -> tuple[HalfInt, ...]:
     """Parse a comma- or space-separated list of half-integer literals."""
     parts = [p for p in re.split(r"[,\s]+", text.strip()) if p]
@@ -185,7 +198,7 @@ class HCParam:
 
     def __init__(self, sig: Signature, entries: Iterable[HalfInt]) -> None:
         object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "entries_tw", tuple(e.twice for e in entries))
+        object.__setattr__(self, "entries_tw", _halfint_twices(entries, "HCParam"))
         self.__post_init__()
 
     @classmethod

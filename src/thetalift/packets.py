@@ -7,7 +7,17 @@ indices where eta(e_i) = (-1)^(i-1) contribute kappa_i to the p-part.
 SignCharacter.every(k) walks all 2^k characters of (Z/2)^k in bit
 order: the first value varies fastest, + before -, as in binary
 counting with the first value as the low bit. Packet rows and the
-packet suites all list characters in that order.
+packet suites all list characters in that order. The hot loops (the
+packet and apacket rows, the packet suite) walk the characters as plain
+tuples of values with _characters(k), which checks the pair (+1, -1)
+once per walk instead of building a checked SignCharacter per row.
+
+_Members is pi_from_eta split at the character, built once per
+parameter: it builds and validates the n + 1 signatures (p, n - p) a
+member can have, with their epsilons, once. Per character it splits
+kappa into the two parts, checks the determinant identity and builds
+the validated HCParam. pi_from_eta checks the character's length and
+builds one per call.
 
 A lift parameter for a pair of sizes n < m keeps the n values mu_i
 (shifted into Z + (m-1)/2) and inserts one extra value mu_0 in Z + n/2
@@ -40,7 +50,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .core import HCParam, HalfInt, Signature, half_text
+from .core import HCParam, HalfInt, Signature, _halfint_twices, half_text
 from .errors import (
     InternalError,
     InternalLemmaMismatch,
@@ -76,7 +86,7 @@ class LParameter:
     kappa_tw: tuple[int, ...]
 
     def __init__(self, kappas: Iterable[HalfInt]) -> None:
-        object.__setattr__(self, "kappa_tw", tuple(k.twice for k in kappas))
+        object.__setattr__(self, "kappa_tw", _halfint_twices(kappas, "LParameter"))
         self.__post_init__()
 
     @classmethod
@@ -192,8 +202,8 @@ class SignCharacter:
         The i-th character has value -1 exactly where bit i of its index
         is set: the first value varies fastest, + before -.
         """
-        for values in itertools.product((PLUS, MINUS), repeat=size):
-            yield cls(values[::-1])
+        for values in _characters(size):
+            yield cls(values)
 
     def as_strings(self) -> list[str]:
         return ["+" if v == PLUS else "-" for v in self.values]
@@ -216,26 +226,58 @@ def epsilon_of_signature(p: int, q: int) -> int:
     return _sign_pow((d * (d - 1) // 2) % 2)
 
 
+def _characters(size: int) -> Iterator[tuple[int, ...]]:
+    """The values of every character of (Z/2)^size as plain tuples, in bit order.
+
+    The order is SignCharacter.every's. Every value is one of the pair
+    (PLUS, MINUS), which is checked once per walk, so a tuple needs no
+    check of its own.
+    """
+    pair = SignCharacter((PLUS, MINUS)).values
+    for values in itertools.product(pair, repeat=size):
+        yield values[::-1]
+
+
 def pi_from_eta(phi: LParameter, eta: SignCharacter) -> tuple[Signature, HCParam]:
     """The packet member cut out by eta: its real form and parameter."""
     n = phi.n
     if len(eta.values) != n:
         raise MalformedCharacter(f"character has {len(eta.values)} values, parameter wants {n}")
-    p_vals = []
-    q_vals = []
-    sign = PLUS  # (-1)^(i-1) for kappa_i
-    for kappa, v in zip(phi.kappa_tw, eta.values):
-        (p_vals if v == sign else q_vals).append(kappa)
-        sign = -sign
-    sig = Signature(len(p_vals), len(q_vals))
-    # Determinant identity: the product of the values is forced by the
-    # signature alone. Machine-checked at scale by the packet suite.
-    if math.prod(eta.values) != epsilon_of_signature(sig.p, sig.q):
-        raise InternalError(
-            f"determinant identity failed for kappa {phi.to_json()['kappa']}, "
-            f"character {eta}, signature {sig}"
-        )
-    return sig, HCParam.from_twices(sig, tuple(p_vals + q_vals))
+    return _Members(phi).at(eta.values)
+
+
+class _Members:
+    """pi_from_eta() for one parameter, split at the character.
+
+    Built once per parameter: the n + 1 signatures, each validated, their
+    epsilons and the signs (-1)^(i-1) that eta(e_i) is compared with.
+    at() takes one character's n values as a tuple of +1 and -1.
+    """
+
+    __slots__ = ("phi", "alternating", "forms", "epsilons")
+
+    def __init__(self, phi: LParameter) -> None:
+        n = phi.n
+        self.phi = phi
+        self.alternating = tuple(_sign_pow(i) for i in range(n))
+        self.forms = tuple(Signature(p, n - p) for p in range(n + 1))
+        self.epsilons = tuple(epsilon_of_signature(p, n - p) for p in range(n + 1))
+
+    def at(self, values: tuple[int, ...]) -> tuple[Signature, HCParam]:
+        """The member for the character with these values: its real form and parameter."""
+        p_vals = []
+        q_vals = []
+        for kappa, v, sign in zip(self.phi.kappa_tw, values, self.alternating):
+            (p_vals if v == sign else q_vals).append(kappa)
+        sig = self.forms[len(p_vals)]
+        # Determinant identity: the product of the values is forced by the
+        # signature alone. Machine-checked at scale by the packet suite.
+        if math.prod(values) != self.epsilons[sig.p]:
+            raise InternalError(
+                f"determinant identity failed for kappa {self.phi.to_json()['kappa']}, "
+                f"character {SignCharacter(values)}, signature {sig}"
+            )
+        return sig, HCParam.from_twices(sig, tuple(p_vals + q_vals))
 
 
 def eta_from_pi(lam: HCParam) -> tuple[LParameter, SignCharacter]:
@@ -425,8 +467,5 @@ def packet_members(phi: LParameter) -> list[tuple[SignCharacter, Signature, HCPa
     The order is SignCharacter.every's: eta(e_1) varies fastest, + before
     -. Deterministic for serialization.
     """
-    out = []
-    for eta in SignCharacter.every(phi.n):
-        sig, lam = pi_from_eta(phi, eta)
-        out.append((eta, sig, lam))
-    return out
+    members = _Members(phi)
+    return [(eta, *members.at(eta.values)) for eta in SignCharacter.every(phi.n)]

@@ -83,10 +83,11 @@ from .packets import (
     AParameter,
     LParameter,
     SignCharacter,
+    _characters,
+    _Members,
     _SigmaUnits,
     eta_from_pi,
     eta_prime_sign_ok,
-    pi_from_eta,
 )
 from .transfer import _Globalization, _Transfer
 
@@ -425,16 +426,21 @@ def suite_eta_prime(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Ca
 
 
 def suite_packets(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case]:
-    """pi_from_eta and eta_from_pi are mutually inverse, all characters."""
+    """pi_from_eta and eta_from_pi are mutually inverse, all characters.
+
+    One _Members per parameter builds the members, one per character's
+    value tuple.
+    """
     for n in range(1, bounds.max_n + 1):
         universe = _value_universe(bounds.height.twice, (n - 1) % 2)
         for combo in itertools.combinations(universe, n):
             phi = LParameter.from_twices(combo)
+            members = _Members(phi)
             all_ok = True
-            for eta in SignCharacter.every(n):
-                sig, lam = pi_from_eta(phi, eta)
+            for values in _characters(n):
+                sig, lam = members.at(values)
                 phi_back, eta_back = eta_from_pi(lam)
-                if phi_back != phi or eta_back != eta or sig != lam.sig:
+                if phi_back != phi or eta_back.values != values or sig != lam.sig:
                     all_ok = False
                     break
             record = None

@@ -338,11 +338,11 @@ class TestPackets:
         # A reader that closes the pipe after the first row: the second
         # write fails, and by then at most two of the 256 members exist.
         built = []
-        real = cli.pi_from_eta
+        real = packets._Members.at
 
-        def counting(phi, eta):
-            built.append(eta)
-            return real(phi, eta)
+        def counting(members, values):
+            built.append(values)
+            return real(members, values)
 
         class ClosesAfterOneRow:
             def __init__(self, fd):
@@ -362,7 +362,7 @@ class TestPackets:
 
         fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
         try:
-            monkeypatch.setattr(cli, "pi_from_eta", counting)
+            monkeypatch.setattr(packets._Members, "at", counting)
             monkeypatch.setattr(sys, "stdout", ClosesAfterOneRow(fd))
             # A new descriptor takes the lowest free number, so the two
             # probes differ only if main leaves a descriptor open.

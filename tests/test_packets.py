@@ -29,7 +29,12 @@ from thetalift import (
     pi_from_eta,
     transfer_eta,
 )
-from thetalift.packets import _SigmaUnits, eta_prime_sign_ok, sigma_from_eta_prime
+from thetalift.packets import (
+    _characters,
+    _SigmaUnits,
+    eta_prime_sign_ok,
+    sigma_from_eta_prime,
+)
 
 from strategies import wide_params
 
@@ -118,6 +123,43 @@ def test_every_character_in_bit_order():
         got = list(SignCharacter.every(size))
         assert all(type(eta) is SignCharacter for eta in got)
         assert [eta.values for eta in got] == want
+
+
+def test_characters_are_the_values_of_every():
+    for size in range(8):
+        assert list(_characters(size)) == [eta.values for eta in SignCharacter.every(size)]
+
+
+def _packet_by_definition(kappa_tw):
+    """(values, signature, entries_tw) of each member, by the module docstring's rule.
+
+    The b-th character is -1 exactly where bit i of b is set, and the
+    indices i (from 1) with eta(e_i) = (-1)^(i-1) contribute kappa_i to
+    the p-part, the others to the q-part, each part in kappa's order.
+    """
+    n = len(kappa_tw)
+    out = []
+    for b in range(1 << n):
+        values = tuple(-1 if b >> i & 1 else 1 for i in range(n))
+        on_p = [v == (-1) ** (i - 1) for i, v in enumerate(values, start=1)]
+        p_part = tuple(k for k, p in zip(kappa_tw, on_p) if p)
+        q_part = tuple(k for k, p in zip(kappa_tw, on_p) if not p)
+        out.append((values, Signature(len(p_part), len(q_part)), p_part + q_part))
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.data())
+def test_packet_members_follow_the_definition(n, data):
+    universe = [t for t in range(-31, 32) if t % 2 == (n - 1) % 2]
+    drawn = data.draw(st.lists(st.sampled_from(universe), min_size=n, max_size=n, unique=True))
+    kappa_tw = tuple(sorted(drawn, reverse=True))
+    got = [
+        (eta.values, sig, lam.sig, lam.entries_tw)
+        for eta, sig, lam in packet_members(LParameter.from_twices(kappa_tw))
+    ]
+    want = [(values, sig, sig, tw) for values, sig, tw in _packet_by_definition(kappa_tw)]
+    assert got == want
 
 
 def test_aparameter_validation():

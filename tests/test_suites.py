@@ -13,7 +13,18 @@ import tracemalloc
 
 import pytest
 
-from thetalift import SUITES, EnumerationBounds, InternalError, cli, half, suites
+from thetalift import (
+    SUITES,
+    EnumerationBounds,
+    HCParam,
+    InternalError,
+    SignCharacter,
+    Signature,
+    cli,
+    half,
+    packets,
+    suites,
+)
 from thetalift.suites import run_suite, run_suites, tally
 
 ENUMERATION = EnumerationBounds(max_n=3, max_m_minus_n=4, height=half(7))
@@ -164,3 +175,39 @@ def test_untied_character_accepted_is_an_internal_error(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("internal error: InternalError: tie constraint not enforced")
+
+
+def test_packets_suite_comparison_fires(monkeypatch):
+    # The packets suite compares each member with what eta_from_pi
+    # recovers from it: the parameter, the character and the real form.
+    # A wrong inverse, or a member builder that puts one kappa in the
+    # wrong part, fails every case; neither raises.
+    small = EnumerationBounds(max_n=3, max_m_minus_n=1, height=half(5))
+    clean = run_suite("packets", small)
+    assert clean.cases > 0 and clean.failures == 0
+    real_eta_from_pi = suites.eta_from_pi
+
+    def one_sign_flipped(lam):
+        phi, eta = real_eta_from_pi(lam)
+        return phi, SignCharacter((-eta.values[0],) + eta.values[1:])
+
+    with monkeypatch.context() as patch:
+        patch.setattr(suites, "eta_from_pi", one_sign_flipped)
+        assert run_suite("packets", small).failures == clean.cases
+
+    class MisplacesOneKappa:
+        """HCParam's builder, with the largest entry of one part moved into the other."""
+
+        @staticmethod
+        def from_twices(sig, entries_tw):
+            p_part, q_part = list(entries_tw[: sig.p]), list(entries_tw[sig.p :])
+            if p_part:
+                q_part = sorted(q_part + [p_part.pop(0)], reverse=True)
+            else:
+                p_part = [q_part.pop(0)]
+            moved = Signature(len(p_part), len(q_part))
+            return HCParam.from_twices(moved, tuple(p_part + q_part))
+
+    monkeypatch.setattr(packets, "HCParam", MisplacesOneKappa)
+    broken = run_suite("packets", small)
+    assert (broken.cases, broken.failures) == (clean.cases, clean.cases)

@@ -15,6 +15,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -107,6 +108,19 @@ def test_lparameter(case):
     if phi is not None:
         assert phi.kappa_tw == tw
         assert phi.to_json()["kappa"] == [half_text(t) for t in tw]
+
+
+def test_halfint_constructors_take_only_halfint():
+    # The HalfInt constructors name the type they expect and point to
+    # from_twices for doubled ints.
+    for value in (2, 2.0, "2"):
+        kind = type(value).__name__
+        with pytest.raises(TypeError, match=rf"^HCParam\(\) takes HalfInt entries, not {kind}; "
+                           r"HCParam\.from_twices takes doubled ints$"):
+            HCParam(Signature(1, 0), (value,))
+        with pytest.raises(TypeError, match=rf"^LParameter\(\) takes HalfInt entries, not {kind}; "
+                           r"LParameter\.from_twices takes doubled ints$"):
+            LParameter((value,))
 
 
 sides = st.sampled_from((SIDE_NONE, SIDE_P, SIDE_Q, "X"))
@@ -223,6 +237,7 @@ HALFINT_EDGE = {
     "core.HCParam.entries",
     "core.HalfInt.__eq__",
     "core.HalfInt.parse",
+    "core._halfint_twices",
     "core.half",
     "core.parse_half_list",
     "lifting.aq_infinitesimal_character",
