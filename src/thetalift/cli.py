@@ -323,7 +323,9 @@ def build_parser() -> argparse.ArgumentParser:
                     help="summary line only, skip per-case records")
     sp.set_defaults(func=cmd_verify)
 
-    sp = sub.add_parser("enumerate", help="every lift decision in a window")
+    sp = sub.add_parser(
+        "enumerate", help="every lift decision in a window except at the size m = n"
+    )
     sp.add_argument("--max-n", type=int, default=2)
     sp.add_argument("--height", default="5/2")
     sp.add_argument("--max-dm", type=int, default=4)

@@ -172,6 +172,13 @@ class Signature:
         return f"({self.p},{self.q})"
 
 
+def _parts_text(p_tw: tuple[int, ...], q_tw: tuple[int, ...]) -> str:
+    """Two doubled parts as HCParam renders them: '(3/2 1/2 | -1/2)'."""
+    left = " ".join(half_text(t) for t in p_tw)
+    right = " ".join(half_text(t) for t in q_tw)
+    return f"({left} | {right})"
+
+
 def _check_strictly_decreasing(part: tuple[int, ...], label: str) -> None:
     for a, b in zip(part, part[1:]):
         if a <= b:
@@ -246,9 +253,7 @@ class HCParam:
         return self.sig.n
 
     def __str__(self) -> str:
-        left = " ".join(half_text(t) for t in self.p_tw)
-        right = " ".join(half_text(t) for t in self.q_tw)
-        return f"({left} | {right})"
+        return _parts_text(self.p_tw, self.q_tw)
 
     @classmethod
     def parse(cls, text: str) -> "HCParam":
@@ -392,8 +397,15 @@ def _split_cached(lam: HCParam, m0: int, strict: bool, chain_k: int) -> ABGDSpli
     Nothing is memoized: callers that reuse a split across many targets
     hold on to it themselves.
     """
-    p_tw = tuple([t - m0 for t in lam.p_tw])
-    q_tw = tuple([t - m0 for t in lam.q_tw])
+    return _split_shifted(
+        tuple([t - m0 for t in lam.p_tw]), tuple([t - m0 for t in lam.q_tw]), strict, chain_k
+    )
+
+
+def _split_shifted(
+    p_tw: tuple[int, ...], q_tw: tuple[int, ...], strict: bool, chain_k: int
+) -> ABGDSplit:
+    """The split of the doubled parts of lam - m0/2, given already shifted."""
     side = SIDE_NONE
     if chain_k:
         if chain_k < 0:
@@ -407,7 +419,8 @@ def _split_cached(lam: HCParam, m0: int, strict: bool, chain_k: int) -> ABGDSpli
             side = SIDE_Q
         else:
             raise ChainNotPresent(
-                f"no centered chain of length {chain_k} inside either part of {lam} - {m0}/2"
+                f"no centered chain of length {chain_k} inside either part of "
+                f"lam - m0/2 = {_parts_text(p_tw, q_tw)}"
             )
     alpha, beta = _split_part(p_tw, strict, "p-part")
     gamma, delta = _split_part(q_tw, strict, "q-part")
@@ -462,7 +475,15 @@ def make_regular_deformation(lam: HCParam, ctx: LiftContext, t: int) -> HCParam:
     if not isinstance(t, int) or t < 1:
         raise PreconditionViolation(f"deformation step must be a positive integer, got {t}")
     sp = split_abgd(lam, ctx, LAX)
+    return _deformation(lam, sp.x, sp.z, t)
+
+
+def _deformation(lam: HCParam, x: int, z: int, t: int) -> HCParam:
+    """make_regular_deformation() given the lax split's prefix lengths x and z, t unchecked."""
     step = 2 * t
-    p_tw = tuple(v + step if i < sp.x else v - step for i, v in enumerate(lam.p_tw))
-    q_tw = tuple(v + step if j < sp.z else v - step for j, v in enumerate(lam.q_tw))
-    return HCParam.from_twices(lam.sig, p_tw + q_tw)
+    p_tw, q_tw = lam.p_tw, lam.q_tw
+    return HCParam.from_twices(
+        lam.sig,
+        tuple([v + step for v in p_tw[:x]] + [v - step for v in p_tw[x:]]
+              + [v + step for v in q_tw[:z]] + [v - step for v in q_tw[z:]]),
+    )

@@ -28,7 +28,9 @@ Nothing here is memoized. occurs() computes the invariants on every
 call; a caller deciding many targets of one parameter holds a _Tower,
 which computes the parameter's invariants once and the conjugate dual's
 only when a target first needs the swapped orientation; its one
-decision method, decide(), returns a plain tuple.
+decision method, decide(), returns a plain tuple. The conjugate dual's
+lam0 is lam0 negated with each part reversed, so the tower computes the
+dual's invariants from lam's own parts and builds no dual parameter.
 """
 
 from __future__ import annotations
@@ -39,8 +41,9 @@ from .core import (
     ABGDSplit,
     HCParam,
     Signature,
-    _conjugate_dual_m0,
+    _parts_text,
     _split_cached,
+    _split_shifted,
 )
 from .errors import InternalError, ParityMismatch, PreconditionViolation
 
@@ -104,19 +107,26 @@ def invariants(lam: HCParam, m0: int, k0: int) -> NVInvariants:
     n = lam.sig.n
     if (m0 - n - k0) % 2:
         raise ParityMismatch(f"m0={m0} inconsistent with n={n} and k0={k0}")
+    return _invariants_shifted(
+        tuple([t - m0 for t in lam.p_tw]), tuple([t - m0 for t in lam.q_tw]), k0
+    )
 
-    p_tw = tuple([t - m0 for t in lam.p_tw])
-    q_tw = tuple([t - m0 for t in lam.q_tw])
 
+def _invariants_shifted(
+    p_tw: tuple[int, ...], q_tw: tuple[int, ...], k0: int
+) -> NVInvariants:
+    """invariants() on the doubled parts of lam - m0/2, given already shifted, unchecked."""
     k_p = _largest_chain(p_tw, k0)
     k_q = _largest_chain(q_tw, k0)
     # Entries are globally distinct, so at most one part holds a chain.
     if k_p and k_q:
-        raise InternalError(f"chain found in both parts of {lam} - {m0}/2")
+        raise InternalError(
+            f"chain found in both parts of lam - m0/2 = {_parts_text(p_tw, q_tw)}"
+        )
     k_lam = max(k_p, k_q) or k0
 
     chain_k = k_lam if k_lam >= 1 else 0
-    sp = _split_cached(lam, m0, True, chain_k)
+    sp = _split_shifted(p_tw, q_tw, True, chain_k)
     r_lam = sp.x + sp.w
     s_lam = sp.z + sp.y
 
@@ -193,8 +203,14 @@ class _Tower:
     def dual_inv(self) -> NVInvariants:
         """Invariants of the conjugate dual, the swapped orientation."""
         if self._dual_inv is None:
-            dual = _conjugate_dual_m0(self.lam, self.m0)
-            self._dual_inv = invariants(dual, self.m0, self.inv.k0)
+            # The conjugate dual's lam - m0/2 is lam - m0/2 negated, each
+            # part reversed to descend again.
+            m0, lam = self.m0, self.lam
+            self._dual_inv = _invariants_shifted(
+                tuple([m0 - t for t in reversed(lam.p_tw)]),
+                tuple([m0 - t for t in reversed(lam.q_tw)]),
+                self.inv.k0,
+            )
         return self._dual_inv
 
     def decide(self, target: Signature) -> tuple[int, int, bool, str | None]:

@@ -28,12 +28,16 @@ m, then target form (r, s), and does each piece of work at the loop
 level it depends on, only for a check that asks for it:
 - per run, the table of target signatures, each built once;
 - per parameter, the tower invariants, in a tower object that decides
-  occurrence for all of its targets, as a plain tuple; li's lax split;
-  and, at its first nonzero target, path A (_LiftUp), path B (_Transfer,
-  _SigmaUnits) and the source character; their unit blocks follow m;
-- per size, at its first nonzero target, the globalization shadow's
-  deformation with its character, its lax split and its path B unit
-  blocks, since the deformation step grows with m;
+  occurrence for all of its targets, as a plain tuple, and reads the
+  conjugate dual's invariants from the parameter's own shifted parts;
+  li's lax split; and, at its first nonzero target, path A (_LiftUp),
+  path B (_Transfer, _SigmaUnits) and the globalization shadow
+  (_Globalization) with its lax split positions, source character and
+  own path B; all unit blocks follow m;
+- per size, at its first nonzero target, the shadow's deformation with
+  its transfer, character check and lax split, since the deformation
+  step grows with m; the shadow's path B is rebuilt only if the
+  deformation's tail moved;
 - per form, one decision and one path A lift, shared by the checks, then
   each check's own block, sign, step up the tower or window counts.
 li alone decides only the targets it finds sufficient. So a vanishing
@@ -170,11 +174,11 @@ class _Param:
     """
 
     __slots__ = ("lam", "k0", "m0", "n0", "n", "forms", "_tower", "split",
-                 "transfer", "sigma", "source", "shadow")
+                 "transfer", "sigma", "shadow")
 
     def __init__(self, lam: HCParam, k0: int, m0: int, n0: int, forms: list) -> None:
         self.lam, self.k0, self.m0, self.n0, self.n, self.forms = lam, k0, m0, n0, lam.sig.n, forms
-        self._tower = self.split = self.transfer = self.sigma = self.source = self.shadow = None
+        self._tower = self.split = self.transfer = self.sigma = self.shadow = None
 
     @property
     def tower(self) -> _Tower:
@@ -209,17 +213,20 @@ def _check_globalization(p: _Param, target: Signature, pos, aq, emit: bool) -> C
     if pos[3] is not None:
         return True, "vanishing", None
     m = target.n
-    if p.shadow is None or p.shadow.m != m:
-        p.source = p.source or eta_from_pi(p.lam)
+    if p.shadow is None:
+        p.shadow = _Globalization(p.lam, p.m0)
+    if p.shadow.m != m:
         t = (m - p.n) // 2 + 2  # ceil((m-n+1)/2) + 1
-        p.shadow = _Globalization(p.lam, _ctx(p.lam, p.m0, p.n0, m), t, p.source)
-    report = p.shadow.at(target, aq)
+        p.shadow.resize(_ctx(p.lam, p.m0, p.n0, m), t)
+    flags = p.shadow.at(target, aq)
+    passed = all(flags)
     record = None
-    if emit or not report.passed:
+    if emit or not passed:
+        report = p.shadow.report(flags)
         record = p.record(
             "globalization", target=_sig_json(target), t=report.t, report=report.to_json()
         )
-    return report.passed, "nonzero", record
+    return passed, "nonzero", record
 
 
 def _check_persistence(p: _Param, target: Signature, pos, aq, emit: bool) -> Case:
@@ -644,7 +651,12 @@ def _count(
 
 
 def iter_enumeration(bounds: EnumerationBounds) -> Iterator[dict]:
-    """Every lift decision in the window, as JSON-ready records."""
+    """The lift decisions of the window, as JSON-ready records.
+
+    For each parameter of size n it visits every target size of the
+    tower's parity below n, descending, then those from n + 1 to
+    n + max_m_minus_n, ascending; the equal-rank size m = n is skipped.
+    """
     forms = _forms_table(bounds)
     for lam, k0, m0, n0 in iter_params(bounds):
         n = lam.sig.n

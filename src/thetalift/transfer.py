@@ -18,19 +18,22 @@ has done both for the case, uses _Globalization directly.
 transfer_eta and verify_globalization are built from parts that depend
 on less than the case. _Transfer depends on the parameter and, through
 the zetas, on the parity of m - n only, so one serves every size of a
-tower. _Globalization takes the source character (phi, eta), which
-depends only on the parameter, from its caller and builds per target
-size the deformation, whose step t grows with m, the deformed character
-and its check, the deformed lax split and path B's unit blocks; per form
-it takes path A's lift from its caller and adds the e'_0 value, the
-sufficiency test and the comparison. Nothing is memoized.
+tower. _Globalization is built once per parameter and exponent m0: it
+holds the positions of the parameter's lax split, the source character
+(phi, eta) and path B's unit blocks. resize() moves it to one target
+size and builds what the size fixes: the deformation, whose step t grows
+with m, its transfer and character check, and its lax split. Path B's
+unit blocks follow the size while the deformation's tail stays the one
+they were built from and are rebuilt otherwise. Per form it takes path
+A's lift from its caller and adds the e'_0 value, the sufficiency test
+and the comparison. Nothing is memoized.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import HCParam, LiftContext, Signature, _split_cached, make_regular_deformation
+from .core import HCParam, LiftContext, Signature, _deformation, _split_cached
 from .errors import PreconditionViolation
 from .lifting import AqLambdaData, _LiftUp
 from .nonvanishing import _li_fits, occurs
@@ -168,47 +171,57 @@ def verify_globalization(
     m, n = ctx.target_dim, ctx.source_dim
     if m <= n:
         raise PreconditionViolation("globalization check needs a strictly larger target")
+    if not isinstance(t, int):
+        raise PreconditionViolation(f"deformation step must be a positive integer, got {t}")
     if 2 * t < m - n + 1:
         raise PreconditionViolation(f"t={t} is below the regularity bound (m-n+1)/2")
     nonzero, pos = occurs(lam, ctx.m0, target)
     if not nonzero:
         raise PreconditionViolation(f"lift vanishes: {pos.reason}")
     path_a = _LiftUp(lam, ctx).at(target)
-    return _Globalization(lam, ctx, t, eta_from_pi(lam)).at(target, path_a)
+    shadow = _Globalization(lam, ctx.m0)
+    shadow.resize(ctx, t)
+    return shadow.report(shadow.at(target, path_a))
 
 
 class _Globalization:
-    """verify_globalization() for one parameter and one target size m, split at the form.
+    """verify_globalization() for one parameter and exponent m0, split at the size and the form.
 
-    source is the parameter's undeformed (phi, eta), built once per
-    parameter by the caller. The deformation, its character check, its
-    lax split and path B's unit blocks are built once per size. at()
-    takes one form and the caller's path A lift to it, runs the
-    sufficiency test and hands path B only that form's e'_0 value.
+    Per parameter it holds the prefix lengths x and z of lam's lax split,
+    which fix where the deformation adds and where it subtracts, the
+    source character (phi, eta) and path B. resize() moves it to one
+    target size and step t: the deformation lam+, lam+'s own transfer and
+    lax split, and path B, rebuilt only if lam+'s tail moved. at() takes
+    one form and the caller's path A lift to it and returns the three
+    flags; report() turns them into a GlobalizationReport.
     """
 
-    __slots__ = ("t", "n", "m", "lam_plus", "eta_preserved", "split_plus",
-                 "transfer_plus", "path_b")
+    __slots__ = ("lam", "n", "x", "z", "phi", "eta", "path_b",
+                 "m", "t", "lam_plus", "transfer_plus", "eta_preserved", "split_plus")
 
-    def __init__(
-        self, lam: HCParam, ctx: LiftContext, t: int, source: tuple[LParameter, SignCharacter]
-    ) -> None:
-        phi, eta = source
-        lam_plus = make_regular_deformation(lam, ctx, t)
-        self.t, self.n, self.m = t, lam.sig.n, ctx.target_dim
-        self.lam_plus = lam_plus
-        self.transfer_plus = _Transfer(lam_plus, ctx)
-        self.eta_preserved = eta == self.transfer_plus.eta
+    def __init__(self, lam: HCParam, m0: int) -> None:
+        sp = _split_cached(lam, m0, False, 0)
+        self.lam, self.n, self.x, self.z = lam, lam.sig.n, sp.x, sp.z
+        self.phi, self.eta = eta_from_pi(lam)
+        self.path_b: _SigmaUnits | None = None
+        self.m: int | None = None
+
+    def resize(self, ctx: LiftContext, t: int) -> None:
+        """Move to the target size of ctx with deformation step t."""
+        lam_plus = _deformation(self.lam, self.x, self.z, t)
+        transfer_plus = _Transfer(lam_plus, ctx)
+        self.m, self.t = ctx.target_dim, t
+        self.lam_plus, self.transfer_plus = lam_plus, transfer_plus
+        self.eta_preserved = self.eta == transfer_plus.eta
         self.split_plus = _split_cached(lam_plus, ctx.m0, False, 0)
-        self.path_b = _SigmaUnits(build_a_parameter(phi, ctx), self.transfer_plus.tail)
+        if self.path_b is None or self.path_b.tail != transfer_plus.tail:
+            self.path_b = _SigmaUnits(build_a_parameter(self.phi, ctx), transfer_plus.tail)
 
-    def at(self, target: Signature, path_a: AqLambdaData) -> GlobalizationReport:
-        """The report for one target form of size m, given path A's lift to it."""
+    def at(self, target: Signature, path_a: AqLambdaData) -> tuple[bool, bool, bool]:
+        """(eta_preserved, li_holds, lift_matches) for one form of size m, given path A's lift."""
         sigma = self.path_b.at(self.transfer_plus.e0_at(target), target)
-        return GlobalizationReport(
-            t=self.t,
-            deformed=self.lam_plus,
-            eta_preserved=self.eta_preserved,
-            li_holds=_li_fits(self.split_plus, self.n, target),
-            lift_matches=sigma == path_a,
-        )
+        return self.eta_preserved, _li_fits(self.split_plus, self.n, target), sigma == path_a
+
+    def report(self, flags: tuple[bool, bool, bool]) -> GlobalizationReport:
+        """The report for at()'s flags at the current size."""
+        return GlobalizationReport(self.t, self.lam_plus, *flags)

@@ -1,10 +1,13 @@
 """Tower invariants, window counts, and the occurrence criterion."""
 
+from dataclasses import fields
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from thetalift import (
+    EnumerationBounds,
     HCParam,
     HalfInt,
     LiftContext,
@@ -19,6 +22,9 @@ from thetalift import (
     li_sufficient,
     occurs,
 )
+from thetalift.core import _conjugate_dual_m0
+from thetalift.nonvanishing import NVInvariants, _Tower
+from thetalift.suites import iter_params
 
 
 def _lam11():
@@ -204,3 +210,27 @@ def test_x_inf_is_the_fixpoint_of_pair_deletion(case):
         for t in part
     }
     assert inv.X_inf_tw == _delete_pairs_one_at_a_time(inv.X_tw, cls)
+
+
+def _assert_tower_dual_is_the_explicit_dual(lam, m0, k0):
+    tower = _Tower(lam, m0, invariants(lam, m0, k0))
+    explicit = invariants(_conjugate_dual_m0(lam, m0), m0, k0)
+    for f in fields(NVInvariants):
+        assert getattr(tower.dual_inv, f.name) == getattr(explicit, f.name), (str(lam), f.name)
+
+
+def test_tower_dual_invariants_at_the_benchmark_window():
+    # The tower reads the conjugate dual's invariants from lam's own
+    # shifted parts, negated and reversed; they must be those of the
+    # explicit dual parameter in every field, the strict split included.
+    bounds = EnumerationBounds(max_n=3, max_m_minus_n=4, height=half(7))
+    count = 0
+    for lam, k0, m0, _n0 in iter_params(bounds):
+        _assert_tower_dual_is_the_explicit_dual(lam, m0, k0)
+        count += 1
+    assert count == 954
+
+
+@given(_params_at_exponent())
+def test_tower_dual_invariants_beyond_the_window(case):
+    _assert_tower_dual_is_the_explicit_dual(*case)

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from thetalift import (
     AqLambdaData,
     ChamberAmbiguous,
+    EnumerationBounds,
     GlobalizationReport,
     HCParam,
     HalfInt,
@@ -19,13 +20,16 @@ from thetalift import (
     half,
     lift_down,
     lift_up,
+    make_regular_deformation,
     occurs,
     sigma_from_eta_prime,
+    transfer,
     transfer_eta,
     verify_globalization,
     zeta_signs,
 )
 from thetalift.packets import LParameter
+from thetalift.suites import iter_params
 
 from strategies import wide_params
 
@@ -119,6 +123,89 @@ def test_globalization_guards():
         verify_globalization(lam, ctx, Signature(4, 0), 3)  # vanishing lift
     with pytest.raises(PreconditionViolation):
         verify_globalization(lam, LiftContext(0, 0, 2, 2), Signature(1, 1), 3)
+
+
+# The shadow's window: every nonzero target above n at n <= 2, m - n <= 5.
+SHADOW = EnumerationBounds(max_n=2, max_m_minus_n=5, height=half(7))
+
+
+def _up_ctxs(lam, m0, n0, max_dm):
+    """(ctx, t) for each target size above n of m0's parity, t as the walk picks it."""
+    n = lam.sig.n
+    for m in range(n + 1, n + max_dm + 1):
+        if (m - m0) % 2 == 0:
+            yield LiftContext(m0, n0, n, m), (m - n) // 2 + 2
+
+
+def _nonzero_targets(lam, ctx):
+    for r in range(ctx.target_dim + 1):
+        target = Signature(r, ctx.target_dim - r)
+        if occurs(lam, ctx.m0, target)[0]:
+            yield target
+
+
+def test_size_following_shadow_matches_fresh_builds():
+    # One shadow per parameter, moved from size to size as the walk moves
+    # it, reports what a shadow built for the one size reports.
+    nonzero = followed = 0
+    for lam, _k0, m0, n0 in iter_params(SHADOW):
+        shadow = transfer._Globalization(lam, m0)
+        for ctx, t in _up_ctxs(lam, m0, n0, SHADOW.max_m_minus_n):
+            for target in _nonzero_targets(lam, ctx):
+                if shadow.m != ctx.target_dim:
+                    held = shadow.path_b
+                    shadow.resize(ctx, t)
+                    followed += shadow.path_b is held
+                report = shadow.report(shadow.at(target, lift_up(lam, ctx, target)))
+                assert report == verify_globalization(lam, ctx, target, t), (str(lam), target)
+                nonzero += 1
+    # Every later size of a parameter keeps path B: the tail does not move here.
+    assert (nonzero, followed) == (1826, 324)
+
+
+def test_shadow_rebuilds_path_b_when_the_tail_moves(monkeypatch):
+    # Path B follows the size while the deformation's tail holds. A tail
+    # that moves at one size must rebuild it from that tail, so the report
+    # is again a fresh one-size build's, and differs from the unmoved one.
+    lam = HCParam(Signature(1, 1), (half(1), half(-1)))
+    sizes = list(_up_ctxs(lam, 0, 0, 6))
+    shadow = transfer._Globalization(lam, 0)
+    shadow.resize(*sizes[0])
+    held = shadow.path_b
+    shadow.resize(*sizes[1])
+    assert shadow.path_b is held
+
+    class MovedTail(transfer._Transfer):
+        """_Transfer with its tail negated: the product, so the sign gate, is kept."""
+
+        def __init__(self, lam, ctx):
+            super().__init__(lam, ctx)
+            self.tail = tuple(-v for v in self.tail)
+
+    ctx, t = sizes[2]
+    unpatched = [(target, verify_globalization(lam, ctx, target, t))
+                 for target in _nonzero_targets(lam, ctx)]
+    monkeypatch.setattr(transfer, "_Transfer", MovedTail)
+    shadow.resize(ctx, t)
+    assert shadow.path_b is not held
+    assert shadow.path_b.tail == MovedTail(shadow.lam_plus, ctx).tail != held.tail
+    moved = 0
+    for target, before in unpatched:
+        report = shadow.report(shadow.at(target, lift_up(lam, ctx, target)))
+        assert report == verify_globalization(lam, ctx, target, t)
+        moved += report != before
+    assert moved
+
+
+def test_shadow_deformation_is_make_regular_deformation():
+    # The shadow splits lam once per parameter; the deformation it builds
+    # per size is the public one at that size's context.
+    for lam, _k0, m0, n0 in iter_params(SHADOW):
+        shadow = transfer._Globalization(lam, m0)
+        for ctx, _t in _up_ctxs(lam, m0, n0, SHADOW.max_m_minus_n):
+            for t in range(1, 7):
+                shadow.resize(ctx, t)
+                assert shadow.lam_plus == make_regular_deformation(lam, ctx, t), (str(lam), t)
 
 
 @settings(max_examples=150, deadline=None)
