@@ -14,14 +14,18 @@ entry sets run in lexicographic order over the descending value
 universe, and part assignments count up in binary. Deterministic
 output follows from deterministic iteration.
 
-The growth suites, two_path, globalization, persistence and li, check
-the same cases, so walk() enumerates them once and feeds each case to
-any subset of their check functions; each of their SUITES entries is
-the walk with one check. _count() is the one loop that counts a case
-stream's cases, failures and tags: run_suite() feeds it a suite from
-the SUITES registry, run_suites() several growth checks in one walk,
-and tally() any stream, such as suite_ktypes, whose (max_run, height)
-grid is not an EnumerationBounds window and so stays out of SUITES.
+walk() is the one loop over iter_params. Per parameter it visits the
+target sizes below n, descending, then those above n, ascending, only
+those a requested check needs: round_trip checks the down targets;
+two_path, globalization, persistence and li the up targets; duality
+runs once per parameter after its last target; enumerate, behind
+iter_enumeration() and not a suite, checks both. Each other walked
+SUITES entry is the walk with one check. The walk tags each case with
+its check's index, and _count() is the one loop that counts a case
+stream's cases, failures and tags under that index: run_suite() feeds
+it a suite from the SUITES registry, run_suites() several of the walk's
+checks in one walk, and tally() any stream, such as suite_ktypes, whose
+(max_run, height) grid is not an EnumerationBounds window.
 
 No suite relies on a cache. The walk loops parameter, then target size
 m, then target form (r, s), and does each piece of work at the loop
@@ -30,7 +34,7 @@ level it depends on, only for a check that asks for it:
 - per parameter, the tower invariants, in a tower object that decides
   occurrence for all of its targets, as a plain tuple, and reads the
   conjugate dual's invariants from the parameter's own shifted parts;
-  li's lax split; and, at its first nonzero target, path A (_LiftUp),
+  li's lax split; and, at its first nonzero up target, path A (_LiftUp),
   path B (_Transfer, _SigmaUnits) and the globalization shadow
   (_Globalization) with its lax split positions, source character and
   own path B; all unit blocks follow m;
@@ -38,16 +42,19 @@ level it depends on, only for a check that asks for it:
   its transfer, character check and lax split, since the deformation
   step grows with m; the shadow's path B is rebuilt only if the
   deformation's tail moved;
-- per form, one decision and one path A lift, shared by the checks, then
-  each check's own block, sign, step up the tower or window counts.
+- per form, one decision and one lift, down by _lift_down or up by path
+  A, shared by the checks, then each check's own block, sign, reverse
+  lift, step up the tower or window counts.
 li alone decides only the targets it finds sufficient. So a vanishing
-case costs only its decision or its sufficiency test. That state is
-dropped when the loop moves on, so memory stays flat however large the
-window. The checks call the unchecked private halves (_LiftUp,
-_Transfer, _SigmaUnits, _Globalization), not the public functions,
-which would decide occurrence again and rebuild the shared parts per
-call. The walk shares results, not routes: the two derivation routes
-stay separate objects, each the other's oracle.
+case costs only its decision or its sufficiency test. duality reads the
+walk's decisions on the parameter's own tower and decides only the
+transposed targets on the dual's. That state is dropped when the loop
+moves on, so memory stays flat however large the window. The checks
+call the unchecked private halves (_LiftUp, _lift_down, _Transfer,
+_SigmaUnits, _Globalization), not the public functions, which would
+decide occurrence again and rebuild the shared parts per call. The walk
+shares results, not routes: the two derivation routes stay separate
+objects, each the other's oracle.
 """
 
 from __future__ import annotations
@@ -55,6 +62,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import partial
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
@@ -96,6 +104,7 @@ from .packets import (
 from .transfer import _Globalization, _Transfer
 
 Case = tuple[bool, str, dict | None]
+Tagged = tuple[int, Case]  # a case and the index of the walk check that made it
 
 
 @dataclass(frozen=True, slots=True)
@@ -125,28 +134,19 @@ def iter_params(bounds: EnumerationBounds) -> Iterator[tuple[HCParam, int, int, 
     """
     for n in range(1, bounds.max_n + 1):
         n0 = n % 2
+        # Bit i of a mask puts combo[i] in the q-part. Per mask: the
+        # signature, and the p-part's then the q-part's indices into combo.
+        masks = []
+        for mask in range(1 << n):
+            p_at = tuple(i for i in range(n) if not (mask >> i) & 1)
+            q_at = tuple(i for i in range(n) if (mask >> i) & 1)
+            masks.append((Signature(len(p_at), len(q_at)), p_at + q_at))
         for k0 in (0, -1):
             m0 = (n + k0) % 2
             universe = _value_universe(bounds.height.twice, (k0 - 1) % 2)
             for combo in itertools.combinations(universe, n):
-                for mask in range(1 << n):
-                    p_tw = [combo[i] for i in range(n) if not (mask >> i) & 1]
-                    q_tw = [combo[i] for i in range(n) if (mask >> i) & 1]
-                    lam = HCParam.from_twices(
-                        Signature(len(p_tw), len(q_tw)),
-                        tuple(t + m0 for t in p_tw + q_tw),
-                    )
-                    yield lam, k0, m0, n0
-
-
-def _up_sizes(n: int, m0: int, max_dm: int) -> list[int]:
-    """Target sizes above n of the parity of m0, ascending."""
-    return [m for m in range(n + 1, n + max_dm + 1) if (m - m0) % 2 == 0]
-
-
-def _down_sizes(n: int, m0: int) -> list[int]:
-    """Target sizes below n of the parity of m0, descending."""
-    return [m for m in range(n - 1, -1, -1) if (m - m0) % 2 == 0]
+                for sig, at in masks:
+                    yield HCParam.from_twices(sig, tuple([combo[i] + m0 for i in at])), k0, m0, n0
 
 
 def _forms_table(bounds: EnumerationBounds) -> list[tuple[Signature, ...]]:
@@ -171,13 +171,20 @@ class _Param:
     """The walk's state for one parameter, each part built when a check first asks.
 
     So li alone computes the tower's invariants only at a sufficient target.
+    downs and ups are the target sizes of m0's parity below n, descending,
+    and from n + 1 to n + dm, ascending (k0 = 0 keeps n's parity, k0 = -1
+    flips it); occurs says, per up target, whether the lift occurs.
     """
 
-    __slots__ = ("lam", "k0", "m0", "n0", "n", "forms", "_tower", "split",
-                 "transfer", "sigma", "shadow")
+    __slots__ = ("lam", "k0", "m0", "n0", "n", "forms", "downs", "ups", "occurs", "_tower",
+                 "split", "transfer", "sigma", "shadow")
 
-    def __init__(self, lam: HCParam, k0: int, m0: int, n0: int, forms: list) -> None:
-        self.lam, self.k0, self.m0, self.n0, self.n, self.forms = lam, k0, m0, n0, lam.sig.n, forms
+    def __init__(self, lam: HCParam, k0: int, m0: int, n0: int, forms: list, dm: int) -> None:
+        n = lam.sig.n
+        self.lam, self.k0, self.m0, self.n0, self.n, self.forms = lam, k0, m0, n0, n, forms
+        self.downs = range(n - 2 - k0, -1, -2)
+        self.ups = range(n + 2 + k0, n + dm + 1, 2)
+        self.occurs: list[bool] = []
         self._tower = self.split = self.transfer = self.sigma = self.shadow = None
 
     @property
@@ -258,123 +265,139 @@ def _check_li(p: _Param, target: Signature, pos, aq, emit: bool) -> Case:
     return ok, "sufficient", record
 
 
-_CHECKS = {"two_path": _check_two_path, "globalization": _check_globalization,
-           "persistence": _check_persistence, "li": _check_li}
-
-
-def walk(bounds: EnumerationBounds, emit: bool = True, *, names: Sequence[str]) -> Iterator[Case]:
-    """The named growth checks on every target above n in the window.
-
-    Yields one Case per check per target, in the order of names. A target
-    is decided at most once, up front unless li runs alone, and lifted by
-    path A at most once. Each check takes the _Param, the target, its
-    decision (l, t, swapped, reason) or None, path A's lift or None, and emit.
-    """
-    checks = [_CHECKS[name] for name in names]
-    decide_all = any(name != "li" for name in names)
-    lifts = "two_path" in names or "globalization" in names
-    forms = _forms_table(bounds)
-    for lam, k0, m0, n0 in iter_params(bounds):
-        p = _Param(lam, k0, m0, n0, forms)
-        decide = p.tower.decide if decide_all else None
-        up = None
-        for m in _up_sizes(p.n, m0, bounds.max_m_minus_n):
-            for target in forms[m]:
-                pos = aq = None
-                if decide_all:
-                    pos = decide(target)
-                    if lifts and pos[3] is None:
-                        if up is None:
-                            up = _LiftUp(lam, _ctx(lam, m0, n0, m))
-                        aq = up.at(target)
-                for check in checks:
-                    yield check(p, target, pos, aq, emit)
-
-
-def suite_round_trip(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case]:
+def _check_round_trip(p: _Param, target: Signature, pos, sigma, emit: bool) -> Case:
     """Lift down, lift back up, compare characters and parameters."""
+    if pos[3] is not None:
+        return True, "vanishing", None
+    # The reverse lift's occurrence is part of what is checked, so it
+    # goes through the public, checking lift_up.
+    back = lift_up(sigma, _ctx(p.lam, p.m0, p.n0, target.n).reversed(), p.lam.sig)
+    inf_ok = tuple(sorted(p.lam.entries_tw, reverse=True)) == _aq_infinitesimal_twices(back)
+    ds_ok = True
+    try:
+        ds_ok = aq_to_discrete_series(back) == p.lam
+        ds_status = "match" if ds_ok else "wrong_parameter"
+    except ChamberAmbiguous:
+        ds_status = "chamber_ambiguous"
+    except NotCompactLevi:
+        ds_status = "not_compact"
+    except NotGoodRange:
+        ds_status = "not_good_range"
+    ok = inf_ok and ds_ok
+    record = None
+    if emit or not ok:
+        record = p.record(
+            "round_trip", target=_sig_json(target), sigma=sigma.to_json(),
+            inf_char_ok=inf_ok, ds_status=ds_status,
+        )
+    return ok, ds_status, record
+
+
+def _check_duality(p: _Param, emit: bool) -> Case:
+    """Conjugate-dual invariants and occurrence symmetry, on the walk's decisions."""
+    lam, m0, forms = p.lam, p.m0, p.forms
+    dual = _conjugate_dual_m0(lam, m0)
+    involution_ok = _conjugate_dual_m0(dual, m0) == lam
+    inv = p.tower.inv
+    inv_d = invariants(dual, m0, p.k0)
+    # lam is dual's conjugate dual whenever the involution holds. lam's
+    # tower read the dual's invariants from lam's shifted parts, so the
+    # occurrence match also compares the two derivations.
+    tower_d = _Tower(dual, m0, inv_d, inv if involution_ok else None)
+    k_ok = inv_d.k_lambda == inv.k_lambda
+    rs_ok = (inv_d.r_lambda, inv_d.s_lambda) == (inv.s_lambda, inv.r_lambda)
+    decide = tower_d.decide
+    # forms[m] runs (0, m), ..., (m, 0), so reversed it lists the transposes.
+    transposed = itertools.chain.from_iterable(reversed(forms[m]) for m in p.ups)
+    occ_ok = [decide(target)[3] is None for target in transposed] == p.occurs
+    ok = involution_ok and k_ok and rs_ok and occ_ok
+    record = None
+    if emit or not ok:
+        record = p.record(
+            "duality", dual=dual.to_json(), involution_ok=involution_ok, k_ok=k_ok,
+            rs_swap_ok=rs_ok, occurs_match=occ_ok,
+        )
+    return ok, "checked", record
+
+
+def _check_enumerate(p: _Param, target: Signature, pos, lifted, emit: bool) -> Case:
+    """The lift's decision and value, as an enumerate record; never fails."""
+    nonzero = pos[3] is None
+    if not nonzero:
+        result = LiftResult.vanishes()
+    elif target.n < p.n:
+        result = LiftResult.discrete_series(lifted)
+    else:
+        result = LiftResult.weakly_fair(lifted)
+    record = None
+    if emit:
+        record = {"lambda": p.lam.to_json(), "m0": p.m0, "n0": p.n0, "target": _sig_json(target),
+                  "occurs": nonzero, "position": TowerPosition(*pos).to_json(),
+                  "result": result.to_json()}
+    return True, "nonzero" if nonzero else "vanishing", record
+
+
+# name: (check, where it runs): on the down or up targets, or once per
+# parameter ("last"), after its last target.
+_CHECKS = {
+    "two_path": (_check_two_path, ("up",)), "globalization": (_check_globalization, ("up",)),
+    "persistence": (_check_persistence, ("up",)), "li": (_check_li, ("up",)),
+    "round_trip": (_check_round_trip, ("down",)), "duality": (_check_duality, ("last",)),
+    "enumerate": (_check_enumerate, ("down", "up")),
+}
+
+
+def walk(bounds: EnumerationBounds, emit: bool = True, *, names: Sequence[str]) -> Iterator[Tagged]:
+    """The named checks on the window: (i, case) pairs, i the check's index in names.
+
+    Per parameter: the down targets, sizes descending, then the up targets,
+    ascending, each with its checks in the order of names; then the
+    per-parameter checks. A target is decided at most once, up front
+    unless li runs alone, and lifted at most once, by _lift_down or path
+    A. A per-form check takes the _Param, the target, its decision
+    (l, t, swapped, reason) or None, the lift or None, and emit.
+    """
+    down, up, last = (
+        [(i, _CHECKS[name][0]) for i, name in enumerate(names) if where in _CHECKS[name][1]]
+        for where in ("down", "up", "last")
+    )
+    # duality reads every up target's decision.
+    decide_up = bool(last) or any(names[i] != "li" for i, _ in up)
+    lifts_up = any(name in ("two_path", "globalization", "enumerate") for name in names)
     forms = _forms_table(bounds)
     for lam, k0, m0, n0 in iter_params(bounds):
-        tower = _Tower(lam, m0, invariants(lam, m0, k0))
-        sizes = _down_sizes(lam.sig.n, m0)
-        for target in itertools.chain.from_iterable(forms[m] for m in sizes):
-            if tower.decide(target)[3] is not None:
-                yield True, "vanishing", None
-                continue
-            ctx = _ctx(lam, m0, n0, target.n)
-            sigma = _lift_down(lam, ctx, target)
-            # The reverse lift's occurrence is part of what is checked,
-            # so it goes through the public, checking lift_up.
-            back = lift_up(sigma, ctx.reversed(), lam.sig)
-            want = tuple(sorted(lam.entries_tw, reverse=True))
-            got = _aq_infinitesimal_twices(back)
-            inf_ok = want == got
-            ds_status = "match"
-            ds_ok = True
-            try:
-                resolved = aq_to_discrete_series(back)
-                ds_ok = resolved == lam
-                if not ds_ok:
-                    ds_status = "wrong_parameter"
-            except ChamberAmbiguous:
-                ds_status = "chamber_ambiguous"
-            except NotCompactLevi:
-                ds_status = "not_compact"
-            except NotGoodRange:
-                ds_status = "not_good_range"
-            ok = inf_ok and ds_ok
-            record = None
-            if emit or not ok:
-                record = {
-                    "suite": "round_trip",
-                    "lambda": lam.to_json(),
-                    "m0": m0,
-                    "target": _sig_json(target),
-                    "sigma": sigma.to_json(),
-                    "inf_char_ok": inf_ok,
-                    "ds_status": ds_status,
-                }
-            yield ok, ds_status, record
+        p = _Param(lam, k0, m0, n0, forms, bounds.max_m_minus_n)
+        if down:
+            decide = p.tower.decide
+            for m in p.downs:
+                ctx = _ctx(lam, m0, n0, m)
+                for target in forms[m]:
+                    pos = decide(target)
+                    sigma = _lift_down(lam, ctx, target) if pos[3] is None else None
+                    for i, check in down:
+                        yield i, check(p, target, pos, sigma, emit)
+        if up or last:
+            decide = p.tower.decide if decide_up else None
+            occurs, lift = p.occurs.append, None
+            for m in p.ups:
+                for target in forms[m]:
+                    pos = aq = None
+                    if decide_up:
+                        pos = decide(target)
+                        occurs(pos[3] is None)
+                        if lifts_up and pos[3] is None:
+                            if lift is None:
+                                lift = _LiftUp(lam, _ctx(lam, m0, n0, m))
+                            aq = lift.at(target)
+                    for i, check in up:
+                        yield i, check(p, target, pos, aq, emit)
+        for i, check in last:
+            yield i, check(p, emit)
 
 
-def suite_duality(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case]:
-    """Conjugate-dual invariants and occurrence symmetry."""
-    forms = _forms_table(bounds)
-    for lam, k0, m0, _n0 in iter_params(bounds):
-        n = lam.sig.n
-        dual = _conjugate_dual_m0(lam, m0)
-        involution_ok = _conjugate_dual_m0(dual, m0) == lam
-        inv = invariants(lam, m0, k0)
-        inv_d = invariants(dual, m0, k0)
-        # dual is lam's conjugate dual, and lam is dual's whenever the
-        # involution holds, so each tower takes the other's invariants.
-        tower = _Tower(lam, m0, inv, inv_d)
-        tower_d = _Tower(dual, m0, inv_d, inv if involution_ok else None)
-        k_ok = inv_d.k_lambda == inv.k_lambda
-        rs_ok = (inv_d.r_lambda, inv_d.s_lambda) == (inv.s_lambda, inv.r_lambda)
-        occ_ok = True
-        sizes = _up_sizes(n, m0, bounds.max_m_minus_n)
-        for target in itertools.chain.from_iterable(forms[m] for m in sizes):
-            # forms[m][q] is the transposed target (q, p).
-            a = tower.decide(target)[3] is None
-            b = tower_d.decide(forms[target.n][target.q])[3] is None
-            if a != b:
-                occ_ok = False
-                break
-        ok = involution_ok and k_ok and rs_ok and occ_ok
-        record = None
-        if emit or not ok:
-            record = {
-                "suite": "duality",
-                "lambda": lam.to_json(),
-                "m0": m0,
-                "dual": dual.to_json(),
-                "involution_ok": involution_ok,
-                "k_ok": k_ok,
-                "rs_swap_ok": rs_ok,
-                "occurs_match": occ_ok,
-            }
-        yield ok, "checked", record
+def _suite(bounds: EnumerationBounds, emit: bool = True, *, name: str) -> Iterator[Case]:
+    """One check's cases from the walk, untagged: a SUITES entry."""
+    return map(itemgetter(1), walk(bounds, emit, names=(name,)))
 
 
 def suite_eta_prime(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case]:
@@ -588,15 +611,9 @@ def _ktype_case(a, b, c, d, group: _KTypeGroup, emit: bool) -> Case:
 
 
 SUITES: dict[str, Callable[..., Iterator[Case]]] = {
-    "two_path": partial(walk, names=("two_path",)),
-    "round_trip": suite_round_trip,
-    "duality": suite_duality,
-    "persistence": partial(walk, names=("persistence",)),
-    "li": partial(walk, names=("li",)),
-    "eta_prime": suite_eta_prime,
-    "packets": suite_packets,
-    "globalization": partial(walk, names=("globalization",)),
+    name: partial(_suite, name=name) for name in _CHECKS if name != "enumerate"
 }
+SUITES.update(eta_prime=suite_eta_prime, packets=suite_packets)
 
 
 @dataclass
@@ -625,7 +642,12 @@ def run_suites(
     emit: bool = False,
     sink: Callable[[dict], None] | None = None,
 ) -> list[SuiteSummary]:
-    """Drive several growth checks through one walk: one summary per name, in order."""
+    """Drive distinct checks of the walk through one walk: one summary per name, in order."""
+    if not set(names) <= _CHECKS.keys() or len(set(names)) != len(names):
+        raise ValueError(
+            f"run_suites takes distinct names among the walk's checks "
+            f"({', '.join(_CHECKS)}), got {list(names)}"
+        )
     return _count([SuiteSummary(name) for name in names], walk(bounds, emit, names=names), sink)
 
 
@@ -633,14 +655,15 @@ def tally(
     name: str, cases: Iterable[Case], sink: Callable[[dict], None] | None = None
 ) -> SuiteSummary:
     """Count the cases, failures and tags of any case stream; pass records to sink."""
-    return _count([SuiteSummary(name)], cases, sink)[0]
+    return _count([SuiteSummary(name)], zip(itertools.repeat(0), cases), sink)[0]
 
 
 def _count(
-    summaries: list[SuiteSummary], cases: Iterable[Case], sink: Callable[[dict], None] | None
+    summaries: list[SuiteSummary], cases: Iterable[Tagged], sink: Callable[[dict], None] | None
 ) -> list[SuiteSummary]:
-    """Count a stream whose cases go to the summaries in turn, one each."""
-    for summary, (ok, tag, record) in zip(itertools.cycle(summaries), cases):
+    """Count a stream of (i, case) pairs, each case under summaries[i]."""
+    for i, (ok, tag, record) in cases:
+        summary = summaries[i]
         summary.cases += 1
         summary.tags[tag] = summary.tags.get(tag, 0) + 1
         if not ok:
@@ -653,34 +676,9 @@ def _count(
 def iter_enumeration(bounds: EnumerationBounds) -> Iterator[dict]:
     """The lift decisions of the window, as JSON-ready records.
 
-    For each parameter of size n it visits every target size of the
-    tower's parity below n, descending, then those from n + 1 to
-    n + max_m_minus_n, ascending; the equal-rank size m = n is skipped.
+    The walk's enumerate check: for each parameter of size n it visits
+    every target size of the tower's parity below n, descending, then
+    those from n + 1 to n + max_m_minus_n, ascending; the equal-rank size
+    m = n is skipped.
     """
-    forms = _forms_table(bounds)
-    for lam, k0, m0, n0 in iter_params(bounds):
-        n = lam.sig.n
-        tower = _Tower(lam, m0, invariants(lam, m0, k0))
-        up = None
-        for m in _down_sizes(n, m0) + _up_sizes(n, m0, bounds.max_m_minus_n):
-            for target in forms[m]:
-                pos = tower.decide(target)
-                nonzero = pos[3] is None
-                if not nonzero:
-                    result = LiftResult.vanishes()
-                elif m < n:
-                    ctx = _ctx(lam, m0, n0, m)
-                    result = LiftResult.discrete_series(_lift_down(lam, ctx, target))
-                else:
-                    if up is None:
-                        up = _LiftUp(lam, _ctx(lam, m0, n0, m))
-                    result = LiftResult.weakly_fair(up.at(target))
-                yield {
-                    "lambda": lam.to_json(),
-                    "m0": m0,
-                    "n0": n0,
-                    "target": _sig_json(target),
-                    "occurs": nonzero,
-                    "position": TowerPosition(*pos).to_json(),
-                    "result": result.to_json(),
-                }
+    return (record for _i, (_ok, _tag, record) in walk(bounds, names=("enumerate",)))

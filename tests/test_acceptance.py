@@ -1,8 +1,10 @@
 """Acceptance gate: the eight shipping criteria, each as one test.
 
 Every criterion runs at its stated bounds, so this module is the slow
-one (a few minutes on one core). Criteria 1, 5 and 7 read their growth
-suites from one walk over the shared cases. Case totals are frozen:
+one (a few minutes on one core). Criteria 1, 3, 5 and 7 read their
+suites from one walk over the down and up targets of every parameter:
+round_trip checks each down target, the growth checks each up target,
+and duality each parameter. Case totals are frozen:
 enumeration is deterministic, and a silent change in the universe is as
 much a regression as a wrong answer.
 """
@@ -30,9 +32,9 @@ PACKET_BOUNDS = EnumerationBounds(max_n=6, max_m_minus_n=1, height=half(11))
 
 
 @pytest.fixture(scope="module")
-def growth():
-    """two_path, globalization, persistence and li in one walk at FULL, by name."""
-    names = ("two_path", "globalization", "persistence", "li")
+def walked():
+    """The growth checks, round_trip and duality in one walk at FULL, by name."""
+    names = ("two_path", "globalization", "persistence", "li", "round_trip", "duality")
     return dict(zip(names, run_suites(names, FULL)))
 
 
@@ -41,8 +43,8 @@ def blocks(result):
     return [(p, q, half(lam_tw)) for p, q, lam_tw in result.aq.triples]
 
 
-def test_criterion_1_two_path_equivalence(criterion, growth):
-    summary = growth["two_path"]
+def test_criterion_1_two_path_equivalence(criterion, walked):
+    summary = walked["two_path"]
     detail = (
         f"{summary.cases} cases, {summary.tags.get('nonzero', 0)} nonzero, "
         f"{summary.failures} mismatches"
@@ -95,8 +97,8 @@ def test_criterion_2_worked_cases(criterion):
     )
 
 
-def test_criterion_3_round_trip(criterion):
-    summary = run_suite("round_trip", FULL)
+def test_criterion_3_round_trip(criterion, walked):
+    summary = walked["round_trip"]
     ambiguous = summary.tags.get("chamber_ambiguous", 0)
     detail = (
         f"{summary.cases} cases, {summary.tags.get('match', 0)} exact matches, "
@@ -119,10 +121,10 @@ def test_criterion_4_sign_gate_reproof(criterion):
     criterion(4, "sign gate, closed form vs product form", passed, detail)
 
 
-def test_criterion_5_nonvanishing_consistency(criterion, growth):
-    li = growth["li"]
-    duality = run_suite("duality", FULL)
-    persistence = growth["persistence"]
+def test_criterion_5_nonvanishing_consistency(criterion, walked):
+    li = walked["li"]
+    duality = walked["duality"]
+    persistence = walked["persistence"]
     detail = (
         f"sufficiency {li.cases} cases ({li.tags.get('sufficient', 0)} sufficient), "
         f"duality {duality.cases}, persistence {persistence.cases}; "
@@ -144,8 +146,8 @@ def test_criterion_6_packet_bijections(criterion):
     criterion(6, "packet bijections", passed, detail)
 
 
-def test_criterion_7_globalization_shadow(criterion, growth):
-    summary = growth["globalization"]
+def test_criterion_7_globalization_shadow(criterion, walked):
+    summary = walked["globalization"]
     cases, failures, tags = summary.cases, summary.failures, summary.tags
     detail = (
         f"{cases} cases, {tags.get('nonzero', 0)} nonzero lifts deformed, "

@@ -44,8 +44,9 @@ COUNTS = {
 }
 
 
-# The suites that run as checks of one walk over the growth targets.
-GROWTH = ("two_path", "globalization", "persistence", "li")
+# The suites that run as checks of one walk: the growth checks on the up
+# targets, round_trip on the down targets, duality once per parameter.
+WALKED = ("two_path", "globalization", "persistence", "li", "round_trip", "duality")
 
 
 def _window(name):
@@ -61,7 +62,7 @@ def test_suites_retain_no_memory():
         before = tracemalloc.get_traced_memory()[0]
         for name in SUITES:
             run_suite(name, _window(name))
-        run_suites(GROWTH, ENUMERATION)
+        run_suites(WALKED, ENUMERATION)
         gc.collect()
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
@@ -75,9 +76,9 @@ def test_suite_counts_at_the_benchmark_windows():
         summary = run_suite(name, _window(name))
         cases, tags = COUNTS[name]
         assert (summary.failures, summary.cases, summary.tags) == (0, cases, tags), name
-    # The four growth checks in one walk count what each counts alone.
-    fused = run_suites(GROWTH, ENUMERATION)
-    assert [summary.name for summary in fused] == list(GROWTH)
+    # The walked checks in one walk count what each counts alone.
+    fused = run_suites(WALKED, ENUMERATION)
+    assert [summary.name for summary in fused] == list(WALKED)
     for summary in fused:
         cases, tags = COUNTS[summary.name]
         assert (summary.failures, summary.cases, summary.tags) == (0, cases, tags), summary.name
@@ -88,20 +89,57 @@ def test_fused_walk_keeps_each_suites_records_and_failures(monkeypatch):
     # order; a failing check is counted under its own name only.
     small = EnumerationBounds(max_n=2, max_m_minus_n=3, height=half(5))
     stream = []
-    fused = run_suites(GROWTH, small, emit=True, sink=stream.append)
-    for name in GROWTH:
+    fused = run_suites(WALKED, small, emit=True, sink=stream.append)
+    for name in WALKED:
         solo = []
         run_suite(name, small, emit=True, sink=solo.append)
         assert solo and [r for r in stream if r["suite"] == name] == solo, name
     # A window count of 1 breaks li's claim on every sufficient target.
     monkeypatch.setattr(suites, "c_count", lambda inv, sign, t: 1)
-    broken = run_suites(GROWTH, small)
+    broken = run_suites(WALKED, small)
     for before, after in zip(fused, broken):
         if before.name == "li":
             assert after.failures == before.tags["sufficient"] > 0
             assert (after.cases, after.tags) == (before.cases, before.tags)
         else:
             assert after == before, before.name
+
+
+def _failures_with(monkeypatch, attr, broken):
+    """Failures per walked check in one fused walk with suites.<attr> patched.
+
+    Every check must still count the cases and tags it counts unbroken.
+    """
+    monkeypatch.setattr(suites, attr, broken)
+    failures = {}
+    for summary in run_suites(WALKED, ENUMERATION):
+        cases, tags = COUNTS[summary.name]
+        assert (summary.cases, summary.tags) == (cases, tags), summary.name
+        failures[summary.name] = summary.failures
+    return failures
+
+
+def test_a_failing_down_target_check_is_counted_under_its_own_name(monkeypatch):
+    # round_trip yields only on the down targets, so its failures must
+    # not shift onto the up-target checks that share the walk. A wrong
+    # infinitesimal character fails each of the 174 nonzero down targets.
+    failures = _failures_with(monkeypatch, "_aq_infinitesimal_twices", lambda aq: ())
+    assert failures == {**dict.fromkeys(WALKED, 0), "round_trip": 174}
+
+
+def test_a_failing_per_parameter_check_is_counted_under_its_own_name(monkeypatch):
+    # duality yields once per parameter, after the parameter's targets.
+    # A conjugate dual that returns the parameter itself breaks the swap
+    # of r and s wherever they differ; no other check reads it.
+    failures = _failures_with(monkeypatch, "_conjugate_dual_m0", lambda lam, m0: lam)
+    assert failures == {**dict.fromkeys(WALKED, 0), "duality": 878}
+
+
+def test_run_suites_takes_each_walked_check_once():
+    served = r"\(two_path, globalization, persistence, li, round_trip, duality, enumerate\)"
+    for names in (["eta_prime"], ["li", "nope"], ["li", "li"]):
+        with pytest.raises(ValueError, match=served):
+            run_suites(names, ENUMERATION)
 
 
 def _package_modules():
@@ -149,7 +187,7 @@ def test_no_process_wide_caches():
     # lengths must still be those of a fresh interpreter.
     for name in SUITES:
         run_suite(name, _window(name))
-    run_suites(GROWTH, ENUMERATION)
+    run_suites(WALKED, ENUMERATION)
     tally("ktypes", suites.suite_ktypes(emit=False, max_run=1, height=2))
     modules = [name for name, _ in _package_modules()]
     fresh = subprocess.run(
