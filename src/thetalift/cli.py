@@ -34,6 +34,7 @@ from .core import (
     LiftContext,
     Signature,
     _conjugate_dual_m0,
+    _list_entries,
     half_text,
     parse_half_list,
 )
@@ -213,10 +214,7 @@ def cmd_apacket(args: argparse.Namespace) -> int:
 
 
 def _parse_weights(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(v) for v in text.replace(",", " ").split())
+    return tuple(int(v) for v in _list_entries(text))
 
 
 def cmd_ktype_map(args: argparse.Namespace) -> int:

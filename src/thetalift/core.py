@@ -144,10 +144,24 @@ def _halfint_twices(entries: Iterable[HalfInt], owner: str) -> tuple[int, ...]:
     return tuple(e.twice for e in entries)
 
 
+def _list_entries(text: str) -> list[str]:
+    """The entries of a comma- or space-separated list; '' has none.
+
+    A comma may have spaces around it, but an entry may not be empty: a
+    leading, trailing or doubled comma raises ValueError.
+    """
+    text = text.strip()
+    if not text:
+        return []
+    entries = re.split(r"\s*,\s*|\s+", text)
+    if "" in entries:
+        raise ValueError(f"empty entry in the list {text!r}")
+    return entries
+
+
 def parse_half_list(text: str) -> tuple[HalfInt, ...]:
     """Parse a comma- or space-separated list of half-integer literals."""
-    parts = [p for p in re.split(r"[,\s]+", text.strip()) if p]
-    return tuple(HalfInt.parse(p) for p in parts)
+    return tuple(HalfInt.parse(p) for p in _list_entries(text))
 
 
 @dataclass(frozen=True, slots=True)

@@ -49,7 +49,11 @@ li alone decides only the targets it finds sufficient. So a vanishing
 case costs only its decision or its sufficiency test. duality reads the
 walk's decisions on the parameter's own tower and decides only the
 transposed targets on the dual's. That state is dropped when the loop
-moves on, so memory stays flat however large the window. The checks
+moves on, so memory stays flat however large the window. suite_ktypes
+keeps its injectivity bookkeeping for one run shape of the weight, its
+outermost loop, and checks each partner's run shape, which keeps the
+check injective over the whole (p, q, r, s) group; its memory is that of
+the largest shape, however large the grid. The checks
 call the unchecked private halves (_LiftUp, _lift_down, _Transfer,
 _SigmaUnits, _Globalization), not the public functions, which would
 decide occurrence again and rebuild the shared parts per call. The walk
@@ -496,41 +500,54 @@ def suite_ktypes(emit: bool = True, max_run: int = 2, height: int = 3) -> Iterat
     """K-type correspondence round trip, injectivity, r - s dependence.
 
     Everything that depends only on the group (p, q, r, s) is built once
-    per group, in a _KTypeGroup kept beside that group's injectivity
-    record: the three contexts (the forward one, its reverse, and the
-    one pushed up to r + s + 2), the three signatures, and the shifts.
+    per group, in a _KTypeGroup: the three contexts (the forward one, its
+    reverse, and the one pushed up to r + s + 2), the three signatures,
+    and the shifts.
+
+    The grid's outermost loop is the run shape (x, y, z, w), the lengths
+    of mu's runs a, b, c, d, so each shape's cases are contiguous. The
+    injectivity bookkeeping, one set of partners per group, lives for
+    one shape and is dropped when the shape ends; its memory is that of
+    the largest shape, not of the grid. That still proves injectivity
+    over the whole group: each case also checks that its partner has the
+    runs the correspondence gives that shape, lengths (x, w) around sh_p
+    and (z, y) around sh_q, so partners of two shapes never coincide.
     """
     runs_pos = {k: _weight_runs(k, height, True) for k in range(max_run + 1)}
     runs_neg = {k: _weight_runs(k, height, False) for k in range(max_run + 1)}
-    # Injectivity bookkeeping spans all weights sharing one (p,q,r,s),
-    # so each group's state lives until the grid is done.
     groups: dict[tuple[int, int, int, int], _KTypeGroup] = {}
     for x, y, z, w in itertools.product(range(max_run + 1), repeat=4):
+        # Per group of this shape: the partner's cut indices at sh_p and
+        # sh_q, and the partners seen so far. Rebinding drops the last
+        # shape's sets.
+        shape_groups = []
+        for pad_p, pad_q, er, es in itertools.product((0, 1), repeat=4):
+            p, q, r, s = x + y + pad_p, z + w + pad_q, x + w + er, z + y + es
+            if p + q == 0 or r + s == 0:
+                continue
+            key = (p, q, r, s)
+            group = groups.get(key)
+            if group is None:
+                group = groups[key] = _KTypeGroup(p, q, r, s)
+            shape_groups.append((group, ((x, r - w), (z, s - y)), set()))
         for a in runs_pos[x]:
             for b in runs_neg[y]:
                 for c in runs_pos[z]:
                     for d in runs_neg[w]:
-                        for pad_p, pad_q in itertools.product((0, 1), repeat=2):
-                            p, q = x + y + pad_p, z + w + pad_q
-                            if p + q == 0:
-                                continue
-                            for er, es in itertools.product((0, 1), repeat=2):
-                                r, s = x + w + er, z + y + es
-                                if r + s == 0:
-                                    continue
-                                key = (p, q, r, s)
-                                group = groups.get(key)
-                                if group is None:
-                                    group = groups[key] = _KTypeGroup(p, q, r, s)
-                                yield _ktype_case(a, b, c, d, group, emit)
+                        for group, cuts, seen in shape_groups:
+                            yield _ktype_case(a, b, c, d, group, cuts, seen, emit)
 
 
 class _KTypeGroup:
-    """The per-(p, q, r, s) state of the K-type grid."""
+    """The per-(p, q, r, s) contexts, signatures and shifts of the K-type grid.
+
+    It holds no injectivity bookkeeping: that is scoped to one run shape
+    in suite_ktypes, so no group keeps partners after its shape ends.
+    """
 
     __slots__ = (
         "source", "target", "up_target", "ctx", "back_ctx", "up_ctx",
-        "sh_a", "sh_b", "sh_p", "sh_q", "seen",
+        "sh_a", "sh_b", "sh_p", "sh_q",
     )
 
     def __init__(self, p: int, q: int, r: int, s: int) -> None:
@@ -546,18 +563,18 @@ class _KTypeGroup:
         self.sh_b = m0 - self.sh_a
         self.sh_p = _half_shift(p - q, n0)
         self.sh_q = n0 - self.sh_p
-        # partner weights -> the weight that produced them
-        self.seen: dict[tuple, KType] = {}
 
 
-def _same_runs(u: tuple[int, ...], v: tuple[int, ...], shift: int) -> bool:
-    """Whether two weakly decreasing parts have the same runs above and below shift."""
+def _same_runs(
+    u: tuple[int, ...], v: tuple[int, ...], v_cut: tuple[int, int], shift: int
+) -> bool:
+    """Whether u has the runs above and below shift that v has, cut at v_cut."""
     iu, ju = _cut(u, shift)
-    iv, jv = _cut(v, shift)
+    iv, jv = v_cut
     return u[:iu] == v[:iv] and u[ju:] == v[jv:]
 
 
-def _ktype_case(a, b, c, d, group: _KTypeGroup, emit: bool) -> Case:
+def _ktype_case(a, b, c, d, group: _KTypeGroup, cuts, seen: set, emit: bool) -> Case:
     sh_a, sh_b = group.sh_a, group.sh_b
     source, target = group.source, group.target
     zeros_a = source.p - len(a) - len(b)
@@ -579,20 +596,23 @@ def _ktype_case(a, b, c, d, group: _KTypeGroup, emit: bool) -> Case:
     back = correspond_ktype(mu_prime, group.back_ctx, source)
     round_ok = back == mu
 
-    # Injectivity within this (p,q,r,s) group: one partner per weight.
-    seen = group.seen
-    inj_key = (mu_prime.a_weights, mu_prime.b_weights)
-    prior = seen.get(inj_key)
-    inj_ok = prior is None or prior == mu
-    seen[inj_key] = mu
+    # Injectivity within this (p,q,r,s) group: the partner has this
+    # shape's runs, and no other weight of the shape had it. The grid
+    # visits each weight once per group, so a partner already seen came
+    # from another weight.
+    pa, pb = mu_prime.a_weights, mu_prime.b_weights
+    cut_a, cut_b = _cut(pa, group.sh_p), _cut(pb, group.sh_q)
+    partner = (pa, pb)
+    inj_ok = (cut_a, cut_b) == cuts and partner not in seen
+    seen.add(partner)
 
     # Same pattern, target pushed up the tower: partner differs only in
     # zero padding (the r - s dependence).
     mu2 = correspond_ktype(mu, group.up_ctx, group.up_target)
     pad_ok = (
         mu2 is not None
-        and _same_runs(mu2.a_weights, mu_prime.a_weights, group.sh_p)
-        and _same_runs(mu2.b_weights, mu_prime.b_weights, group.sh_q)
+        and _same_runs(mu2.a_weights, pa, cut_a, group.sh_p)
+        and _same_runs(mu2.b_weights, pb, cut_b, group.sh_q)
     )
 
     ok = round_ok and inj_ok and pad_ok

@@ -238,6 +238,17 @@ class TestPackets:
         assert rc == 0
         assert len(out_lines(out)) == 2
 
+    @pytest.mark.parametrize("kappas", ["1/2,,-1/2", ",1/2,-1/2", "1/2,-1/2,"])
+    def test_empty_kappa_entry_is_exit_two(self, capsys, kappas):
+        rc, out, err = run_cli(capsys, "packet", f"--kappas={kappas}")
+        assert (rc, out) == (2, "")
+        assert "empty entry" in err
+
+    def test_spaced_kappas_are_the_comma_list(self, capsys):
+        want = run_cli(capsys, "packet", "--kappas=1/2,-1/2")
+        assert run_cli(capsys, "packet", "--kappas=1/2, -1/2") == want
+        assert run_cli(capsys, "packet", "--kappas=1/2 -1/2") == want
+
     def test_duplicate_kappa_is_exit_two(self, capsys):
         rc, _out, err = run_cli(capsys, "packet", "--kappas", "1/2,1/2")
         assert rc == 2
@@ -405,6 +416,17 @@ class TestKTypeMap:
         assert rc == 0
         (row,) = out_lines(out)
         assert row["mu_prime"] == {"a": [2, 1], "b": [0]}
+        assert run_cli(
+            capsys, "ktype-map", "--p=0", "--q=1", "--a=", "--b=-2", "--r=1", "--s=2",
+        )[0] == 0
+
+    @pytest.mark.parametrize("a", ["1,,0", ",1,0", "1,0,"])
+    def test_empty_weight_entry_is_exit_two(self, capsys, a):
+        rc, out, err = run_cli(
+            capsys, "ktype-map", "--p=2", "--q=0", f"--a={a}", "--b=", "--r=2", "--s=0",
+        )
+        assert (rc, out) == (2, "")
+        assert "empty entry" in err
 
 
 class TestVerify:

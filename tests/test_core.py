@@ -80,6 +80,17 @@ def test_parse_half_list():
     assert parse_half_list("") == ()
 
 
+@pytest.mark.parametrize("text", ["1/2, -1/2", "1/2 -1/2", " 1/2 ,-1/2 ", "1/2\t-1/2"])
+def test_parse_half_list_separators(text):
+    assert parse_half_list(text) == (half(1), half(-1))
+
+
+@pytest.mark.parametrize("text", ["1/2,,-1/2", ",1/2", "1/2,", "1/2 , , -1/2", ","])
+def test_parse_half_list_rejects_empty_entries(text):
+    with pytest.raises(ValueError, match="empty entry"):
+        parse_half_list(text)
+
+
 def test_signature():
     sig = Signature(2, 1)
     assert sig.n == 3

@@ -1,8 +1,10 @@
 """Joint-harmonics weight correspondence and the compact-pair split."""
 
+import gc
 import hashlib
 import itertools
 import json
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -234,6 +236,22 @@ def test_ktype_suite_records_are_pinned_at_the_benchmark_window():
     assert digest == "5b5cb5813849f5fb8148a2d9b73bfd629d3bbee9492dd36e239df4b22c36888d"
 
 
+def test_ktype_grid_memory_tracks_one_run_shape():
+    # The injectivity bookkeeping lives for one run shape (x, y, z, w), so
+    # the bound tracks the largest shape, not the grid: here (1, 1, 1, 1),
+    # 81 weights in each of 16 groups, out of 4089 cases. Keeping every
+    # group's partners until the grid ends peaks near 1.5 MB at this window.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        summary = tally("ktypes", suite_ktypes(emit=False, max_run=1, height=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.cases == 4089
+    assert peak < 768 * 1024, f"{peak} bytes traced at the peak of the grid"
+
+
 def _grid_failures(monkeypatch, rewrite):
     """Run a small K-type grid with its correspondence calls routed through rewrite.
 
@@ -308,6 +326,38 @@ def test_grid_flags_two_weights_with_one_partner(monkeypatch):
         assert (record["round_trip_ok"], record["injective_ok"], record["padding_ok"]) == (
             True, False, True,
         )
+
+
+def test_grid_flags_a_partner_of_another_run_shape(monkeypatch):
+    # In the group U(1, 1) -> U(1, 1) both shifts are 0, so a weight's runs
+    # are its nonzero entries. The group's first weight is (0; 0), of run
+    # shape (0, 0, 0, 0); its second is of another shape and is answered
+    # with the first one's partners. No other weight of that second shape
+    # shares the partner, so only the run-shape check can see it.
+    group = (Signature(1, 1), Signature(1, 1))
+    state = {"weights": [], "hit": False}
+
+    def rewrite(kind, real, mu, ctx, target):
+        if kind == "forward":
+            state["hit"] = (mu.sig, target) == group and len(state["weights"]) == 1
+            if (mu.sig, target) == group:
+                state["weights"].append(mu)
+        if not state["hit"]:
+            return real(mu, ctx, target)
+        first, hit = state["weights"]
+        if kind == "back":
+            return hit
+        return real(first, ctx, target)
+
+    _summary, records = _grid_failures(monkeypatch, rewrite)
+    first, hit = state["weights"][:2]
+    assert (first.a_weights, first.b_weights) == ((0,), (0,))
+    assert any(hit.a_weights + hit.b_weights)
+    (record,) = records
+    assert record["mu"] == hit.to_json()
+    assert (record["round_trip_ok"], record["injective_ok"], record["padding_ok"]) == (
+        True, False, True,
+    )
 
 
 def test_grid_flags_a_run_moved_up_the_tower(monkeypatch):
