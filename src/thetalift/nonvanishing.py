@@ -24,13 +24,21 @@ window [0, t) after the affine shift xi -> (k_lambda - 1)/2 + sign * xi;
 it vanishes for t <= 0. These counts, together with the coordinates
 (l, t) of a target signature along the tower, decide occurrence.
 
-Nothing here is memoized. occurs() computes the invariants on every
-call; a caller deciding many targets of one parameter holds a _Tower,
-which computes the parameter's invariants once and the conjugate dual's
-only when a target first needs the swapped orientation; its one
-decision method, decide(), returns a plain tuple. The conjugate dual's
-lam0 is lam0 negated with each part reversed, so the tower computes the
-dual's invariants from lam's own parts and builds no dual parameter.
+Nothing here is memoized. One private core, _tower_invariants(),
+computes the plain values of one orientation of lam0 in one pass: it
+finds the chain, sorts X once, labels each value by part and sign, counts
+r_lambda and s_lambda from the labels and runs the cancellation stack.
+It returns an _Orientation, three ints and the X_inf pairs, and builds
+no split and no NVInvariants. invariants() is that core's output
+plus X and the strict split, which it checks against the core's r_lambda
+and s_lambda; it is the only place an NVInvariants is built. occurs()
+computes the core on every call; a caller deciding many targets of one
+parameter holds a _Tower, which computes the parameter's orientation
+once and the conjugate dual's only when a target first needs the swapped
+orientation; its one decision method, decide(), returns a plain tuple.
+The conjugate dual's lam0 is lam0 negated with each part reversed, so
+the tower computes the dual's orientation from lam's own parts and
+builds no dual parameter.
 """
 
 from __future__ import annotations
@@ -45,7 +53,13 @@ from .core import (
     _split_cached,
     _split_shifted,
 )
-from .errors import InternalError, ParityMismatch, PreconditionViolation
+from .errors import (
+    ChainNotPresent,
+    InternalError,
+    ParityMismatch,
+    PreconditionViolation,
+    UnclassifiableZero,
+)
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,16 +98,80 @@ class TowerPosition:
         return {"l": self.l, "t": self.t, "swapped": self.swapped, "reason": self.reason}
 
 
-def _largest_chain(part_twices: tuple[int, ...], k0: int) -> int:
-    """Largest k >= 1, k = k0 (mod 2), with the full chain inside the part.
+@dataclass(slots=True)
+class _Orientation:
+    """The tower's values of one orientation of lam - m0/2.
 
-    The chain of length k + 2 is the chain of length k plus its two new
-    ends +-(k+1)/2, so lengths are tried upward, one pair of ends each.
+    The NVInvariants fields that decide occurrence, under the same
+    names, so c_count() reads either. Not frozen: a frozen dataclass
+    costs about a microsecond more to build, and the tower builds one
+    per orientation.
     """
-    k = 1 if k0 % 2 else 2
-    while k - 1 in part_twices and 1 - k in part_twices:
+
+    k_lambda: int
+    r_lambda: int
+    s_lambda: int
+    X_inf_tw: tuple[tuple[int, int], ...]
+
+
+def _tower_invariants(p_tw: tuple[int, ...], q_tw: tuple[int, ...], k0: int) -> _Orientation:
+    """k_lambda, r_lambda, s_lambda and X_inf of the doubled parts of lam - m0/2, in one pass.
+
+    Unchecked: the parts are already shifted and k0 fits their parity.
+    """
+    # Every chain of the k0 class holds the centre, 0 for odd k and the
+    # pair +-1/2 for even k; entries are distinct, so one part at most
+    # holds it. Chains are tried upward, one pair of ends each.
+    k = 1 if k0 else 2
+    part = p_tw
+    if k - 1 in p_tw:
+        if k - 1 in q_tw:
+            raise InternalError(
+                f"the chain's centre lies in both parts of lam - m0/2 = "
+                f"{_parts_text(p_tw, q_tw)}"
+            )
+    else:
+        part = q_tw
+    while k - 1 in part and 1 - k in part:
         k += 2
-    return max(k - 2, 0)
+    k = k - 2 if k > 2 else k0
+    # X sorted once, by value: entries are distinct. The chain is the
+    # values strictly between -k/2 and k/2 (none when k <= 0), as every
+    # entry sits on the chain's lattice. alpha/beta are the positive and
+    # nonpositive p-values outside it, gamma/delta the q-values; r counts
+    # alpha and delta, s gamma and beta. The deletions alpha-gamma and
+    # beta-delta never overlap (no class is both a left and a right end),
+    # so the fixpoint is unique and one stack pass reaches it: a gamma or
+    # delta cancels the survivor directly above it if that is an alpha
+    # or a beta on its side of zero. Chain values never cancel but still
+    # occupy their slot.
+    r = s = chain = 0
+    stack: list[tuple[int, int]] = []
+    for t in sorted(p_tw + q_tw, reverse=True):
+        sign = +1 if t in p_tw else -1
+        if -k < t < k:
+            chain += 1
+        elif t == 0:
+            raise InternalError(
+                f"zero outside the chain in lam - m0/2 = {_parts_text(p_tw, q_tw)}"
+            )
+        else:
+            if (t > 0) == (sign > 0):
+                r += 1
+            else:
+                s += 1
+            if sign < 0 and stack:
+                above, above_sign = stack[-1]
+                if above_sign > 0 and not -k < above < k and (t > 0 or above < 0):
+                    stack.pop()
+                    continue
+        stack.append((t, sign))
+    if chain != max(k, 0):
+        raise InternalError(
+            f"the span of the chain of length {k} holds {chain} values of "
+            f"lam - m0/2 = {_parts_text(p_tw, q_tw)}"
+        )
+    return _Orientation(k, r, s, tuple(stack))
 
 
 def invariants(lam: HCParam, m0: int, k0: int) -> NVInvariants:
@@ -115,57 +193,47 @@ def invariants(lam: HCParam, m0: int, k0: int) -> NVInvariants:
 def _invariants_shifted(
     p_tw: tuple[int, ...], q_tw: tuple[int, ...], k0: int
 ) -> NVInvariants:
-    """invariants() on the doubled parts of lam - m0/2, given already shifted, unchecked."""
-    k_p = _largest_chain(p_tw, k0)
-    k_q = _largest_chain(q_tw, k0)
-    # Entries are globally distinct, so at most one part holds a chain.
-    if k_p and k_q:
+    """invariants() on the doubled parts of lam - m0/2, given already shifted, unchecked.
+
+    The tower's values plus X and the strict split with the chain
+    removed, whose x + w and z + y must be the core's r_lambda and
+    s_lambda.
+    """
+    core = _tower_invariants(p_tw, q_tw, k0)
+    k_lam, r_lam, s_lam = core.k_lambda, core.r_lambda, core.s_lambda
+    try:
+        sp = _split_shifted(p_tw, q_tw, True, max(k_lam, 0))
+    except (ChainNotPresent, UnclassifiableZero) as err:
+        raise InternalError(f"strict split disagrees with the tower invariants: {err}") from err
+    if (sp.x + sp.w, sp.z + sp.y) != (r_lam, s_lam):
         raise InternalError(
-            f"chain found in both parts of lam - m0/2 = {_parts_text(p_tw, q_tw)}"
+            f"strict split of lam - m0/2 = {_parts_text(p_tw, q_tw)} gives "
+            f"({sp.x + sp.w}, {sp.z + sp.y}), the tower ({r_lam}, {s_lam})"
         )
-    k_lam = max(k_p, k_q) or k0
-
-    chain_k = k_lam if k_lam >= 1 else 0
-    sp = _split_shifted(p_tw, q_tw, True, chain_k)
-    r_lam = sp.x + sp.w
-    s_lam = sp.z + sp.y
-
-    # Entries are distinct, so the pairs sort by value alone.
     X = tuple(sorted([(t, +1) for t in p_tw] + [(t, -1) for t in q_tw], reverse=True))
-
-    # Classify each doubled value for the cancellation rule. Chain values
-    # stay unlabeled: they never cancel but still occupy their slot.
-    cls: dict[int, str] = {}
-    for grp, name in (
-        (sp.alpha_tw, "a"), (sp.beta_tw, "b"), (sp.gamma_tw, "g"), (sp.delta_tw, "d")
-    ):
-        for t in grp:
-            cls[t] = name
-    # The deletions alpha-gamma and beta-delta never overlap (no class is
-    # both a left and a right end), so the fixpoint is unique and one
-    # stack pass reaches it: cancel each value against the survivor
-    # directly above it.
-    stack: list[tuple[tuple[int, int], str | None]] = []
-    for v in X:
-        c = cls.get(v[0])
-        if stack and (c == "g" and stack[-1][1] == "a" or c == "d" and stack[-1][1] == "b"):
-            stack.pop()
-        else:
-            stack.append((v, c))
-
-    X_inf = tuple([v for v, _c in stack])
-    return NVInvariants(k0, k_lam, r_lam, s_lam, X, X_inf, sp)
+    return NVInvariants(k0, k_lam, r_lam, s_lam, X, core.X_inf_tw, sp)
 
 
 def c_count(inv: NVInvariants, sign: int, t: int) -> int:
-    """Number of sign-marked members of X_inf in the window of width t."""
+    """Number of sign-marked members of X_inf in the window of width t.
+
+    Reads inv's k_lambda and X_inf_tw only, so a tower's plain values
+    serve as well as an NVInvariants.
+    """
     if sign not in (+1, -1):
         raise PreconditionViolation(f"sign must be +1 or -1, got {sign}")
+    return _window_count(inv.k_lambda, inv.X_inf_tw, sign, t)
+
+
+def _window_count(
+    k_lambda: int, X_inf_tw: tuple[tuple[int, int], ...], sign: int, t: int
+) -> int:
+    """c_count() on the plain values, unchecked."""
     if t <= 0:
         return 0
-    shift = inv.k_lambda - 1  # doubled value of (k_lambda - 1)/2
+    shift = k_lambda - 1  # doubled value of (k_lambda - 1)/2
     total = 0
-    for xi, s in inv.X_inf_tw:
+    for xi, s in X_inf_tw:
         if s != sign:
             continue
         v = shift + sign * xi
@@ -178,39 +246,55 @@ def _k0_for(n: int, m: int) -> int:
     return 0 if (m - n) % 2 == 0 else -1
 
 
-class _Tower:
-    """The tower of one parameter at one exponent m0.
+def _dual_shifted(lam: HCParam, m0: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The doubled parts of the conjugate dual's lam - m0/2, read from lam's own.
 
-    Holds the parameter's invariants and, once a target first needs the
-    swapped orientation, the conjugate dual's invariants, so deciding
-    many targets of one parameter computes each at most once. A caller
-    that already has the dual's invariants passes them in. decide() is
-    its one decision method. occurs() builds one tower per call; the
-    suites build one per parameter.
+    They are lam - m0/2 negated, each part reversed to descend again.
+    """
+    return (
+        tuple([m0 - t for t in reversed(lam.p_tw)]),
+        tuple([m0 - t for t in reversed(lam.q_tw)]),
+    )
+
+
+class _Tower:
+    """The tower of one parameter at one exponent m0 and parity class k0.
+
+    Holds plain per-orientation values (_Orientation): the parameter's
+    and, once a target first needs the swapped orientation, the
+    conjugate dual's, read from the parameter's own shifted parts, so
+    deciding many targets of one parameter computes each at most once.
+    A caller that already has either orientation passes it in. The tower
+    builds no NVInvariants and no split; only invariants() does.
+    decide() is its one decision method. occurs() builds one tower per
+    call; the suites build one per parameter.
     """
 
-    __slots__ = ("lam", "m0", "inv", "_dual_inv")
+    __slots__ = ("lam", "m0", "k0", "inv", "_dual_inv")
 
     def __init__(
-        self, lam: HCParam, m0: int, inv: NVInvariants, dual_inv: NVInvariants | None = None
+        self,
+        lam: HCParam,
+        m0: int,
+        k0: int,
+        inv: _Orientation | None = None,
+        dual_inv: _Orientation | None = None,
     ) -> None:
         self.lam = lam
         self.m0 = m0
+        self.k0 = k0
+        if inv is None:
+            inv = _tower_invariants(
+                tuple([t - m0 for t in lam.p_tw]), tuple([t - m0 for t in lam.q_tw]), k0
+            )
         self.inv = inv
         self._dual_inv = dual_inv
 
     @property
-    def dual_inv(self) -> NVInvariants:
-        """Invariants of the conjugate dual, the swapped orientation."""
+    def dual_inv(self) -> _Orientation:
+        """The conjugate dual's orientation, the swapped one."""
         if self._dual_inv is None:
-            # The conjugate dual's lam - m0/2 is lam - m0/2 negated, each
-            # part reversed to descend again.
-            m0, lam = self.m0, self.lam
-            self._dual_inv = _invariants_shifted(
-                tuple([m0 - t for t in reversed(lam.p_tw)]),
-                tuple([m0 - t for t in reversed(lam.q_tw)]),
-                self.inv.k0,
-            )
+            self._dual_inv = _tower_invariants(*_dual_shifted(self.lam, self.m0), self.k0)
         return self._dual_inv
 
     def decide(self, target: Signature) -> tuple[int, int, bool, str | None]:
@@ -226,10 +310,11 @@ class _Tower:
             inv = self.dual_inv
             r, s = s, r
             swapped = True
+        k_lam = inv.k_lambda
 
         l = s - inv.s_lambda
         d = r - inv.r_lambda - l
-        odd = inv.k_lambda == -1
+        odd = k_lam == -1
         if d % 2 != odd:
             raise InternalError(
                 f"step count parity broke for the {'odd' if odd else 'even'} tower of "
@@ -243,11 +328,11 @@ class _Tower:
             return l, t, swapped, "negative plane count"
         if t == 0:
             return l, t, swapped, None
-        if l < max(inv.k_lambda, 0):
+        if l < max(k_lam, 0):
             return l, t, swapped, "step count below the chain length"
-        if c_count(inv, +1, l + t) > l:
+        if _window_count(k_lam, inv.X_inf_tw, +1, l + t) > l:
             return l, t, swapped, "positive window count exceeds the step count"
-        if c_count(inv, -1, l + t) > l:
+        if _window_count(k_lam, inv.X_inf_tw, -1, l + t) > l:
             return l, t, swapped, "negative window count exceeds the step count"
         return l, t, swapped, None
 
@@ -262,7 +347,7 @@ def occurs(lam: HCParam, m0: int, target: Signature) -> tuple[bool, TowerPositio
     m = target.n
     if (m0 - m) % 2:
         raise ParityMismatch(f"m0={m0} must match target dimension {m} mod 2")
-    pos = _Tower(lam, m0, invariants(lam, m0, _k0_for(lam.sig.n, m))).decide(target)
+    pos = _Tower(lam, m0, _k0_for(lam.sig.n, m)).decide(target)
     return pos[3] is None, TowerPosition(*pos)
 
 

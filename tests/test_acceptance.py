@@ -6,16 +6,20 @@ suites from one walk over the down and up targets of every parameter:
 round_trip checks each down target, the growth checks each up target,
 and duality each parameter. Case totals are frozen:
 enumeration is deterministic, and a silent change in the universe is as
-much a regression as a wrong answer.
+much a regression as a wrong answer. One more test, not a criterion,
+compares the tower's one-pass invariants with invariants() on every
+orientation of the criterion-1 window.
 """
 
 import pytest
 
-from thetalift.core import HCParam, LiftContext, Signature, half
+from thetalift.core import HCParam, LiftContext, Signature, _conjugate_dual_m0, half
 from thetalift.lifting import lift
+from thetalift.nonvanishing import _Tower, invariants
 from thetalift.packets import sigma_from_eta_prime
 from thetalift.suites import (
     EnumerationBounds,
+    iter_params,
     run_suite,
     run_suites,
     suite_ktypes,
@@ -163,3 +167,22 @@ def test_criterion_8_ktype_correspondence(criterion):
     detail = f"{cases} grid cases, {failures} failures"
     passed = failures == 0 and cases == 159_993 and tags.get("missing", 0) == 0
     criterion(8, "K-type correspondence", passed, detail)
+
+
+def test_tower_invariants_match_invariants_on_every_orientation():
+    # Every (lam, m0) of the criterion-1 window in both orientations: the
+    # tower's plain values against invariants() of lam and of the
+    # explicit conjugate dual, whose strict splits cross-check r and s.
+    orientations = mismatches = 0
+    for lam, k0, m0, _n0 in iter_params(FULL):
+        tower = _Tower(lam, m0, k0)
+        dual = _conjugate_dual_m0(lam, m0)
+        for plain, inv in (
+            (tower.inv, invariants(lam, m0, k0)),
+            (tower.dual_inv, invariants(dual, m0, k0)),
+        ):
+            orientations += 1
+            mismatches += (plain.k_lambda, plain.r_lambda, plain.s_lambda, plain.X_inf_tw) != (
+                inv.k_lambda, inv.r_lambda, inv.s_lambda, inv.X_inf_tw
+            )
+    assert (orientations, mismatches) == (113_876, 0)

@@ -732,3 +732,17 @@ def test_readme_examples_print_what_the_readme_shows(capsys):
         assert (rc, err, out) == (0, "", "".join(expected)), line
         ran += 1
     assert ran == 9
+
+
+def test_python_m_thetalift_prints_the_readme_lift_example():
+    # `python -m thetalift` runs the same command line from a checkout:
+    # README's first lift example, compared byte for byte.
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text().splitlines()
+    i = next(i for i, line in enumerate(lines) if line.startswith("$ thetalift lift "))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(Path(thetalift.__file__).resolve().parent.parent)
+    proc = subprocess.run(
+        [sys.executable, "-m", "thetalift", *shlex.split(lines[i])[2:]],
+        capture_output=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stderr, proc.stdout) == (0, b"", f"{lines[i + 1]}\n".encode())

@@ -1,6 +1,6 @@
 """Tower invariants, window counts, and the occurrence criterion."""
 
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from hypothesis import given
@@ -10,6 +10,7 @@ from thetalift import (
     EnumerationBounds,
     HCParam,
     HalfInt,
+    InternalError,
     LiftContext,
     ParityMismatch,
     PreconditionViolation,
@@ -22,8 +23,15 @@ from thetalift import (
     li_sufficient,
     occurs,
 )
+from thetalift import nonvanishing
 from thetalift.core import _conjugate_dual_m0
-from thetalift.nonvanishing import NVInvariants, _Tower
+from thetalift.nonvanishing import (
+    NVInvariants,
+    _dual_shifted,
+    _invariants_shifted,
+    _Tower,
+    _tower_invariants,
+)
 from thetalift.suites import iter_params
 
 
@@ -74,6 +82,55 @@ def test_pair_deletion_cancels_adjacent_classes():
     assert (inv.r_lambda, inv.s_lambda) == (1, 1)
     kept = invariants(HCParam(Signature(1, 1), (half(1), half(3))), 0, 0)
     assert kept.X_inf_tw == ((3, -1), (1, +1))
+
+
+def test_pair_deletion_cancels_beta_above_delta():
+    # beta directly above delta cancels; the reverse order stays
+    lam = HCParam(Signature(1, 1), (half(-1), half(-3)))
+    inv = invariants(lam, 0, 0)
+    assert inv.X_inf_tw == ()
+    assert (inv.r_lambda, inv.s_lambda) == (1, 1)
+    kept = invariants(HCParam(Signature(1, 1), (half(-3), half(-1))), 0, 0)
+    assert kept.X_inf_tw == ((-1, -1), (-3, +1))
+
+
+# The core's consistency failures are bugs, never user errors: each
+# raises InternalError (exit 3), not ChainNotPresent or
+# UnclassifiableZero (exit 2). Valid parameters reach none of them, so
+# the tests hand-make the shifted parts; pytest.raises holds under -O.
+
+
+def test_tower_invariants_reject_a_chain_centre_in_both_parts():
+    with pytest.raises(InternalError, match="both parts"):
+        _tower_invariants((1, -1), (1, -1), 0)
+
+
+def test_tower_invariants_reject_a_zero_outside_the_chain():
+    # The even tower's chains hold no zero.
+    with pytest.raises(InternalError, match="zero outside the chain"):
+        _tower_invariants((3,), (0,), 0)
+
+
+def test_tower_invariants_reject_a_chain_span_with_other_values():
+    # The odd chain (1, 0, -1) of the p-part, with 1/2 of the q-part
+    # off the lattice inside its span.
+    with pytest.raises(InternalError, match="holds 4 values"):
+        _tower_invariants((2, 0, -2), (1,), -1)
+
+
+def test_invariants_report_a_split_that_disagrees_with_the_core(monkeypatch):
+    # A chain the core claims but the parts lack, and a signature the
+    # strict split does not give, are internal errors too.
+    core = nonvanishing._tower_invariants
+    for wrong, message in (
+        ({"k_lambda": 4}, "no centered chain of length 4"),
+        ({"r_lambda": 0, "s_lambda": 2}, r"gives \(2, 0\), the tower \(0, 2\)"),
+    ):
+        monkeypatch.setattr(
+            nonvanishing, "_tower_invariants", lambda p, q, k0: replace(core(p, q, k0), **wrong)
+        )
+        with pytest.raises(InternalError, match=message):
+            _invariants_shifted((3,), (-1,), 0)
 
 
 def test_occurs_examples_u11():
@@ -212,25 +269,34 @@ def test_x_inf_is_the_fixpoint_of_pair_deletion(case):
     assert inv.X_inf_tw == _delete_pairs_one_at_a_time(inv.X_tw, cls)
 
 
-def _assert_tower_dual_is_the_explicit_dual(lam, m0, k0):
-    tower = _Tower(lam, m0, invariants(lam, m0, k0))
+def _plain(inv):
+    return (inv.k_lambda, inv.r_lambda, inv.s_lambda, inv.X_inf_tw)
+
+
+def _assert_tower_matches_invariants(lam, m0, k0):
+    # The tower's plain values are invariants()'s, for lam and for its
+    # conjugate dual.
+    tower = _Tower(lam, m0, k0)
     explicit = invariants(_conjugate_dual_m0(lam, m0), m0, k0)
+    assert _plain(tower.inv) == _plain(invariants(lam, m0, k0)), str(lam)
+    assert _plain(tower.dual_inv) == _plain(explicit), str(lam)
+    # The tower reads the dual from lam's own shifted parts, negated and
+    # reversed; they give the explicit dual's invariants in every field,
+    # the strict split and X included.
+    from_parts = _invariants_shifted(*_dual_shifted(lam, m0), k0)
     for f in fields(NVInvariants):
-        assert getattr(tower.dual_inv, f.name) == getattr(explicit, f.name), (str(lam), f.name)
+        assert getattr(from_parts, f.name) == getattr(explicit, f.name), (str(lam), f.name)
 
 
 def test_tower_dual_invariants_at_the_benchmark_window():
-    # The tower reads the conjugate dual's invariants from lam's own
-    # shifted parts, negated and reversed; they must be those of the
-    # explicit dual parameter in every field, the strict split included.
     bounds = EnumerationBounds(max_n=3, max_m_minus_n=4, height=half(7))
     count = 0
     for lam, k0, m0, _n0 in iter_params(bounds):
-        _assert_tower_dual_is_the_explicit_dual(lam, m0, k0)
+        _assert_tower_matches_invariants(lam, m0, k0)
         count += 1
     assert count == 954
 
 
 @given(_params_at_exponent())
 def test_tower_dual_invariants_beyond_the_window(case):
-    _assert_tower_dual_is_the_explicit_dual(*case)
+    _assert_tower_matches_invariants(*case)
