@@ -135,6 +135,9 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     if args.dual:
         lam = _conjugate_dual_m0(lam, m0)
     inv = invariants(lam, m0, k0)
+    # X is lam - m0/2, an entry of the p-part marked + and one of the q-part -.
+    X = sorted([(t - m0, "+") for t in lam.p_tw] + [(t - m0, "-") for t in lam.q_tw],
+               reverse=True)
     _dump({
         "lambda": lam.to_json(),
         "m0": m0,
@@ -143,7 +146,7 @@ def cmd_invariants(args: argparse.Namespace) -> int:
         "k_lambda": inv.k_lambda,
         "r_lambda": inv.r_lambda,
         "s_lambda": inv.s_lambda,
-        "X": [[half_text(t), "+" if sg > 0 else "-"] for t, sg in inv.X_tw],
+        "X": [[half_text(t), sg] for t, sg in X],
         "X_inf": [[half_text(t), "+" if sg > 0 else "-"] for t, sg in inv.X_inf_tw],
         "c_counts": [
             {"t": t, "plus": c_count(inv, +1, t), "minus": c_count(inv, -1, t)}

@@ -28,9 +28,12 @@ the p-part of lam0 into its positive prefix alpha and nonpositive suffix
 beta, and the q-part into gamma (positive) and delta (nonpositive). The
 strict split first deletes a centered chain ((k-1)/2, (k-3)/2, ..., -(k-1)/2)
 from whichever part contains it, then requires every remaining entry to
-be nonzero. Splits and conjugate duals are recomputed on every call, with
-no process-wide cache; callers that reuse one across many targets keep it
-themselves.
+be nonzero. ABGDSplit holds the four runs and nothing else. One private
+function, _split(lam, m0, strict, chain_k), computes every split:
+split_abgd() checks its context and calls it, and the other modules call
+it on the exponent alone. Splits and conjugate duals are recomputed on
+every call, with no process-wide cache; callers that reuse one across
+many targets keep it themselves.
 """
 
 from __future__ import annotations
@@ -340,10 +343,6 @@ class LiftContext:
 LAX = "lax"
 STRICT = "strict"
 
-SIDE_P = "P"
-SIDE_Q = "Q"
-SIDE_NONE = "NONE"
-
 
 @dataclass(frozen=True, slots=True)
 class ABGDSplit:
@@ -352,22 +351,13 @@ class ABGDSplit:
     alpha_tw and beta_tw partition the (chain-stripped) p-part of lam0,
     doubled, into positive and nonpositive runs, gamma_tw and delta_tw
     the q-part; all four keep the ambient descending order. x, y, z, w
-    are their lengths and chain_k / chain_side record the removed
-    centered chain, if any.
+    are their lengths.
     """
 
     alpha_tw: tuple[int, ...]
     beta_tw: tuple[int, ...]
     gamma_tw: tuple[int, ...]
     delta_tw: tuple[int, ...]
-    chain_k: int = 0
-    chain_side: str = SIDE_NONE
-
-    def __post_init__(self) -> None:
-        if self.chain_side not in (SIDE_P, SIDE_Q, SIDE_NONE):
-            raise ValueError(f"bad chain side {self.chain_side!r}")
-        if (self.chain_k == 0) != (self.chain_side == SIDE_NONE):
-            raise ValueError("chain_k and chain_side must be set together")
 
     @property
     def x(self) -> int:
@@ -386,11 +376,6 @@ class ABGDSplit:
         return len(self.delta_tw)
 
 
-def _chain_twices(k: int) -> tuple[int, ...]:
-    """Doubled values of the centered chain of length k: k-1, k-3, ..., 1-k."""
-    return tuple(k - 1 - 2 * i for i in range(k))
-
-
 def _split_part(part_twices: tuple[int, ...], strict: bool, label: str):
     """Positive prefix / nonpositive suffix of one descending part."""
     cut = 0
@@ -405,32 +390,23 @@ def _split_part(part_twices: tuple[int, ...], strict: bool, label: str):
     return part_twices[:cut], rest
 
 
-def _split_cached(lam: HCParam, m0: int, strict: bool, chain_k: int) -> ABGDSplit:
+def _split(lam: HCParam, m0: int, strict: bool, chain_k: int) -> ABGDSplit:
     """split_abgd() on the exponent alone, without the context checks.
 
-    Nothing is memoized: callers that reuse a split across many targets
-    hold on to it themselves.
+    The centered chain of length chain_k, doubled k-1, k-3, ..., 1-k,
+    is removed from whichever part holds all of it (none when chain_k
+    is 0).
     """
-    return _split_shifted(
-        tuple([t - m0 for t in lam.p_tw]), tuple([t - m0 for t in lam.q_tw]), strict, chain_k
-    )
-
-
-def _split_shifted(
-    p_tw: tuple[int, ...], q_tw: tuple[int, ...], strict: bool, chain_k: int
-) -> ABGDSplit:
-    """The split of the doubled parts of lam - m0/2, given already shifted."""
-    side = SIDE_NONE
+    p_tw = tuple([t - m0 for t in lam.p_tw])
+    q_tw = tuple([t - m0 for t in lam.q_tw])
     if chain_k:
         if chain_k < 0:
             raise PreconditionViolation(f"chain length must be positive, got {chain_k}")
-        chain = set(_chain_twices(chain_k))
+        chain = set(range(1 - chain_k, chain_k, 2))
         if chain <= set(p_tw):
             p_tw = tuple(t for t in p_tw if t not in chain)
-            side = SIDE_P
         elif chain <= set(q_tw):
             q_tw = tuple(t for t in q_tw if t not in chain)
-            side = SIDE_Q
         else:
             raise ChainNotPresent(
                 f"no centered chain of length {chain_k} inside either part of "
@@ -438,7 +414,7 @@ def _split_shifted(
             )
     alpha, beta = _split_part(p_tw, strict, "p-part")
     gamma, delta = _split_part(q_tw, strict, "q-part")
-    return ABGDSplit(alpha, beta, gamma, delta, chain_k if side != SIDE_NONE else 0, side)
+    return ABGDSplit(alpha, beta, gamma, delta)
 
 
 def split_abgd(lam: HCParam, ctx: LiftContext, mode: str = LAX, chain_k: int = 0) -> ABGDSplit:
@@ -455,9 +431,9 @@ def split_abgd(lam: HCParam, ctx: LiftContext, mode: str = LAX, chain_k: int = 0
     if mode == LAX:
         if chain_k:
             raise PreconditionViolation("lax split takes no chain")
-        return _split_cached(lam, ctx.m0, False, 0)
+        return _split(lam, ctx.m0, False, 0)
     if mode == STRICT:
-        return _split_cached(lam, ctx.m0, True, chain_k)
+        return _split(lam, ctx.m0, True, chain_k)
     raise ValueError(f"unknown split mode {mode!r}")
 
 

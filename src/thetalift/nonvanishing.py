@@ -25,19 +25,19 @@ it vanishes for t <= 0. These counts, together with the coordinates
 (l, t) of a target signature along the tower, decide occurrence.
 
 Nothing here is memoized. One private core, _tower_invariants(),
-computes the plain values of one orientation of lam0 in one pass: it
-finds the chain, sorts X once, labels each value by part and sign, counts
+computes the invariants of one orientation of lam0 in one pass: it finds
+the chain, sorts X once, labels each value by part and sign, counts
 r_lambda and s_lambda from the labels and runs the cancellation stack.
-It returns an _Orientation, three ints and the X_inf pairs, and builds
-no split and no NVInvariants. invariants() is that core's output
-plus X and the strict split, which it checks against the core's r_lambda
-and s_lambda; it is the only place an NVInvariants is built. occurs()
-computes the core on every call; a caller deciding many targets of one
-parameter holds a _Tower, which computes the parameter's orientation
-once and the conjugate dual's only when a target first needs the swapped
+It returns an NVInvariants of three ints and the X_inf pairs and
+builds no split. invariants() checks its arguments, runs the core and
+cross-checks it against the strict split with the chain removed, whose
+x + w and z + y must be r_lambda and s_lambda. occurs() computes the
+core on every call; a caller deciding many targets of one parameter
+holds a _Tower, which computes the parameter's invariants once and the
+conjugate dual's only when a target first needs the swapped
 orientation; its one decision method, decide(), returns a plain tuple.
 The conjugate dual's lam0 is lam0 negated with each part reversed, so
-the tower computes the dual's orientation from lam's own parts and
+the tower computes the dual's invariants from lam's own parts and
 builds no dual parameter.
 """
 
@@ -45,14 +45,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import (
-    ABGDSplit,
-    HCParam,
-    Signature,
-    _parts_text,
-    _split_cached,
-    _split_shifted,
-)
+from .core import ABGDSplit, HCParam, Signature, _parts_text, _split
 from .errors import (
     ChainNotPresent,
     InternalError,
@@ -62,21 +55,20 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class NVInvariants:
-    """Tower invariants of one parameter at one exponent m0.
+    """Tower invariants of lam - m0/2, for one parameter lam at one exponent m0.
 
-    X_tw and X_inf_tw hold X and X_inf as tuples of (doubled value,
-    sign) pairs in descending value order; sign is +1 or -1.
+    X_inf_tw holds X_inf as a tuple of (doubled value, sign) pairs in
+    descending value order; sign is +1 or -1. Not frozen: a frozen
+    dataclass costs about a microsecond more to build, and a tower
+    builds one per orientation.
     """
 
-    k0: int
     k_lambda: int
     r_lambda: int
     s_lambda: int
-    X_tw: tuple[tuple[int, int], ...]
     X_inf_tw: tuple[tuple[int, int], ...]
-    split: ABGDSplit
 
 
 @dataclass(frozen=True, slots=True)
@@ -98,23 +90,7 @@ class TowerPosition:
         return {"l": self.l, "t": self.t, "swapped": self.swapped, "reason": self.reason}
 
 
-@dataclass(slots=True)
-class _Orientation:
-    """The tower's values of one orientation of lam - m0/2.
-
-    The NVInvariants fields that decide occurrence, under the same
-    names, so c_count() reads either. Not frozen: a frozen dataclass
-    costs about a microsecond more to build, and the tower builds one
-    per orientation.
-    """
-
-    k_lambda: int
-    r_lambda: int
-    s_lambda: int
-    X_inf_tw: tuple[tuple[int, int], ...]
-
-
-def _tower_invariants(p_tw: tuple[int, ...], q_tw: tuple[int, ...], k0: int) -> _Orientation:
+def _tower_invariants(p_tw: tuple[int, ...], q_tw: tuple[int, ...], k0: int) -> NVInvariants:
     """k_lambda, r_lambda, s_lambda and X_inf of the doubled parts of lam - m0/2, in one pass.
 
     Unchecked: the parts are already shifted and k0 fits their parity.
@@ -171,55 +147,39 @@ def _tower_invariants(p_tw: tuple[int, ...], q_tw: tuple[int, ...], k0: int) -> 
             f"the span of the chain of length {k} holds {chain} values of "
             f"lam - m0/2 = {_parts_text(p_tw, q_tw)}"
         )
-    return _Orientation(k, r, s, tuple(stack))
+    return NVInvariants(k, r, s, tuple(stack))
 
 
 def invariants(lam: HCParam, m0: int, k0: int) -> NVInvariants:
     """All tower invariants of lam at exponent m0 and parity class k0.
 
     k0 must be 0 or -1 and satisfy m0 = n + k0 (mod 2), n the size of
-    lam; otherwise ParityMismatch.
+    lam; otherwise ParityMismatch. The strict split of lam - m0/2 with
+    the chain removed must give the core's r_lambda and s_lambda as
+    x + w and z + y; a disagreement is an InternalError.
     """
     if k0 not in (0, -1):
         raise PreconditionViolation(f"k0 must be 0 or -1, got {k0}")
     n = lam.sig.n
     if (m0 - n - k0) % 2:
         raise ParityMismatch(f"m0={m0} inconsistent with n={n} and k0={k0}")
-    return _invariants_shifted(
-        tuple([t - m0 for t in lam.p_tw]), tuple([t - m0 for t in lam.q_tw]), k0
-    )
-
-
-def _invariants_shifted(
-    p_tw: tuple[int, ...], q_tw: tuple[int, ...], k0: int
-) -> NVInvariants:
-    """invariants() on the doubled parts of lam - m0/2, given already shifted, unchecked.
-
-    The tower's values plus X and the strict split with the chain
-    removed, whose x + w and z + y must be the core's r_lambda and
-    s_lambda.
-    """
-    core = _tower_invariants(p_tw, q_tw, k0)
-    k_lam, r_lam, s_lam = core.k_lambda, core.r_lambda, core.s_lambda
+    p_tw = tuple([t - m0 for t in lam.p_tw])
+    q_tw = tuple([t - m0 for t in lam.q_tw])
+    inv = _tower_invariants(p_tw, q_tw, k0)
     try:
-        sp = _split_shifted(p_tw, q_tw, True, max(k_lam, 0))
+        sp = _split(lam, m0, True, max(inv.k_lambda, 0))
     except (ChainNotPresent, UnclassifiableZero) as err:
         raise InternalError(f"strict split disagrees with the tower invariants: {err}") from err
-    if (sp.x + sp.w, sp.z + sp.y) != (r_lam, s_lam):
+    if (sp.x + sp.w, sp.z + sp.y) != (inv.r_lambda, inv.s_lambda):
         raise InternalError(
             f"strict split of lam - m0/2 = {_parts_text(p_tw, q_tw)} gives "
-            f"({sp.x + sp.w}, {sp.z + sp.y}), the tower ({r_lam}, {s_lam})"
+            f"({sp.x + sp.w}, {sp.z + sp.y}), the tower ({inv.r_lambda}, {inv.s_lambda})"
         )
-    X = tuple(sorted([(t, +1) for t in p_tw] + [(t, -1) for t in q_tw], reverse=True))
-    return NVInvariants(k0, k_lam, r_lam, s_lam, X, core.X_inf_tw, sp)
+    return inv
 
 
 def c_count(inv: NVInvariants, sign: int, t: int) -> int:
-    """Number of sign-marked members of X_inf in the window of width t.
-
-    Reads inv's k_lambda and X_inf_tw only, so a tower's plain values
-    serve as well as an NVInvariants.
-    """
+    """Number of sign-marked members of X_inf in the window of width t."""
     if sign not in (+1, -1):
         raise PreconditionViolation(f"sign must be +1 or -1, got {sign}")
     return _window_count(inv.k_lambda, inv.X_inf_tw, sign, t)
@@ -260,12 +220,12 @@ def _dual_shifted(lam: HCParam, m0: int) -> tuple[tuple[int, ...], tuple[int, ..
 class _Tower:
     """The tower of one parameter at one exponent m0 and parity class k0.
 
-    Holds plain per-orientation values (_Orientation): the parameter's
-    and, once a target first needs the swapped orientation, the
-    conjugate dual's, read from the parameter's own shifted parts, so
-    deciding many targets of one parameter computes each at most once.
-    A caller that already has either orientation passes it in. The tower
-    builds no NVInvariants and no split; only invariants() does.
+    Holds the invariants of each orientation: the parameter's and, once
+    a target first needs the swapped orientation, the conjugate dual's,
+    read from the parameter's own shifted parts, so deciding many
+    targets of one parameter computes each at most once. A caller that
+    already has either passes it in. The tower builds no split; only
+    invariants() does.
     decide() is its one decision method. occurs() builds one tower per
     call; the suites build one per parameter.
     """
@@ -277,8 +237,8 @@ class _Tower:
         lam: HCParam,
         m0: int,
         k0: int,
-        inv: _Orientation | None = None,
-        dual_inv: _Orientation | None = None,
+        inv: NVInvariants | None = None,
+        dual_inv: NVInvariants | None = None,
     ) -> None:
         self.lam = lam
         self.m0 = m0
@@ -291,8 +251,8 @@ class _Tower:
         self._dual_inv = dual_inv
 
     @property
-    def dual_inv(self) -> _Orientation:
-        """The conjugate dual's orientation, the swapped one."""
+    def dual_inv(self) -> NVInvariants:
+        """The conjugate dual's invariants, the swapped orientation."""
         if self._dual_inv is None:
             self._dual_inv = _tower_invariants(*_dual_shifted(self.lam, self.m0), self.k0)
         return self._dual_inv
@@ -361,7 +321,7 @@ def li_sufficient(lam: HCParam, m0: int, target: Signature) -> bool:
     m = target.n
     if (m0 - m) % 2:
         raise ParityMismatch(f"m0={m0} must match target dimension {m} mod 2")
-    return _li_fits(_split_cached(lam, m0, False, 0), lam.sig.n, target)
+    return _li_fits(_split(lam, m0, False, 0), lam.sig.n, target)
 
 
 def _li_fits(sp: ABGDSplit, n: int, target: Signature) -> bool:
@@ -381,9 +341,3 @@ def _li_fits(sp: ABGDSplit, n: int, target: Signature) -> bool:
     if sp.delta_tw and -sp.delta_tw[0] < bound:
         return False
     return True
-
-
-def first_occurrence(lam: HCParam, m0: int, k0: int) -> Signature:
-    """Signature of the first nonzero lift in the k0 tower family."""
-    inv = invariants(lam, m0, k0)
-    return Signature(inv.r_lambda, inv.s_lambda)

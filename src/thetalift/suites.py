@@ -31,15 +31,15 @@ No suite relies on a cache. The walk loops parameter, then target size
 m, then target form (r, s), and does each piece of work at the loop
 level it depends on, only for a check that asks for it:
 - per run, the table of target signatures, each built once;
-- per parameter, the tower invariants as plain values (k_lambda,
-  r_lambda, s_lambda and X_inf, one pass per orientation, no
-  NVInvariants and no split), in a tower object that decides occurrence
-  for all of its targets, as a plain tuple, reads the conjugate dual's
-  values from the parameter's own shifted parts and serves li's window
-  counts; li's lax split; and, at its first nonzero up target, path A
-  (_LiftUp), path B (_Transfer, _SigmaUnits) and the globalization
-  shadow (_Globalization) with its lax split positions, source character
-  and own path B; all unit blocks follow m;
+- per parameter, the tower invariants (an NVInvariants of k_lambda,
+  r_lambda, s_lambda and X_inf, one pass per orientation, no split), in
+  a tower object that decides occurrence for all of its targets, as a
+  plain tuple, reads the conjugate dual's invariants from the
+  parameter's own shifted parts and serves li's window counts; li's lax
+  split; and, at its first nonzero up target, path A (_LiftUp), path B
+  (_Transfer, _SigmaUnits) and the globalization shadow (_Globalization)
+  with its lax split positions, source character and own path B; all
+  unit blocks follow m;
 - per size, at its first nonzero target, the shadow's deformation with
   its transfer, character check and lax split, since the deformation
   step grows with m; the shadow's path B is rebuilt only if the
@@ -77,7 +77,7 @@ from .core import (
     LiftContext,
     Signature,
     _conjugate_dual_m0,
-    _split_cached,
+    _split,
     half_text,
 )
 from .errors import (
@@ -96,7 +96,7 @@ from .lifting import (
     aq_to_discrete_series,
     lift_up,
 )
-from .nonvanishing import TowerPosition, _li_fits, _Orientation, _Tower, c_count, invariants
+from .nonvanishing import TowerPosition, _li_fits, _Tower, c_count, invariants
 from .packets import (
     AParameter,
     LParameter,
@@ -257,7 +257,7 @@ def _check_persistence(p: _Param, target: Signature, pos, aq, emit: bool) -> Cas
 def _check_li(p: _Param, target: Signature, pos, aq, emit: bool) -> Case:
     """The sufficiency bound implies occurrence with empty windows."""
     if p.split is None:
-        p.split = _split_cached(p.lam, p.m0, False, 0)
+        p.split = _split(p.lam, p.m0, False, 0)
     if not _li_fits(p.split, p.n, target):
         return True, "not_sufficient", None
     l, t, swapped, reason = pos if pos is not None else p.tower.decide(target)
@@ -309,8 +309,7 @@ def _check_duality(p: _Param, emit: bool) -> Case:
     # lam is dual's conjugate dual whenever the involution holds. lam's
     # tower read the dual's invariants from lam's shifted parts, so the
     # occurrence match also compares the two derivations.
-    own = _Orientation(inv_d.k_lambda, inv_d.r_lambda, inv_d.s_lambda, inv_d.X_inf_tw)
-    tower_d = _Tower(dual, m0, p.k0, own, inv if involution_ok else None)
+    tower_d = _Tower(dual, m0, p.k0, inv_d, inv if involution_ok else None)
     k_ok = inv_d.k_lambda == inv.k_lambda
     rs_ok = (inv_d.r_lambda, inv_d.s_lambda) == (inv.s_lambda, inv.r_lambda)
     decide = tower_d.decide

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import HCParam, LiftContext, Signature, _deformation, _split_cached
+from .core import HCParam, LiftContext, Signature, _deformation, _split
 from .errors import PreconditionViolation
 from .lifting import AqLambdaData, _LiftUp
 from .nonvanishing import _li_fits, occurs
@@ -200,7 +200,7 @@ class _Globalization:
                  "m", "t", "lam_plus", "transfer_plus", "eta_preserved", "split_plus")
 
     def __init__(self, lam: HCParam, m0: int) -> None:
-        sp = _split_cached(lam, m0, False, 0)
+        sp = _split(lam, m0, False, 0)
         self.lam, self.n, self.x, self.z = lam, lam.sig.n, sp.x, sp.z
         self.phi, self.eta = eta_from_pi(lam)
         self.path_b: _SigmaUnits | None = None
@@ -213,7 +213,7 @@ class _Globalization:
         self.m, self.t = ctx.target_dim, t
         self.lam_plus, self.transfer_plus = lam_plus, transfer_plus
         self.eta_preserved = self.eta == transfer_plus.eta
-        self.split_plus = _split_cached(lam_plus, ctx.m0, False, 0)
+        self.split_plus = _split(lam_plus, ctx.m0, False, 0)
         if self.path_b is None or self.path_b.tail != transfer_plus.tail:
             self.path_b = _SigmaUnits(build_a_parameter(self.phi, ctx), transfer_plus.tail)
 

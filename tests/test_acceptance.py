@@ -6,10 +6,15 @@ suites from one walk over the down and up targets of every parameter:
 round_trip checks each down target, the growth checks each up target,
 and duality each parameter. Case totals are frozen:
 enumeration is deterministic, and a silent change in the universe is as
-much a regression as a wrong answer. One more test, not a criterion,
-compares the tower's one-pass invariants with invariants() on every
-orientation of the criterion-1 window.
+much a regression as a wrong answer. The suite criteria (all but 2, the
+worked cases) are rows of one table, CRITERIA: number, name, frozen
+totals by suite and the detail line's format; each test names its row.
+One more test, not a criterion, compares the tower's one-pass
+invariants with invariants() on every orientation of the
+criterion-1 window.
 """
+
+from dataclasses import dataclass
 
 import pytest
 
@@ -34,31 +39,116 @@ FULL = EnumerationBounds(max_n=5, max_m_minus_n=8, height=half(11))
 # Packet bijections get their own wider rank bound.
 PACKET_BOUNDS = EnumerationBounds(max_n=6, max_m_minus_n=1, height=half(11))
 
+# The suites the shared walk runs, and the bounds of those run on their own.
+WALKED = ("two_path", "globalization", "persistence", "li", "round_trip", "duality")
+SOLO_BOUNDS = {"eta_prime": FULL, "packets": PACKET_BOUNDS}
+
+
+@dataclass(frozen=True)
+class Criterion:
+    """One suite criterion: its frozen totals by suite, and its detail format.
+
+    totals maps each suite the criterion reads to its frozen counts by
+    field: cases, failures or a tag. detail is formatted with each
+    suite's counts under its name, so "{li.cases}" or "{li.sufficient}".
+    """
+
+    number: int
+    name: str
+    totals: dict[str, dict[str, int]]
+    detail: str
+
+
+CRITERIA = (
+    Criterion(
+        1, "two-path equivalence",
+        {"two_path": {"failures": 0, "cases": 2_334_784, "nonzero": 976_868}},
+        "{two_path.cases} cases, {two_path.nonzero} nonzero, {two_path.failures} mismatches",
+    ),
+    Criterion(
+        3, "round trip",
+        {"round_trip": {"failures": 0, "cases": 358_006, "match": 4_998,
+                        "chamber_ambiguous": 6_660}},
+        "{round_trip.cases} cases, {round_trip.match} exact matches, "
+        "{round_trip.chamber_ambiguous} chamber-ambiguous (reported, not failed), "
+        "{round_trip.failures} failures",
+    ),
+    Criterion(
+        4, "sign gate, closed form vs product form",
+        {"eta_prime": {"failures": 0, "cases": 121_400}},
+        "{eta_prime.cases} parameters, {eta_prime.failures} mismatches",
+    ),
+    Criterion(
+        5, "nonvanishing consistency",
+        {"li": {"failures": 0, "cases": 2_334_784, "sufficient": 104_304},
+         "duality": {"failures": 0, "cases": 56_938},
+         "persistence": {"failures": 0, "cases": 2_334_784}},
+        "sufficiency {li.cases} cases ({li.sufficient} sufficient), "
+        "duality {duality.cases}, persistence {persistence.cases}; "
+        "failures {li.failures}+{duality.failures}+{persistence.failures}",
+    ),
+    Criterion(
+        6, "packet bijections",
+        {"packets": {"failures": 0, "cases": 2_123}},
+        "{packets.cases} parameters, all characters, {packets.failures} failures",
+    ),
+    Criterion(
+        7, "globalization shadow",
+        {"globalization": {"failures": 0, "cases": 2_334_784, "nonzero": 976_868}},
+        "{globalization.cases} cases, {globalization.nonzero} nonzero lifts deformed, "
+        "{globalization.failures} failures",
+    ),
+    Criterion(
+        8, "K-type correspondence",
+        {"ktypes": {"failures": 0, "cases": 159_993, "missing": 0}},
+        "{ktypes.cases} grid cases, {ktypes.failures} failures",
+    ),
+)
+
 
 @pytest.fixture(scope="module")
 def walked():
     """The growth checks, round_trip and duality in one walk at FULL, by name."""
-    names = ("two_path", "globalization", "persistence", "li", "round_trip", "duality")
-    return dict(zip(names, run_suites(names, FULL)))
+    return dict(zip(WALKED, run_suites(WALKED, FULL)))
+
+
+class _Counts(dict):
+    """A suite's tags, cases and failures, read as attributes; an absent tag reads 0."""
+
+    def __getattr__(self, name):
+        return self.get(name, 0)
+
+
+def _counts(suite, request):
+    """One suite's counts: from the shared walk, on its own, or over the K-type grid."""
+    if suite in WALKED:
+        summary = request.getfixturevalue("walked")[suite]
+    elif suite == "ktypes":
+        summary = tally("ktypes", suite_ktypes(emit=False))
+    else:
+        summary = run_suite(suite, SOLO_BOUNDS[suite])
+    return _Counts(summary.tags, cases=summary.cases, failures=summary.failures)
+
+
+def _gate(number, criterion, request):
+    """Run row number of CRITERIA against its frozen totals and record the verdict."""
+    row = next(row for row in CRITERIA if row.number == number)
+    counts = {suite: _counts(suite, request) for suite in row.totals}
+    passed = all(
+        getattr(counts[suite], field) == want
+        for suite, frozen in row.totals.items()
+        for field, want in frozen.items()
+    )
+    criterion(number, row.name, passed, row.detail.format(**counts))
+
+
+def test_criterion_1_two_path_equivalence(criterion, request):
+    _gate(1, criterion, request)
 
 
 def blocks(result):
     assert result.aq is not None
     return [(p, q, half(lam_tw)) for p, q, lam_tw in result.aq.triples]
-
-
-def test_criterion_1_two_path_equivalence(criterion, walked):
-    summary = walked["two_path"]
-    detail = (
-        f"{summary.cases} cases, {summary.tags.get('nonzero', 0)} nonzero, "
-        f"{summary.failures} mismatches"
-    )
-    passed = (
-        summary.failures == 0
-        and summary.cases == 2_334_784
-        and summary.tags.get("nonzero") == 976_868
-    )
-    criterion(1, "two-path equivalence", passed, detail)
 
 
 def test_criterion_2_worked_cases(criterion):
@@ -101,72 +191,28 @@ def test_criterion_2_worked_cases(criterion):
     )
 
 
-def test_criterion_3_round_trip(criterion, walked):
-    summary = walked["round_trip"]
-    ambiguous = summary.tags.get("chamber_ambiguous", 0)
-    detail = (
-        f"{summary.cases} cases, {summary.tags.get('match', 0)} exact matches, "
-        f"{ambiguous} chamber-ambiguous (reported, not failed), "
-        f"{summary.failures} failures"
-    )
-    passed = (
-        summary.failures == 0
-        and summary.cases == 358_006
-        and summary.tags.get("match") == 4_998
-        and ambiguous == 6_660
-    )
-    criterion(3, "round trip", passed, detail)
+def test_criterion_3_round_trip(criterion, request):
+    _gate(3, criterion, request)
 
 
-def test_criterion_4_sign_gate_reproof(criterion):
-    summary = run_suite("eta_prime", FULL)
-    detail = f"{summary.cases} parameters, {summary.failures} mismatches"
-    passed = summary.failures == 0 and summary.cases == 121_400
-    criterion(4, "sign gate, closed form vs product form", passed, detail)
+def test_criterion_4_sign_gate_reproof(criterion, request):
+    _gate(4, criterion, request)
 
 
-def test_criterion_5_nonvanishing_consistency(criterion, walked):
-    li = walked["li"]
-    duality = walked["duality"]
-    persistence = walked["persistence"]
-    detail = (
-        f"sufficiency {li.cases} cases ({li.tags.get('sufficient', 0)} sufficient), "
-        f"duality {duality.cases}, persistence {persistence.cases}; "
-        f"failures {li.failures}+{duality.failures}+{persistence.failures}"
-    )
-    passed = (
-        li.failures == duality.failures == persistence.failures == 0
-        and li.cases == persistence.cases == 2_334_784
-        and li.tags.get("sufficient") == 104_304
-        and duality.cases == 56_938
-    )
-    criterion(5, "nonvanishing consistency", passed, detail)
+def test_criterion_5_nonvanishing_consistency(criterion, request):
+    _gate(5, criterion, request)
 
 
-def test_criterion_6_packet_bijections(criterion):
-    summary = run_suite("packets", PACKET_BOUNDS)
-    detail = f"{summary.cases} parameters, all characters, {summary.failures} failures"
-    passed = summary.failures == 0 and summary.cases == 2_123
-    criterion(6, "packet bijections", passed, detail)
+def test_criterion_6_packet_bijections(criterion, request):
+    _gate(6, criterion, request)
 
 
-def test_criterion_7_globalization_shadow(criterion, walked):
-    summary = walked["globalization"]
-    cases, failures, tags = summary.cases, summary.failures, summary.tags
-    detail = (
-        f"{cases} cases, {tags.get('nonzero', 0)} nonzero lifts deformed, "
-        f"{failures} failures"
-    )
-    passed = failures == 0 and cases == 2_334_784 and tags.get("nonzero") == 976_868
-    criterion(7, "globalization shadow", passed, detail)
+def test_criterion_7_globalization_shadow(criterion, request):
+    _gate(7, criterion, request)
 
 
-def test_criterion_8_ktype_correspondence(criterion):
-    summary = tally("ktypes", suite_ktypes(emit=False))
-    cases, failures, tags = summary.cases, summary.failures, summary.tags
-    detail = f"{cases} grid cases, {failures} failures"
-    passed = failures == 0 and cases == 159_993 and tags.get("missing", 0) == 0
-    criterion(8, "K-type correspondence", passed, detail)
+def test_criterion_8_ktype_correspondence(criterion, request):
+    _gate(8, criterion, request)
 
 
 def test_tower_invariants_match_invariants_on_every_orientation():

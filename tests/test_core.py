@@ -24,7 +24,7 @@ from thetalift import (
     parse_half_list,
     split_abgd,
 )
-from thetalift.core import LAX, STRICT, SIDE_P, SIDE_Q
+from thetalift.core import LAX, STRICT
 
 
 def test_halfint_construction():
@@ -173,19 +173,19 @@ def test_split_strict_rejects_stray_zero():
 
 
 def test_split_strict_chain_removal():
-    # lambda_0 = (1/2, -1/2) inside the p-part: chain of length 2
-    lam = HCParam(Signature(2, 0), (half(1), half(-1)))
-    sp = split_abgd(lam, LiftContext(0, 0, 2, 2), STRICT, chain_k=2)
-    assert sp.alpha_tw == sp.beta_tw == sp.gamma_tw == sp.delta_tw == ()
-    assert sp.chain_k == 2
-    assert sp.chain_side == SIDE_P
+    # lambda_0 = (5/2, 1/2, -1/2, -3/2 | 3/2, -5/2): the chain of length 2,
+    # (1/2, -1/2), leaves the p-part; every other value keeps its run.
+    lam = HCParam(Signature(4, 2), tuple(half(t) for t in (5, 1, -1, -3, 3, -5)))
+    sp = split_abgd(lam, LiftContext(0, 0, 6, 4), STRICT, chain_k=2)
+    assert (sp.alpha_tw, sp.beta_tw, sp.gamma_tw, sp.delta_tw) == ((5,), (-3,), (3,), (-5,))
 
 
 def test_split_strict_chain_side_q():
-    # lambda_0 = 0, the length-one chain, sits in the q-part
-    lam = HCParam(Signature(0, 1), (HalfInt(0),))
-    sp = split_abgd(lam, LiftContext(0, 1, 1, 2), STRICT, chain_k=1)
-    assert sp.chain_side == SIDE_Q
+    # lambda_0 = (3, -2 | 2, 1, 0, -1, -3): the chain of length 3,
+    # (1, 0, -1), leaves the q-part and (2 | -3) stays behind in it.
+    lam = HCParam(Signature(2, 5), tuple(half(t) for t in (6, -4, 4, 2, 0, -2, -6)))
+    sp = split_abgd(lam, LiftContext(0, 1, 7, 4), STRICT, chain_k=3)
+    assert (sp.alpha_tw, sp.beta_tw, sp.gamma_tw, sp.delta_tw) == ((6,), (-4,), (4,), (-6,))
 
 
 def test_split_chain_not_present():

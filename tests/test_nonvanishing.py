@@ -1,6 +1,6 @@
 """Tower invariants, window counts, and the occurrence criterion."""
 
-from dataclasses import fields, replace
+from dataclasses import replace
 
 import pytest
 from hypothesis import given
@@ -17,21 +17,14 @@ from thetalift import (
     Signature,
     c_count,
     conjugate_dual,
-    first_occurrence,
     half,
     invariants,
     li_sufficient,
     occurs,
 )
 from thetalift import nonvanishing
-from thetalift.core import _conjugate_dual_m0
-from thetalift.nonvanishing import (
-    NVInvariants,
-    _dual_shifted,
-    _invariants_shifted,
-    _Tower,
-    _tower_invariants,
-)
+from thetalift.core import _conjugate_dual_m0, _split
+from thetalift.nonvanishing import _dual_shifted, _Tower, _tower_invariants
 from thetalift.suites import iter_params
 
 
@@ -44,8 +37,8 @@ def test_invariants_u11_half_pair():
     # the would-be chain straddles both parts, so no chain
     assert inv.k_lambda == 0
     assert (inv.r_lambda, inv.s_lambda) == (2, 0)
-    assert inv.X_tw == ((1, +1), (-1, -1))
-    assert inv.X_inf_tw == inv.X_tw
+    # nothing cancels: X_inf is all of X
+    assert inv.X_inf_tw == ((1, +1), (-1, -1))
     assert (c_count(inv, +1, 1), c_count(inv, -1, 1)) == (1, 1)
     assert (c_count(inv, +1, 4), c_count(inv, -1, 4)) == (1, 1)
     assert c_count(inv, +1, 0) == 0
@@ -130,7 +123,8 @@ def test_invariants_report_a_split_that_disagrees_with_the_core(monkeypatch):
             nonvanishing, "_tower_invariants", lambda p, q, k0: replace(core(p, q, k0), **wrong)
         )
         with pytest.raises(InternalError, match=message):
-            _invariants_shifted((3,), (-1,), 0)
+            # lam - m0/2 = (3/2 | -1/2)
+            invariants(HCParam(Signature(1, 1), (half(3), half(-1))), 0, 0)
 
 
 def test_occurs_examples_u11():
@@ -177,12 +171,6 @@ def test_occurs_vanishes_between_chain_steps():
     assert ok and (pos.l, pos.t) == (2, 0)
     ok, pos = occurs(lam, 0, Signature(4, 2))
     assert ok and (pos.l, pos.t) == (2, 1)
-
-
-def test_first_occurrence():
-    assert first_occurrence(_lam11(), 0, 0) == Signature(2, 0)
-    lam = HCParam(Signature(1, 0), (HalfInt(2),))
-    assert first_occurrence(lam, 0, -1) == Signature(1, 0)
 
 
 def test_occurs_duality_symmetry():
@@ -253,39 +241,47 @@ def _delete_pairs_one_at_a_time(X, cls):
             return tuple(work)
 
 
+def _chain_length(p_tw, q_tw, k0):
+    """k_lambda by search: the longest centered chain of the k0 class inside one part."""
+    for k in range(len(p_tw) + len(q_tw), 0, -1):
+        chain = set(range(1 - k, k, 2))
+        if k % 2 == -k0 and (chain <= set(p_tw) or chain <= set(q_tw)):
+            return k
+    return k0
+
+
 @given(_params_at_exponent())
 def test_x_inf_is_the_fixpoint_of_pair_deletion(case):
+    # A reference oracle: X, the chain and the strict split are built
+    # here from lam itself, and the cancellations made one at a time.
     lam, m0, k0 = case
     inv = invariants(lam, m0, k0)
-    signed = [(t - m0, +1) for t in lam.p_tw] + [(t - m0, -1) for t in lam.q_tw]
-    assert inv.X_tw == tuple(sorted(signed, key=lambda v: -v[0]))
-    sp = inv.split
+    p_tw = tuple(t - m0 for t in lam.p_tw)
+    q_tw = tuple(t - m0 for t in lam.q_tw)
+    assert inv.k_lambda == _chain_length(p_tw, q_tw, k0)
+    X = tuple(sorted([(t, +1) for t in p_tw] + [(t, -1) for t in q_tw], reverse=True))
+    sp = _split(lam, m0, True, max(inv.k_lambda, 0))
+    assert (inv.r_lambda, inv.s_lambda) == (sp.x + sp.w, sp.z + sp.y)
     cls = {
         t: c
         for part, c in ((sp.alpha_tw, "a"), (sp.beta_tw, "b"), (sp.gamma_tw, "g"),
                         (sp.delta_tw, "d"))
         for t in part
     }
-    assert inv.X_inf_tw == _delete_pairs_one_at_a_time(inv.X_tw, cls)
-
-
-def _plain(inv):
-    return (inv.k_lambda, inv.r_lambda, inv.s_lambda, inv.X_inf_tw)
+    assert inv.X_inf_tw == _delete_pairs_one_at_a_time(X, cls)
 
 
 def _assert_tower_matches_invariants(lam, m0, k0):
-    # The tower's plain values are invariants()'s, for lam and for its
-    # conjugate dual.
+    # The tower's invariants are invariants()'s, for lam and for its
+    # conjugate dual, whose strict splits cross-check r and s.
     tower = _Tower(lam, m0, k0)
-    explicit = invariants(_conjugate_dual_m0(lam, m0), m0, k0)
-    assert _plain(tower.inv) == _plain(invariants(lam, m0, k0)), str(lam)
-    assert _plain(tower.dual_inv) == _plain(explicit), str(lam)
+    dual = _conjugate_dual_m0(lam, m0)
+    assert tower.inv == invariants(lam, m0, k0), str(lam)
+    assert tower.dual_inv == invariants(dual, m0, k0), str(lam)
     # The tower reads the dual from lam's own shifted parts, negated and
-    # reversed; they give the explicit dual's invariants in every field,
-    # the strict split and X included.
-    from_parts = _invariants_shifted(*_dual_shifted(lam, m0), k0)
-    for f in fields(NVInvariants):
-        assert getattr(from_parts, f.name) == getattr(explicit, f.name), (str(lam), f.name)
+    # reversed: they are the explicit dual's shifted parts.
+    explicit = (tuple(t - m0 for t in dual.p_tw), tuple(t - m0 for t in dual.q_tw))
+    assert _dual_shifted(lam, m0) == explicit, str(lam)
 
 
 def test_tower_dual_invariants_at_the_benchmark_window():

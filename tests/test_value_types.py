@@ -5,7 +5,7 @@ from_twices, which takes the doubled ints, their public constructors
 take HalfInt values; on any input, valid or not, the two must give
 equal objects with equal hashes and the same JSON, or raise the same
 exception class. ABGDSplit, AParameter and AqLambdaData have one
-constructor, over doubled ints, and each of their validation rules is
+constructor, over doubled ints, and each validation rule they have is
 checked through it. A guard pins where the package names HalfInt at all.
 """
 
@@ -32,7 +32,7 @@ from thetalift import (
     WrongParityClass,
     half,
 )
-from thetalift.core import SIDE_NONE, SIDE_P, SIDE_Q, ABGDSplit, half_text
+from thetalift.core import ABGDSplit, half_text
 
 twices = st.integers(-13, 13)
 runs = st.lists(twices, max_size=5).map(tuple)
@@ -123,20 +123,12 @@ def test_halfint_constructors_take_only_halfint():
             LParameter((value,))
 
 
-sides = st.sampled_from((SIDE_NONE, SIDE_P, SIDE_Q, "X"))
-
-
-@given(runs, runs, runs, runs, st.integers(0, 3), sides)
-def test_abgd_split(a, b, g, d, chain_k, side):
-    # A known side, set exactly when there is a chain.
-    valid = side in (SIDE_NONE, SIDE_P, SIDE_Q) and (chain_k == 0) == (side == SIDE_NONE)
-    sp, err = build(lambda: ABGDSplit(a, b, g, d, chain_k, side))
-    assert err is (None if valid else ValueError)
-    if valid:
-        assert (sp.alpha_tw, sp.beta_tw, sp.gamma_tw, sp.delta_tw) == (a, b, g, d)
-        assert (sp.x, sp.y, sp.z, sp.w) == (len(a), len(b), len(g), len(d))
-    if chain_k == 0:
-        assert ABGDSplit(a, b, g, d) == ABGDSplit(a, b, g, d, 0, SIDE_NONE)
+@given(runs, runs, runs, runs)
+def test_abgd_split(a, b, g, d):
+    # Any four runs: the split has no validation rule of its own.
+    sp = ABGDSplit(a, b, g, d)
+    assert (sp.alpha_tw, sp.beta_tw, sp.gamma_tw, sp.delta_tw) == (a, b, g, d)
+    assert (sp.x, sp.y, sp.z, sp.w) == (len(a), len(b), len(g), len(d))
 
 
 @given(st.integers(-1, 3), st.integers(-1, 3), twices)
