@@ -7,6 +7,8 @@ equal objects with equal hashes and the same JSON, or raise the same
 exception class. ABGDSplit, AParameter and AqLambdaData have one
 constructor, over doubled ints, and each validation rule they have is
 checked through it. A guard pins where the package names HalfInt at all.
+One contract, checked on every value type, pins equality, hashing,
+immutability, repr and construction by keyword.
 """
 
 import ast
@@ -23,16 +25,26 @@ import thetalift
 from thetalift import (
     AParameter,
     AqLambdaData,
+    EnumerationBounds,
+    GlobalizationReport,
     HCParam,
+    KType,
+    LiftContext,
+    LiftResult,
     LParameter,
     NotDominant,
+    NVInvariants,
     PreconditionViolation,
     RepeatedEntry,
+    SignCharacter,
     Signature,
+    TowerPosition,
     WrongParityClass,
+    ZetaSigns,
     half,
 )
 from thetalift.core import ABGDSplit, half_text
+from thetalift.suites import SuiteSummary
 
 twices = st.integers(-13, 13)
 runs = st.lists(twices, max_size=5).map(tuple)
@@ -262,3 +274,76 @@ def _scopes_naming(package: Path, names: set[str]) -> set[str]:
 def test_halfint_is_named_only_at_the_edges():
     package = Path(thetalift.__file__).resolve().parent
     assert _scopes_naming(package, {"HalfInt", "half", "halves"}) == HALFINT_EDGE
+
+
+# Every value type, built by keyword with its defaults; the values of
+# its fields in declaration order, derived fields included; and what
+# its hash is the hash of: the fields' tuple, the triples alone for
+# AqLambdaData, whose target follows from them, or None for the two
+# mutable, unhashable types.
+_LAM = HCParam(Signature(1, 1), (half(3), half(-1)))
+VALUE_TYPES = [
+    (lambda: Signature(p=1, q=2), {"p": 1, "q": 2}, "fields"),
+    (lambda: HCParam(sig=Signature(1, 1), entries=(half(3), half(-1))),
+     {"sig": Signature(1, 1), "entries_tw": (3, -1)}, "fields"),
+    (lambda: LiftContext(m0=0, n0=1, source_dim=1, target_dim=2),
+     {"m0": 0, "n0": 1, "source_dim": 1, "target_dim": 2}, "fields"),
+    (lambda: ABGDSplit(alpha_tw=(3,), beta_tw=(), gamma_tw=(), delta_tw=(-1,)),
+     {"alpha_tw": (3,), "beta_tw": (), "gamma_tw": (), "delta_tw": (-1,)}, "fields"),
+    (lambda: KType(sig=Signature(1, 1), a_weights=(2,), b_weights=(0,)),
+     {"sig": Signature(1, 1), "a_weights": (2,), "b_weights": (0,)}, "fields"),
+    (lambda: AqLambdaData(target=Signature(1, 0), triples=((1, 0, 2),)),
+     {"target": Signature(1, 0), "triples": ((1, 0, 2),)}, "triples"),
+    (lambda: LiftResult(kind="vanishes"),
+     {"kind": "vanishes", "param": None, "aq": None, "position": None}, "fields"),
+    (lambda: NVInvariants(k_lambda=0, r_lambda=1, s_lambda=0, X_inf_tw=((3, 1),)),
+     {"k_lambda": 0, "r_lambda": 1, "s_lambda": 0, "X_inf_tw": ((3, 1),)}, None),
+    (lambda: TowerPosition(l=0, t=1, swapped=False),
+     {"l": 0, "t": 1, "swapped": False, "reason": None}, "fields"),
+    (lambda: LParameter(kappas=(half(1), half(-1))), {"kappa_tw": (1, -1)}, "fields"),
+    (lambda: AParameter(mu_tw=(2, -2), mu0_tw=0, m=3),
+     {"mu_tw": (2, -2), "mu0_tw": 0, "m": 3, "n": 2, "i0": 2, "tie_at_i0": False}, "fields"),
+    (lambda: SignCharacter(values=(1, -1)), {"values": (1, -1)}, "fields"),
+    (lambda: EnumerationBounds(max_n=1, max_m_minus_n=1, height=half(3)),
+     {"max_n": 1, "max_m_minus_n": 1, "height": half(3)}, "fields"),
+    (lambda: SuiteSummary(name="li"), {"name": "li", "cases": 0, "failures": 0, "tags": {}}, None),
+    (lambda: ZetaSigns(zetas=(1, -1), zeta0=-1), {"zetas": (1, -1), "zeta0": -1}, "fields"),
+    (lambda: GlobalizationReport(t=1, deformed=_LAM, eta_preserved=True, li_holds=True,
+                                 lift_matches=False),
+     {"t": 1, "deformed": _LAM, "eta_preserved": True, "li_holds": True, "lift_matches": False},
+     "fields"),
+]
+
+
+@pytest.mark.parametrize(
+    "build_value, fields, hash_of", VALUE_TYPES,
+    ids=[type(build_value()).__name__ for build_value, _fields, _hash_of in VALUE_TYPES],
+)
+def test_value_type_contract(build_value, fields, hash_of):
+    value = build_value()
+    cls = type(value)
+    values = tuple(fields.values())
+    assert tuple(getattr(value, name) for name in fields) == values
+    assert repr(value) == f"{cls.__name__}({', '.join(f'{k}={v!r}' for k, v in fields.items())})"
+    # Equality is by field and class-strict: the fields' own tuple is no match.
+    assert value == build_value() and not value != build_value()
+    assert value.__eq__(values) is NotImplemented and value != values
+    assert value.__eq__(object()) is NotImplemented
+    if hash_of is None:
+        with pytest.raises(TypeError):
+            hash(value)
+        setattr(value, next(iter(fields)), values[0])
+        return
+    assert hash(value) == hash(values if hash_of == "fields" else getattr(value, hash_of))
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert tuple(getattr(value, name) for name in fields) == values
+
+
+def test_suite_summary_tags_are_per_instance():
+    a, b = SuiteSummary("li"), SuiteSummary("li")
+    a.tags["x"] = 1
+    assert b.tags == {}
