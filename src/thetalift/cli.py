@@ -332,12 +332,19 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--max-dm", type=int, default=4)
     sp.set_defaults(func=cmd_enumerate)
 
+    # Before Python 3.13, argparse reads `--opt=--` as an empty list and
+    # skips the option's type and choices; no option here takes a list,
+    # so main() refuses one through the subcommand's own parser.
+    for sp in sub.choices.values():
+        sp.set_defaults(parser=sp)
     return parser
 
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if any(isinstance(value, list) for value in vars(args).values()):
+        args.parser.error("an option's value may not be '--'")
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -4,12 +4,15 @@ Everything downstream works with elements of (1/2)Z, stored as their
 doubles: the value types (HCParam, ABGDSplit here, and the block and
 packet types downstream) hold tuples of doubled ints in their *_tw
 fields, and all arithmetic is exact integer arithmetic on them; floats
-never appear. HalfInt, an immutable wrapper around twice the value, is
-the type for parsing and rendering only, with no arithmetic or ordering
-of its own. Only the edges that parse user text take it: HCParam and
-LParameter accept HalfInt values besides their from_twices constructors,
-and raise TypeError for any other entry, and HCParam.entries renders
-back to it. Every other value type has one
+never appear. The value types are plain slotted classes, each with its
+constructor written out; _Value and _Frozen here give them equality,
+repr and, when frozen, the hash and immutability, so importing the
+package loads no dataclasses machinery. HalfInt, an immutable wrapper
+around twice the value, is the type for parsing and rendering only, with
+no arithmetic or ordering of its own. Only the edges that parse user
+text take it: HCParam and LParameter accept HalfInt values besides their
+from_twices constructors, and raise TypeError for any other entry, and
+HCParam.entries renders back to it. Every other value type has one
 constructor, over its doubled ints.
 
 A discrete series of U(p, q) is recorded by its Harish-Chandra parameter:
@@ -39,7 +42,7 @@ many targets keep it themselves.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from operator import attrgetter
 from typing import Iterable
 
 from .errors import (
@@ -123,6 +126,55 @@ class HalfInt:
     __repr__ = __str__
 
 
+class _Value:
+    """Base of the value types: fields in __slots__ order, compared and shown.
+
+    Equality compares the fields of two values of the same class (any
+    other class gets NotImplemented), and repr shows Name(field=value,
+    ...). A _Value is mutable and unhashable; _Frozen adds the hash of
+    the fields' tuple and refuses assignment and deletion. Each type
+    writes its own __init__.
+    """
+
+    __slots__ = ()
+    __hash__ = None  # type: ignore[assignment]
+
+    def __init_subclass__(cls) -> None:
+        # The fields read in C, as a tuple, or the bare value of a single
+        # field. attrgetter is no descriptor, so self._key is the getter.
+        if cls.__slots__:
+            cls._key = attrgetter(*cls.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        key = self._key
+        return key(self) == key(other)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{self.__class__.__qualname__}({shown})"
+
+
+class _Frozen(_Value):
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        key = self._key(self)
+        return hash(key if len(self.__slots__) > 1 else (key,))
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state: tuple) -> None:
+        # pickle and copy restore the slots here, as assignment is refused.
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
 def half_text(twice: int) -> str:
     """The canonical text of twice/2, as str(HalfInt) renders it: '3', '-7/2'."""
     if twice % 2 == 0:
@@ -167,16 +219,16 @@ def parse_half_list(text: str) -> tuple[HalfInt, ...]:
     return tuple(HalfInt.parse(p) for p in _list_entries(text))
 
 
-@dataclass(frozen=True, slots=True)
-class Signature:
+class Signature(_Frozen):
     """The signature (p, q) of a unitary group U(p, q)."""
 
-    p: int
-    q: int
+    __slots__ = ("p", "q")
 
-    def __post_init__(self) -> None:
-        if self.p < 0 or self.q < 0:
-            raise ValueError(f"signature entries must be nonnegative: ({self.p}, {self.q})")
+    def __init__(self, p: int, q: int) -> None:
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        if p < 0 or q < 0:
+            raise ValueError(f"signature entries must be nonnegative: ({p}, {q})")
 
     @property
     def n(self) -> int:
@@ -204,8 +256,7 @@ def _check_strictly_decreasing(part: tuple[int, ...], label: str) -> None:
             )
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class HCParam:
+class HCParam(_Frozen):
     """Harish-Chandra parameter of a discrete series of U(p, q).
 
     entries_tw holds the doubled entries, the p-part followed by the
@@ -217,8 +268,7 @@ class HCParam:
     the doubled ints; both validate through __post_init__.
     """
 
-    sig: Signature
-    entries_tw: tuple[int, ...]
+    __slots__ = ("sig", "entries_tw")
 
     def __init__(self, sig: Signature, entries: Iterable[HalfInt]) -> None:
         object.__setattr__(self, "sig", sig)
@@ -298,8 +348,7 @@ class HCParam:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class LiftContext:
+class LiftContext(_Frozen):
     """Normalization data for one direction of a dual-pair lift.
 
     m0 is the exponent of the determinant twist attached to the target
@@ -308,22 +357,19 @@ class LiftContext:
     n0/2. The reverse direction swaps the roles wholesale.
     """
 
-    m0: int
-    n0: int
-    source_dim: int
-    target_dim: int
+    __slots__ = ("m0", "n0", "source_dim", "target_dim")
 
-    def __post_init__(self) -> None:
-        if self.source_dim < 0 or self.target_dim < 0:
+    def __init__(self, m0: int, n0: int, source_dim: int, target_dim: int) -> None:
+        object.__setattr__(self, "m0", m0)
+        object.__setattr__(self, "n0", n0)
+        object.__setattr__(self, "source_dim", source_dim)
+        object.__setattr__(self, "target_dim", target_dim)
+        if source_dim < 0 or target_dim < 0:
             raise ValueError("dimensions must be nonnegative")
-        if (self.m0 - self.target_dim) % 2 != 0:
-            raise ParityMismatch(
-                f"m0={self.m0} must match target_dim={self.target_dim} mod 2"
-            )
-        if (self.n0 - self.source_dim) % 2 != 0:
-            raise ParityMismatch(
-                f"n0={self.n0} must match source_dim={self.source_dim} mod 2"
-            )
+        if (m0 - target_dim) % 2 != 0:
+            raise ParityMismatch(f"m0={m0} must match target_dim={target_dim} mod 2")
+        if (n0 - source_dim) % 2 != 0:
+            raise ParityMismatch(f"n0={n0} must match source_dim={source_dim} mod 2")
 
     @classmethod
     def minimal(cls, source_dim: int, target_dim: int) -> "LiftContext":
@@ -344,8 +390,7 @@ LAX = "lax"
 STRICT = "strict"
 
 
-@dataclass(frozen=True, slots=True)
-class ABGDSplit:
+class ABGDSplit(_Frozen):
     """Positive/nonpositive split of lam - m0/2, with an optional chain.
 
     alpha_tw and beta_tw partition the (chain-stripped) p-part of lam0,
@@ -354,10 +399,19 @@ class ABGDSplit:
     are their lengths.
     """
 
-    alpha_tw: tuple[int, ...]
-    beta_tw: tuple[int, ...]
-    gamma_tw: tuple[int, ...]
-    delta_tw: tuple[int, ...]
+    __slots__ = ("alpha_tw", "beta_tw", "gamma_tw", "delta_tw")
+
+    def __init__(
+        self,
+        alpha_tw: tuple[int, ...],
+        beta_tw: tuple[int, ...],
+        gamma_tw: tuple[int, ...],
+        delta_tw: tuple[int, ...],
+    ) -> None:
+        object.__setattr__(self, "alpha_tw", alpha_tw)
+        object.__setattr__(self, "beta_tw", beta_tw)
+        object.__setattr__(self, "gamma_tw", gamma_tw)
+        object.__setattr__(self, "delta_tw", delta_tw)
 
     @property
     def x(self) -> int:

@@ -24,24 +24,25 @@ m1 = r, m2 = s (mod 2) and m1 + m2 = m0.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
 from operator import ge, neg
 
-from .core import LiftContext, Signature
+from .core import LiftContext, Signature, _Frozen
 from .errors import InternalError, PatternMismatch, PreconditionViolation
 
 
-@dataclass(frozen=True, slots=True)
-class KType:
+class KType(_Frozen):
     """Highest weight of U(p) x U(q): two weakly decreasing int tuples."""
 
-    sig: Signature
-    a_weights: tuple[int, ...]
-    b_weights: tuple[int, ...]
+    __slots__ = ("sig", "a_weights", "b_weights")
 
-    def __post_init__(self) -> None:
-        a, b = self.a_weights, self.b_weights
-        if len(a) != self.sig.p or len(b) != self.sig.q:
+    def __init__(
+        self, sig: Signature, a_weights: tuple[int, ...], b_weights: tuple[int, ...]
+    ) -> None:
+        object.__setattr__(self, "sig", sig)
+        object.__setattr__(self, "a_weights", a_weights)
+        object.__setattr__(self, "b_weights", b_weights)
+        a, b = a_weights, b_weights
+        if len(a) != sig.p or len(b) != sig.q:
             raise ValueError("weight lengths must match the signature")
         if not all(map(ge, a, a[1:])):
             raise ValueError("a-weights must weakly decrease")

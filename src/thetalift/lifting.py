@@ -56,10 +56,9 @@ live here, with the type whose invariants they are.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable
 
-from .core import HCParam, HalfInt, LiftContext, STRICT, Signature, half_text, split_abgd
+from .core import HCParam, HalfInt, LiftContext, STRICT, Signature, _Frozen, half_text, split_abgd
 from .errors import (
     ChamberAmbiguous,
     InternalError,
@@ -110,8 +109,7 @@ def _check_sums(target: Signature, p: int, q: int) -> None:
         raise SignatureMismatch("block signatures do not sum to the target")
 
 
-@dataclass(frozen=True, slots=True, init=False, eq=False)
-class AqLambdaData:
+class AqLambdaData(_Frozen):
     """Ordered Levi blocks of a weakly fair A_q(lam') on U(target).
 
     Block signatures sum to the target and consecutive values satisfy
@@ -130,8 +128,7 @@ class AqLambdaData:
     interval or big block, the sums and the two seams next to that block.
     """
 
-    target: Signature
-    triples: tuple[Triple, ...]
+    __slots__ = ("target", "triples")
 
     def __init__(self, target: Signature, triples: Iterable[Triple]) -> None:
         triples = tuple((p, q, lam_tw) for p, q, lam_tw in triples)
@@ -206,8 +203,7 @@ DISCRETE_SERIES = "discrete_series"
 AQ_WEAKLY_FAIR = "aq_weakly_fair"
 
 
-@dataclass(frozen=True, slots=True)
-class LiftResult:
+class LiftResult(_Frozen):
     """Outcome of a lift: zero, a discrete series, or an A_q(lam').
 
     position, when set, is where the occurrence decision placed the
@@ -215,10 +211,19 @@ class LiftResult:
     answer says which condition failed.
     """
 
-    kind: str
-    param: HCParam | None = None
-    aq: AqLambdaData | None = None
-    position: TowerPosition | None = None
+    __slots__ = ("kind", "param", "aq", "position")
+
+    def __init__(
+        self,
+        kind: str,
+        param: HCParam | None = None,
+        aq: AqLambdaData | None = None,
+        position: TowerPosition | None = None,
+    ) -> None:
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "param", param)
+        object.__setattr__(self, "aq", aq)
+        object.__setattr__(self, "position", position)
 
     @classmethod
     def vanishes(cls, position: TowerPosition | None = None) -> "LiftResult":

@@ -43,9 +43,7 @@ builds no dual parameter.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import ABGDSplit, HCParam, Signature, _parts_text, _split
+from .core import ABGDSplit, HCParam, Signature, _Frozen, _Value, _parts_text, _split
 from .errors import (
     ChainNotPresent,
     InternalError,
@@ -55,24 +53,28 @@ from .errors import (
 )
 
 
-@dataclass(slots=True)
-class NVInvariants:
+class NVInvariants(_Value):
     """Tower invariants of lam - m0/2, for one parameter lam at one exponent m0.
 
     X_inf_tw holds X_inf as a tuple of (doubled value, sign) pairs in
-    descending value order; sign is +1 or -1. Not frozen: a frozen
-    dataclass costs about a microsecond more to build, and a tower
-    builds one per orientation.
+    descending value order; sign is +1 or -1. Not frozen, so mutable and
+    unhashable: its constructor stores the fields directly, about half a
+    microsecond less than the object.__setattr__ calls of a frozen type
+    (Python 3.11), and a tower builds one per orientation.
     """
 
-    k_lambda: int
-    r_lambda: int
-    s_lambda: int
-    X_inf_tw: tuple[tuple[int, int], ...]
+    __slots__ = ("k_lambda", "r_lambda", "s_lambda", "X_inf_tw")
+
+    def __init__(
+        self, k_lambda: int, r_lambda: int, s_lambda: int, X_inf_tw: tuple[tuple[int, int], ...]
+    ) -> None:
+        self.k_lambda = k_lambda
+        self.r_lambda = r_lambda
+        self.s_lambda = s_lambda
+        self.X_inf_tw = X_inf_tw
 
 
-@dataclass(frozen=True, slots=True)
-class TowerPosition:
+class TowerPosition(_Frozen):
     """Coordinates of a target signature relative to the first lift.
 
     l counts the steps along the tower, t the extra full hyperbolic
@@ -81,10 +83,13 @@ class TowerPosition:
     when the lift occurs and names the failing condition otherwise.
     """
 
-    l: int
-    t: int
-    swapped: bool
-    reason: str | None = None
+    __slots__ = ("l", "t", "swapped", "reason")
+
+    def __init__(self, l: int, t: int, swapped: bool, reason: str | None = None) -> None:
+        object.__setattr__(self, "l", l)
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "swapped", swapped)
+        object.__setattr__(self, "reason", reason)
 
     def to_json(self) -> dict:
         return {"l": self.l, "t": self.t, "swapped": self.swapped, "reason": self.reason}

@@ -47,10 +47,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .core import HCParam, HalfInt, Signature, _halfint_twices, half_text
+from .core import HCParam, HalfInt, Signature, _Frozen, _halfint_twices, half_text
 from .errors import (
     InternalError,
     InternalLemmaMismatch,
@@ -74,8 +73,7 @@ def _check_decreasing_distinct(values: tuple[int, ...], label: str) -> None:
             raise RepeatedEntry(f"{label} repeats {half_text(a)}")
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class LParameter:
+class LParameter(_Frozen):
     """Strictly decreasing kappa_1 > ... > kappa_n in Z + (n-1)/2.
 
     kappa_tw stores the values doubled. LParameter(kappas) takes the
@@ -83,7 +81,7 @@ class LParameter:
     doubled ints.
     """
 
-    kappa_tw: tuple[int, ...]
+    __slots__ = ("kappa_tw",)
 
     def __init__(self, kappas: Iterable[HalfInt]) -> None:
         object.__setattr__(self, "kappa_tw", _halfint_twices(kappas, "LParameter"))
@@ -115,8 +113,7 @@ class LParameter:
         return {"kappa": [half_text(k) for k in self.kappa_tw]}
 
 
-@dataclass(frozen=True, slots=True)
-class AParameter:
+class AParameter(_Frozen):
     """Lift parameter: mu_1 > ... > mu_n with mu_0 spliced in at i0.
 
     AParameter(mu_tw, mu0_tw, m) takes the values doubled: mu_tw in
@@ -129,31 +126,26 @@ class AParameter:
     there is no tie whenever m - n > 1.
     """
 
-    mu_tw: tuple[int, ...]
-    mu0_tw: int
-    m: int
-    n: int = field(init=False)
-    i0: int = field(init=False)
-    tie_at_i0: bool = field(init=False)
+    __slots__ = ("mu_tw", "mu0_tw", "m", "n", "i0", "tie_at_i0")
 
-    def __post_init__(self) -> None:
-        n = len(self.mu_tw)
+    def __init__(self, mu_tw: tuple[int, ...], mu0_tw: int, m: int) -> None:
+        object.__setattr__(self, "mu_tw", mu_tw)
+        object.__setattr__(self, "mu0_tw", mu0_tw)
+        object.__setattr__(self, "m", m)
+        n = len(mu_tw)
         object.__setattr__(self, "n", n)
-        if self.m <= n:
-            raise PreconditionViolation(f"need m > n, got m={self.m}, n={n}")
-        want = (self.m - 1) % 2
-        for v in self.mu_tw:
+        if m <= n:
+            raise PreconditionViolation(f"need m > n, got m={m}, n={n}")
+        want = (m - 1) % 2
+        for v in mu_tw:
             if v % 2 != want:
-                raise WrongParityClass(f"{half_text(v)} is not in Z + ({self.m}-1)/2")
-        mu0 = self.mu0_tw
-        if mu0 % 2 != n % 2:
-            raise WrongParityClass(f"mu0={half_text(mu0)} is not in Z + {n}/2")
-        _check_decreasing_distinct(self.mu_tw, "mu")
-        i0 = 1 + sum(1 for v in self.mu_tw if v > mu0)
+                raise WrongParityClass(f"{half_text(v)} is not in Z + ({m}-1)/2")
+        if mu0_tw % 2 != n % 2:
+            raise WrongParityClass(f"mu0={half_text(mu0_tw)} is not in Z + {n}/2")
+        _check_decreasing_distinct(mu_tw, "mu")
+        i0 = 1 + sum(1 for v in mu_tw if v > mu0_tw)
         object.__setattr__(self, "i0", i0)
-        object.__setattr__(
-            self, "tie_at_i0", self.m - n == 1 and i0 <= n and self.mu_tw[i0 - 1] == mu0
-        )
+        object.__setattr__(self, "tie_at_i0", m - n == 1 and i0 <= n and mu_tw[i0 - 1] == mu0_tw)
 
     def to_json(self) -> dict:
         return {
@@ -164,8 +156,7 @@ class AParameter:
         }
 
 
-@dataclass(frozen=True, slots=True)
-class SignCharacter:
+class SignCharacter(_Frozen):
     """A character of (Z/2)^k recorded by its values on the basis.
 
     For an LParameter, values[i] is eta(e_{i+1}) and len == n. For an
@@ -176,10 +167,11 @@ class SignCharacter:
     value varying fastest, + before -.
     """
 
-    values: tuple[int, ...]
+    __slots__ = ("values",)
 
-    def __post_init__(self) -> None:
-        for v in self.values:
+    def __init__(self, values: tuple[int, ...]) -> None:
+        object.__setattr__(self, "values", values)
+        for v in values:
             if v not in (PLUS, MINUS):
                 raise MalformedCharacter(f"character values must be +1 or -1, got {v}")
 

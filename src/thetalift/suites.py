@@ -66,7 +66,6 @@ objects, each the other's oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import partial
 from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
@@ -76,6 +75,8 @@ from .core import (
     HalfInt,
     LiftContext,
     Signature,
+    _Frozen,
+    _Value,
     _conjugate_dual_m0,
     _split,
     half_text,
@@ -86,6 +87,7 @@ from .errors import (
     MalformedCharacter,
     NotCompactLevi,
     NotGoodRange,
+    PreconditionViolation,
 )
 from .ktypes import KType, _cut, _half_shift, correspond_ktype
 from .lifting import (
@@ -113,16 +115,16 @@ Case = tuple[bool, str, dict | None]
 Tagged = tuple[int, Case]  # a case and the index of the walk check that made it
 
 
-@dataclass(frozen=True, slots=True)
-class EnumerationBounds:
+class EnumerationBounds(_Frozen):
     """Finite enumeration window: sizes, tower distance, entry height."""
 
-    max_n: int
-    max_m_minus_n: int
-    height: HalfInt
+    __slots__ = ("max_n", "max_m_minus_n", "height")
 
-    def __post_init__(self) -> None:
-        if self.max_n < 1 or self.max_m_minus_n < 1 or self.height.twice < 1:
+    def __init__(self, max_n: int, max_m_minus_n: int, height: HalfInt) -> None:
+        object.__setattr__(self, "max_n", max_n)
+        object.__setattr__(self, "max_m_minus_n", max_m_minus_n)
+        object.__setattr__(self, "height", height)
+        if max_n < 1 or max_m_minus_n < 1 or height.twice < 1:
             raise ValueError("bounds must be positive")
 
 
@@ -276,8 +278,15 @@ def _check_round_trip(p: _Param, target: Signature, pos, sigma, emit: bool) -> C
     if pos[3] is not None:
         return True, "vanishing", None
     # The reverse lift's occurrence is part of what is checked, so it
-    # goes through the public, checking lift_up.
-    back = lift_up(sigma, _ctx(p.lam, p.m0, p.n0, target.n).reversed(), p.lam.sig)
+    # goes through the public, checking lift_up. Its refusal of a
+    # vanishing lift is a failed case here: the lift down was nonzero,
+    # so the occurrence rule contradicts itself; that is no input error.
+    try:
+        back = lift_up(sigma, _ctx(p.lam, p.m0, p.n0, target.n).reversed(), p.lam.sig)
+    except PreconditionViolation as err:
+        return False, "reverse_vanishes", p.record(
+            "round_trip", target=_sig_json(target), sigma=sigma.to_json(), reverse_lift=str(err)
+        )
     inf_ok = tuple(sorted(p.lam.entries_tw, reverse=True)) == _aq_infinitesimal_twices(back)
     ds_ok = True
     try:
@@ -638,14 +647,18 @@ SUITES: dict[str, Callable[..., Iterator[Case]]] = {
 SUITES.update(eta_prime=suite_eta_prime, packets=suite_packets)
 
 
-@dataclass
-class SuiteSummary:
-    """Counts from one suite run."""
+class SuiteSummary(_Value):
+    """Counts from one suite run; tags defaults to a new empty dict."""
 
-    name: str
-    cases: int = 0
-    failures: int = 0
-    tags: dict[str, int] = field(default_factory=dict)
+    __slots__ = ("name", "cases", "failures", "tags")
+
+    def __init__(
+        self, name: str, cases: int = 0, failures: int = 0, tags: dict[str, int] | None = None
+    ) -> None:
+        self.name = name
+        self.cases = cases
+        self.failures = failures
+        self.tags = {} if tags is None else tags
 
 
 def run_suite(

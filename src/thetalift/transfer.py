@@ -31,9 +31,7 @@ and the comparison. Nothing is memoized.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .core import HCParam, LiftContext, Signature, _deformation, _split
+from .core import HCParam, LiftContext, Signature, _deformation, _Frozen, _split
 from .errors import PreconditionViolation
 from .lifting import AqLambdaData, _LiftUp
 from .nonvanishing import _li_fits, occurs
@@ -49,12 +47,14 @@ from .packets import (
 )
 
 
-@dataclass(frozen=True, slots=True)
-class ZetaSigns:
+class ZetaSigns(_Frozen):
     """Correction signs for transporting a character across the pair."""
 
-    zetas: tuple[int, ...]
-    zeta0: int
+    __slots__ = ("zetas", "zeta0")
+
+    def __init__(self, zetas: tuple[int, ...], zeta0: int) -> None:
+        object.__setattr__(self, "zetas", zetas)
+        object.__setattr__(self, "zeta0", zeta0)
 
 
 def zeta_signs(m: int, n: int, i0: int) -> ZetaSigns:
@@ -135,15 +135,19 @@ class _Transfer:
         return self.e0_source * epsilon_of_signature(target.p, target.q)
 
 
-@dataclass(frozen=True, slots=True)
-class GlobalizationReport:
+class GlobalizationReport(_Frozen):
     """Outcome of the deformation shadow of the globalization argument."""
 
-    t: int
-    deformed: HCParam
-    eta_preserved: bool
-    li_holds: bool
-    lift_matches: bool
+    __slots__ = ("t", "deformed", "eta_preserved", "li_holds", "lift_matches")
+
+    def __init__(
+        self, t: int, deformed: HCParam, eta_preserved: bool, li_holds: bool, lift_matches: bool
+    ) -> None:
+        object.__setattr__(self, "t", t)
+        object.__setattr__(self, "deformed", deformed)
+        object.__setattr__(self, "eta_preserved", eta_preserved)
+        object.__setattr__(self, "li_holds", li_holds)
+        object.__setattr__(self, "lift_matches", lift_matches)
 
     @property
     def passed(self) -> bool:

@@ -632,6 +632,14 @@ class TestBoundary:
         assert (rc, err) == (0, ""), argv
         assert out
 
+    @pytest.mark.parametrize("command", sorted(VALID_ARGV))
+    def test_double_dash_value_is_a_usage_error(self, command):
+        # Before Python 3.13, argparse reads `--opt=--` as no value at all.
+        argv = _argv(command, {flag: "--" for flag in VALID_ARGV[command]})
+        rc, out, err = run_captured(argv)
+        assert (rc, out) == (2, ""), (argv, err)
+        assert err.splitlines()[-1].startswith(f"thetalift {command}: error: "), err
+
     @settings(max_examples=200, deadline=None)
     @given(malformed_argv())
     def test_malformed_argv_is_exit_two_without_traceback(self, argv):

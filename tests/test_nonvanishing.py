@@ -1,7 +1,5 @@
 """Tower invariants, window counts, and the occurrence criterion."""
 
-from dataclasses import replace
-
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -12,6 +10,7 @@ from thetalift import (
     HalfInt,
     InternalError,
     LiftContext,
+    NVInvariants,
     ParityMismatch,
     PreconditionViolation,
     Signature,
@@ -114,17 +113,16 @@ def test_tower_invariants_reject_a_chain_span_with_other_values():
 def test_invariants_report_a_split_that_disagrees_with_the_core(monkeypatch):
     # A chain the core claims but the parts lack, and a signature the
     # strict split does not give, are internal errors too.
-    core = nonvanishing._tower_invariants
+    lam = HCParam(Signature(1, 1), (half(3), half(-1)))  # lam - m0/2 = (3/2 | -1/2)
+    x_inf = ((3, 1), (-1, -1))
+    assert _tower_invariants((3,), (-1,), 0) == NVInvariants(0, 2, 0, x_inf)
     for wrong, message in (
-        ({"k_lambda": 4}, "no centered chain of length 4"),
-        ({"r_lambda": 0, "s_lambda": 2}, r"gives \(2, 0\), the tower \(0, 2\)"),
+        (NVInvariants(4, 2, 0, x_inf), "no centered chain of length 4"),
+        (NVInvariants(0, 0, 2, x_inf), r"gives \(2, 0\), the tower \(0, 2\)"),
     ):
-        monkeypatch.setattr(
-            nonvanishing, "_tower_invariants", lambda p, q, k0: replace(core(p, q, k0), **wrong)
-        )
+        monkeypatch.setattr(nonvanishing, "_tower_invariants", lambda p, q, k0: wrong)
         with pytest.raises(InternalError, match=message):
-            # lam - m0/2 = (3/2 | -1/2)
-            invariants(HCParam(Signature(1, 1), (half(3), half(-1))), 0, 0)
+            invariants(lam, 0, 0)
 
 
 def test_occurs_examples_u11():

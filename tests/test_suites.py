@@ -20,8 +20,10 @@ from thetalift import (
     InternalError,
     SignCharacter,
     Signature,
+    TowerPosition,
     cli,
     half,
+    lifting,
     packets,
     suites,
 )
@@ -133,6 +135,26 @@ def test_a_failing_per_parameter_check_is_counted_under_its_own_name(monkeypatch
     # of r and s wherever they differ; no other check reads it.
     failures = _failures_with(monkeypatch, "_conjugate_dual_m0", lambda lam, m0: lam)
     assert failures == {**dict.fromkeys(WALKED, 0), "duality": 878}
+
+
+def test_a_vanishing_reverse_lift_is_a_failed_round_trip_case(monkeypatch, capsys):
+    # Under a wrong occurrence rule the reverse of a nonzero lift down can
+    # vanish, and lift_up refuses it as bad input. round_trip counts it as
+    # a failed case with the reason in its record, and verify exits 1.
+    vanishing = TowerPosition(0, 0, False, "the patched rule")
+    monkeypatch.setattr(lifting, "occurs", lambda lam, m0, target: (False, vanishing))
+    records = []
+    summary = run_suite("round_trip", ENUMERATION, sink=records.append)
+    cases, tags = COUNTS["round_trip"]
+    nonzero = cases - tags["vanishing"]
+    assert (summary.cases, summary.failures) == (cases, nonzero)
+    assert summary.tags == {"vanishing": tags["vanishing"], "reverse_vanishes": nonzero}
+    assert len(records) == nonzero
+    assert all(r["reverse_lift"].endswith(" vanishes: the patched rule") for r in records)
+    capsys.readouterr()
+    argv = ["verify", "--suite", "round_trip", "--max-n", "2", "--max-dm", "1", "--height", "5/2"]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == ""
 
 
 def test_run_suites_takes_each_walked_check_once():

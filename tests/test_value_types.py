@@ -12,7 +12,9 @@ immutability, repr and construction by keyword.
 """
 
 import ast
+import copy
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -27,6 +29,7 @@ from thetalift import (
     AqLambdaData,
     EnumerationBounds,
     GlobalizationReport,
+    HalfInt,
     HCParam,
     KType,
     LiftContext,
@@ -218,6 +221,18 @@ def test_internal_check_survives_optimize():
     assert proc.stdout.split() == ["1", "InternalError"]
 
 
+def test_import_loads_no_dataclasses():
+    # The value types are plain slotted classes: importing dataclasses
+    # would also load inspect, ast, dis and tokenize, about a fifth of
+    # the package's import time. -S keeps site's own imports out.
+    code = "import sys, thetalift; sys.exit('dataclasses' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=str(Path(thetalift.__file__).resolve().parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr or "import thetalift loaded dataclasses"
+
+
 def test_package_has_no_assert_statements():
     # python -O strips assert statements, so an invariant written as one
     # would silently stop holding; every check must be an explicit raise.
@@ -246,7 +261,7 @@ HALFINT_EDGE = {
     "core.parse_half_list",
     "lifting.aq_infinitesimal_character",
     "packets.LParameter.__init__",
-    "suites.EnumerationBounds",
+    "suites.EnumerationBounds.__init__",
 }
 
 
@@ -329,6 +344,9 @@ def test_value_type_contract(build_value, fields, hash_of):
     assert value == build_value() and not value != build_value()
     assert value.__eq__(values) is NotImplemented and value != values
     assert value.__eq__(object()) is NotImplemented
+    # pickle and copy restore a value field by field (HalfInt refuses to).
+    if not any(isinstance(v, HalfInt) for v in values):
+        assert pickle.loads(pickle.dumps(value)) == value == copy.deepcopy(value)
     if hash_of is None:
         with pytest.raises(TypeError):
             hash(value)
