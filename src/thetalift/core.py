@@ -137,7 +137,7 @@ class _Value:
     """
 
     __slots__ = ()
-    __hash__ = None  # type: ignore[assignment]
+    __hash__ = None
 
     def __init_subclass__(cls) -> None:
         # The fields read in C, as a tuple, or the bare value of a single
@@ -265,7 +265,8 @@ class HCParam(_Frozen):
     decreases, and no value repeats across the whole tuple.
 
     HCParam(sig, entries) takes HalfInt entries and from_twices(sig, tw)
-    the doubled ints; both validate through __post_init__.
+    the doubled ints; both validate through __post_init__, the one hook
+    that perfbench/tracing.py wraps to count constructions.
     """
 
     __slots__ = ("sig", "entries_tw")
