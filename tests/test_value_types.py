@@ -8,7 +8,7 @@ exception class. ABGDSplit, AParameter and AqLambdaData have one
 constructor, over doubled ints, and each validation rule they have is
 checked through it. A guard pins where the package names HalfInt at all.
 One contract, checked on every value type, pins equality, hashing,
-immutability, repr and construction by keyword.
+immutability, repr, pickling and construction by keyword.
 """
 
 import ast
