@@ -321,7 +321,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--height", default="7/2")
     sp.add_argument("--max-dm", type=int, default=4)
     sp.add_argument("--quiet", action="store_true",
-                    help="summary line only, skip per-case records")
+                    help="skip the records of passing cases; each failing case "
+                         "still prints its record before the summary line")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser(

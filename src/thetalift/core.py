@@ -79,7 +79,7 @@ class HalfInt:
     def __init__(self, value: int = 0):
         if not isinstance(value, int):
             raise TypeError(f"HalfInt() takes an int, not {type(value).__name__}")
-        object.__setattr__(self, "twice", 2 * value)
+        self.__class__.twice.__set__(self, 2 * value)
 
     @classmethod
     def halves(cls, twice: int) -> "HalfInt":
@@ -87,7 +87,7 @@ class HalfInt:
         if not isinstance(twice, int):
             raise TypeError("halves() takes an int")
         out = object.__new__(cls)
-        object.__setattr__(out, "twice", twice)
+        cls.twice.__set__(out, twice)
         return out
 
     @classmethod
@@ -103,9 +103,16 @@ class HalfInt:
             return cls.halves(num)
         return cls(num)
 
-    # Attribute assignment is blocked to keep instances hashable-safe.
+    # Assignment and deletion are blocked to keep instances hashable-safe.
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("HalfInt is immutable")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("HalfInt is immutable")
+
+    def __setstate__(self, state: tuple) -> None:
+        # pickle and copy restore the slot here, as assignment is refused.
+        object.__setattr__(self, "twice", state[1]["twice"])
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, HalfInt):
@@ -131,9 +138,10 @@ class _Value:
 
     Equality compares the fields of two values of the same class (any
     other class gets NotImplemented), and repr shows Name(field=value,
-    ...). A _Value is mutable and unhashable; _Frozen adds the hash of
-    the fields' tuple and refuses assignment and deletion. Each type
-    writes its own __init__.
+    ...). A _Value is mutable and unhashable, and its constructor
+    assigns its fields as usual; _Frozen adds the hash of the fields'
+    tuple and refuses assignment and deletion. Each type writes its own
+    __init__.
     """
 
     __slots__ = ()
@@ -157,7 +165,22 @@ class _Value:
 
 
 class _Frozen(_Value):
+    """A _Value that hashes and refuses assignment and deletion.
+
+    Since assignment is refused, a constructor stores each field through
+    the slot's own setter: _setters holds the C-level __set__ of each
+    slot's member descriptor, in __slots__ order, bound once per class.
+    The defining module unpacks them into names right after the class,
+    _set_<field>, so that storing a field is one C call, without the
+    name lookup that object.__setattr__ makes each time. pickle and copy
+    restore the fields through __setstate__.
+    """
+
     __slots__ = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
 
     def __hash__(self) -> int:
         key = self._key(self)
@@ -225,8 +248,8 @@ class Signature(_Frozen):
     __slots__ = ("p", "q")
 
     def __init__(self, p: int, q: int) -> None:
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        _set_p(self, p)
+        _set_q(self, q)
         if p < 0 or q < 0:
             raise ValueError(f"signature entries must be nonnegative: ({p}, {q})")
 
@@ -239,6 +262,9 @@ class Signature(_Frozen):
 
     def __str__(self) -> str:
         return f"({self.p},{self.q})"
+
+
+_set_p, _set_q = Signature._setters
 
 
 def _parts_text(p_tw: tuple[int, ...], q_tw: tuple[int, ...]) -> str:
@@ -272,16 +298,16 @@ class HCParam(_Frozen):
     __slots__ = ("sig", "entries_tw")
 
     def __init__(self, sig: Signature, entries: Iterable[HalfInt]) -> None:
-        object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "entries_tw", _halfint_twices(entries, "HCParam"))
+        _set_sig(self, sig)
+        _set_entries_tw(self, _halfint_twices(entries, "HCParam"))
         self.__post_init__()
 
     @classmethod
     def from_twices(cls, sig: Signature, entries_tw: tuple[int, ...]) -> "HCParam":
         """The parameter with entries entries_tw[i]/2."""
         out = object.__new__(cls)
-        object.__setattr__(out, "sig", sig)
-        object.__setattr__(out, "entries_tw", entries_tw)
+        _set_sig(out, sig)
+        _set_entries_tw(out, entries_tw)
         out.__post_init__()
         return out
 
@@ -349,6 +375,9 @@ class HCParam(_Frozen):
         }
 
 
+_set_sig, _set_entries_tw = HCParam._setters
+
+
 class LiftContext(_Frozen):
     """Normalization data for one direction of a dual-pair lift.
 
@@ -361,10 +390,10 @@ class LiftContext(_Frozen):
     __slots__ = ("m0", "n0", "source_dim", "target_dim")
 
     def __init__(self, m0: int, n0: int, source_dim: int, target_dim: int) -> None:
-        object.__setattr__(self, "m0", m0)
-        object.__setattr__(self, "n0", n0)
-        object.__setattr__(self, "source_dim", source_dim)
-        object.__setattr__(self, "target_dim", target_dim)
+        _set_m0(self, m0)
+        _set_n0(self, n0)
+        _set_source_dim(self, source_dim)
+        _set_target_dim(self, target_dim)
         if source_dim < 0 or target_dim < 0:
             raise ValueError("dimensions must be nonnegative")
         if (m0 - target_dim) % 2 != 0:
@@ -385,6 +414,9 @@ class LiftContext(_Frozen):
             source_dim=self.target_dim,
             target_dim=self.source_dim,
         )
+
+
+_set_m0, _set_n0, _set_source_dim, _set_target_dim = LiftContext._setters
 
 
 LAX = "lax"
@@ -409,10 +441,10 @@ class ABGDSplit(_Frozen):
         gamma_tw: tuple[int, ...],
         delta_tw: tuple[int, ...],
     ) -> None:
-        object.__setattr__(self, "alpha_tw", alpha_tw)
-        object.__setattr__(self, "beta_tw", beta_tw)
-        object.__setattr__(self, "gamma_tw", gamma_tw)
-        object.__setattr__(self, "delta_tw", delta_tw)
+        _set_alpha_tw(self, alpha_tw)
+        _set_beta_tw(self, beta_tw)
+        _set_gamma_tw(self, gamma_tw)
+        _set_delta_tw(self, delta_tw)
 
     @property
     def x(self) -> int:
@@ -429,6 +461,9 @@ class ABGDSplit(_Frozen):
     @property
     def w(self) -> int:
         return len(self.delta_tw)
+
+
+_set_alpha_tw, _set_beta_tw, _set_gamma_tw, _set_delta_tw = ABGDSplit._setters
 
 
 def _split_part(part_twices: tuple[int, ...], strict: bool, label: str):

@@ -38,9 +38,9 @@ class KType(_Frozen):
     def __init__(
         self, sig: Signature, a_weights: tuple[int, ...], b_weights: tuple[int, ...]
     ) -> None:
-        object.__setattr__(self, "sig", sig)
-        object.__setattr__(self, "a_weights", a_weights)
-        object.__setattr__(self, "b_weights", b_weights)
+        _set_sig(self, sig)
+        _set_a_weights(self, a_weights)
+        _set_b_weights(self, b_weights)
         a, b = a_weights, b_weights
         if len(a) != sig.p or len(b) != sig.q:
             raise ValueError("weight lengths must match the signature")
@@ -51,6 +51,9 @@ class KType(_Frozen):
 
     def to_json(self) -> dict:
         return {"a": list(self.a_weights), "b": list(self.b_weights)}
+
+
+_set_sig, _set_a_weights, _set_b_weights = KType._setters
 
 
 def _half_shift(diff: int, m0: int) -> int:

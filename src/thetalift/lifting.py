@@ -136,15 +136,15 @@ class AqLambdaData(_Frozen):
             raise TypeError(f"block entries must be ints: {triples}")
         _check_sums(target, *_check_blocks(triples))
         _check_seams(triples)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "triples", triples)
+        _set_target(self, target)
+        _set_triples(self, triples)
 
     @classmethod
     def _from_checked(cls, target: Signature, triples: tuple[Triple, ...]) -> "AqLambdaData":
         """The data for triples whose blocks, sums and seams the caller has checked."""
         out = object.__new__(cls)
-        object.__setattr__(out, "target", target)
-        object.__setattr__(out, "triples", triples)
+        _set_target(out, target)
+        _set_triples(out, triples)
         return out
 
     @classmethod
@@ -198,6 +198,9 @@ class AqLambdaData(_Frozen):
         return [{"p": p, "q": q, "lambda": half_text(tw)} for p, q, tw in self.triples]
 
 
+_set_target, _set_triples = AqLambdaData._setters
+
+
 VANISHES = "vanishes"
 DISCRETE_SERIES = "discrete_series"
 AQ_WEAKLY_FAIR = "aq_weakly_fair"
@@ -220,10 +223,10 @@ class LiftResult(_Frozen):
         aq: AqLambdaData | None = None,
         position: TowerPosition | None = None,
     ) -> None:
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "param", param)
-        object.__setattr__(self, "aq", aq)
-        object.__setattr__(self, "position", position)
+        _set_kind(self, kind)
+        _set_param(self, param)
+        _set_aq(self, aq)
+        _set_position(self, position)
 
     @classmethod
     def vanishes(cls, position: TowerPosition | None = None) -> "LiftResult":
@@ -253,6 +256,9 @@ class LiftResult(_Frozen):
         if self.aq is None:
             raise InternalError(f"{self.kind} lift result without block data")
         return {"status": "nonzero", "kind": self.kind, "blocks": self.aq.to_json()}
+
+
+_set_kind, _set_param, _set_aq, _set_position = LiftResult._setters
 
 
 def _require_dims(lam: HCParam, ctx: LiftContext, target: Signature) -> None:

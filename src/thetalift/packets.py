@@ -84,14 +84,14 @@ class LParameter(_Frozen):
     __slots__ = ("kappa_tw",)
 
     def __init__(self, kappas: Iterable[HalfInt]) -> None:
-        object.__setattr__(self, "kappa_tw", _halfint_twices(kappas, "LParameter"))
+        _set_kappa_tw(self, _halfint_twices(kappas, "LParameter"))
         self.__post_init__()
 
     @classmethod
     def from_twices(cls, kappa_tw: tuple[int, ...]) -> "LParameter":
         """The parameter with values kappa_tw[i]/2."""
         out = object.__new__(cls)
-        object.__setattr__(out, "kappa_tw", kappa_tw)
+        _set_kappa_tw(out, kappa_tw)
         out.__post_init__()
         return out
 
@@ -113,6 +113,9 @@ class LParameter(_Frozen):
         return {"kappa": [half_text(k) for k in self.kappa_tw]}
 
 
+(_set_kappa_tw,) = LParameter._setters
+
+
 class AParameter(_Frozen):
     """Lift parameter: mu_1 > ... > mu_n with mu_0 spliced in at i0.
 
@@ -129,11 +132,7 @@ class AParameter(_Frozen):
     __slots__ = ("mu_tw", "mu0_tw", "m", "n", "i0", "tie_at_i0")
 
     def __init__(self, mu_tw: tuple[int, ...], mu0_tw: int, m: int) -> None:
-        object.__setattr__(self, "mu_tw", mu_tw)
-        object.__setattr__(self, "mu0_tw", mu0_tw)
-        object.__setattr__(self, "m", m)
         n = len(mu_tw)
-        object.__setattr__(self, "n", n)
         if m <= n:
             raise PreconditionViolation(f"need m > n, got m={m}, n={n}")
         want = (m - 1) % 2
@@ -144,8 +143,33 @@ class AParameter(_Frozen):
             raise WrongParityClass(f"mu0={half_text(mu0_tw)} is not in Z + {n}/2")
         _check_decreasing_distinct(mu_tw, "mu")
         i0 = 1 + sum(1 for v in mu_tw if v > mu0_tw)
-        object.__setattr__(self, "i0", i0)
-        object.__setattr__(self, "tie_at_i0", m - n == 1 and i0 <= n and mu_tw[i0 - 1] == mu0_tw)
+        _set_mu_tw(self, mu_tw)
+        _set_mu0_tw(self, mu0_tw)
+        _set_m(self, m)
+        _set_n(self, n)
+        _set_i0(self, i0)
+        _set_tie_at_i0(self, m - n == 1 and i0 <= n and mu_tw[i0 - 1] == mu0_tw)
+
+    def _resized(self, m: int) -> "AParameter":
+        """The parameter at size m, for m - self.m even, as the constructor builds it.
+
+        Only m and tie_at_i0 depend on the size, beyond the m > n check:
+        the parity class of mu_tw cannot change under an even step, which
+        the caller checks, and the order of mu_tw cannot change at all. So
+        the other fields are copied, not validated again.
+        """
+        n, i0 = self.n, self.i0
+        if m <= n:
+            raise PreconditionViolation(f"need m > n, got m={m}, n={n}")
+        mu_tw, mu0_tw = self.mu_tw, self.mu0_tw
+        out = object.__new__(AParameter)
+        _set_mu_tw(out, mu_tw)
+        _set_mu0_tw(out, mu0_tw)
+        _set_m(out, m)
+        _set_n(out, n)
+        _set_i0(out, i0)
+        _set_tie_at_i0(out, m - n == 1 and i0 <= n and mu_tw[i0 - 1] == mu0_tw)
+        return out
 
     def to_json(self) -> dict:
         return {
@@ -154,6 +178,9 @@ class AParameter(_Frozen):
             "m": self.m,
             "i0": self.i0,
         }
+
+
+_set_mu_tw, _set_mu0_tw, _set_m, _set_n, _set_i0, _set_tie_at_i0 = AParameter._setters
 
 
 class SignCharacter(_Frozen):
@@ -170,7 +197,7 @@ class SignCharacter(_Frozen):
     __slots__ = ("values",)
 
     def __init__(self, values: tuple[int, ...]) -> None:
-        object.__setattr__(self, "values", values)
+        _set_values(self, values)
         for v in values:
             if v not in (PLUS, MINUS):
                 raise MalformedCharacter(f"character values must be +1 or -1, got {v}")
@@ -202,6 +229,9 @@ class SignCharacter(_Frozen):
 
     def __str__(self) -> str:
         return "".join(self.as_strings())
+
+
+(_set_values,) = SignCharacter._setters
 
 
 def _sign_pow(exponent: int) -> int:
@@ -360,9 +390,10 @@ class _SigmaUnits:
     sums are checked then, once. phi' changes with the size m only in m
     itself, and the unit signs only with the parity of m - n, so the
     object serves every size of one parity: it holds phi' at the size of
-    the last target and, for a size step d, which must be even, rebuilds
-    phi' and moves the doubled unit block values before i0 by -d and
-    those after by +d. Per form, at() takes e'_0's value as an int and
+    the last target and, for a size step d, which must be even, moves
+    phi' to the new size without validating it again
+    (AParameter._resized) and moves the doubled unit block values before
+    i0 by -d and those after by +d. Per form, at() takes e'_0's value as an int and
     one target form, checks the tie rule, takes the big block's balance,
     runs both forms of the sign gate, adds the i0 block and checks that
     block, the sums and its two seams.
@@ -407,7 +438,7 @@ class _SigmaUnits:
         d = m - phi_p.m
         if d % 2:
             raise InternalError(f"size {m} has the wrong parity for {phi_p.to_json()}")
-        self.phi_p = AParameter(phi_p.mu_tw, phi_p.mu0_tw, m)
+        self.phi_p = phi_p._resized(m)
         if self._blocks is not None:
             head, tail, units_p, units_q = self._blocks
             self._blocks = (

@@ -121,11 +121,14 @@ class EnumerationBounds(_Frozen):
     __slots__ = ("max_n", "max_m_minus_n", "height")
 
     def __init__(self, max_n: int, max_m_minus_n: int, height: HalfInt) -> None:
-        object.__setattr__(self, "max_n", max_n)
-        object.__setattr__(self, "max_m_minus_n", max_m_minus_n)
-        object.__setattr__(self, "height", height)
+        _set_max_n(self, max_n)
+        _set_max_m_minus_n(self, max_m_minus_n)
+        _set_height(self, height)
         if max_n < 1 or max_m_minus_n < 1 or height.twice < 1:
             raise ValueError("bounds must be positive")
+
+
+_set_max_n, _set_max_m_minus_n, _set_height = EnumerationBounds._setters
 
 
 def _value_universe(height_twice: int, parity: int) -> list[int]:

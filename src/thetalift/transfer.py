@@ -53,8 +53,11 @@ class ZetaSigns(_Frozen):
     __slots__ = ("zetas", "zeta0")
 
     def __init__(self, zetas: tuple[int, ...], zeta0: int) -> None:
-        object.__setattr__(self, "zetas", zetas)
-        object.__setattr__(self, "zeta0", zeta0)
+        _set_zetas(self, zetas)
+        _set_zeta0(self, zeta0)
+
+
+_set_zetas, _set_zeta0 = ZetaSigns._setters
 
 
 def zeta_signs(m: int, n: int, i0: int) -> ZetaSigns:
@@ -143,11 +146,11 @@ class GlobalizationReport(_Frozen):
     def __init__(
         self, t: int, deformed: HCParam, eta_preserved: bool, li_holds: bool, lift_matches: bool
     ) -> None:
-        object.__setattr__(self, "t", t)
-        object.__setattr__(self, "deformed", deformed)
-        object.__setattr__(self, "eta_preserved", eta_preserved)
-        object.__setattr__(self, "li_holds", li_holds)
-        object.__setattr__(self, "lift_matches", lift_matches)
+        _set_t(self, t)
+        _set_deformed(self, deformed)
+        _set_eta_preserved(self, eta_preserved)
+        _set_li_holds(self, li_holds)
+        _set_lift_matches(self, lift_matches)
 
     @property
     def passed(self) -> bool:
@@ -162,6 +165,11 @@ class GlobalizationReport(_Frozen):
             "lift_matches": self.lift_matches,
             "passed": self.passed,
         }
+
+
+_set_t, _set_deformed, _set_eta_preserved, _set_li_holds, _set_lift_matches = (
+    GlobalizationReport._setters
+)
 
 
 def verify_globalization(

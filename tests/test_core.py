@@ -66,6 +66,9 @@ def test_halfint_immutable():
     v = half(3)
     with pytest.raises(AttributeError):
         v.twice = 5
+    with pytest.raises(AttributeError):
+        del v.twice
+    assert v.twice == 3
 
 
 @given(st.integers(-50, 50))

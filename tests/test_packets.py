@@ -1,5 +1,7 @@
 """Tempered packet bookkeeping and lift-packet members."""
 
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -259,6 +261,40 @@ def test_determinant_identity_all_characters(n, data):
         prod *= v
     assert prod == epsilon_of_signature(sig.p, sig.q)
     assert sig.p + sig.q == n
+
+
+def _a_parameters():
+    """Every AParameter with n <= 3, |mu| <= 3, |mu0| <= 2 and m - n from 1 to 4."""
+    for n in range(4):
+        for m in range(n + 1, n + 5):
+            entries = [v for v in range(-6, 7) if v % 2 == (m - 1) % 2]
+            for mu_tw in combinations(reversed(entries), n):
+                for mu0_tw in range(-4 + n % 2, 5, 2):
+                    yield AParameter(mu_tw, mu0_tw, m)
+
+
+def test_sigma_units_move_phi_p_to_a_size_of_the_same_parity():
+    # The move copies phi''s checked fields and computes m and tie_at_i0
+    # again; it must give the parameter the constructor gives.
+    ties = 0
+    for phi_p in _a_parameters():
+        for step in (-6, -4, -2, 2, 4, 6):
+            m = phi_p.m + step
+            units = _SigmaUnits(phi_p, (1,) * phi_p.n)
+            if m <= phi_p.n:
+                with pytest.raises(PreconditionViolation, match=rf"^need m > n, got m={m}, "):
+                    units._resize(m)
+                continue
+            units._resize(m)
+            fresh = AParameter(phi_p.mu_tw, phi_p.mu0_tw, m)
+            fields = AParameter.__slots__
+            assert [getattr(units.phi_p, f) for f in fields] == [getattr(fresh, f) for f in fields]
+            assert units.phi_p == fresh and hash(units.phi_p) == hash(fresh)
+            ties += fresh.tie_at_i0
+        for step in (-3, -1, 1, 3):
+            with pytest.raises(InternalError, match="has the wrong parity"):
+                _SigmaUnits(phi_p, (1,) * phi_p.n)._resize(phi_p.m + step)
+    assert ties > 0
 
 
 # _SigmaUnits checks its unit blocks and the seams among them once, when a

@@ -157,6 +157,36 @@ def test_a_vanishing_reverse_lift_is_a_failed_round_trip_case(monkeypatch, capsy
     assert capsys.readouterr().err == ""
 
 
+def test_quiet_verify_prints_the_failing_records_then_the_summary(monkeypatch, capsys):
+    # --quiet skips the records of passing cases only: a failing case's
+    # record is its diagnosis. A wrong infinitesimal character on the
+    # forms of equal p and q fails 8 of the window's 20 nonzero lifts down.
+    real = suites._aq_infinitesimal_twices
+    monkeypatch.setattr(
+        suites, "_aq_infinitesimal_twices",
+        lambda aq: () if aq.target.p == aq.target.q else real(aq),
+    )
+    argv = ["verify", "--suite", "round_trip", "--max-n", "2", "--max-dm", "1", "--height", "5/2"]
+    window = EnumerationBounds(max_n=2, max_m_minus_n=1, height=half(5))
+    failing = []
+    summary = run_suite("round_trip", window, sink=failing.append)
+    assert summary.failures == len(failing) == 8
+    assert all(record["inf_char_ok"] is False for record in failing)
+    capsys.readouterr()
+    assert cli.main([*argv, "--quiet"]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert [json.loads(line) for line in out[:-1]] == json.loads(json.dumps(failing))
+    assert json.loads(out[-1]) == {
+        "suite": "round_trip",
+        "cases": summary.cases,
+        "failures": 8,
+        "tags": dict(sorted(summary.tags.items())),
+    }
+    # Without --quiet each of the 20 nonzero lifts down prints its record.
+    assert cli.main(argv) == 1
+    assert len(capsys.readouterr().out.splitlines()) == 20 + 1
+
+
 def test_run_suites_takes_each_walked_check_once():
     served = r"\(two_path, globalization, persistence, li, round_trip, duality, enumerate\)"
     for names in (["eta_prime"], ["li", "nope"], ["li", "li"]):

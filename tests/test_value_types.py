@@ -8,7 +8,9 @@ exception class. ABGDSplit, AParameter and AqLambdaData have one
 constructor, over doubled ints, and each validation rule they have is
 checked through it. A guard pins where the package names HalfInt at all.
 One contract, checked on every value type, pins equality, hashing,
-immutability, repr, pickling and construction by keyword.
+immutability, repr, pickling and construction by keyword; another guard
+pins that the frozen types store their fields through their bound slot
+setters, never through object.__setattr__.
 """
 
 import ast
@@ -46,7 +48,7 @@ from thetalift import (
     ZetaSigns,
     half,
 )
-from thetalift.core import ABGDSplit, half_text
+from thetalift.core import ABGDSplit, _Frozen, half_text
 from thetalift.suites import SuiteSummary
 
 twices = st.integers(-13, 13)
@@ -344,9 +346,8 @@ def test_value_type_contract(build_value, fields, hash_of):
     assert value == build_value() and not value != build_value()
     assert value.__eq__(values) is NotImplemented and value != values
     assert value.__eq__(object()) is NotImplemented
-    # pickle and copy restore a value field by field (HalfInt refuses to).
-    if not any(isinstance(v, HalfInt) for v in values):
-        assert pickle.loads(pickle.dumps(value)) == value == copy.deepcopy(value)
+    # pickle and copy restore a value field by field.
+    assert pickle.loads(pickle.dumps(value)) == value == copy.deepcopy(value) == copy.copy(value)
     if hash_of is None:
         with pytest.raises(TypeError):
             hash(value)
@@ -359,6 +360,55 @@ def test_value_type_contract(build_value, fields, hash_of):
         with pytest.raises(AttributeError):
             delattr(value, name)
     assert tuple(getattr(value, name) for name in fields) == values
+
+
+@pytest.mark.parametrize("value", [half(3), half(-4), HalfInt(0)], ids=str)
+def test_halfint_pickles_and_copies(value):
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(value, protocol))
+        assert type(back) is HalfInt and back.twice == value.twice
+    for back in (copy.copy(value), copy.deepcopy(value)):
+        assert type(back) is HalfInt and back.twice == value.twice and hash(back) == hash(value)
+        with pytest.raises(AttributeError):
+            back.twice = 1
+        with pytest.raises(AttributeError):
+            del back.twice
+
+
+def _frozen_types():
+    """Every _Frozen subclass the package defines."""
+    found, todo = [], [_Frozen]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("thetalift."):
+                found.append(cls)
+    return found
+
+
+def test_frozen_types_store_fields_through_their_slot_setters():
+    # object.__setattr__ looks the field's name up on every call; a
+    # frozen type stores its fields through the C-level setters bound in
+    # _Frozen.__init_subclass__ instead. Only the pickle-restore hooks,
+    # which take the fields by name, may call it.
+    package = Path(thetalift.__file__).resolve().parent
+    assert _scopes_naming(package, {"__setattr__"}) == {
+        "core.HalfInt.__setstate__",
+        "core._Frozen.__setstate__",
+    }
+    frozen = _frozen_types()
+    contract = {type(build_value()) for build_value, _f, hash_of in VALUE_TYPES if hash_of}
+    assert set(frozen) == contract
+    for cls in frozen:
+        slots = [cls.__dict__[name] for name in cls.__slots__]
+        assert [setter.__self__ for setter in cls._setters] == slots, cls.__name__
+        # The defining module unpacks each setter under its own field's name.
+        module = sys.modules[cls.__module__]
+        unpacked = {
+            name: value for name, value in vars(module).items()
+            if any(value is setter for setter in cls._setters)
+        }
+        assert unpacked == {f"_set_{s.__name__}": s.__set__ for s in slots}, cls.__name__
 
 
 def test_suite_summary_tags_are_per_instance():
