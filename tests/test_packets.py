@@ -94,6 +94,12 @@ def test_eta_from_pi_examples():
     assert eta.values == (-1, -1, 1)
 
 
+def test_eta_from_pi_refuses_the_empty_parameter():
+    # U(0, 0)'s parameter is valid, but no packet parameter is empty.
+    with pytest.raises(ValueError, match=r"^empty parameter$"):
+        eta_from_pi(HCParam(Signature(0, 0), ()))
+
+
 def test_packet_round_trip_small():
     phi = LParameter((HalfInt(2), HalfInt(1), HalfInt(-3)))
     for eta, sig, lam in packet_members(phi):
