@@ -292,7 +292,12 @@ class HCParam(_Frozen):
 
     HCParam(sig, entries) takes HalfInt entries and from_twices(sig, tw)
     the doubled ints; both validate through __post_init__, the one hook
-    that perfbench/tracing.py wraps to count constructions.
+    that perfbench/tracing.py wraps to count constructions. A third
+    route, _from_checked(sig, tw), stores the fields and validates
+    nothing, for doubled entries that are valid by construction:
+    packets._Members.at builds each packet member through it, from the
+    entries of a validated LParameter. It runs no __post_init__, so
+    perfbench/tracing.py does not count what it builds.
     """
 
     __slots__ = ("sig", "entries_tw")
@@ -309,6 +314,14 @@ class HCParam(_Frozen):
         _set_sig(out, sig)
         _set_entries_tw(out, entries_tw)
         out.__post_init__()
+        return out
+
+    @classmethod
+    def _from_checked(cls, sig: Signature, entries_tw: tuple[int, ...]) -> "HCParam":
+        """The parameter for doubled entries that the caller has shown valid for sig."""
+        out = object.__new__(cls)
+        _set_sig(out, sig)
+        _set_entries_tw(out, entries_tw)
         return out
 
     def __post_init__(self) -> None:

@@ -15,9 +15,14 @@ once per walk instead of building a checked SignCharacter per row.
 _Members is pi_from_eta split at the character, built once per
 parameter: it builds and validates the n + 1 signatures (p, n - p) a
 member can have, with their epsilons, once. Per character it splits
-kappa into the two parts, checks the determinant identity and builds
-the validated HCParam. pi_from_eta checks the character's length and
-builds one per call.
+kappa into the two parts and checks the determinant identity. The
+member's HCParam is valid by construction, so it is stored without
+validating it again (HCParam._from_checked): each part is a subsequence
+of the validated kappa in its order, and the signature is the one with
+that many p-entries. pi_from_eta checks the character's length and
+builds one per call. eta_from_pi, the inverse, likewise stores kappa
+and the character unvalidated, since they are sorted and signed from a
+valid HCParam.
 
 A lift parameter for a pair of sizes n < m keeps the n values mu_i
 (shifted into Z + (m-1)/2) and inserts one extra value mu_0 in Z + n/2
@@ -273,7 +278,13 @@ class _Members:
 
     Built once per parameter: the n + 1 signatures, each validated, their
     epsilons and the signs (-1)^(i-1) that eta(e_i) is compared with.
-    at() takes one character's n values as a tuple of +1 and -1.
+    at() takes one character's n values as a tuple of +1 and -1; the
+    caller checks the length. The member's two parts are subsequences of
+    phi's strictly decreasing kappa_tw, in order, and its signature is
+    forms[len(p-part)], so parity, the order within each part, distinct
+    entries and the length hold by construction, and at() stores the
+    HCParam through _from_checked. The determinant identity is still
+    checked per character.
     """
 
     __slots__ = ("phi", "alternating", "forms", "epsilons")
@@ -299,19 +310,31 @@ class _Members:
                 f"determinant identity failed for kappa {self.phi.to_json()['kappa']}, "
                 f"character {SignCharacter(values)}, signature {sig}"
             )
-        return sig, HCParam.from_twices(sig, tuple(p_vals + q_vals))
+        return sig, HCParam._from_checked(sig, tuple(p_vals + q_vals))
 
 
 def eta_from_pi(lam: HCParam) -> tuple[LParameter, SignCharacter]:
-    """Inverse of pi_from_eta: recover kappa and the sign character."""
+    """Inverse of pi_from_eta: recover kappa and the sign character.
+
+    The sorted entries of a valid parameter are distinct and lie in
+    Z + (n-1)/2, and every sign is +1 or -1, so kappa and the character
+    are stored without validating them again; only the empty parameter
+    of U(0, 0), which is valid but has no packet, raises ValueError.
+    """
     order = tuple(sorted(lam.entries_tw, reverse=True))
+    if not order:
+        raise ValueError("empty parameter")
     p_set = set(lam.p_tw)
     signs = []
     sign = PLUS  # (-1)^(i-1) for the i-th largest value
     for kappa in order:
         signs.append(sign if kappa in p_set else -sign)
         sign = -sign
-    return LParameter.from_twices(order), SignCharacter(tuple(signs))
+    phi = object.__new__(LParameter)
+    _set_kappa_tw(phi, order)
+    eta = object.__new__(SignCharacter)
+    _set_values(eta, tuple(signs))
+    return phi, eta
 
 
 def _check_tie(phi_p: AParameter, e0: int, tail: tuple[int, ...]) -> None:

@@ -31,12 +31,15 @@ from thetalift import (
     pi_from_eta,
     transfer_eta,
 )
+from thetalift import EnumerationBounds, LiftContext, transfer
 from thetalift.packets import (
     _characters,
+    _Members,
     _SigmaUnits,
     eta_prime_sign_ok,
     sigma_from_eta_prime,
 )
+from thetalift.suites import iter_params
 
 from strategies import wide_params
 
@@ -168,6 +171,74 @@ def test_packet_members_follow_the_definition(n, data):
     ]
     want = [(values, sig, sig, tw) for values, sig, tw in _packet_by_definition(kappa_tw)]
     assert got == want
+
+
+# _Members.at builds each member, and eta_from_pi its kappa and character,
+# without validating them: a valid LParameter or HCParam makes them valid.
+# These tests compare them with the validating constructors, member by
+# member, over the packets suite's benchmark window (n <= 5, height 9/2)
+# and over the globalization shadow's deformations.
+
+
+def _same_value(got, want):
+    """got equals want, with the same class, the same fields and the same hash."""
+    fields = type(want).__slots__
+    assert type(got) is type(want)
+    assert [type(getattr(got, f)) for f in fields] == [type(getattr(want, f)) for f in fields]
+    assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+    assert got == want and hash(got) == hash(want)
+
+
+def _inverse_by_definition(lam):
+    """(kappa, character) of lam, both validated: the i-th largest entry
+    (from 1) has value (-1)^(i-1) when it lies in the p-part."""
+    order = tuple(sorted(lam.entries_tw, reverse=True))
+    p_part = set(lam.entries_tw[: lam.sig.p])
+    values = tuple((-1) ** i * (1 if t in p_part else -1) for i, t in enumerate(order))
+    return LParameter.from_twices(order), SignCharacter(values)
+
+
+def test_packet_members_and_inverses_equal_validated_builds():
+    members = 0
+    for n in range(1, 6):
+        universe = [t for t in range(9, -10, -1) if t % 2 == (n - 1) % 2]
+        for kappa_tw in combinations(universe, n):
+            phi = LParameter.from_twices(kappa_tw)
+            build = _Members(phi)
+            for values in _characters(n):
+                sig, lam = build.at(values)
+                _same_value(lam, HCParam.from_twices(sig, lam.entries_tw))
+                assert lam.sig is sig
+                phi_back, eta_back = eta_from_pi(lam)
+                _same_value(phi_back, phi)
+                _same_value(eta_back, SignCharacter(values))
+                assert (phi_back, eta_back) == _inverse_by_definition(lam)
+                members += 1
+    assert members == 8262
+
+
+def _assert_inverse_is_validated(lam):
+    phi, eta = eta_from_pi(lam)
+    want_phi, want_eta = _inverse_by_definition(lam)
+    _same_value(phi, want_phi)
+    _same_value(eta, want_eta)
+    assert pi_from_eta(phi, eta) == (lam.sig, lam)
+
+
+def test_inverse_of_the_shadows_deformations_equals_validated_builds():
+    # The enumeration window of the benchmark (n <= 3, m - n <= 4, height
+    # 7/2), each size's deformation lam+ at the walk's step t.
+    deformations = 0
+    for lam, _k0, m0, n0 in iter_params(EnumerationBounds(max_n=3, max_m_minus_n=4, height=half(7))):
+        _assert_inverse_is_validated(lam)
+        shadow = transfer._Globalization(lam, m0)
+        n = lam.sig.n
+        for m in range(n + 1, n + 5):
+            if (m - m0) % 2 == 0:
+                shadow.resize(LiftContext(m0, n0, n, m), (m - n) // 2 + 2)
+                _assert_inverse_is_validated(shadow.lam_plus)
+                deformations += 1
+    assert deformations == 1908
 
 
 def test_aparameter_validation():

@@ -286,10 +286,10 @@ def test_packets_suite_comparison_fires(monkeypatch):
         assert run_suite("packets", small).failures == clean.cases
 
     class MisplacesOneKappa:
-        """HCParam's builder, with the largest entry of one part moved into the other."""
+        """HCParam's trusted builder, with the largest entry of one part moved into the other."""
 
         @staticmethod
-        def from_twices(sig, entries_tw):
+        def _from_checked(sig, entries_tw):
             p_part, q_part = list(entries_tw[: sig.p]), list(entries_tw[sig.p :])
             if p_part:
                 q_part = sorted(q_part + [p_part.pop(0)], reverse=True)
