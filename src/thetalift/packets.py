@@ -15,14 +15,11 @@ once per walk instead of building a checked SignCharacter per row.
 _Members is pi_from_eta split at the character, built once per
 parameter: it builds and validates the n + 1 signatures (p, n - p) a
 member can have, with their epsilons, once. Per character it splits
-kappa into the two parts and checks the determinant identity. The
-member's HCParam is valid by construction, so it is stored without
-validating it again (HCParam._from_checked): each part is a subsequence
-of the validated kappa in its order, and the signature is the one with
-that many p-entries. pi_from_eta checks the character's length and
-builds one per call. eta_from_pi, the inverse, likewise stores kappa
-and the character unvalidated, since they are sorted and signed from a
-valid HCParam.
+kappa into the two parts, checks the determinant identity and stores
+the member's HCParam without validating it again: kappa was validated,
+and each part keeps its order. pi_from_eta checks the character's
+length and builds one per call. eta_from_pi likewise stores the kappa
+and the character it recovers from a valid HCParam unvalidated.
 
 A lift parameter for a pair of sizes n < m keeps the n values mu_i
 (shifted into Z + (m-1)/2) and inserts one extra value mu_0 in Z + n/2
