@@ -103,6 +103,16 @@ def test_eta_from_pi_refuses_the_empty_parameter():
         eta_from_pi(HCParam(Signature(0, 0), ()))
 
 
+def test_pi_from_eta_refuses_a_character_of_the_wrong_length():
+    # _Members.at trusts its values to match kappa's length; this check
+    # is what keeps a short character from making a short member.
+    phi = LParameter((HalfInt(2), HalfInt(1), HalfInt(-1)))
+    for values in ((1, 1), (1, -1, 1, -1)):
+        want = rf"^character has {len(values)} values, parameter wants 3$"
+        with pytest.raises(MalformedCharacter, match=want):
+            pi_from_eta(phi, SignCharacter(values))
+
+
 def test_packet_round_trip_small():
     phi = LParameter((HalfInt(2), HalfInt(1), HalfInt(-3)))
     for eta, sig, lam in packet_members(phi):
