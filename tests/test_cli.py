@@ -16,6 +16,7 @@ import io
 import itertools
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -59,6 +60,46 @@ def _draw_doubled(data, n, parity):
     universe = [t for t in range(-31, 32) if t % 2 == parity]
     values = data.draw(st.lists(st.sampled_from(universe), min_size=n, max_size=n, unique=True))
     return tuple(sorted(values, reverse=True))
+
+
+def _encoded(record):
+    """The line the CLI prints for record through its shared encoder."""
+    return cli._ENCODER.encode(record) + "\n"
+
+
+def _packet_text(kappa_tw):
+    """What `packet` prints, from the public objects: one record per character."""
+    phi = thetalift.LParameter.from_twices(kappa_tw)
+    lines = []
+    for eta in thetalift.SignCharacter.every(phi.n):
+        sig, lam = thetalift.pi_from_eta(phi, eta)
+        record = {"eta": eta.as_strings(), "p": sig.p, "q": sig.q, "lambda": lam.to_json()}
+        lines.append(_encoded(record))
+    return "".join(lines)
+
+
+def _apacket_text(mu_tw, mu0_tw, m, r, statuses=None):
+    """What `apacket` prints, from the public objects; counts each row's status in statuses."""
+    phi_p = thetalift.AParameter(mu_tw, mu0_tw, m)
+    target = thetalift.Signature(r, m - r)
+    lines = []
+    for eta_p in thetalift.SignCharacter.every(phi_p.n + 1):
+        signs = eta_p.as_strings()
+        record = {"eta": {"e0": signs[0], "signs": signs[1:]}}
+        try:
+            sigma = thetalift.sigma_from_eta_prime(phi_p, eta_p, target)
+        except thetalift.MalformedCharacter:
+            record["status"] = "invalid_character"
+        else:
+            if sigma is None:
+                record["status"] = "zero"
+            else:
+                record["status"] = "nonzero"
+                record["blocks"] = sigma.to_json()
+        if statuses is not None:
+            statuses[record["status"]] += 1
+        lines.append(_encoded(record))
+    return "".join(lines)
 
 
 class TestLift:
@@ -276,13 +317,7 @@ class TestPackets:
         n = data.draw(st.integers(1, 6))
         kappa_tw = _draw_doubled(data, n, (n - 1) % 2)
         kappas = ",".join(half_text(t) for t in kappa_tw)
-        phi = thetalift.LParameter.from_twices(kappa_tw)
-        want = []
-        for eta in thetalift.SignCharacter.every(n):
-            sig, lam = thetalift.pi_from_eta(phi, eta)
-            record = {"eta": eta.as_strings(), "p": sig.p, "q": sig.q, "lambda": lam.to_json()}
-            want.append(cli._ENCODER.encode(record) + "\n")
-        assert _stdout_of(cli.cmd_packet, argparse.Namespace(kappas=kappas)) == "".join(want)
+        assert _stdout_of(cli.cmd_packet, argparse.Namespace(kappas=kappas)) == _packet_text(kappa_tw)
 
     @settings(max_examples=100, deadline=None)
     @given(st.data())
@@ -293,27 +328,10 @@ class TestPackets:
         mu_tw = _draw_doubled(data, n, (m - 1) % 2)
         (mu0_tw,) = _draw_doubled(data, 1, n % 2)
         r = data.draw(st.integers(0, m))
-        phi_p = thetalift.AParameter(mu_tw, mu0_tw, m)
-        target = thetalift.Signature(r, m - r)
-        want = []
-        for eta_p in thetalift.SignCharacter.every(n + 1):
-            signs = eta_p.as_strings()
-            record = {"eta": {"e0": signs[0], "signs": signs[1:]}}
-            try:
-                sigma = thetalift.sigma_from_eta_prime(phi_p, eta_p, target)
-            except thetalift.MalformedCharacter:
-                record["status"] = "invalid_character"
-            else:
-                if sigma is None:
-                    record["status"] = "zero"
-                else:
-                    record["status"] = "nonzero"
-                    record["blocks"] = sigma.to_json()
-            want.append(cli._ENCODER.encode(record) + "\n")
         args = argparse.Namespace(
             mus=",".join(half_text(t) for t in mu_tw), mu0=half_text(mu0_tw), r=r, s=m - r,
         )
-        assert _stdout_of(cli.cmd_apacket, args) == "".join(want)
+        assert _stdout_of(cli.cmd_apacket, args) == _apacket_text(mu_tw, mu0_tw, m, r)
 
     def test_apacket_counts_zero_rows(self, capsys):
         # Capacity (0,3) kills every character with a unit block on
@@ -721,6 +739,115 @@ def test_packet_and_apacket_grids_are_pinned(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "a6e9dbaf17e1fd3e2fb1a8046220359555353c454ff843f3571cb2d6a3cc947b"
     )
+
+
+def _seeded_doubled(rng, n, parity):
+    """n distinct doubled values of one parity, |value| <= 31/2, descending."""
+    universe = [t for t in range(-31, 32) if t % 2 == parity]
+    return tuple(sorted(rng.sample(universe, n), reverse=True))
+
+
+class TestOutputMatchesTheEncoder:
+    """Each line a query prints is _ENCODER's text for the record built from to_json()."""
+
+    def test_lift_and_occurs(self):
+        rng = random.Random(24)
+        seen = collections.Counter()
+        for _ in range(600):
+            n = rng.randint(1, 8)
+            m = n + rng.randint(1, 8) if rng.random() < 0.5 else rng.randint(0, n - 1)
+            p, r = rng.randint(0, n), rng.randint(0, m)
+            values = _seeded_doubled(rng, n, (n - 1) % 2)
+            on_p = set(rng.sample(range(n), p))
+            tw = tuple(v for i, v in enumerate(values) if i in on_p) + tuple(
+                v for i, v in enumerate(values) if i not in on_p
+            )
+            # The default exponents, or ones a full step away from them.
+            m0, n0 = (None, None) if rng.random() < 0.75 else (m % 2 + 2, n % 2 - 2)
+            lam = thetalift.HCParam.from_twices(thetalift.Signature(p, n - p), tw)
+            target = thetalift.Signature(r, m - r)
+            ctx = thetalift.LiftContext(
+                m % 2 if m0 is None else m0, n % 2 if n0 is None else n0, n, m
+            )
+            args = argparse.Namespace(
+                p=p, q=n - p, lam=",".join(half_text(t) for t in tw), r=r, s=m - r, m0=m0, n0=n0,
+            )
+
+            result = thetalift.lift(lam, ctx, target)
+            assert _stdout_of(cli.cmd_lift, args) == _encoded(result.to_json()), args
+            nonzero, pos = thetalift.occurs(lam, ctx.m0, target)
+            record = {
+                "lambda": lam.to_json(),
+                "m0": ctx.m0,
+                "target": [r, m - r],
+                "occurs": nonzero,
+                "position": pos.to_json(),
+            }
+            assert _stdout_of(cli.cmd_occurs, args) == _encoded(record), args
+            seen[result.kind] += 1
+            seen["occurs" if nonzero else "occurs vanishes"] += 1
+            seen[pos.reason] += 1
+            seen["swapped" if pos.swapped else "unswapped"] += 1
+        assert set(seen) >= {
+            "vanishes", "discrete_series", "aq_weakly_fair", "occurs", "occurs vanishes",
+            "swapped", "unswapped", None, "below the first occurrence in its tower",
+            "step count below the chain length",
+            "positive window count exceeds the step count",
+            "negative window count exceeds the step count",
+        }, seen
+
+    def test_packet_and_apacket(self):
+        rng = random.Random(24)
+        for _ in range(60):
+            n = rng.randint(1, 6)
+            kappa_tw = _seeded_doubled(rng, n, (n - 1) % 2)
+            args = argparse.Namespace(kappas=",".join(half_text(t) for t in kappa_tw))
+            assert _stdout_of(cli.cmd_packet, args) == _packet_text(kappa_tw), args
+
+        statuses = collections.Counter()
+        for _ in range(120):
+            n = rng.randint(1, 5)
+            # A one-step target with mu0 on one of the mus has a tie.
+            tie = rng.random() < 0.25
+            m = n + (1 if tie else rng.randint(1, 8))
+            mu_tw = _seeded_doubled(rng, n, (m - 1) % 2)
+            mu0_tw = rng.choice(mu_tw) if tie else _seeded_doubled(rng, 1, n % 2)[0]
+            r = rng.randint(0, m)
+            args = argparse.Namespace(
+                mus=",".join(half_text(t) for t in mu_tw), mu0=half_text(mu0_tw), r=r, s=m - r,
+            )
+            want = _apacket_text(mu_tw, mu0_tw, m, r, statuses)
+            assert _stdout_of(cli.cmd_apacket, args) == want, args
+        assert set(statuses) == {"nonzero", "zero", "invalid_character"}, statuses
+
+
+# The parser's messages, one per kind of bad literal, on every flag that
+# takes half-integers: the query names the entry it refused.
+LITERAL_ERRORS = [
+    ("1/4", "not a half-integer literal: '1/4'"),
+    ("4/2", "not in lowest terms: '4/2'"),
+    ("x", "not a half-integer literal: 'x'"),
+]
+LITERAL_FLAGS = {
+    "--lambda": ["lift", "--p=1", "--q=0", "--r=2", "--s=1"],
+    "--kappas": ["packet"],
+    "--mus": ["apacket", "--mu0=0", "--r=2", "--s=0"],
+    "--mu0": ["apacket", "--mus=1/2", "--r=2", "--s=0"],
+}
+
+
+@pytest.mark.parametrize("flag", sorted(LITERAL_FLAGS))
+@pytest.mark.parametrize(
+    "text, message",
+    LITERAL_ERRORS + [("1,,2", "empty entry in the list '1,,2'")],
+    ids=["quarter", "not_lowest", "word", "empty_entry"],
+)
+def test_bad_literals_keep_their_messages(capsys, flag, text, message):
+    if flag == "--mu0" and "," in text:
+        # --mu0 takes one literal, not a list.
+        message = f"not a half-integer literal: {text!r}"
+    rc, out, err = run_cli(capsys, *LITERAL_FLAGS[flag], f"{flag}={text}")
+    assert (rc, out, err) == (2, "", f"error: ValueError: {message}\n")
 
 
 def test_readme_examples_print_what_the_readme_shows(capsys):
