@@ -8,10 +8,13 @@ never appear. The value types are plain slotted classes, each with its
 constructor written out; _Value and _Frozen here give them equality,
 repr and, when frozen, the hash and immutability, so importing the
 package loads no dataclasses machinery. HalfInt, an immutable wrapper
-around twice the value, is the type for parsing and rendering only, with
-no arithmetic or ordering of its own. Only the edges that parse user
-text take it: HCParam and LParameter accept HalfInt values besides their
-from_twices constructors, and raise TypeError for any other entry, and
+around twice the value, is the public type for parsing and rendering
+only, with no arithmetic or ordering of its own. One parser,
+_parse_twice, reads a literal ('3', '-7/2', ASCII digits only) straight
+to its doubled int; HalfInt.parse and parse_half_list wrap it, and the
+CLI calls it directly, so a CLI query builds no HalfInt. HCParam and
+LParameter accept HalfInt values besides their from_twices
+constructors, and raise TypeError for any other entry, and
 HCParam.entries renders back to it. Every other value type has one
 constructor, over its doubled ints.
 
@@ -55,7 +58,9 @@ from .errors import (
     WrongParityClass,
 )
 
-_HALF_RE = re.compile(r"^([+-]?\d+)(/2)?$")
+# ASCII digits only: \d and int() alone would also read '٣' or '３' as 3.
+_HALF_RE = re.compile(r"([+-]?\d+)(/2)?", re.ASCII)
+_LIST_SEP = re.compile(r"\s*,\s*|\s+")
 
 
 class HalfInt:
@@ -93,15 +98,7 @@ class HalfInt:
     @classmethod
     def parse(cls, text: str) -> "HalfInt":
         """Parse 'a' or 'a/2' with a odd in the latter (lowest terms)."""
-        m = _HALF_RE.match(text.strip())
-        if not m:
-            raise ValueError(f"not a half-integer literal: {text!r}")
-        num = int(m.group(1))
-        if m.group(2):
-            if num % 2 == 0:
-                raise ValueError(f"not in lowest terms: {text!r}")
-            return cls.halves(num)
-        return cls(num)
+        return cls.halves(_parse_twice(text))
 
     # Assignment and deletion are blocked to keep instances hashable-safe.
     def __setattr__(self, name: str, value: object) -> None:
@@ -231,15 +228,38 @@ def _list_entries(text: str) -> list[str]:
     text = text.strip()
     if not text:
         return []
-    entries = re.split(r"\s*,\s*|\s+", text)
+    entries = _LIST_SEP.split(text)
     if "" in entries:
         raise ValueError(f"empty entry in the list {text!r}")
     return entries
 
 
+def _parse_twice(text: str) -> int:
+    """Twice the value of the literal 'a' or 'a/2', a odd in the latter (lowest terms).
+
+    The one parser of half-integer text: HalfInt.parse and
+    parse_half_list wrap it, and the CLI calls it and _parse_twices
+    directly, so a query holds doubled ints from its flags on.
+    """
+    m = _HALF_RE.fullmatch(text.strip())
+    if not m:
+        raise ValueError(f"not a half-integer literal: {text!r}")
+    num = int(m.group(1))
+    if not m.group(2):
+        return 2 * num
+    if num % 2 == 0:
+        raise ValueError(f"not in lowest terms: {text!r}")
+    return num
+
+
+def _parse_twices(text: str) -> tuple[int, ...]:
+    """The doubled values of a comma- or space-separated list of half-integer literals."""
+    return tuple([_parse_twice(e) for e in _list_entries(text)])
+
+
 def parse_half_list(text: str) -> tuple[HalfInt, ...]:
     """Parse a comma- or space-separated list of half-integer literals."""
-    return tuple(HalfInt.parse(p) for p in _list_entries(text))
+    return tuple([HalfInt.halves(t) for t in _parse_twices(text)])
 
 
 class Signature(_Frozen):

@@ -94,6 +94,14 @@ def test_parse_half_list_rejects_empty_entries(text):
         parse_half_list(text)
 
 
+@pytest.mark.parametrize("text", ["\u0663", "\uff13/2", "-\u0661/2", "1_0"])
+def test_half_integer_literals_take_ascii_digits_only(text):
+    with pytest.raises(ValueError, match="not a half-integer literal"):
+        HalfInt.parse(text)
+    with pytest.raises(ValueError, match="not a half-integer literal"):
+        parse_half_list(f"1/2,{text}")
+
+
 def test_signature():
     sig = Signature(2, 1)
     assert sig.n == 3
