@@ -2,14 +2,19 @@
 
 All output is UTF-8 JSON or JSONL on standard output, one record per
 line, with a fixed key order and canonical half-integer rendering, so
-runs are byte-for-byte reproducible. Most records go through one shared
-JSONEncoder. `packet` and `apacket` walk the characters as tuples of
-values and build each member from state built once per query (the
-packet's signatures and epsilons, the unit blocks shared by a pair of
-rows). They put each row's text together from pieces rendered once per
-query (the kappa texts, the block texts, the sign texts of a character's
-tail) and write it as soon as its member is built, so their rows stream;
-the bytes are those the encoder gives for the same record.
+runs are byte-for-byte reproducible. `invariants`, `ktype-map`, `verify`
+and `enumerate` pass their records through one shared JSONEncoder. The
+single queries `lift`, `occurs`, `packet` and `apacket` skip it: they
+parse their half-integer flags straight to doubled ints and render each
+line from the doubled ints with three renderers, of a parameter, a block
+and a tower position, which write the bytes the encoder gives for the
+same to_json() record. `packet` and `apacket` walk the characters as
+tuples of values and build each member from state built once per query
+(the packet's signatures and epsilons, the unit blocks shared by a pair
+of rows). They put each row's text together from pieces rendered once
+per query (the kappa texts, the block texts, the sign texts of a
+character's tail) and write it as soon as its member is built, so their
+rows stream.
 
 Exit codes: 0 when the query computed (vanishing included), 1 when a
 verification suite found failures, 2 on input errors, 3 when an
@@ -25,6 +30,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from typing import Sequence
 
@@ -35,13 +41,14 @@ from .core import (
     Signature,
     _conjugate_dual_m0,
     _list_entries,
+    _parse_twice,
+    _parse_twices,
     half_text,
-    parse_half_list,
 )
 from .errors import InternalError, MalformedCharacter, ThetaLiftError
 from .ktypes import KType, correspond_ktype
-from .lifting import Triple, lift
-from .nonvanishing import _k0_for, c_count, invariants, occurs
+from .lifting import AQ_WEAKLY_FAIR, DISCRETE_SERIES, VANISHES, LiftResult, Triple, lift
+from .nonvanishing import TowerPosition, _k0_for, c_count, invariants, occurs
 from .packets import (
     MINUS,
     PLUS,
@@ -66,9 +73,55 @@ def _dump(record: dict) -> None:
 _SIGN_TEXT = {PLUS: _ENCODER.encode("+"), MINUS: _ENCODER.encode("-")}
 
 
+# The renderers below write the text _ENCODER gives for a to_json()
+# record, from the doubled ints. A half text such as "-7/2" holds no
+# character that JSON escapes, so it is quoted as it is.
+def _quoted(twice: int) -> str:
+    """The JSON text of half_text(twice): '"-7/2"'."""
+    return f'"{half_text(twice)}"'
+
+
+def _param_text(lam: HCParam, quoted=_quoted) -> str:
+    """The JSON text of lam.to_json(), each entry rendered by quoted."""
+    p, q, tw = lam.sig.p, lam.sig.q, lam.entries_tw
+    p_part = ",".join([quoted(t) for t in tw[:p]])
+    q_part = ",".join([quoted(t) for t in tw[p:]])
+    return f'{{"p":{p},"q":{q},"p_part":[{p_part}],"q_part":[{q_part}]}}'
+
+
+def _block_text(p: int, q: int, lam_tw: int) -> str:
+    """The JSON text of one block of AqLambdaData.to_json()."""
+    return f'{{"p":{p},"q":{q},"lambda":"{half_text(lam_tw)}"}}'
+
+
+def _position_text(pos: TowerPosition) -> str:
+    """The JSON text of pos.to_json(); the reason is a free string, so it is encoded."""
+    reason = "null" if pos.reason is None else _ENCODER.encode(pos.reason)
+    swapped = "true" if pos.swapped else "false"
+    return f'{{"l":{pos.l},"t":{pos.t},"swapped":{swapped},"reason":{reason}}}'
+
+
+def _lift_text(result: LiftResult) -> str:
+    """The JSON text of result.to_json().
+
+    A result of a shape lift() never builds goes through to_json() and
+    the encoder, so one without its parameter or blocks still raises
+    InternalError.
+    """
+    kind = result.kind
+    if kind == VANISHES and result.position is not None:
+        return f'{{"status":"vanishes","position":{_position_text(result.position)}}}'
+    if kind == DISCRETE_SERIES and result.param is not None:
+        return f'{{"status":"nonzero","kind":"{kind}","param":{_param_text(result.param)}}}'
+    if kind == AQ_WEAKLY_FAIR and result.aq is not None:
+        blocks = ",".join([_block_text(*b) for b in result.aq.triples])
+        return f'{{"status":"nonzero","kind":"{kind}","blocks":[{blocks}]}}'
+    return _ENCODER.encode(result.to_json())
+
+
 def _parse_lambda(args: argparse.Namespace) -> HCParam:
-    entries = parse_half_list(args.lam)
-    return HCParam(Signature(args.p, args.q), entries)
+    entries_tw = _parse_twices(args.lam)
+    return HCParam.from_twices(Signature(args.p, args.q), entries_tw)
 
 
 def _context(args: argparse.Namespace, n: int, m: int) -> LiftContext:
@@ -106,8 +159,7 @@ def cmd_lift(args: argparse.Namespace) -> int:
     lam = _parse_lambda(args)
     target = Signature(args.r, args.s)
     ctx = _context(args, lam.sig.n, target.n)
-    result = lift(lam, ctx, target)
-    _dump(result.to_json())
+    sys.stdout.write(_lift_text(lift(lam, ctx, target)) + "\n")
     return 0
 
 
@@ -116,13 +168,12 @@ def cmd_occurs(args: argparse.Namespace) -> int:
     target = Signature(args.r, args.s)
     ctx = _context(args, lam.sig.n, target.n)
     nonzero, pos = occurs(lam, ctx.m0, target)
-    _dump({
-        "lambda": lam.to_json(),
-        "m0": ctx.m0,
-        "target": [target.p, target.q],
-        "occurs": nonzero,
-        "position": pos.to_json(),
-    })
+    # The text _ENCODER gives for {"lambda": lam.to_json(), "m0": ...,
+    # "target": [r, s], "occurs": ..., "position": pos.to_json()}.
+    sys.stdout.write(
+        f'{{"lambda":{_param_text(lam)},"m0":{ctx.m0},"target":[{target.p},{target.q}],'
+        f'"occurs":{"true" if nonzero else "false"},"position":{_position_text(pos)}}}\n'
+    )
     return 0
 
 
@@ -157,22 +208,18 @@ def cmd_invariants(args: argparse.Namespace) -> int:
 
 
 def cmd_packet(args: argparse.Namespace) -> int:
-    kappas = parse_half_list(args.kappas)
-    phi = LParameter(kappas)
+    phi = LParameter.from_twices(_parse_twices(args.kappas))
     members = _Members(phi)
-    kappa_text = {t: _ENCODER.encode(half_text(t)) for t in phi.kappa_tw}
+    kappa_text = {t: _quoted(t) for t in phi.kappa_tw}.__getitem__
     write = sys.stdout.write
     # One member at a time, each row the text _ENCODER gives for
     # {"eta": ..., "p": ..., "q": ..., "lambda": lam.to_json()}.
     for values in _characters(phi.n):
         sig, lam = members.at(values)
-        p, q, tw = sig.p, sig.q, lam.entries_tw
         signs = ",".join([_SIGN_TEXT[v] for v in values])
-        p_part = ",".join([kappa_text[t] for t in tw[:p]])
-        q_part = ",".join([kappa_text[t] for t in tw[p:]])
         write(
-            f'{{"eta":[{signs}],"p":{p},"q":{q},"lambda":'
-            f'{{"p":{p},"q":{q},"p_part":[{p_part}],"q_part":[{q_part}]}}}}\n'
+            f'{{"eta":[{signs}],"p":{sig.p},"q":{sig.q},'
+            f'"lambda":{_param_text(lam, kappa_text)}}}\n'
         )
     return 0
 
@@ -181,16 +228,15 @@ class _BlockTexts(dict):
     """The JSON text of each (p, q, lam_tw) block of one query, rendered on first use."""
 
     def __missing__(self, block: Triple) -> str:
-        p, q, lam_tw = block
-        text = self[block] = _ENCODER.encode({"p": p, "q": q, "lambda": half_text(lam_tw)})
+        text = self[block] = _block_text(*block)
         return text
 
 
 def cmd_apacket(args: argparse.Namespace) -> int:
-    mus = parse_half_list(args.mus)
-    mu0 = HalfInt.parse(args.mu0)
+    mu_tw = _parse_twices(args.mus)
+    mu0_tw = _parse_twice(args.mu0)
     target = Signature(args.r, args.s)
-    phi_p = AParameter(tuple(v.twice for v in mus), mu0.twice, target.n)
+    phi_p = AParameter(mu_tw, mu0_tw, target.n)
     block_text = _BlockTexts()
     write = sys.stdout.write
     # Each row is the text _ENCODER gives for {"eta": {"e0": ..., "signs":
@@ -216,8 +262,16 @@ def cmd_apacket(args: argparse.Namespace) -> int:
     return 0
 
 
+# ASCII digits only: int() alone would also read '٣' as 3 and '1_0' as 10.
+_INT_RE = re.compile(r"[+-]?\d+", re.ASCII)
+
+
 def _parse_weights(text: str) -> tuple[int, ...]:
-    return tuple(int(v) for v in _list_entries(text))
+    entries = _list_entries(text)
+    for v in entries:
+        if not _INT_RE.fullmatch(v):
+            raise ValueError(f"not an integer literal: {v!r}")
+    return tuple([int(v) for v in entries])
 
 
 def cmd_ktype_map(args: argparse.Namespace) -> int:

@@ -850,6 +850,32 @@ def test_bad_literals_keep_their_messages(capsys, flag, text, message):
     assert (rc, out, err) == (2, "", f"error: ValueError: {message}\n")
 
 
+# Literals take ASCII digits only. \\d and int() alone accept any decimal
+# digit, and int() underscores too, so each of these once read as a
+# valid query: 3, 3/2, height 3 and the weight 10.
+NON_ASCII_LITERALS = [
+    (["lift", "--p=1", "--q=0", "--lambda=\u0663", "--r=2", "--s=1"],
+     "not a half-integer literal: '\u0663'"),
+    (["packet", "--kappas=\uff13/2,1/2"], "not a half-integer literal: '\uff13/2'"),
+    (["apacket", "--mus=3/2", "--mu0=\u0661/2", "--r=2", "--s=0"],
+     "not a half-integer literal: '\u0661/2'"),
+    (["enumerate", "--max-n=1", "--height=\u0663"], "not a half-integer literal: '\u0663'"),
+    (["ktype-map", "--p=1", "--q=0", "--a=1_0", "--b=", "--r=2", "--s=1"],
+     "not an integer literal: '1_0'"),
+    (["ktype-map", "--p=1", "--q=0", "--a=\u0663", "--b=", "--r=2", "--s=1"],
+     "not an integer literal: '\u0663'"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, message", NON_ASCII_LITERALS,
+    ids=["lambda", "kappas", "mu0", "height", "underscore_weight", "arabic_weight"],
+)
+def test_literals_take_ascii_digits_only(argv, message):
+    rc, out, err = run_captured(argv)
+    assert (rc, out, err) == (2, "", f"error: ValueError: {message}\n")
+
+
 def test_readme_examples_print_what_the_readme_shows(capsys):
     # Each `$ thetalift ...` line of README.md, run through cli.main, must
     # print the lines under it, up to a blank line or the end of the block.
