@@ -373,8 +373,8 @@ def test_grid_flags_a_run_moved_up_the_tower(monkeypatch):
         )
 
 
-def _grid_rows():
-    """One JSON row per (K-type, target): the partner and the split, or its error.
+def _grid_cases():
+    """(mu, ctx, target) for every row of _grid_rows, in its order.
 
     Sources are the K-types of U(p, q) with 1 <= p + q <= 3 and weights
     in -3..3; targets are every (r, s) with r + s <= 4.
@@ -388,19 +388,24 @@ def _grid_rows():
                     for m in range(5):
                         ctx = LiftContext(m % 2, n % 2, n, m)
                         for r in range(m + 1):
-                            target = Signature(r, m - r)
-                            partner = correspond_ktype(mu, ctx, target)
-                            try:
-                                split = [k.to_json() for k in split_mu(mu, ctx, target)]
-                            except PatternMismatch as exc:
-                                split = [type(exc).__name__, str(exc)]
-                            row = [
-                                mu.to_json(),
-                                [r, m - r],
-                                partner.to_json() if partner is not None else None,
-                                split,
-                            ]
-                            yield json.dumps(row, separators=(",", ":"))
+                            yield mu, ctx, Signature(r, m - r)
+
+
+def _grid_rows():
+    """One JSON row per (K-type, target): the partner and the split, or its error."""
+    for mu, ctx, target in _grid_cases():
+        partner = correspond_ktype(mu, ctx, target)
+        try:
+            split = [k.to_json() for k in split_mu(mu, ctx, target)]
+        except PatternMismatch as exc:
+            split = [type(exc).__name__, str(exc)]
+        row = [
+            mu.to_json(),
+            [target.p, target.q],
+            partner.to_json() if partner is not None else None,
+            split,
+        ]
+        yield json.dumps(row, separators=(",", ":"))
 
 
 def test_correspondence_and_split_are_pinned_on_a_grid():
@@ -409,3 +414,55 @@ def test_correspondence_and_split_are_pinned_on_a_grid():
     assert sum(1 for row in rows if json.loads(row)[2] is None) == 7752
     digest = hashlib.sha256("\n".join(rows).encode()).hexdigest()
     assert digest == "7e7939685528e89f820899326cdd34bf6cfb6cb68e398f1e3d785e8fc239d612"
+
+
+def _assert_validated_build(k):
+    """k equals the KType that the validating constructor builds from its fields.
+
+    Same class, field types, fields and hash.
+    """
+    ref = KType(
+        Signature(k.sig.p, k.sig.q),
+        tuple([int(v) for v in k.a_weights]),
+        tuple([int(v) for v in k.b_weights]),
+    )
+    assert type(k) is KType and type(k.sig) is Signature
+    for part in (k.a_weights, k.b_weights):
+        assert type(part) is tuple and all(type(v) is int for v in part)
+    assert (k.sig, k.a_weights, k.b_weights) == (ref.sig, ref.a_weights, ref.b_weights)
+    assert k == ref and hash(k) == hash(ref)
+
+
+def _assert_partners_validated(mu, ctx, target):
+    """The partner of mu, its back partner and its push-up partner are validated builds.
+
+    Returns the partner, None when mu has none at target.
+    """
+    partner = correspond_ktype(mu, ctx, target)
+    if partner is None:
+        return None
+    back = correspond_ktype(partner, ctx.reversed(), mu.sig)
+    up_ctx = LiftContext(ctx.m0, ctx.n0, ctx.source_dim, ctx.target_dim + 2)
+    up = correspond_ktype(mu, up_ctx, Signature(target.p + 1, target.q + 1))
+    for k in (partner, back, up):
+        _assert_validated_build(k)
+    assert back == mu
+    return partner
+
+
+def test_grid_partners_equal_validated_builds():
+    records = [record for _ok, _tag, record in suite_ktypes(emit=True, max_run=1, height=3)]
+    assert len(records) == 4089
+    for record in records:
+        source = Signature(len(record["mu"]["a"]), len(record["mu"]["b"]))
+        target = Signature(*record["target"])
+        mu = KType(source, tuple(record["mu"]["a"]), tuple(record["mu"]["b"]))
+        ctx = LiftContext(target.n % 2, source.n % 2, source.n, target.n)
+        partner = _assert_partners_validated(mu, ctx, target)
+        assert partner.to_json() == record["mu_prime"]
+
+
+def test_pinned_grid_partners_equal_validated_builds():
+    partners = [_assert_partners_validated(*case) for case in _grid_cases()]
+    assert len(partners) == 10185
+    assert partners.count(None) == 7752
