@@ -293,7 +293,12 @@ class _Tower:
         if l < 0:
             return l, t, swapped, "below the first occurrence in its tower"
         if t < 0:
-            return l, t, swapped, "negative plane count"
+            # The orientation is chosen so that d >= 0, and d is odd when
+            # k_lambda = -1, so t >= 0 unless the dual's (r_lambda, s_lambda)
+            # is not the swap of the parameter's.
+            raise InternalError(
+                f"negative plane count t={t} for {self.lam} at m0={self.m0}, target {target}"
+            )
         if t == 0:
             return l, t, swapped, None
         if l < max(k_lam, 0):

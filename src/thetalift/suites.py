@@ -318,12 +318,14 @@ def _check_duality(p: _Param, emit: bool) -> Case:
     involution_ok = _conjugate_dual_m0(dual, m0) == lam
     inv = p.tower.inv
     inv_d = invariants(dual, m0, p.k0)
-    # lam is dual's conjugate dual whenever the involution holds. lam's
-    # tower read the dual's invariants from lam's shifted parts, so the
-    # occurrence match also compares the two derivations.
-    tower_d = _Tower(dual, m0, p.k0, inv_d, inv if involution_ok else None)
     k_ok = inv_d.k_lambda == inv.k_lambda
     rs_ok = (inv_d.r_lambda, inv_d.s_lambda) == (inv.s_lambda, inv.r_lambda)
+    # lam is dual's conjugate dual whenever the involution holds. lam's
+    # tower read the dual's invariants from lam's shifted parts, so the
+    # occurrence match also compares the two derivations. A tower's two
+    # orientations must swap (r_lambda, s_lambda), so a dual that fails
+    # rs_ok gets its own conjugate dual's invariants instead.
+    tower_d = _Tower(dual, m0, p.k0, inv_d, inv if involution_ok and rs_ok else None)
     decide = tower_d.decide
     # forms[m] runs (0, m), ..., (m, 0), so reversed it lists the transposes.
     transposed = itertools.chain.from_iterable(reversed(forms[m]) for m in p.ups)

@@ -125,6 +125,18 @@ def test_invariants_report_a_split_that_disagrees_with_the_core(monkeypatch):
             invariants(lam, 0, 0)
 
 
+def test_negative_plane_count_is_an_internal_error():
+    # Only a dual whose (r_lambda, s_lambda) is not the swap of the
+    # parameter's reaches t < 0: the target (0, 3) swaps to (3, 0)
+    # against the dual's (5, 0), so l = 0 and t = -1.
+    tower = _Tower(
+        _lam11(), 0, 0, inv=NVInvariants(0, 1, 0, ()), dual_inv=NVInvariants(0, 5, 0, ())
+    )
+    assert tower.decide(Signature(3, 0)) == (0, 1, False, None)
+    with pytest.raises(InternalError, match=r"negative plane count t=-1 .* target \(0,3\)"):
+        tower.decide(Signature(0, 3))
+
+
 def test_occurs_examples_u11():
     lam = _lam11()
     ok, pos = occurs(lam, 0, Signature(2, 0))
