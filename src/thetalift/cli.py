@@ -134,24 +134,35 @@ def _context(args: argparse.Namespace, n: int, m: int) -> LiftContext:
 # argparse reads a value such as -1/2 as a flag unless it is attached with =.
 _EQUALS_HINT = "a value that begins with a minus sign needs =, as in {}=-1/2"
 
+# ASCII digits only: int() alone would also read '٣' as 3 and '1_0' as 10.
+_INT_RE = re.compile(r"[+-]?\d+", re.ASCII)
+
+
+def _int_flag(text: str) -> int:
+    """argparse's type= for every integer flag: an integer literal in ASCII digits."""
+    if not _INT_RE.fullmatch(text.strip()):
+        # type=int's message, so every bad integer gets the same usage error.
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}")
+    return int(text)
+
 
 def _add_source_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
+    sp.add_argument("--p", type=_int_flag, required=True)
+    sp.add_argument("--q", type=_int_flag, required=True)
     sp.add_argument("--lambda", dest="lam", required=True, metavar="ENTRIES",
                     help="comma-separated half-integers, p-part then q-part; "
                     + _EQUALS_HINT.format("--lambda"))
 
 
 def _add_target_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--r", type=int, required=True)
-    sp.add_argument("--s", type=int, required=True)
+    sp.add_argument("--r", type=_int_flag, required=True)
+    sp.add_argument("--s", type=_int_flag, required=True)
 
 
 def _add_exponent_flags(sp: argparse.ArgumentParser) -> None:
-    sp.add_argument("--m0", type=int, default=None,
+    sp.add_argument("--m0", type=_int_flag, default=None,
                     help="target twist exponent, default (r+s) mod 2")
-    sp.add_argument("--n0", type=int, default=None,
+    sp.add_argument("--n0", type=_int_flag, default=None,
                     help="source twist exponent, default (p+q) mod 2")
 
 
@@ -262,10 +273,6 @@ def cmd_apacket(args: argparse.Namespace) -> int:
     return 0
 
 
-# ASCII digits only: int() alone would also read '٣' as 3 and '1_0' as 10.
-_INT_RE = re.compile(r"[+-]?\d+", re.ASCII)
-
-
 def _parse_weights(text: str) -> tuple[int, ...]:
     entries = _list_entries(text)
     for v in entries:
@@ -337,10 +344,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("invariants", help="tower invariants and window counts")
     _add_source_flags(sp)
-    sp.add_argument("--m0", type=int, default=None,
+    sp.add_argument("--m0", type=_int_flag, default=None,
                     help="twist exponent, default (n+k0) mod 2, which is n mod 2 "
                     "unless --k0 is -1")
-    sp.add_argument("--k0", type=int, choices=(0, -1), default=None,
+    sp.add_argument("--k0", type=_int_flag, choices=(0, -1), default=None,
                     help="tower parity, default derived from m0")
     sp.add_argument("--dual", action="store_true", help="use the conjugate-dual orientation")
     sp.set_defaults(func=cmd_invariants)
@@ -361,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_apacket)
 
     sp = sub.add_parser("ktype-map", help="joint-harmonics K-type partner")
-    sp.add_argument("--p", type=int, required=True)
-    sp.add_argument("--q", type=int, required=True)
+    sp.add_argument("--p", type=_int_flag, required=True)
+    sp.add_argument("--q", type=_int_flag, required=True)
     sp.add_argument("--a", required=True, help="comma-separated integers, may be empty")
     sp.add_argument("--b", required=True, help="comma-separated integers, may be empty")
     _add_target_flags(sp)
@@ -371,9 +378,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="run one verification suite")
     sp.add_argument("--suite", required=True, choices=sorted(SUITES))
-    sp.add_argument("--max-n", type=int, default=3)
+    sp.add_argument("--max-n", type=_int_flag, default=3)
     sp.add_argument("--height", default="7/2")
-    sp.add_argument("--max-dm", type=int, default=4)
+    sp.add_argument("--max-dm", type=_int_flag, default=4)
     sp.add_argument("--quiet", action="store_true",
                     help="skip the records of passing cases; each failing case "
                          "still prints its record before the summary line")
@@ -382,9 +389,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser(
         "enumerate", help="every lift decision in a window except at the size m = n"
     )
-    sp.add_argument("--max-n", type=int, default=2)
+    sp.add_argument("--max-n", type=_int_flag, default=2)
     sp.add_argument("--height", default="5/2")
-    sp.add_argument("--max-dm", type=int, default=4)
+    sp.add_argument("--max-dm", type=_int_flag, default=4)
     sp.set_defaults(func=cmd_enumerate)
 
     # Before Python 3.13, argparse reads `--opt=--` as an empty list and

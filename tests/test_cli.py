@@ -876,6 +876,40 @@ def test_literals_take_ascii_digits_only(argv, message):
     assert (rc, out, err) == (2, "", f"error: ValueError: {message}\n")
 
 
+# Every integer flag of each subcommand. int() alone reads any Unicode
+# decimal digit and underscores, so `lift --p=\u0661` once ran as p = 1.
+INT_FLAGS = {
+    "lift": ("--p", "--q", "--r", "--s", "--m0", "--n0"),
+    "occurs": ("--p", "--q", "--r", "--s", "--m0", "--n0"),
+    "invariants": ("--p", "--q", "--m0", "--k0"),
+    "apacket": ("--r", "--s"),
+    "ktype-map": ("--p", "--q", "--r", "--s", "--m0", "--n0"),
+    "verify": ("--max-n", "--max-dm"),
+    "enumerate": ("--max-n", "--max-dm"),
+}
+
+
+def test_int_flags_lists_every_integer_flag():
+    subparsers = next(a.choices for a in cli.build_parser()._actions if isinstance(a.choices, dict))
+    found = {
+        command: tuple(a.option_strings[0] for a in sp._actions if a.type is cli._int_flag)
+        for command, sp in subparsers.items()
+    }
+    assert {command: flags for command, flags in found.items() if flags} == INT_FLAGS
+
+
+@pytest.mark.parametrize("text", ["\u0661", "\uff13", "1_0"], ids=["arabic", "fullwidth", "underscore"])
+def test_integer_flags_take_ascii_digits_only(text):
+    for command, flags in INT_FLAGS.items():
+        for flag in flags:
+            argv = _argv(command, dict(VALID_ARGV[command], **{flag: text}))
+            rc, out, err = run_captured(argv)
+            assert (rc, out) == (2, ""), argv
+            assert err.splitlines()[-1] == (
+                f"thetalift {command}: error: argument {flag}: invalid int value: {text!r}"
+            ), argv
+
+
 def test_readme_examples_print_what_the_readme_shows(capsys):
     # Each `$ thetalift ...` line of README.md, run through cli.main, must
     # print the lines under it, up to a blank line or the end of the block.
