@@ -14,6 +14,17 @@ and those below it a suffix: each part's runs are read as two cut
 indices (_cut), and the correspondence and the split build their
 weights from slices of the unshifted parts, one offset per slice.
 
+_KTypeMap is the correspondence for one (source form, context,
+target), in the idiom of lifting._LiftUp: it checks the dimensions and
+derives the shifts and offsets once, and at() builds one weight's
+partner. correspond_ktype builds one map per call; the K-type grid of
+suites builds three per (p, q, r, s) group. A weakly decreasing slice
+moved by a constant stays weakly decreasing, so at() checks only each
+part's length and the seams between its slices, and hands a failure to
+the validating KType constructor for its exception and message, as
+lifting.AqLambdaData._spliced does: every partner is still checked in
+full. split_mu reads its shifts, cuts and fit test from the same map.
+
 split_mu factors a matching weight through the compact pair
 U(r) x U(s): the two returned weights are again K-types of U(p, q)
 whose tensor product contains mu (the lowest pieces of two highest
@@ -31,7 +42,12 @@ from .errors import InternalError, PatternMismatch, PreconditionViolation
 
 
 class KType(_Frozen):
-    """Highest weight of U(p) x U(q): two weakly decreasing int tuples."""
+    """Highest weight of U(p) x U(q): two weakly decreasing int tuples.
+
+    The constructor validates. _from_checked stores fields that the
+    caller has shown valid: _KTypeMap.at builds each partner through it
+    once it has checked the partner's lengths and seams.
+    """
 
     __slots__ = ("sig", "a_weights", "b_weights")
 
@@ -48,6 +64,17 @@ class KType(_Frozen):
             raise ValueError("a-weights must weakly decrease")
         if not all(map(ge, b, b[1:])):
             raise ValueError("b-weights must weakly decrease")
+
+    @classmethod
+    def _from_checked(
+        cls, sig: Signature, a_weights: tuple[int, ...], b_weights: tuple[int, ...]
+    ) -> "KType":
+        """The K-type for int tuples that the caller has shown valid for sig."""
+        out = object.__new__(cls)
+        _set_sig(out, sig)
+        _set_a_weights(out, a_weights)
+        _set_b_weights(out, b_weights)
+        return out
 
     def to_json(self) -> dict:
         return {"a": list(self.a_weights), "b": list(self.b_weights)}
@@ -68,15 +95,93 @@ def _cut(part: tuple[int, ...], shift: int) -> tuple[int, int]:
     return bisect_left(part, -shift, key=neg), bisect_right(part, -shift, key=neg)
 
 
-def _require_dims(mu: KType, ctx: LiftContext, target: Signature) -> None:
-    if mu.sig.n != ctx.source_dim:
-        raise PreconditionViolation(
-            f"K-type lives on {mu.sig.n} coordinates, context source_dim={ctx.source_dim}"
-        )
-    if target.n != ctx.target_dim:
-        raise PreconditionViolation(
-            f"target size {target.n} != context target_dim {ctx.target_dim}"
-        )
+class _KTypeMap:
+    """correspond_ktype() for one source form, context and target, split at the weight.
+
+    Built once per (source, ctx, target): the dimension checks, the
+    shifts sh_a and sh_b of a weight at the target, the partner's shifts
+    out_a and out_b at the source, and the offsets ka, kd, kc, kb that
+    move the runs a, d, c, b onto the partner. cut() gives a weight's
+    cut indices at sh_a and sh_b, pads() the partner's zero padding
+    (negative when the pattern does not fit), and at() the partner of
+    one weight of the source form, whose cuts a caller that has them
+    passes in.
+
+    at() builds each part of the partner from three slices: a run moved
+    by its offset, the padding, and a run of the other part moved by
+    its offset. A weakly decreasing slice moved by a constant stays
+    weakly decreasing, so it checks only each part's length and the two
+    seams between its slices, and stores the partner through
+    KType._from_checked. When a check fails it hands the parts to the
+    validating KType constructor, which raises, so the exceptions and
+    messages are the constructor's.
+    """
+
+    __slots__ = (
+        "source", "target", "sh_a", "sh_b", "out_a", "out_b", "ka", "kd", "kc", "kb",
+    )
+
+    def __init__(self, source: Signature, ctx: LiftContext, target: Signature) -> None:
+        if source.n != ctx.source_dim:
+            raise PreconditionViolation(
+                f"K-type lives on {source.n} coordinates, context source_dim={ctx.source_dim}"
+            )
+        if target.n != ctx.target_dim:
+            raise PreconditionViolation(
+                f"target size {target.n} != context target_dim {ctx.target_dim}"
+            )
+        self.source = source
+        self.target = target
+        self.sh_a = _half_shift(target.p - target.q, ctx.m0)
+        self.sh_b = ctx.m0 - self.sh_a
+        self.out_a = _half_shift(source.p - source.q, ctx.n0)
+        self.out_b = ctx.n0 - self.out_a
+        self.ka, self.kd = self.out_a - self.sh_a, self.out_a - self.sh_b
+        self.kc, self.kb = self.out_b - self.sh_b, self.out_b - self.sh_a
+
+    def cut(
+        self, a: tuple[int, ...], b: tuple[int, ...]
+    ) -> tuple[tuple[int, int], tuple[int, int]]:
+        """((ia, ja), (ib, jb)): the runs are a[:ia], a[ja:], b[:ib], b[jb:], less the shifts."""
+        return _cut(a, self.sh_a), _cut(b, self.sh_b)
+
+    def pads(self, cuts: tuple[tuple[int, int], tuple[int, int]]) -> tuple[int, int]:
+        """(r - x - w, s - z - y) for a weight cut at cuts; the pattern fits iff both are >= 0."""
+        (ia, ja), (ib, jb) = cuts
+        source, target = self.source, self.target
+        return target.p - ia - (source.q - jb), target.q - ib - (source.p - ja)
+
+    def at(
+        self,
+        a: tuple[int, ...],
+        b: tuple[int, ...],
+        cuts: tuple[tuple[int, int], tuple[int, int]] | None = None,
+    ) -> KType | None:
+        """The partner of the weight (a; b) of the source form, None when it does not fit."""
+        if cuts is None:
+            cuts = _cut(a, self.sh_a), _cut(b, self.sh_b)
+        pad_a, pad_b = self.pads(cuts)
+        if pad_a < 0 or pad_b < 0:
+            return None
+        (ia, ja), (ib, jb) = cuts
+        ka, kd, kc, kb = self.ka, self.kd, self.kc, self.kb
+        pa = tuple([v + ka for v in a[:ia]] + [self.out_a] * pad_a + [v + kd for v in b[jb:]])
+        pb = tuple([v + kc for v in b[:ib]] + [self.out_b] * pad_b + [v + kb for v in a[ja:]])
+        target = self.target
+        r, s = target.p, target.q
+        # The seams of pa are at ia and ia + pad_a, those of pb at ib and
+        # ib + pad_b; a seam at either end of a part joins nothing.
+        i, j = ia + pad_a, ib + pad_b
+        if (
+            len(pa) != r
+            or len(pb) != s
+            or (0 < ia < r and pa[ia - 1] < pa[ia])
+            or (0 < i < r and pa[i - 1] < pa[i])
+            or (0 < ib < s and pb[ib - 1] < pb[ib])
+            or (0 < j < s and pb[j - 1] < pb[j])
+        ):
+            return KType(target, pa, pb)  # raises the constructor's ValueError
+        return KType._from_checked(target, pa, pb)
 
 
 def correspond_ktype(mu: KType, ctx: LiftContext, target: Signature) -> KType | None:
@@ -85,28 +190,7 @@ def correspond_ktype(mu: KType, ctx: LiftContext, target: Signature) -> KType | 
     None when the pattern does not fit the target (x + w > r or
     z + y > s); otherwise the partner weight.
     """
-    _require_dims(mu, ctx, target)
-    r, s = target.p, target.q
-    p, q = mu.sig.p, mu.sig.q
-    a, b = mu.a_weights, mu.b_weights
-    sh_a = _half_shift(r - s, ctx.m0)
-    sh_b = ctx.m0 - sh_a
-    # the runs are a[:ia], a[ja:], b[:ib], b[jb:], less the shifts
-    ia, ja = _cut(a, sh_a)
-    ib, jb = _cut(b, sh_b)
-    pad_a = r - ia - (q - jb)  # r - x - w
-    pad_b = s - ib - (p - ja)  # s - z - y
-    if pad_a < 0 or pad_b < 0:
-        return None
-    out_a = _half_shift(p - q, ctx.n0)
-    out_b = ctx.n0 - out_a
-    ka, kd = out_a - sh_a, out_a - sh_b
-    kc, kb = out_b - sh_b, out_b - sh_a
-    return KType(
-        target,
-        tuple([v + ka for v in a[:ia]] + [out_a] * pad_a + [v + kd for v in b[jb:]]),
-        tuple([v + kc for v in b[:ib]] + [out_b] * pad_b + [v + kb for v in a[ja:]]),
-    )
+    return _KTypeMap(mu.sig, ctx, target).at(mu.a_weights, mu.b_weights)
 
 
 def split_mu(
@@ -123,7 +207,7 @@ def split_mu(
     c-runs with the -s/2 twist. m1 and m2 default to the minimal
     admissible pair; explicit values must satisfy m1 = r, m2 = s
     (mod 2) and m1 + m2 = m0."""
-    _require_dims(mu, ctx, target)
+    kmap = _KTypeMap(mu.sig, ctx, target)
     r, s = target.p, target.q
     p, q = mu.sig.p, mu.sig.q
     if m1 is None:
@@ -138,12 +222,11 @@ def split_mu(
         raise PatternMismatch(f"m1 + m2 must equal m0={ctx.m0}, got {m1}+{m2}")
 
     a, b = mu.a_weights, mu.b_weights
-    sh_a = _half_shift(r - s, ctx.m0)
-    sh_b = ctx.m0 - sh_a
-    ia, ja = _cut(a, sh_a)
-    ib, jb = _cut(b, sh_b)
+    sh_a, sh_b = kmap.sh_a, kmap.sh_b
+    cuts = kmap.cut(a, b)
+    (ia, ja), (ib, jb) = cuts
     x, y, z, w = ia, p - ja, ib, q - jb
-    if x + w > r or z + y > s:
+    if min(kmap.pads(cuts)) < 0:
         raise PatternMismatch(f"pattern ({x},{y},{z},{w}) does not fit target {target}")
 
     sh1 = _half_shift(r, m1)  # (r + m1)/2

@@ -89,7 +89,7 @@ from .errors import (
     NotGoodRange,
     PreconditionViolation,
 )
-from .ktypes import KType, _cut, _half_shift, correspond_ktype
+from .ktypes import KType, _cut, _KTypeMap
 from .lifting import (
     LiftResult,
     _aq_infinitesimal_twices,
@@ -516,9 +516,12 @@ def suite_ktypes(emit: bool = True, max_run: int = 2, height: int = 3) -> Iterat
     """K-type correspondence round trip, injectivity, r - s dependence.
 
     Everything that depends only on the group (p, q, r, s) is built once
-    per group, in a _KTypeGroup: the three contexts (the forward one, its
-    reverse, and the one pushed up to r + s + 2), the three signatures,
-    and the shifts.
+    per group, in a _KTypeGroup: three _KTypeMap objects, the forward
+    map, the back map in the reverse context and the map pushed up to
+    r + s + 2, each with its dimension checks, shifts and offsets. Each
+    case cuts its weight once, for the forward and push-up maps, and its
+    partner once, for the back map and the injectivity test; the maps
+    check each partner's lengths and the seams between its slices.
 
     The grid's outermost loop is the run shape (x, y, z, w), the lengths
     of mu's runs a, b, c, d, so each shape's cases are contiguous. The
@@ -526,16 +529,17 @@ def suite_ktypes(emit: bool = True, max_run: int = 2, height: int = 3) -> Iterat
     one shape and is dropped when the shape ends; its memory is that of
     the largest shape, not of the grid. That still proves injectivity
     over the whole group: each case also checks that its partner has the
-    runs the correspondence gives that shape, lengths (x, w) around sh_p
-    and (z, y) around sh_q, so partners of two shapes never coincide.
+    runs the correspondence gives that shape, lengths (x, w) and (z, y)
+    around the back map's shifts, so partners of two shapes never
+    coincide.
     """
     runs_pos = {k: _weight_runs(k, height, True) for k in range(max_run + 1)}
     runs_neg = {k: _weight_runs(k, height, False) for k in range(max_run + 1)}
     groups: dict[tuple[int, int, int, int], _KTypeGroup] = {}
     for x, y, z, w in itertools.product(range(max_run + 1), repeat=4):
-        # Per group of this shape: the partner's cut indices at sh_p and
-        # sh_q, and the partners seen so far. Rebinding drops the last
-        # shape's sets.
+        # Per group of this shape: the partner's cut indices at the back
+        # map's shifts, and the partners seen so far. Rebinding drops the
+        # last shape's sets.
         shape_groups = []
         for pad_p, pad_q, er, es in itertools.product((0, 1), repeat=4):
             p, q, r, s = x + y + pad_p, z + w + pad_q, x + w + er, z + y + es
@@ -555,30 +559,28 @@ def suite_ktypes(emit: bool = True, max_run: int = 2, height: int = 3) -> Iterat
 
 
 class _KTypeGroup:
-    """The per-(p, q, r, s) contexts, signatures and shifts of the K-type grid.
+    """The correspondence maps of one (p, q, r, s) group of the K-type grid.
 
-    It holds no injectivity bookkeeping: that is scoped to one run shape
-    in suite_ktypes, so no group keeps partners after its shape ends.
+    forward maps U(p, q) to U(r, s), back maps U(r, s) to U(p, q) in
+    the reversed context, and up maps U(p, q) to U(r + 1, s + 1), one
+    plane up the tower. forward and up have the same r - s, so the same
+    shifts: a weight's cuts at forward serve up too, and a partner's
+    cuts at back serve the injectivity test. The group holds no
+    injectivity bookkeeping: that is scoped to one run shape in
+    suite_ktypes, so no group keeps partners after its shape ends.
     """
 
-    __slots__ = (
-        "source", "target", "up_target", "ctx", "back_ctx", "up_ctx",
-        "sh_a", "sh_b", "sh_p", "sh_q",
-    )
+    __slots__ = ("forward", "back", "up")
 
     def __init__(self, p: int, q: int, r: int, s: int) -> None:
         m0, n0 = (r + s) % 2, (p + q) % 2
-        self.source = Signature(p, q)
-        self.target = Signature(r, s)
-        self.up_target = Signature(r + 1, s + 1)
-        self.ctx = LiftContext(m0, n0, p + q, r + s)
-        self.back_ctx = self.ctx.reversed()
-        self.up_ctx = LiftContext(m0, n0, p + q, r + s + 2)
-        # mu's shifts at the target, and the partner's at the source.
-        self.sh_a = (r - s + m0) // 2
-        self.sh_b = m0 - self.sh_a
-        self.sh_p = _half_shift(p - q, n0)
-        self.sh_q = n0 - self.sh_p
+        source, target = Signature(p, q), Signature(r, s)
+        ctx = LiftContext(m0, n0, p + q, r + s)
+        self.forward = _KTypeMap(source, ctx, target)
+        self.back = _KTypeMap(target, ctx.reversed(), source)
+        self.up = _KTypeMap(
+            source, LiftContext(m0, n0, p + q, r + s + 2), Signature(r + 1, s + 1)
+        )
 
 
 def _same_runs(
@@ -591,8 +593,9 @@ def _same_runs(
 
 
 def _ktype_case(a, b, c, d, group: _KTypeGroup, cuts, seen: set, emit: bool) -> Case:
-    sh_a, sh_b = group.sh_a, group.sh_b
-    source, target = group.source, group.target
+    forward, back_map = group.forward, group.back
+    sh_a, sh_b = forward.sh_a, forward.sh_b
+    source, target = forward.source, forward.target
     zeros_a = source.p - len(a) - len(b)
     zeros_b = source.q - len(c) - len(d)
     mu = KType(
@@ -600,7 +603,9 @@ def _ktype_case(a, b, c, d, group: _KTypeGroup, cuts, seen: set, emit: bool) -> 
         tuple([v + sh_a for v in a] + [sh_a] * zeros_a + [v + sh_a for v in b]),
         tuple([v + sh_b for v in c] + [sh_b] * zeros_b + [v + sh_b for v in d]),
     )
-    mu_prime = correspond_ktype(mu, group.ctx, target)
+    mu_a, mu_b = mu.a_weights, mu.b_weights
+    mu_cuts = forward.cut(mu_a, mu_b)
+    mu_prime = forward.at(mu_a, mu_b, mu_cuts)
     if mu_prime is None:
         return False, "missing", {
             "suite": "ktypes",
@@ -609,26 +614,26 @@ def _ktype_case(a, b, c, d, group: _KTypeGroup, cuts, seen: set, emit: bool) -> 
             "ok": False,
             "why": "expected a partner inside capacity",
         }
-    back = correspond_ktype(mu_prime, group.back_ctx, source)
+    pa, pb = mu_prime.a_weights, mu_prime.b_weights
+    partner_cuts = back_map.cut(pa, pb)
+    back = back_map.at(pa, pb, partner_cuts)
     round_ok = back == mu
 
     # Injectivity within this (p,q,r,s) group: the partner has this
     # shape's runs, and no other weight of the shape had it. The grid
     # visits each weight once per group, so a partner already seen came
     # from another weight.
-    pa, pb = mu_prime.a_weights, mu_prime.b_weights
-    cut_a, cut_b = _cut(pa, group.sh_p), _cut(pb, group.sh_q)
     partner = (pa, pb)
-    inj_ok = (cut_a, cut_b) == cuts and partner not in seen
+    inj_ok = partner_cuts == cuts and partner not in seen
     seen.add(partner)
 
     # Same pattern, target pushed up the tower: partner differs only in
     # zero padding (the r - s dependence).
-    mu2 = correspond_ktype(mu, group.up_ctx, group.up_target)
+    mu2 = group.up.at(mu_a, mu_b, mu_cuts)
     pad_ok = (
         mu2 is not None
-        and _same_runs(mu2.a_weights, pa, cut_a, group.sh_p)
-        and _same_runs(mu2.b_weights, pb, cut_b, group.sh_q)
+        and _same_runs(mu2.a_weights, pa, partner_cuts[0], back_map.sh_a)
+        and _same_runs(mu2.b_weights, pb, partner_cuts[1], back_map.sh_b)
     )
 
     ok = round_ok and inj_ok and pad_ok

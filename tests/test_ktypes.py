@@ -14,11 +14,12 @@ from thetalift import (
     KType,
     LiftContext,
     PatternMismatch,
+    PreconditionViolation,
     Signature,
     correspond_ktype,
     split_mu,
 )
-from thetalift import suites
+from thetalift import ktypes
 from thetalift.suites import suite_ktypes, tally
 
 
@@ -253,29 +254,30 @@ def test_ktype_grid_memory_tracks_one_run_shape():
 
 
 def _grid_failures(monkeypatch, rewrite):
-    """Run a small K-type grid with its correspondence calls routed through rewrite.
+    """Run a small K-type grid with its partner builds routed through rewrite.
 
-    Per case the grid calls correspond_ktype forward on mu, back on the
-    partner it got, then up the tower on mu again; rewrite(kind, real,
-    mu, ctx, target) answers each call, kind being "forward", "back" or
-    "up". Returns the summary and the records of the failing cases.
+    Per case the grid asks its group's forward map for mu's partner and,
+    when there is one, the back map for the partner's, then the push-up
+    map for mu's again. rewrite(kind, real, mu, kmap) answers each call,
+    kind being "forward", "back" or "up", mu the weight asked about as a
+    KType and real(weight) the map's own answer for any weight. Returns
+    the summary and the records of the failing cases.
     """
-    real = suites.correspond_ktype
-    last = {"mu": None, "partner": None}
+    real_at = ktypes._KTypeMap.at
+    state = {"next": "forward"}
 
-    def patched(mu, ctx, target):
-        if mu is last["partner"]:
-            kind = "back"
-        elif mu is last["mu"]:
-            kind = "up"
-        else:
-            kind = "forward"
-        out = rewrite(kind, real, mu, ctx, target)
+    def patched(kmap, a, b, cuts=None):
+        kind = state["next"]
+        out = rewrite(
+            kind, lambda mu: real_at(kmap, mu.a_weights, mu.b_weights), KType(kmap.source, a, b), kmap
+        )
         if kind == "forward":
-            last["mu"], last["partner"] = mu, out
+            state["next"] = "forward" if out is None else "back"
+        else:
+            state["next"] = "up" if kind == "back" else "forward"
         return out
 
-    monkeypatch.setattr(suites, "correspond_ktype", patched)
+    monkeypatch.setattr(ktypes._KTypeMap, "at", patched)
     records = []
     summary = tally("ktypes", suite_ktypes(emit=False, max_run=1, height=2), records.append)
     assert summary.failures > 0
@@ -292,8 +294,8 @@ def _shifted(mu, da, db):
 
 
 def test_grid_flags_a_broken_round_trip(monkeypatch):
-    def rewrite(kind, real, mu, ctx, target):
-        out = real(mu, ctx, target)
+    def rewrite(kind, real, mu, kmap):
+        out = real(mu)
         return _shifted(out, 1, 1) if kind == "back" else out
 
     summary, records = _grid_failures(monkeypatch, rewrite)
@@ -309,17 +311,17 @@ def test_grid_flags_two_weights_with_one_partner(monkeypatch):
     # weight, and the round trip leads back to the weight that asked.
     state = {}
 
-    def rewrite(kind, real, mu, ctx, target):
+    def rewrite(kind, real, mu, kmap):
         if kind == "forward":
-            state.setdefault("group", (mu.sig, target))
+            state.setdefault("group", (kmap.source, kmap.target))
             state.setdefault("first", mu)
             state["mu"] = mu
-            state["hit"] = state["group"] == (mu.sig, target)
+            state["hit"] = state["group"] == (kmap.source, kmap.target)
         if not state["hit"]:
-            return real(mu, ctx, target)
+            return real(mu)
         if kind == "back":
             return state["mu"]
-        return real(state["first"], ctx, target)
+        return real(state["first"])
 
     _summary, records = _grid_failures(monkeypatch, rewrite)
     for record in records:
@@ -337,17 +339,18 @@ def test_grid_flags_a_partner_of_another_run_shape(monkeypatch):
     group = (Signature(1, 1), Signature(1, 1))
     state = {"weights": [], "hit": False}
 
-    def rewrite(kind, real, mu, ctx, target):
+    def rewrite(kind, real, mu, kmap):
         if kind == "forward":
-            state["hit"] = (mu.sig, target) == group and len(state["weights"]) == 1
-            if (mu.sig, target) == group:
+            in_group = (kmap.source, kmap.target) == group
+            state["hit"] = in_group and len(state["weights"]) == 1
+            if in_group:
                 state["weights"].append(mu)
         if not state["hit"]:
-            return real(mu, ctx, target)
+            return real(mu)
         first, hit = state["weights"]
         if kind == "back":
             return hit
-        return real(first, ctx, target)
+        return real(first)
 
     _summary, records = _grid_failures(monkeypatch, rewrite)
     first, hit = state["weights"][:2]
@@ -361,8 +364,8 @@ def test_grid_flags_a_partner_of_another_run_shape(monkeypatch):
 
 
 def test_grid_flags_a_run_moved_up_the_tower(monkeypatch):
-    def rewrite(kind, real, mu, ctx, target):
-        out = real(mu, ctx, target)
+    def rewrite(kind, real, mu, kmap):
+        out = real(mu)
         return _shifted(out, 1, 0) if kind == "up" else out
 
     summary, records = _grid_failures(monkeypatch, rewrite)
@@ -450,9 +453,23 @@ def _assert_partners_validated(mu, ctx, target):
     return partner
 
 
-def test_grid_partners_equal_validated_builds():
+def test_grid_partners_equal_validated_builds(monkeypatch):
+    # The grid's own partner builds, which pass in the cuts they have,
+    # and then the same partners through the public function.
+    built = []
+    real_at = ktypes._KTypeMap.at
+
+    def spy(kmap, a, b, cuts=None):
+        built.append(real_at(kmap, a, b, cuts))
+        return built[-1]
+
+    monkeypatch.setattr(ktypes._KTypeMap, "at", spy)
     records = [record for _ok, _tag, record in suite_ktypes(emit=True, max_run=1, height=3)]
+    monkeypatch.undo()
     assert len(records) == 4089
+    assert len(built) == 3 * 4089
+    for k in built:
+        _assert_validated_build(k)
     for record in records:
         source = Signature(len(record["mu"]["a"]), len(record["mu"]["b"]))
         target = Signature(*record["target"])
@@ -466,3 +483,36 @@ def test_pinned_grid_partners_equal_validated_builds():
     partners = [_assert_partners_validated(*case) for case in _grid_cases()]
     assert len(partners) == 10185
     assert partners.count(None) == 7752
+
+
+def test_map_hands_a_broken_seam_to_the_validating_constructor():
+    # U(1, 1) -> U(2, 0): the a-part is (3 - 1, pad) = (2, 0).
+    kmap = ktypes._KTypeMap(Signature(1, 1), CTX, TARGET)
+    assert kmap.at((3,), (-1,)) == KType(TARGET, (2, 0), ())
+    kmap.ka -= 3
+    with pytest.raises(ValueError, match="^a-weights must weakly decrease$"):
+        kmap.at((3,), (-1,))
+    # U(1, 1) -> U(0, 2): the b-part is (3 - 1, -3 + 1) = (2, -2).
+    target = Signature(0, 2)
+    kmap = ktypes._KTypeMap(Signature(1, 1), CTX, target)
+    assert kmap.at((-3,), (3,)) == KType(target, (), (2, -2))
+    kmap.kb += 5
+    with pytest.raises(ValueError, match="^b-weights must weakly decrease$"):
+        kmap.at((-3,), (3,))
+
+
+def test_map_hands_a_weight_of_another_form_to_the_validating_constructor():
+    kmap = ktypes._KTypeMap(Signature(1, 1), CTX, TARGET)
+    with pytest.raises(ValueError, match="^weight lengths must match the signature$"):
+        kmap.at((3, 3), (-1,))
+
+
+def test_map_keeps_the_dimension_checks_of_correspond_ktype():
+    mu = KType(Signature(1, 1), (3,), (-1,))
+    for ctx, target, message in (
+        (LiftContext(0, 1, 3, 2), TARGET, "K-type lives on 2 coordinates, context source_dim=3"),
+        (LiftContext(1, 0, 2, 3), TARGET, "target size 2 != context target_dim 3"),
+    ):
+        for call in (correspond_ktype, split_mu):
+            with pytest.raises(PreconditionViolation, match=f"^{message}$"):
+                call(mu, ctx, target)
