@@ -159,7 +159,7 @@ class _KTypeMap:
     ) -> KType | None:
         """The partner of the weight (a; b) of the source form, None when it does not fit."""
         if cuts is None:
-            cuts = _cut(a, self.sh_a), _cut(b, self.sh_b)
+            cuts = self.cut(a, b)
         pad_a, pad_b = self.pads(cuts)
         if pad_a < 0 or pad_b < 0:
             return None
