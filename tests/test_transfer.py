@@ -144,6 +144,42 @@ def _nonzero_targets(lam, ctx):
             yield target
 
 
+def _assert_deformation_keeps_the_transfer(lam, ctx, t):
+    """lam+'s _Transfer at ctx has lam's eta, tail, e'_0 factor and slot i0."""
+    own = transfer._Transfer(lam, ctx)
+    deformed = transfer._Transfer(make_regular_deformation(lam, ctx, t), ctx)
+    assert (deformed.eta, deformed.tail, deformed.e0_source, deformed.phi_p.i0) == (
+        own.eta, own.tail, own.e0_source, own.phi_p.i0
+    ), (str(lam), ctx.target_dim, t)
+
+
+def test_deformation_keeps_the_transferred_character():
+    # The deformation moves the positive entries of lam - m0/2 up by t and
+    # the others down by t. So the entries keep their order and their
+    # parts, which fixes eta, and the count of entries above m0/2, which
+    # fixes i0; the zetas, the tail and the e'_0 factor follow. Checked
+    # at every up size of the window, for the walk's t and for t = 1..6.
+    pairs = 0
+    for lam, _k0, m0, n0 in iter_params(SHADOW):
+        for ctx, walk_t in _up_ctxs(lam, m0, n0, SHADOW.max_m_minus_n):
+            for t in {walk_t, *range(1, 7)}:
+                _assert_deformation_keeps_the_transfer(lam, ctx, t)
+            pairs += 1
+    assert pairs == 550
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_params())
+def test_deformation_keeps_the_transferred_character_beyond_the_window(params):
+    lam, m0, n0 = params
+    n = lam.sig.n
+    for m in range(n + 1, n + 7):
+        if (m - m0) % 2 == 0:
+            ctx = LiftContext(m0, n0, n, m)
+            for t in ((m - n) // 2 + 2, 1, 7):
+                _assert_deformation_keeps_the_transfer(lam, ctx, t)
+
+
 def test_size_following_shadow_matches_fresh_builds():
     # One shadow per parameter, moved from size to size as the walk moves
     # it, reports what a shadow built for the one size reports.
