@@ -35,18 +35,19 @@ level it depends on, only for a check that asks for it:
   r_lambda, s_lambda and X_inf, one pass per orientation, no split), in
   a tower object that decides occurrence for all of its targets, as a
   plain tuple, reads the conjugate dual's invariants from the
-  parameter's own shifted parts and serves li's window counts; li's lax
-  split; and, at its first nonzero up target, path A (_LiftUp), path B
-  (_Transfer, _SigmaUnits) and the globalization shadow (_Globalization)
-  with its lax split positions, source character and own path B; all
-  unit blocks follow m;
+  parameter's own shifted parts and serves li's window counts; the lax
+  split, which li's sufficiency test and the shadow's deformation read;
+  at its first nonzero up target, path A (_LiftUp) and, for two_path or
+  globalization, path B (_Transfer, _SigmaUnits), whose unit blocks
+  follow m; and the globalization shadow (_Globalization), built from
+  the lax split and path B's _Transfer;
 - per size, at its first nonzero target, the shadow's deformation with
   its transfer, character check and lax split, since the deformation
-  step grows with m; the shadow's path B is rebuilt only if the
-  deformation's tail moved;
+  step grows with m;
 - per form, one decision and one lift, down by _lift_down or up by path
-  A, shared by the checks, then each check's own block, sign, reverse
-  lift, step up the tower or window counts.
+  A, and, for two_path or globalization, one path B lift, shared by the
+  checks, then each check's own comparison, block, sign, reverse lift,
+  step up the tower or window counts.
 li alone decides only the targets it finds sufficient. So a vanishing
 case costs only its decision or its sufficiency test. duality reads the
 walk's decisions on the parameter's own tower and decides only the
@@ -59,7 +60,8 @@ the largest shape, however large the grid. The checks
 call the unchecked private halves (_LiftUp, _lift_down, _Transfer,
 _SigmaUnits, _Globalization), not the public functions, which would
 decide occurrence again and rebuild the shared parts per call. The walk
-shares results, not routes: the two derivation routes stay separate
+shares results, not routes: two_path and globalization read the same
+path A and path B lifts, and the two derivation routes stay separate
 objects, each the other's oracle.
 """
 
@@ -71,6 +73,7 @@ from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .core import (
+    ABGDSplit,
     HCParam,
     HalfInt,
     LiftContext,
@@ -109,7 +112,7 @@ from .packets import (
     eta_from_pi,
     eta_prime_sign_ok,
 )
-from .transfer import _Globalization, _Transfer
+from .transfer import GlobalizationReport, _Globalization, _Transfer
 
 Case = tuple[bool, str, dict | None]
 Tagged = tuple[int, Case]  # a case and the index of the walk check that made it
@@ -185,10 +188,12 @@ class _Param:
     downs and ups are the target sizes of m0's parity below n, descending,
     and from n + 1 to n + dm, ascending (k0 = 0 keeps n's parity, k0 = -1
     flips it); occurs says, per up target, whether the lift occurs.
+    transfer is path B's _Transfer and path_b its lift to the current
+    nonzero up target, which the walk sets for two_path and globalization.
     """
 
     __slots__ = ("lam", "k0", "m0", "n0", "n", "forms", "downs", "ups", "occurs", "_tower",
-                 "split", "transfer", "sigma", "shadow")
+                 "_lax", "transfer", "path_b", "shadow")
 
     def __init__(self, lam: HCParam, k0: int, m0: int, n0: int, forms: list, dm: int) -> None:
         n = lam.sig.n
@@ -196,13 +201,20 @@ class _Param:
         self.downs = range(n - 2 - k0, -1, -2)
         self.ups = range(n + 2 + k0, n + dm + 1, 2)
         self.occurs: list[bool] = []
-        self._tower = self.split = self.transfer = self.sigma = self.shadow = None
+        self._tower = self._lax = self.transfer = self.path_b = self.shadow = None
 
     @property
     def tower(self) -> _Tower:
         if self._tower is None:
             self._tower = _Tower(self.lam, self.m0, self.k0)
         return self._tower
+
+    @property
+    def split(self) -> ABGDSplit:
+        """lam's lax split, for li's sufficiency test and the shadow's deformation."""
+        if self._lax is None:
+            self._lax = _split(self.lam, self.m0, False, 0)
+        return self._lax
 
     def record(self, suite: str, **fields) -> dict:
         return {"suite": suite, "lambda": self.lam.to_json(), "m0": self.m0, **fields}
@@ -212,16 +224,12 @@ def _check_two_path(p: _Param, target: Signature, pos, aq, emit: bool) -> Case:
     """Lift route versus packet-transfer route, block for block."""
     if pos[3] is not None:
         return True, "vanishing", None
-    if p.sigma is None:
-        p.transfer = _Transfer(p.lam, _ctx(p.lam, p.m0, p.n0, target.n))
-        p.sigma = _SigmaUnits(p.transfer.phi_p, p.transfer.tail)
-    path_b = p.sigma.at(p.transfer.e0_at(target), target)
-    equal = path_b is not None and aq == path_b
+    equal = aq == p.path_b
     record = None
     if emit or not equal:
         record = p.record(
             "two_path", n0=p.n0, target=_sig_json(target), path_a=aq.to_json(),
-            path_b=path_b.to_json() if path_b is not None else None, equal=equal,
+            path_b=p.path_b.to_json() if p.path_b is not None else None, equal=equal,
         )
     return equal, "nonzero", record
 
@@ -230,17 +238,16 @@ def _check_globalization(p: _Param, target: Signature, pos, aq, emit: bool) -> C
     """Deformation shadow holds at every nonzero lift in the window."""
     if pos[3] is not None:
         return True, "vanishing", None
-    m = target.n
-    if p.shadow is None:
-        p.shadow = _Globalization(p.lam, p.m0)
-    if p.shadow.m != m:
-        t = (m - p.n) // 2 + 2  # ceil((m-n+1)/2) + 1
-        p.shadow.resize(_ctx(p.lam, p.m0, p.n0, m), t)
-    flags = p.shadow.at(target, aq)
+    shadow, m = p.shadow, target.n
+    if shadow is None:
+        shadow = p.shadow = _Globalization(p.lam, p.split, p.transfer)
+    if shadow.m != m:  # at the step t = ceil((m - n + 1)/2) + 1
+        shadow.resize(_ctx(p.lam, p.m0, p.n0, m), (m - p.n) // 2 + 2)
+    flags = shadow.at(target, aq == p.path_b)
     passed = all(flags)
     record = None
     if emit or not passed:
-        report = p.shadow.report(flags)
+        report = GlobalizationReport(shadow.t, shadow.lam_plus, *flags)
         record = p.record(
             "globalization", target=_sig_json(target), t=report.t, report=report.to_json()
         )
@@ -261,8 +268,6 @@ def _check_persistence(p: _Param, target: Signature, pos, aq, emit: bool) -> Cas
 
 def _check_li(p: _Param, target: Signature, pos, aq, emit: bool) -> Case:
     """The sufficiency bound implies occurrence with empty windows."""
-    if p.split is None:
-        p.split = _split(p.lam, p.m0, False, 0)
     if not _li_fits(p.split, p.n, target):
         return True, "not_sufficient", None
     l, t, swapped, reason = pos if pos is not None else p.tower.decide(target)
@@ -374,7 +379,8 @@ def walk(bounds: EnumerationBounds, emit: bool = True, *, names: Sequence[str]) 
     ascending, each with its checks in the order of names; then the
     per-parameter checks. A target is decided at most once, up front
     unless li runs alone, and lifted at most once, by _lift_down or path
-    A. A per-form check takes the _Param, the target, its decision
+    A, and, for two_path or globalization, once by path B into p.path_b.
+    A per-form check takes the _Param, the target, its decision
     (l, t, swapped, reason) or None, the lift or None, and emit.
     """
     down, up, last = (
@@ -383,7 +389,8 @@ def walk(bounds: EnumerationBounds, emit: bool = True, *, names: Sequence[str]) 
     )
     # duality reads every up target's decision.
     decide_up = bool(last) or any(names[i] != "li" for i, _ in up)
-    lifts_up = any(name in ("two_path", "globalization", "enumerate") for name in names)
+    route_b = "two_path" in names or "globalization" in names
+    lifts_up = route_b or "enumerate" in names
     forms = _forms_table(bounds)
     for lam, k0, m0, n0 in iter_params(bounds):
         p = _Param(lam, k0, m0, n0, forms, bounds.max_m_minus_n)
@@ -407,8 +414,14 @@ def walk(bounds: EnumerationBounds, emit: bool = True, *, names: Sequence[str]) 
                         occurs(pos[3] is None)
                         if lifts_up and pos[3] is None:
                             if lift is None:
-                                lift = _LiftUp(lam, _ctx(lam, m0, n0, m))
+                                ctx = _ctx(lam, m0, n0, m)
+                                lift = _LiftUp(lam, ctx)
+                                if route_b:
+                                    p.transfer = _Transfer(lam, ctx)
+                                    units = _SigmaUnits(p.transfer.phi_p, p.transfer.tail)
                             aq = lift.at(target)
+                            if route_b:
+                                p.path_b = units.at(p.transfer.e0_at(target), target)
                     for i, check in up:
                         yield i, check(p, target, pos, aq, emit)
         for i, check in last:

@@ -8,32 +8,38 @@ the result to sigma_from_eta_prime must reproduce lift_up block for
 block; that equality is the package's built-in oracle.
 
 verify_globalization shadows the deformation argument that underlies
-the transfer: push the parameter to a regular distance t, confirm the
-sign character does not move, confirm sufficiency kicks in there, and
-confirm the transferred character still cuts out the same induction
-datum for the undeformed values. Like the public lift functions it
-decides occurrence and lifts by path A itself; the suites' walk, which
-has done both for the case, uses _Globalization directly.
+the transfer: push the parameter to a regular distance t, where Li's
+sufficiency bound applies, confirm the sign character does not move,
+confirm sufficiency kicks in there, and confirm the transferred
+character still cuts out the undeformed lift. The character cannot
+move: the deformation adds t to the positive entries of lam - m0/2 and
+subtracts t from the others, so the entries keep their order and their
+parts, which fixes eta, and the count above m0/2, which fixes i0; the
+zetas, the tail and the e'_0 factor follow. So lam+'s transferred
+character is lam's, and path B for lam+ is lam's own path B. The shadow
+compares lam+'s tail and e'_0 factor with lam's and reads lam's path B;
+a character that moved fails the case. Like the public lift functions,
+verify_globalization decides occurrence and computes both routes
+itself; the suites' walk, which has done all three for the case, uses
+_Globalization directly.
 
 transfer_eta and verify_globalization are built from parts that depend
 on less than the case. _Transfer depends on the parameter and, through
 the zetas, on the parity of m - n only, so one serves every size of a
-tower. _Globalization is built once per parameter and exponent m0: it
-holds the positions of the parameter's lax split, the source character
-(phi, eta) and path B's unit blocks. resize() moves it to one target
-size and builds what the size fixes: the deformation, whose step t grows
-with m, its transfer and character check, and its lax split. Path B's
-unit blocks follow the size while the deformation's tail stays the one
-they were built from and are rebuilt otherwise. Per form it takes path
-A's lift from its caller and adds the e'_0 value, the sufficiency test
-and the comparison. Nothing is memoized.
+tower. _Globalization is built once per parameter from lam's lax split,
+whose positions fix the deformation, and lam's _Transfer. resize()
+moves it to one target size and builds what the size fixes: the
+deformation, whose step t grows with m, its transfer and character
+check, and its lax split. Per form it takes path A's and path B's lifts
+from its caller and adds the sufficiency test and the comparison.
+Nothing is memoized.
 """
 
 from __future__ import annotations
 
-from .core import HCParam, LiftContext, Signature, _deformation, _Frozen, _split
+from .core import ABGDSplit, HCParam, LiftContext, Signature, _deformation, _Frozen, _split
 from .errors import PreconditionViolation
-from .lifting import AqLambdaData, _LiftUp
+from .lifting import _LiftUp
 from .nonvanishing import _li_fits, occurs
 from .packets import (
     AParameter,
@@ -191,49 +197,48 @@ def verify_globalization(
     if not nonzero:
         raise PreconditionViolation(f"lift vanishes: {pos.reason}")
     path_a = _LiftUp(lam, ctx).at(target)
-    shadow = _Globalization(lam, ctx.m0)
+    own = _Transfer(lam, ctx)
+    path_b = _SigmaUnits(own.phi_p, own.tail).at(own.e0_at(target), target)
+    shadow = _Globalization(lam, _split(lam, ctx.m0, False, 0), own)
     shadow.resize(ctx, t)
-    return shadow.report(shadow.at(target, path_a))
+    return GlobalizationReport(t, shadow.lam_plus, *shadow.at(target, path_a == path_b))
 
 
 class _Globalization:
-    """verify_globalization() for one parameter and exponent m0, split at the size and the form.
+    """verify_globalization() for one parameter, split at the size and the form.
 
-    Per parameter it holds the prefix lengths x and z of lam's lax split,
-    which fix where the deformation adds and where it subtracts, the
-    source character (phi, eta) and path B. resize() moves it to one
-    target size and step t: the deformation lam+, lam+'s own transfer and
-    lax split, and path B, rebuilt only if lam+'s tail moved. at() takes
-    one form and the caller's path A lift to it and returns the three
-    flags; report() turns them into a GlobalizationReport.
+    It takes lam, the prefix lengths x and z of lam's lax split, which
+    fix where the deformation adds and where it subtracts, and lam's
+    _Transfer. resize() moves it to one target size and step t: the
+    deformation lam+, the check that lam+'s transfer has lam's eta, and
+    lam+'s lax split. The deformation keeps the whole transferred
+    character (see the module docstring), so lam's path B is lam+'s:
+    character_holds records that lam+'s tail and e'_0 factor are lam's,
+    and a case where they are not fails. at() takes one form and whether the
+    caller's path A and path B lifts to it agree, and returns the three
+    flags of the form's GlobalizationReport.
     """
 
-    __slots__ = ("lam", "n", "x", "z", "phi", "eta", "path_b",
-                 "m", "t", "lam_plus", "transfer_plus", "eta_preserved", "split_plus")
+    __slots__ = ("lam", "x", "z", "own", "m", "t", "lam_plus", "eta_preserved",
+                 "character_holds", "split_plus")
 
-    def __init__(self, lam: HCParam, m0: int) -> None:
-        sp = _split(lam, m0, False, 0)
-        self.lam, self.n, self.x, self.z = lam, lam.sig.n, sp.x, sp.z
-        self.phi, self.eta = eta_from_pi(lam)
-        self.path_b: _SigmaUnits | None = None
-        self.m: int | None = None
+    def __init__(self, lam: HCParam, split: ABGDSplit, own: _Transfer) -> None:
+        self.lam, self.x, self.z, self.own, self.m = lam, split.x, split.z, own, None
 
     def resize(self, ctx: LiftContext, t: int) -> None:
         """Move to the target size of ctx with deformation step t."""
         lam_plus = _deformation(self.lam, self.x, self.z, t)
-        transfer_plus = _Transfer(lam_plus, ctx)
-        self.m, self.t = ctx.target_dim, t
-        self.lam_plus, self.transfer_plus = lam_plus, transfer_plus
-        self.eta_preserved = self.eta == transfer_plus.eta
+        plus, own = _Transfer(lam_plus, ctx), self.own
+        self.m, self.t, self.lam_plus = ctx.target_dim, t, lam_plus
+        self.eta_preserved = plus.eta == own.eta
+        self.character_holds = plus.tail == own.tail and plus.e0_source == own.e0_source
         self.split_plus = _split(lam_plus, ctx.m0, False, 0)
-        if self.path_b is None or self.path_b.tail != transfer_plus.tail:
-            self.path_b = _SigmaUnits(build_a_parameter(self.phi, ctx), transfer_plus.tail)
 
-    def at(self, target: Signature, path_a: AqLambdaData) -> tuple[bool, bool, bool]:
-        """(eta_preserved, li_holds, lift_matches) for one form of size m, given path A's lift."""
-        sigma = self.path_b.at(self.transfer_plus.e0_at(target), target)
-        return self.eta_preserved, _li_fits(self.split_plus, self.n, target), sigma == path_a
+    def at(self, target: Signature, routes_agree: bool) -> tuple[bool, bool, bool]:
+        """(eta_preserved, li_holds, lift_matches) for one form of size m.
 
-    def report(self, flags: tuple[bool, bool, bool]) -> GlobalizationReport:
-        """The report for at()'s flags at the current size."""
-        return GlobalizationReport(self.t, self.lam_plus, *flags)
+        routes_agree says whether the caller's path A and path B lifts to
+        the form are equal.
+        """
+        li_holds = _li_fits(self.split_plus, self.lam.sig.n, target)
+        return self.eta_preserved, li_holds, self.character_holds and routes_agree

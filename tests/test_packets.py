@@ -30,6 +30,7 @@ from thetalift import (
     occurs,
     packet_members,
     pi_from_eta,
+    split_abgd,
     transfer,
     transfer_eta,
 )
@@ -240,11 +241,15 @@ def test_inverse_of_the_shadows_deformations_equals_validated_builds():
     deformations = 0
     for lam, _k0, m0, n0 in iter_params(EnumerationBounds(max_n=3, max_m_minus_n=4, height=half(7))):
         _assert_inverse_is_validated(lam)
-        shadow = transfer._Globalization(lam, m0)
         n = lam.sig.n
+        shadow = None
         for m in range(n + 1, n + 5):
             if (m - m0) % 2 == 0:
-                shadow.resize(LiftContext(m0, n0, n, m), (m - n) // 2 + 2)
+                ctx = LiftContext(m0, n0, n, m)
+                if shadow is None:
+                    own = transfer._Transfer(lam, ctx)
+                    shadow = transfer._Globalization(lam, split_abgd(lam, ctx), own)
+                shadow.resize(ctx, (m - n) // 2 + 2)
                 _assert_inverse_is_validated(shadow.lam_plus)
                 deformations += 1
     assert deformations == 1908

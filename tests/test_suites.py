@@ -7,6 +7,7 @@ restructured loop that drops or repeats a case fails in the fast tier.
 
 import gc
 import json
+from collections import Counter
 import subprocess
 import sys
 import tracemalloc
@@ -105,6 +106,29 @@ def test_fused_walk_keeps_each_suites_records_and_failures(monkeypatch):
             assert (after.cases, after.tags) == (before.cases, before.tags)
         else:
             assert after == before, before.name
+
+
+def test_route_b_runs_once_per_nonzero_form(monkeypatch):
+    # The walk builds one _SigmaUnits per parameter, at its first nonzero
+    # up target, and computes path B once per nonzero form, for two_path
+    # and globalization together: the shadow reads the walk's path B.
+    calls = Counter()
+    real_at, real_signs = packets._SigmaUnits.at, packets._unit_block_signs
+
+    def counted_at(units, e0, target):
+        calls["at"] += 1
+        return real_at(units, e0, target)
+
+    def counted_signs(phi_p, tail):
+        calls["unit_block_signs"] += 1
+        return real_signs(phi_p, tail)
+
+    monkeypatch.setattr(packets._SigmaUnits, "at", counted_at)
+    monkeypatch.setattr(packets, "_unit_block_signs", counted_signs)
+    for names in (("two_path", "globalization"), ("globalization",), ("two_path",)):
+        calls.clear()
+        run_suites(names, ENUMERATION)
+        assert calls == {"at": 5332, "unit_block_signs": 954}, names
 
 
 def _failures_with(monkeypatch, attr, broken):

@@ -23,13 +23,14 @@ from thetalift import (
     make_regular_deformation,
     occurs,
     sigma_from_eta_prime,
+    split_abgd,
     transfer,
     transfer_eta,
     verify_globalization,
     zeta_signs,
 )
-from thetalift.packets import LParameter
-from thetalift.suites import iter_params
+from thetalift.packets import LParameter, _SigmaUnits
+from thetalift.suites import iter_params, run_suites
 
 from strategies import wide_params
 
@@ -180,36 +181,43 @@ def test_deformation_keeps_the_transferred_character_beyond_the_window(params):
                 _assert_deformation_keeps_the_transfer(lam, ctx, t)
 
 
+def _shadow(lam, ctx):
+    """The shadow as the walk builds it at its first up size ctx, with lam's path B units."""
+    own = transfer._Transfer(lam, ctx)
+    shadow = transfer._Globalization(lam, split_abgd(lam, ctx), own)
+    return shadow, own, _SigmaUnits(own.phi_p, own.tail)
+
+
 def test_size_following_shadow_matches_fresh_builds():
-    # One shadow per parameter, moved from size to size as the walk moves
-    # it, reports what a shadow built for the one size reports.
-    nonzero = followed = 0
+    # One shadow and one path B per parameter, moved from size to size as
+    # the walk moves them, report what a shadow built for the one size
+    # reports.
+    nonzero = 0
     for lam, _k0, m0, n0 in iter_params(SHADOW):
-        shadow = transfer._Globalization(lam, m0)
-        for ctx, t in _up_ctxs(lam, m0, n0, SHADOW.max_m_minus_n):
+        sizes = list(_up_ctxs(lam, m0, n0, SHADOW.max_m_minus_n))
+        shadow, own, units = _shadow(lam, sizes[0][0])
+        for ctx, t in sizes:
             for target in _nonzero_targets(lam, ctx):
                 if shadow.m != ctx.target_dim:
-                    held = shadow.path_b
                     shadow.resize(ctx, t)
-                    followed += shadow.path_b is held
-                report = shadow.report(shadow.at(target, lift_up(lam, ctx, target)))
+                path_b = units.at(own.e0_at(target), target)
+                flags = shadow.at(target, lift_up(lam, ctx, target) == path_b)
+                report = GlobalizationReport(shadow.t, shadow.lam_plus, *flags)
                 assert report == verify_globalization(lam, ctx, target, t), (str(lam), target)
                 nonzero += 1
-    # Every later size of a parameter keeps path B: the tail does not move here.
-    assert (nonzero, followed) == (1826, 324)
+    assert nonzero == 1826
 
 
-def test_shadow_rebuilds_path_b_when_the_tail_moves(monkeypatch):
-    # Path B follows the size while the deformation's tail holds. A tail
-    # that moves at one size must rebuild it from that tail, so the report
-    # is again a fresh one-size build's, and differs from the unmoved one.
-    lam = HCParam(Signature(1, 1), (half(1), half(-1)))
-    sizes = list(_up_ctxs(lam, 0, 0, 6))
-    shadow = transfer._Globalization(lam, 0)
-    shadow.resize(*sizes[0])
-    held = shadow.path_b
-    shadow.resize(*sizes[1])
-    assert shadow.path_b is held
+# The benchmark's enumeration window, as in test_suites.
+ENUMERATION = EnumerationBounds(max_n=3, max_m_minus_n=4, height=half(7))
+WALKED = ("two_path", "globalization", "persistence", "li", "round_trip", "duality")
+
+
+def test_a_moved_shadow_tail_fails_every_nonzero_globalization_case(monkeypatch):
+    # lam+'s character is lam's, so the shadow reads lam's path B and keeps
+    # no path B of its own. A tail that moved in the shadow's per-size
+    # transfer only must fail the case, not build a second path B: in a
+    # fused walk, every nonzero globalization case fails and nothing else.
 
     class MovedTail(transfer._Transfer):
         """_Transfer with its tail negated: the product, so the sign gate, is kept."""
@@ -218,27 +226,24 @@ def test_shadow_rebuilds_path_b_when_the_tail_moves(monkeypatch):
             super().__init__(lam, ctx)
             self.tail = tuple(-v for v in self.tail)
 
-    ctx, t = sizes[2]
-    unpatched = [(target, verify_globalization(lam, ctx, target, t))
-                 for target in _nonzero_targets(lam, ctx)]
+    clean = run_suites(WALKED, ENUMERATION)
     monkeypatch.setattr(transfer, "_Transfer", MovedTail)
-    shadow.resize(ctx, t)
-    assert shadow.path_b is not held
-    assert shadow.path_b.tail == MovedTail(shadow.lam_plus, ctx).tail != held.tail
-    moved = 0
-    for target, before in unpatched:
-        report = shadow.report(shadow.at(target, lift_up(lam, ctx, target)))
-        assert report == verify_globalization(lam, ctx, target, t)
-        moved += report != before
-    assert moved
+    records = []
+    moved = run_suites(WALKED, ENUMERATION, sink=records.append)
+    assert [(s.cases, s.tags) for s in moved] == [(s.cases, s.tags) for s in clean]
+    failures = {s.name: s.failures for s in moved}
+    assert failures == {**dict.fromkeys(WALKED, 0), "globalization": 5332}
+    assert len(records) == 5332
+    assert all(r["report"]["eta_preserved"] and not r["report"]["lift_matches"] for r in records)
 
 
 def test_shadow_deformation_is_make_regular_deformation():
     # The shadow splits lam once per parameter; the deformation it builds
     # per size is the public one at that size's context.
     for lam, _k0, m0, n0 in iter_params(SHADOW):
-        shadow = transfer._Globalization(lam, m0)
-        for ctx, _t in _up_ctxs(lam, m0, n0, SHADOW.max_m_minus_n):
+        sizes = list(_up_ctxs(lam, m0, n0, SHADOW.max_m_minus_n))
+        shadow = _shadow(lam, sizes[0][0])[0]
+        for ctx, _t in sizes:
             for t in range(1, 7):
                 shadow.resize(ctx, t)
                 assert shadow.lam_plus == make_regular_deformation(lam, ctx, t), (str(lam), t)
