@@ -183,10 +183,13 @@ def verify_globalization(
 ) -> GlobalizationReport:
     """Deformation consistency check for one nonzero lift to a larger form.
 
-    Requires m > n, a nonzero lift, and an integer t >= (m - n + 1)/2 so
-    the deformed parameter is regular enough for the sufficiency bound.
+    Requires a target of the context's size m > n, a nonzero lift, and
+    an integer t >= (m - n + 1)/2 so the deformed parameter is regular
+    enough for the sufficiency bound.
     """
     m, n = ctx.target_dim, ctx.source_dim
+    if target.n != m:
+        raise PreconditionViolation(f"target size {target.n} != context target_dim {m}")
     if m <= n:
         raise PreconditionViolation("globalization check needs a strictly larger target")
     if not isinstance(t, int):

@@ -124,6 +124,12 @@ def test_globalization_guards():
         verify_globalization(lam, ctx, Signature(4, 0), 3)  # vanishing lift
     with pytest.raises(PreconditionViolation):
         verify_globalization(lam, LiftContext(0, 0, 2, 2), Signature(1, 1), 3)
+    # A target of another size than the context's, refused as lift_up and
+    # transfer_eta refuse it, before occurrence is decided.
+    size = "target size 6 != context target_dim 4"
+    for call in (lift_up, transfer_eta, lambda *args: verify_globalization(*args, 3)):
+        with pytest.raises(PreconditionViolation, match=size):
+            call(lam, ctx, Signature(4, 2))
 
 
 # The shadow's window: every nonzero target above n at n <= 2, m - n <= 5.
