@@ -332,7 +332,7 @@ class HCParam(_Frozen):
         """The parameter with entries entries_tw[i]/2."""
         out = object.__new__(cls)
         _set_sig(out, sig)
-        _set_entries_tw(out, entries_tw)
+        _set_entries_tw(out, tuple(entries_tw))
         out.__post_init__()
         return out
 

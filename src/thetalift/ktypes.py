@@ -54,10 +54,10 @@ class KType(_Frozen):
     def __init__(
         self, sig: Signature, a_weights: tuple[int, ...], b_weights: tuple[int, ...]
     ) -> None:
+        a, b = tuple(a_weights), tuple(b_weights)
         _set_sig(self, sig)
-        _set_a_weights(self, a_weights)
-        _set_b_weights(self, b_weights)
-        a, b = a_weights, b_weights
+        _set_a_weights(self, a)
+        _set_b_weights(self, b)
         if len(a) != sig.p or len(b) != sig.q:
             raise ValueError("weight lengths must match the signature")
         if not all(map(ge, a, a[1:])):

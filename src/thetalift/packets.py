@@ -93,7 +93,7 @@ class LParameter(_Frozen):
     def from_twices(cls, kappa_tw: tuple[int, ...]) -> "LParameter":
         """The parameter with values kappa_tw[i]/2."""
         out = object.__new__(cls)
-        _set_kappa_tw(out, kappa_tw)
+        _set_kappa_tw(out, tuple(kappa_tw))
         out.__post_init__()
         return out
 
@@ -134,6 +134,7 @@ class AParameter(_Frozen):
     __slots__ = ("mu_tw", "mu0_tw", "m", "n", "i0", "tie_at_i0")
 
     def __init__(self, mu_tw: tuple[int, ...], mu0_tw: int, m: int) -> None:
+        mu_tw = tuple(mu_tw)
         n = len(mu_tw)
         if m <= n:
             raise PreconditionViolation(f"need m > n, got m={m}, n={n}")
@@ -199,6 +200,7 @@ class SignCharacter(_Frozen):
     __slots__ = ("values",)
 
     def __init__(self, values: tuple[int, ...]) -> None:
+        values = tuple(values)
         _set_values(self, values)
         for v in values:
             if v not in (PLUS, MINUS):

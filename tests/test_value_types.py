@@ -361,6 +361,26 @@ def test_value_type_contract(build_value, fields, hash_of):
     assert tuple(getattr(value, name) for name in fields) == values
 
 
+# The public validating constructors that take tuples of ints store a
+# tuple of what they are given, so a value built from lists is the value
+# built from tuples: equal, hashing alike, with fields of the same types.
+FROM_LISTS = {
+    "KType": lambda seq: KType(Signature(1, 1), seq([2]), seq([0])),
+    "HCParam.from_twices": lambda seq: HCParam.from_twices(Signature(1, 1), seq([3, -1])),
+    "LParameter.from_twices": lambda seq: LParameter.from_twices(seq([1, -1])),
+    "AParameter": lambda seq: AParameter(seq([2, -2]), 0, 3),
+    "SignCharacter": lambda seq: SignCharacter(seq([1, -1])),
+}
+
+
+@pytest.mark.parametrize("build", FROM_LISTS.values(), ids=FROM_LISTS)
+def test_a_value_built_from_lists_is_the_value_built_from_tuples(build):
+    got, want = build(list), build(tuple)
+    assert got == want and hash(got) == hash(want)
+    fields = type(want).__slots__
+    assert [type(getattr(got, f)) for f in fields] == [type(getattr(want, f)) for f in fields]
+
+
 @pytest.mark.parametrize("value", [half(3), half(-4), HalfInt(0)], ids=str)
 def test_halfint_pickles_and_copies(value):
     for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):
