@@ -7,21 +7,23 @@ and fix the new value on e'_0 from the signs of the two forms. Feeding
 the result to sigma_from_eta_prime must reproduce lift_up block for
 block; that equality is the package's built-in oracle.
 
-verify_globalization shadows the deformation argument that underlies
-the transfer: push the parameter to a regular distance t, where Li's
-sufficiency bound applies, confirm the sign character does not move,
-confirm sufficiency kicks in there, and confirm the transferred
-character still cuts out the undeformed lift. The character cannot
-move: the deformation adds t to the positive entries of lam - m0/2 and
-subtracts t from the others, so the entries keep their order and their
-parts, which fixes eta, and the count above m0/2, which fixes i0; the
-zetas, the tail and the e'_0 factor follow. So lam+'s transferred
-character is lam's, and path B for lam+ is lam's own path B. The shadow
-compares lam+'s tail and e'_0 factor with lam's and reads lam's path B;
-a character that moved fails the case. Like the public lift functions,
-verify_globalization decides occurrence and computes both routes
-itself; the suites' walk, which has done all three for the case, uses
-_Globalization directly.
+verify_globalization shadows the deformation argument that underlies the
+transfer: push the parameter to a regular distance t, where J.-S. Li's
+good-range lift applies (Invent. Math. 97, 1989), confirm the sign
+character does not move, confirm sufficiency kicks in there, and confirm
+the transferred character still cuts out the undeformed lift. The
+character cannot move: the deformation adds t to the positive entries of
+lam - m0/2 and subtracts t from the others, so the entries keep their
+order and their parts, which fixes eta, and the count above m0/2, which
+fixes i0; the zetas, the tail and the e'_0 factor follow. So lam+'s
+transferred character is lam's, and path B for lam+ is lam's own path B.
+The shadow compares lam+'s tail and e'_0 factor with lam's and reads
+lam's path B; a character that moved fails the case. Like the public
+lift functions, verify_globalization decides occurrence and computes
+both routes itself. The suites' walk, which has done all three for the
+case, uses _Globalization directly: it hands the shadow lam's lax split,
+which li reads too, path B's _Transfer and, per form, whether its path A
+and path B lifts agree, the comparison two_path makes.
 
 transfer_eta and verify_globalization are built from parts that depend
 on less than the case. _Transfer depends on the parameter and, through
@@ -30,8 +32,8 @@ tower. _Globalization is built once per parameter from lam's lax split,
 whose positions fix the deformation, and lam's _Transfer. resize()
 moves it to one target size and builds what the size fixes: the
 deformation, whose step t grows with m, its transfer and character
-check, and its lax split. Per form it takes path A's and path B's lifts
-from its caller and adds the sufficiency test and the comparison.
+check, and its lax split. Per form it takes from its caller whether
+path A's and path B's lifts agree, and adds the sufficiency test.
 Nothing is memoized.
 """
 
@@ -217,9 +219,9 @@ class _Globalization:
     lam+'s lax split. The deformation keeps the whole transferred
     character (see the module docstring), so lam's path B is lam+'s:
     character_holds records that lam+'s tail and e'_0 factor are lam's,
-    and a case where they are not fails. at() takes one form and whether the
-    caller's path A and path B lifts to it agree, and returns the three
-    flags of the form's GlobalizationReport.
+    and a case where they are not fails. at() takes one form and whether
+    the caller's path A and path B lifts to it agree, and returns the
+    three flags of the form's GlobalizationReport.
     """
 
     __slots__ = ("lam", "x", "z", "own", "m", "t", "lam_plus", "eta_preserved",

@@ -33,6 +33,7 @@ from thetalift.packets import LParameter, _SigmaUnits
 from thetalift.suites import iter_params, run_suites
 
 from strategies import wide_params
+from test_suites import ENUMERATION, WALKED
 
 
 def test_zeta_signs_odd_gap_all_plus():
@@ -212,11 +213,6 @@ def test_size_following_shadow_matches_fresh_builds():
                 assert report == verify_globalization(lam, ctx, target, t), (str(lam), target)
                 nonzero += 1
     assert nonzero == 1826
-
-
-# The benchmark's enumeration window, as in test_suites.
-ENUMERATION = EnumerationBounds(max_n=3, max_m_minus_n=4, height=half(7))
-WALKED = ("two_path", "globalization", "persistence", "li", "round_trip", "duality")
 
 
 def test_a_moved_shadow_tail_fails_every_nonzero_globalization_case(monkeypatch):
