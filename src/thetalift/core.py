@@ -7,9 +7,10 @@ fields, and all arithmetic is exact integer arithmetic on them; floats
 never appear. The value types are plain slotted classes, each with its
 constructor written out; _Value and _Frozen here give them equality,
 repr and, when frozen, the hash and immutability, so importing the
-package loads no dataclasses machinery. HalfInt, an immutable wrapper
-around twice the value, is the public type for parsing and rendering
-only, with no arithmetic or ordering of its own. One parser,
+package loads no dataclasses machinery. Every value type but the
+suites' SuiteSummary counter is a _Frozen, HalfInt included. HalfInt,
+which holds twice the value, is the public type for parsing and
+rendering only, with no arithmetic or ordering of its own. One parser,
 _parse_twice, reads a literal ('3', '-7/2', ASCII digits only) straight
 to its doubled int; HalfInt.parse and parse_half_list wrap it, and the
 CLI calls it directly, so a CLI query builds no HalfInt. HCParam and
@@ -26,7 +27,9 @@ entry repeated anywhere. HCParam validates all of that on construction.
 The lift bookkeeping needs two normalization exponents m0 and n0 (the
 exponents of the determinant twists on the two sides of a dual pair) and
 the two member dimensions; LiftContext bundles them and enforces the
-parity constraints m0 = target_dim and n0 = source_dim mod 2.
+parity constraints m0 = target_dim and n0 = source_dim mod 2. Its
+_check_sizes is the one check, for every public function that takes a
+context, that a parameter's size and a target's are the context's.
 
 Splitting conventions: for a parameter lam of U(p, q) and a context with
 exponent m0, set lam0 = lam - m0/2 coordinatewise. The lax split sorts
@@ -63,82 +66,16 @@ _HALF_RE = re.compile(r"([+-]?\d+)(/2)?", re.ASCII)
 _LIST_SEP = re.compile(r"\s*,\s*|\s+")
 
 
-class HalfInt:
-    """An element of (1/2)Z stored exactly as its double.
-
-    HalfInt(k) is the integer k; HalfInt.halves(t) is t/2. It parses,
-    renders, compares equal to the int of the same value and hashes like
-    it; it has no arithmetic or ordering, since all computation runs on
-    the doubled ints in .twice.
-
-    >>> HalfInt.parse("-3/2").twice
-    -3
-    >>> str(HalfInt(2)), str(HalfInt.halves(5))
-    ('2', '5/2')
-    """
-
-    __slots__ = ("twice",)
-
-    twice: int
-
-    def __init__(self, value: int = 0):
-        if not isinstance(value, int):
-            raise TypeError(f"HalfInt() takes an int, not {type(value).__name__}")
-        self.__class__.twice.__set__(self, 2 * value)
-
-    @classmethod
-    def halves(cls, twice: int) -> "HalfInt":
-        """The half-integer twice/2."""
-        if not isinstance(twice, int):
-            raise TypeError("halves() takes an int")
-        out = object.__new__(cls)
-        cls.twice.__set__(out, twice)
-        return out
-
-    @classmethod
-    def parse(cls, text: str) -> "HalfInt":
-        """Parse 'a' or 'a/2' with a odd in the latter (lowest terms)."""
-        return cls.halves(_parse_twice(text))
-
-    # Assignment and deletion are blocked to keep instances hashable-safe.
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("HalfInt is immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("HalfInt is immutable")
-
-    def __setstate__(self, state: tuple) -> None:
-        # pickle and copy restore the slot here, as assignment is refused.
-        object.__setattr__(self, "twice", state[1]["twice"])
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, HalfInt):
-            return self.twice == other.twice
-        if isinstance(other, int):
-            return self.twice == 2 * other
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        # Integral values hash like the int they equal.
-        if self.twice % 2 == 0:
-            return hash(self.twice // 2)
-        return hash((self.twice, "half"))
-
-    def __str__(self) -> str:
-        return half_text(self.twice)
-
-    __repr__ = __str__
-
-
 class _Value:
     """Base of the value types: fields in __slots__ order, compared and shown.
 
     Equality compares the fields of two values of the same class (any
     other class gets NotImplemented), and repr shows Name(field=value,
     ...). A _Value is mutable and unhashable, and its constructor
-    assigns its fields as usual; _Frozen adds the hash of the fields'
-    tuple and refuses assignment and deletion. Each type writes its own
-    __init__.
+    assigns its fields as usual; only the suites' SuiteSummary counter
+    is one. Every other value type is a _Frozen, which adds the hash of
+    the fields' tuple and refuses assignment and deletion. Each type
+    writes its own __init__.
     """
 
     __slots__ = ()
@@ -170,7 +107,8 @@ class _Frozen(_Value):
     The defining module unpacks them into names right after the class,
     _set_<field>, so that storing a field is one C call, without the
     name lookup that object.__setattr__ makes each time. pickle and copy
-    restore the fields through __setstate__.
+    restore the fields through __setstate__. A subclass may override
+    equality and the hash, as HalfInt does to equal the int of its value.
     """
 
     __slots__ = ()
@@ -193,6 +131,63 @@ class _Frozen(_Value):
         # pickle and copy restore the slots here, as assignment is refused.
         for name, value in state[1].items():
             object.__setattr__(self, name, value)
+
+
+class HalfInt(_Frozen):
+    """An element of (1/2)Z stored exactly as its double.
+
+    HalfInt(k) is the integer k; HalfInt.halves(t) is t/2. It parses,
+    renders, compares equal to the int of the same value and hashes like
+    it; it has no arithmetic or ordering, since all computation runs on
+    the doubled ints in .twice.
+
+    >>> HalfInt.parse("-3/2").twice
+    -3
+    >>> str(HalfInt(2)), str(HalfInt.halves(5))
+    ('2', '5/2')
+    """
+
+    __slots__ = ("twice",)
+
+    def __init__(self, value: int = 0):
+        if not isinstance(value, int):
+            raise TypeError(f"HalfInt() takes an int, not {type(value).__name__}")
+        _set_twice(self, 2 * value)
+
+    @classmethod
+    def halves(cls, twice: int) -> "HalfInt":
+        """The half-integer twice/2."""
+        if not isinstance(twice, int):
+            raise TypeError("halves() takes an int")
+        out = object.__new__(cls)
+        _set_twice(out, twice)
+        return out
+
+    @classmethod
+    def parse(cls, text: str) -> "HalfInt":
+        """Parse 'a' or 'a/2' with a odd in the latter (lowest terms)."""
+        return cls.halves(_parse_twice(text))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, HalfInt):
+            return self.twice == other.twice
+        if isinstance(other, int):
+            return self.twice == 2 * other
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        # Integral values hash like the int they equal.
+        if self.twice % 2 == 0:
+            return hash(self.twice // 2)
+        return hash((self.twice, "half"))
+
+    def __str__(self) -> str:
+        return half_text(self.twice)
+
+    __repr__ = __str__
+
+
+(_set_twice,) = HalfInt._setters
 
 
 def half_text(twice: int) -> str:
@@ -439,6 +434,14 @@ class LiftContext(_Frozen):
         """The context with the least nonnegative exponents."""
         return cls(target_dim % 2, source_dim % 2, source_dim, target_dim)
 
+    def _check_sizes(self, source_n: int, target: Signature | None = None) -> None:
+        """Raise PreconditionViolation unless source_n, and target's size if given, fit."""
+        n, m = self.source_dim, self.target_dim
+        if source_n != n:
+            raise PreconditionViolation(f"source size {source_n} != context source_dim {n}")
+        if target is not None and target.n != m:
+            raise PreconditionViolation(f"target size {target.n} != context target_dim {m}")
+
     def reversed(self) -> "LiftContext":
         """The context seen from the other member of the pair."""
         return LiftContext(
@@ -547,10 +550,7 @@ def split_abgd(lam: HCParam, ctx: LiftContext, mode: str = LAX, chain_k: int = 0
     length chain_k is removed first and any remaining zero raises
     UnclassifiableZero). chain_k must be 0 in lax mode.
     """
-    if lam.sig.n != ctx.source_dim:
-        raise PreconditionViolation(
-            f"parameter has {lam.sig.n} entries but context source_dim={ctx.source_dim}"
-        )
+    ctx._check_sizes(lam.sig.n)
     if mode == LAX:
         if chain_k:
             raise PreconditionViolation("lax split takes no chain")

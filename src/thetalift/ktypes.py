@@ -38,7 +38,7 @@ from bisect import bisect_left, bisect_right
 from operator import ge, neg
 
 from .core import LiftContext, Signature, _Frozen
-from .errors import InternalError, PatternMismatch, PreconditionViolation
+from .errors import InternalError, PatternMismatch
 
 
 class KType(_Frozen):
@@ -122,14 +122,7 @@ class _KTypeMap:
     )
 
     def __init__(self, source: Signature, ctx: LiftContext, target: Signature) -> None:
-        if source.n != ctx.source_dim:
-            raise PreconditionViolation(
-                f"K-type lives on {source.n} coordinates, context source_dim={ctx.source_dim}"
-            )
-        if target.n != ctx.target_dim:
-            raise PreconditionViolation(
-                f"target size {target.n} != context target_dim {ctx.target_dim}"
-            )
+        ctx._check_sizes(source.n, target)
         self.source = source
         self.target = target
         self.sh_a = _half_shift(target.p - target.q, ctx.m0)

@@ -261,17 +261,6 @@ class LiftResult(_Frozen):
 _set_kind, _set_param, _set_aq, _set_position = LiftResult._setters
 
 
-def _require_dims(lam: HCParam, ctx: LiftContext, target: Signature) -> None:
-    if lam.sig.n != ctx.source_dim:
-        raise PreconditionViolation(
-            f"parameter size {lam.sig.n} != context source_dim {ctx.source_dim}"
-        )
-    if target.n != ctx.target_dim:
-        raise PreconditionViolation(
-            f"target size {target.n} != context target_dim {ctx.target_dim}"
-        )
-
-
 def lift_up(lam: HCParam, ctx: LiftContext, target: Signature) -> AqLambdaData:
     """Lift to a target at least as large: weakly fair A_q(lam') data.
 
@@ -280,7 +269,7 @@ def lift_up(lam: HCParam, ctx: LiftContext, target: Signature) -> AqLambdaData:
     interval block of size m - n (omitted when m = n), then the merged
     nonpositive split values. Requires occurs() to be nonzero.
     """
-    _require_dims(lam, ctx, target)
+    ctx._check_sizes(lam.sig.n, target)
     n, m = ctx.source_dim, ctx.target_dim
     if m < n:
         raise PreconditionViolation(f"lift_up needs target at least as large, got m={m} < n={n}")
@@ -372,7 +361,7 @@ def lift_down(lam: HCParam, ctx: LiftContext, target: Signature) -> HCParam:
     reassembles (alpha, delta | gamma, beta) + n0/2 on the target
     signature, which must equal (x + w, z + y).
     """
-    _require_dims(lam, ctx, target)
+    ctx._check_sizes(lam.sig.n, target)
     n, m = ctx.source_dim, ctx.target_dim
     if m > n:
         raise PreconditionViolation(f"lift_down needs target at most as large, got m={m} > n={n}")
@@ -398,7 +387,7 @@ def _lift_down(lam: HCParam, ctx: LiftContext, target: Signature) -> HCParam:
 
 def lift(lam: HCParam, ctx: LiftContext, target: Signature) -> LiftResult:
     """Full decision: vanishes (with its tower position), discrete series, or weakly fair A_q."""
-    _require_dims(lam, ctx, target)
+    ctx._check_sizes(lam.sig.n, target)
     nonzero, pos = occurs(lam, ctx.m0, target)
     if not nonzero:
         return LiftResult.vanishes(pos)

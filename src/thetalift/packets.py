@@ -41,8 +41,9 @@ i0 fall by 1 and those after rise by 1, and the signs depend on m only
 through the parity of m - n. _SigmaUnits holds this first part and the
 tail's product, so that callers iterating over forms, over e'_0 or over
 the sizes of one parity build it once; per form it takes only e'_0's
-value, an int, and the target. The public sigma_from_eta_prime builds
-one per call. Nothing is memoized.
+value, an int, and the target. A size step builds phi' again with the
+AParameter constructor, which has no second, unvalidated route. The
+public sigma_from_eta_prime builds one per call. Nothing is memoized.
 """
 
 from __future__ import annotations
@@ -152,27 +153,6 @@ class AParameter(_Frozen):
         _set_n(self, n)
         _set_i0(self, i0)
         _set_tie_at_i0(self, m - n == 1 and i0 <= n and mu_tw[i0 - 1] == mu0_tw)
-
-    def _resized(self, m: int) -> "AParameter":
-        """The parameter at size m, for m - self.m even, as the constructor builds it.
-
-        Only m and tie_at_i0 depend on the size, beyond the m > n check:
-        the parity class of mu_tw cannot change under an even step, which
-        the caller checks, and the order of mu_tw cannot change at all. So
-        the other fields are copied, not validated again.
-        """
-        n, i0 = self.n, self.i0
-        if m <= n:
-            raise PreconditionViolation(f"need m > n, got m={m}, n={n}")
-        mu_tw, mu0_tw = self.mu_tw, self.mu0_tw
-        out = object.__new__(AParameter)
-        _set_mu_tw(out, mu_tw)
-        _set_mu0_tw(out, mu0_tw)
-        _set_m(out, m)
-        _set_n(out, n)
-        _set_i0(out, i0)
-        _set_tie_at_i0(out, m - n == 1 and i0 <= n and mu_tw[i0 - 1] == mu0_tw)
-        return out
 
     def to_json(self) -> dict:
         return {
@@ -412,11 +392,10 @@ class _SigmaUnits:
     sums are checked then, once. phi' changes with the size m only in m
     itself, and the unit signs only with the parity of m - n, so the
     object serves every size of one parity: it holds phi' at the size of
-    the last target and, for a size step d, which must be even, moves
-    phi' to the new size without validating it again
-    (AParameter._resized) and moves the doubled unit block values before
-    i0 by -d and those after by +d. Per form, at() takes e'_0's value as an int and
-    one target form, checks the tie rule, takes the big block's balance,
+    the last target and, for a size step d, which must be even, builds
+    phi' at the new size with the AParameter constructor and moves the
+    doubled unit block values before i0 by -d and those after by +d.
+    Per form, at() takes e'_0's value as an int and one target form, checks the tie rule, takes the big block's balance,
     runs both forms of the sign gate, adds the i0 block and checks that
     block, the sums and its two seams.
     """
@@ -460,7 +439,7 @@ class _SigmaUnits:
         d = m - phi_p.m
         if d % 2:
             raise InternalError(f"size {m} has the wrong parity for {phi_p.to_json()}")
-        self.phi_p = phi_p._resized(m)
+        self.phi_p = AParameter(phi_p.mu_tw, phi_p.mu0_tw, m)
         if self._blocks is not None:
             head, tail, units_p, units_q = self._blocks
             self._blocks = (

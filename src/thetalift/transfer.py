@@ -92,10 +92,7 @@ def build_a_parameter(phi: LParameter, ctx: LiftContext) -> AParameter:
     Each kappa drops by (m0 - n0)/2 and the extra value n0/2 is spliced
     in; the slot i0 lands where the kappas cross m0/2.
     """
-    if phi.n != ctx.source_dim:
-        raise PreconditionViolation(
-            f"parameter size {phi.n} != context source_dim {ctx.source_dim}"
-        )
+    ctx._check_sizes(phi.n)
     if ctx.target_dim <= ctx.source_dim:
         raise PreconditionViolation("transfer needs a strictly larger target")
     shift = ctx.m0 - ctx.n0
@@ -111,10 +108,7 @@ def transfer_eta(
     Combines the source character with the zeta corrections and sets the
     e'_0 value from the signs of the two forms in the pair.
     """
-    if target.n != ctx.target_dim:
-        raise PreconditionViolation(
-            f"target size {target.n} != context target_dim {ctx.target_dim}"
-        )
+    ctx._check_sizes(lam.sig.n, target)
     tr = _Transfer(lam, ctx)
     return tr.phi_p, SignCharacter((tr.e0_at(target),) + tr.tail)
 
@@ -189,9 +183,8 @@ def verify_globalization(
     an integer t >= (m - n + 1)/2 so the deformed parameter is regular
     enough for the sufficiency bound.
     """
+    ctx._check_sizes(lam.sig.n, target)
     m, n = ctx.target_dim, ctx.source_dim
-    if target.n != m:
-        raise PreconditionViolation(f"target size {target.n} != context target_dim {m}")
     if m <= n:
         raise PreconditionViolation("globalization check needs a strictly larger target")
     if not isinstance(t, int):

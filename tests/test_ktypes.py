@@ -510,7 +510,7 @@ def test_map_hands_a_weight_of_another_form_to_the_validating_constructor():
 def test_map_keeps_the_dimension_checks_of_correspond_ktype():
     mu = KType(Signature(1, 1), (3,), (-1,))
     for ctx, target, message in (
-        (LiftContext(0, 1, 3, 2), TARGET, "K-type lives on 2 coordinates, context source_dim=3"),
+        (LiftContext(0, 1, 3, 2), TARGET, "source size 2 != context source_dim 3"),
         (LiftContext(1, 0, 2, 3), TARGET, "target size 2 != context target_dim 3"),
     ):
         for call in (correspond_ktype, split_mu):
