@@ -17,7 +17,10 @@ CLI calls it directly, so a CLI query builds no HalfInt. HCParam and
 LParameter accept HalfInt values besides their from_twices
 constructors, and raise TypeError for any other entry, and
 HCParam.entries renders back to it. Every other value type has one
-constructor, over its doubled ints.
+constructor, over its doubled ints. The validating constructors that
+take ints read them through _ints, which stores a tuple and raises
+TypeError, naming the constructor, for anything but an int, so a float
+never reaches an answer.
 
 A discrete series of U(p, q) is recorded by its Harish-Chandra parameter:
 an n-tuple (n = p + q) of half-integers in Z + (n-1)/2, strictly
@@ -214,6 +217,15 @@ def _halfint_twices(entries: Iterable[HalfInt], owner: str) -> tuple[int, ...]:
     return tuple(e.twice for e in entries)
 
 
+def _ints(values: Iterable[int], owner: str) -> tuple[int, ...]:
+    """The ints given to owner's constructor, as a tuple; TypeError for any other value."""
+    values = tuple(values)
+    for v in values:
+        if not isinstance(v, int):
+            raise TypeError(f"{owner}() takes ints, not {type(v).__name__}")
+    return values
+
+
 def _list_entries(text: str) -> list[str]:
     """The entries of a comma- or space-separated list; '' has none.
 
@@ -263,6 +275,7 @@ class Signature(_Frozen):
     __slots__ = ("p", "q")
 
     def __init__(self, p: int, q: int) -> None:
+        _ints((p, q), "Signature")
         _set_p(self, p)
         _set_q(self, q)
         if p < 0 or q < 0:
@@ -327,7 +340,7 @@ class HCParam(_Frozen):
         """The parameter with entries entries_tw[i]/2."""
         out = object.__new__(cls)
         _set_sig(out, sig)
-        _set_entries_tw(out, tuple(entries_tw))
+        _set_entries_tw(out, _ints(entries_tw, "HCParam.from_twices"))
         out.__post_init__()
         return out
 
@@ -418,6 +431,7 @@ class LiftContext(_Frozen):
     __slots__ = ("m0", "n0", "source_dim", "target_dim")
 
     def __init__(self, m0: int, n0: int, source_dim: int, target_dim: int) -> None:
+        _ints((m0, n0, source_dim, target_dim), "LiftContext")
         _set_m0(self, m0)
         _set_n0(self, n0)
         _set_source_dim(self, source_dim)
@@ -477,10 +491,10 @@ class ABGDSplit(_Frozen):
         gamma_tw: tuple[int, ...],
         delta_tw: tuple[int, ...],
     ) -> None:
-        _set_alpha_tw(self, alpha_tw)
-        _set_beta_tw(self, beta_tw)
-        _set_gamma_tw(self, gamma_tw)
-        _set_delta_tw(self, delta_tw)
+        _set_alpha_tw(self, tuple(alpha_tw))
+        _set_beta_tw(self, tuple(beta_tw))
+        _set_gamma_tw(self, tuple(gamma_tw))
+        _set_delta_tw(self, tuple(delta_tw))
 
     @property
     def x(self) -> int:

@@ -37,7 +37,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from operator import ge, neg
 
-from .core import LiftContext, Signature, _Frozen
+from .core import LiftContext, Signature, _Frozen, _ints
 from .errors import InternalError, PatternMismatch
 
 
@@ -54,7 +54,7 @@ class KType(_Frozen):
     def __init__(
         self, sig: Signature, a_weights: tuple[int, ...], b_weights: tuple[int, ...]
     ) -> None:
-        a, b = tuple(a_weights), tuple(b_weights)
+        a, b = _ints(a_weights, "KType"), _ints(b_weights, "KType")
         _set_sig(self, sig)
         _set_a_weights(self, a)
         _set_b_weights(self, b)

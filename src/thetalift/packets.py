@@ -52,7 +52,7 @@ import itertools
 import math
 from typing import Iterable, Iterator
 
-from .core import HCParam, HalfInt, Signature, _Frozen, _halfint_twices, half_text
+from .core import HCParam, HalfInt, Signature, _Frozen, _halfint_twices, _ints, half_text
 from .errors import (
     InternalError,
     InternalLemmaMismatch,
@@ -94,7 +94,7 @@ class LParameter(_Frozen):
     def from_twices(cls, kappa_tw: tuple[int, ...]) -> "LParameter":
         """The parameter with values kappa_tw[i]/2."""
         out = object.__new__(cls)
-        _set_kappa_tw(out, tuple(kappa_tw))
+        _set_kappa_tw(out, _ints(kappa_tw, "LParameter.from_twices"))
         out.__post_init__()
         return out
 
@@ -135,7 +135,8 @@ class AParameter(_Frozen):
     __slots__ = ("mu_tw", "mu0_tw", "m", "n", "i0", "tie_at_i0")
 
     def __init__(self, mu_tw: tuple[int, ...], mu0_tw: int, m: int) -> None:
-        mu_tw = tuple(mu_tw)
+        mu_tw = _ints(mu_tw, "AParameter")
+        _ints((mu0_tw, m), "AParameter")
         n = len(mu_tw)
         if m <= n:
             raise PreconditionViolation(f"need m > n, got m={m}, n={n}")
@@ -180,7 +181,7 @@ class SignCharacter(_Frozen):
     __slots__ = ("values",)
 
     def __init__(self, values: tuple[int, ...]) -> None:
-        values = tuple(values)
+        values = _ints(values, "SignCharacter")
         _set_values(self, values)
         for v in values:
             if v not in (PLUS, MINUS):

@@ -81,6 +81,7 @@ from .core import (
     _Frozen,
     _Value,
     _conjugate_dual_m0,
+    _ints,
     _split,
     half_text,
 )
@@ -124,6 +125,7 @@ class EnumerationBounds(_Frozen):
     __slots__ = ("max_n", "max_m_minus_n", "height")
 
     def __init__(self, max_n: int, max_m_minus_n: int, height: HalfInt) -> None:
+        _ints((max_n, max_m_minus_n), "EnumerationBounds")
         _set_max_n(self, max_n)
         _set_max_m_minus_n(self, max_m_minus_n)
         _set_height(self, height)

@@ -61,7 +61,7 @@ class ZetaSigns(_Frozen):
     __slots__ = ("zetas", "zeta0")
 
     def __init__(self, zetas: tuple[int, ...], zeta0: int) -> None:
-        _set_zetas(self, zetas)
+        _set_zetas(self, tuple(zetas))
         _set_zeta0(self, zeta0)
 
 

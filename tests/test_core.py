@@ -10,7 +10,9 @@ from thetalift import (
     ChainNotPresent,
     HCParam,
     HalfInt,
+    KType,
     LiftContext,
+    LParameter,
     NotDominant,
     ParityMismatch,
     PreconditionViolation,
@@ -18,11 +20,19 @@ from thetalift import (
     Signature,
     UnclassifiableZero,
     WrongParityClass,
+    build_a_parameter,
     conjugate_dual,
+    correspond_ktype,
     half,
+    lift,
+    lift_down,
+    lift_up,
     make_regular_deformation,
     parse_half_list,
     split_abgd,
+    split_mu,
+    transfer_eta,
+    verify_globalization,
 )
 from thetalift.core import LAX, STRICT
 
@@ -160,6 +170,40 @@ def test_lift_context_parity():
         LiftContext(1, 0, 1, 3)  # n0 must match source_dim parity
     assert LiftContext.minimal(2, 4) == LiftContext(0, 0, 2, 4)
     assert LiftContext.minimal(1, 2) == LiftContext(0, 1, 1, 2)
+
+
+# Every public function that takes a context, called on a value of size
+# 2, and whether it also takes a target.
+_SIZE_2_LAM = HCParam.from_twices(Signature(1, 1), (3, -1))
+_SIZE_2_KTYPE = KType(Signature(1, 1), (3,), (-1,))
+SIZED_CALLS = {
+    "split_abgd": (lambda ctx, target: split_abgd(_SIZE_2_LAM, ctx), False),
+    "make_regular_deformation":
+        (lambda ctx, target: make_regular_deformation(_SIZE_2_LAM, ctx, 1), False),
+    "lift": (lambda ctx, target: lift(_SIZE_2_LAM, ctx, target), True),
+    "lift_up": (lambda ctx, target: lift_up(_SIZE_2_LAM, ctx, target), True),
+    "lift_down": (lambda ctx, target: lift_down(_SIZE_2_LAM, ctx, target), True),
+    "build_a_parameter":
+        (lambda ctx, target: build_a_parameter(LParameter.from_twices((1, -1)), ctx), False),
+    "transfer_eta": (lambda ctx, target: transfer_eta(_SIZE_2_LAM, ctx, target), True),
+    "verify_globalization":
+        (lambda ctx, target: verify_globalization(_SIZE_2_LAM, ctx, target, 2), True),
+    "correspond_ktype": (lambda ctx, target: correspond_ktype(_SIZE_2_KTYPE, ctx, target), True),
+    "split_mu": (lambda ctx, target: split_mu(_SIZE_2_KTYPE, ctx, target), True),
+}
+
+
+@pytest.mark.parametrize("call, takes_target", SIZED_CALLS.values(), ids=SIZED_CALLS)
+def test_every_context_checks_sizes_with_one_wording(call, takes_target):
+    # A source of size 2 against a context for size 3, and a target of
+    # size 6 against a context for size 4: one message each, everywhere.
+    with pytest.raises(PreconditionViolation, match=r"^source size 2 != context source_dim 3$"):
+        call(LiftContext(0, 1, 3, 4), Signature(2, 2))
+    if takes_target:
+        with pytest.raises(
+            PreconditionViolation, match=r"^target size 6 != context target_dim 4$"
+        ):
+            call(LiftContext(0, 0, 2, 4), Signature(3, 3))
 
 
 def test_split_lax_basic():

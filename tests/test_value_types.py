@@ -17,6 +17,7 @@ import ast
 import copy
 import os
 import pickle
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -362,15 +363,17 @@ def test_value_type_contract(build_value, fields, hash_of):
     assert tuple(getattr(value, name) for name in fields) == values
 
 
-# The public validating constructors that take tuples of ints store a
-# tuple of what they are given, so a value built from lists is the value
-# built from tuples: equal, hashing alike, with fields of the same types.
+# The public constructors that take tuples of ints store a tuple of what
+# they are given, so a value built from lists is the value built from
+# tuples: equal, hashing alike, with fields of the same types.
 FROM_LISTS = {
     "KType": lambda seq: KType(Signature(1, 1), seq([2]), seq([0])),
     "HCParam.from_twices": lambda seq: HCParam.from_twices(Signature(1, 1), seq([3, -1])),
     "LParameter.from_twices": lambda seq: LParameter.from_twices(seq([1, -1])),
     "AParameter": lambda seq: AParameter(seq([2, -2]), 0, 3),
     "SignCharacter": lambda seq: SignCharacter(seq([1, -1])),
+    "ZetaSigns": lambda seq: ZetaSigns(seq([1, -1]), -1),
+    "ABGDSplit": lambda seq: ABGDSplit(seq([3]), seq([]), seq([]), seq([-1])),
 }
 
 
@@ -380,6 +383,34 @@ def test_a_value_built_from_lists_is_the_value_built_from_tuples(build):
     assert got == want and hash(got) == hash(want)
     fields = type(want).__slots__
     assert [type(getattr(got, f)) for f in fields] == [type(getattr(want, f)) for f in fields]
+
+
+# The same constructors, with Signature, LiftContext and EnumerationBounds,
+# refuse a float where they take an int, naming themselves, so that no
+# float reaches an answer: each of these was accepted and rendered once.
+WITH_A_FLOAT = {
+    "Signature": (lambda: Signature(1.0, 0), "Signature"),
+    "LiftContext": (lambda: LiftContext(1.0, 1, 1, 3), "LiftContext"),
+    "HCParam.from_twices":
+        (lambda: HCParam.from_twices(Signature(1, 0), (2.0,)), "HCParam.from_twices"),
+    "LParameter.from_twices":
+        (lambda: LParameter.from_twices((1.0, -1)), "LParameter.from_twices"),
+    "AParameter.mu_tw": (lambda: AParameter((3.0,), 1, 2), "AParameter"),
+    "AParameter.mu0_tw": (lambda: AParameter((3,), 1.0, 2), "AParameter"),
+    "AParameter.m": (lambda: AParameter((3,), 1, 2.0), "AParameter"),
+    "SignCharacter": (lambda: SignCharacter((1.0, -1)), "SignCharacter"),
+    "KType": (lambda: KType(Signature(1, 0), (1.5,), ()), "KType"),
+    "EnumerationBounds.max_n":
+        (lambda: EnumerationBounds(1.0, 1, half(3)), "EnumerationBounds"),
+    "EnumerationBounds.max_m_minus_n":
+        (lambda: EnumerationBounds(1, 1.0, half(3)), "EnumerationBounds"),
+}
+
+
+@pytest.mark.parametrize("build, owner", WITH_A_FLOAT.values(), ids=WITH_A_FLOAT)
+def test_a_float_for_an_int_is_a_type_error(build, owner):
+    with pytest.raises(TypeError, match=rf"^{re.escape(owner)}\(\) takes ints, not float$"):
+        build()
 
 
 @pytest.mark.parametrize("value", [half(3), half(-4), HalfInt(0)], ids=str)
