@@ -8,13 +8,23 @@ single queries `lift`, `occurs`, `packet` and `apacket` skip it: they
 parse their half-integer flags straight to doubled ints and render each
 line from the doubled ints with three renderers, of a parameter, a block
 and a tower position, which write the bytes the encoder gives for the
-same to_json() record. `packet` and `apacket` walk the characters as
-tuples of values and build each member from state built once per query
-(the packet's signatures and epsilons, the unit blocks shared by a pair
-of rows). They put each row's text together from pieces rendered once
-per query (the kappa texts, the block texts, the sign texts of a
-character's tail) and write it as soon as its member is built, so their
-rows stream.
+same to_json() record.
+
+`packet` and `apacket` build their rows from half-members (see the
+packets module): each row is one low and one high half-member of the
+character's values, in `apacket` of its values on e'_1, ..., e'_n, the
+pair of rows that differ only in e'_0 sharing them. Per query: the
+parameter is validated, the row count estimated and refused above
+2^ROW_LIMIT_LOG2 rows unless --force is given, and the low run's
+2^low half-members built, at most 2^10, with the JSON text of each
+piece (the signs, the p-entries and q-entries or the unit blocks before
+and after slot i0). Per high half-member, built once per 2^low rows:
+the same, with its text. Per row: the packet's determinant identity
+or the lift packet's tie rule, sign gate, big block and its seams, all
+in the packets module, and the row's text put together from the two
+halves' texts and, in `apacket`, the big block's. Each row is written
+as soon as it is built, so the rows stream, and at most 2^10 + 1
+half-members exist at any n.
 
 Exit codes: 0 when the query computed (vanishing included), 1 when a
 verification suite found failures, 2 on input errors, 3 when an
@@ -54,9 +64,8 @@ from .packets import (
     PLUS,
     AParameter,
     LParameter,
-    _characters,
     _Members,
-    _SigmaUnits,
+    _sigma_units_by_tail,
 )
 from .suites import EnumerationBounds, SUITES, iter_enumeration, run_suite
 
@@ -81,11 +90,11 @@ def _quoted(twice: int) -> str:
     return f'"{half_text(twice)}"'
 
 
-def _param_text(lam: HCParam, quoted=_quoted) -> str:
-    """The JSON text of lam.to_json(), each entry rendered by quoted."""
+def _param_text(lam: HCParam) -> str:
+    """The JSON text of lam.to_json()."""
     p, q, tw = lam.sig.p, lam.sig.q, lam.entries_tw
-    p_part = ",".join([quoted(t) for t in tw[:p]])
-    q_part = ",".join([quoted(t) for t in tw[p:]])
+    p_part = ",".join([_quoted(t) for t in tw[:p]])
+    q_part = ",".join([_quoted(t) for t in tw[p:]])
     return f'{{"p":{p},"q":{q},"p_part":[{p_part}],"q_part":[{q_part}]}}'
 
 
@@ -218,19 +227,55 @@ def cmd_invariants(args: argparse.Namespace) -> int:
     return 0
 
 
+# `packet` prints 2^n rows and `apacket` 2^(n+1). Above 2^ROW_LIMIT_LOG2
+# rows, packet n > 20 and apacket n > 19, a query is refused unless it
+# passes --force.
+ROW_LIMIT_LOG2 = 20
+
+
+def _rows_log2(command: str, n: int) -> int:
+    """The base-2 logarithm of the rows `command` prints for a parameter of n values."""
+    return n + 1 if command == "apacket" else n
+
+
+def _check_row_budget(args: argparse.Namespace, command: str, n: int) -> None:
+    """Refuse a query of more than 2^ROW_LIMIT_LOG2 rows unless it passes --force."""
+    rows = _rows_log2(command, n)
+    if rows > ROW_LIMIT_LOG2 and not getattr(args, "force", False):
+        raise ValueError(
+            f"{command} of rank {n} has 2^{rows} rows, above the limit "
+            f"2^{ROW_LIMIT_LOG2}; pass --force"
+        )
+
+
+# The JSON text of each sign value followed by a comma. A half-member's
+# texts end with a comma, so the texts of a low and a high half join by
+# concatenation, less the last character.
+_SIGN_COMMA = {v: text + "," for v, text in _SIGN_TEXT.items()}
+
+
 def cmd_packet(args: argparse.Namespace) -> int:
     phi = LParameter.from_twices(_parse_twices(args.kappas))
-    members = _Members(phi)
-    kappa_text = {t: _quoted(t) for t in phi.kappa_tw}.__getitem__
+    _check_row_budget(args, "packet", phi.n)
+    kappa_comma = {t: _quoted(t) + "," for t in phi.kappa_tw}.__getitem__
+
+    def render(part):
+        """The signs, the p-entries and the q-entries of a half-member."""
+        return (
+            "".join([_SIGN_COMMA[v] for v in part.values]),
+            "".join(map(kappa_comma, part.before)),
+            "".join(map(kappa_comma, part.after)),
+        )
+
     write = sys.stdout.write
     # One member at a time, each row the text _ENCODER gives for
     # {"eta": ..., "p": ..., "q": ..., "lambda": lam.to_json()}.
-    for values in _characters(phi.n):
-        sig, lam = members.at(values)
-        signs = ",".join([_SIGN_TEXT[v] for v in values])
+    for low, high, sig in _Members(phi).pairs(render):
+        (low_signs, low_p, low_q), (high_signs, high_p, high_q) = low.text, high.text
+        form = f'"p":{sig.p},"q":{sig.q}'
         write(
-            f'{{"eta":[{signs}],"p":{sig.p},"q":{sig.q},'
-            f'"lambda":{_param_text(lam, kappa_text)}}}\n'
+            f'{{"eta":[{(low_signs + high_signs)[:-1]}],{form},"lambda":{{{form},'
+            f'"p_part":[{(low_p + high_p)[:-1]}],"q_part":[{(low_q + high_q)[:-1]}]}}}}\n'
         )
     return 0
 
@@ -248,28 +293,42 @@ def cmd_apacket(args: argparse.Namespace) -> int:
     mu0_tw = _parse_twice(args.mu0)
     target = Signature(args.r, args.s)
     phi_p = AParameter(mu_tw, mu0_tw, target.n)
+    _check_row_budget(args, "apacket", phi_p.n)
     block_text = _BlockTexts()
+
+    def render(part):
+        """The signs, the blocks before slot i0 and the blocks after it of a half-member.
+
+        The blocks after i0 each take their comma first, since the big
+        block at i0 comes before them.
+        """
+        return (
+            "".join([_SIGN_COMMA[v] for v in part.values]),
+            "".join([block_text[b] + "," for b in part.before]),
+            "".join(["," + block_text[b] for b in part.after]),
+        )
+
+    big_at = phi_p.i0 - 1
     write = sys.stdout.write
     # Each row is the text _ENCODER gives for {"eta": {"e0": ..., "signs":
     # [...]}, "status": ...}, with "blocks": sigma.to_json() when nonzero.
-    for values in _characters(phi_p.n + 1):
-        e0 = values[0]
-        if e0 == PLUS:
-            # e'_0 varies fastest, so each pair of rows shares the
-            # values on e'_1, ..., e'_n and with them the unit blocks.
-            units = _SigmaUnits(phi_p, values[1:])
-            signs = ",".join([_SIGN_TEXT[v] for v in units.tail])
-        head = f'{{"eta":{{"e0":{_SIGN_TEXT[e0]},"signs":[{signs}]}},"status":'
-        try:
-            sigma = units.at(e0, target)
-        except MalformedCharacter:
-            write(head + '"invalid_character"}\n')
-        else:
-            if sigma is None:
-                write(head + '"zero"}\n')
+    # e'_0 varies fastest, so each pair of rows shares one tail.
+    for low, high, units in _sigma_units_by_tail(phi_p, render):
+        (low_signs, low_head, low_tail), (high_signs, high_head, high_tail) = low.text, high.text
+        signs = (low_signs + high_signs)[:-1]
+        before, after = low_head + high_head, low_tail + high_tail
+        for e0 in (PLUS, MINUS):
+            head = f'{{"eta":{{"e0":{_SIGN_TEXT[e0]},"signs":[{signs}]}},"status":'
+            try:
+                sigma = units.at(e0, target)
+            except MalformedCharacter:
+                write(head + '"invalid_character"}\n')
             else:
-                blocks = ",".join([block_text[b] for b in sigma.triples])
-                write(f'{head}"nonzero","blocks":[{blocks}]}}\n')
+                if sigma is None:
+                    write(head + '"zero"}\n')
+                else:
+                    big = block_text[sigma.triples[big_at]]
+                    write(f'{head}"nonzero","blocks":[{before}{big}{after}]}}\n')
     return 0
 
 
@@ -356,6 +415,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--kappas", required=True, metavar="ENTRIES",
                     help="comma-separated half-integers, strictly decreasing; "
                     + _EQUALS_HINT.format("--kappas"))
+    sp.add_argument("--force", action="store_true",
+                    help=f"print the 2^n rows even above the limit of 2^{ROW_LIMIT_LOG2} "
+                    f"(n > {ROW_LIMIT_LOG2}), where the query otherwise exits 2")
     sp.set_defaults(func=cmd_packet)
 
     sp = sub.add_parser("apacket", help="all characters of a lift packet on one form")
@@ -365,6 +427,10 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--mu0", required=True,
                     help="one half-integer; " + _EQUALS_HINT.format("--mu0"))
     _add_target_flags(sp)
+    sp.add_argument("--force", action="store_true",
+                    help=f"print the 2^(n+1) rows even above the limit of "
+                    f"2^{ROW_LIMIT_LOG2} (n > {ROW_LIMIT_LOG2 - 1}), where the query "
+                    "otherwise exits 2")
     sp.set_defaults(func=cmd_apacket)
 
     sp = sub.add_parser("ktype-map", help="joint-harmonics K-type partner")

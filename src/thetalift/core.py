@@ -218,10 +218,14 @@ def _halfint_twices(entries: Iterable[HalfInt], owner: str) -> tuple[int, ...]:
 
 
 def _ints(values: Iterable[int], owner: str) -> tuple[int, ...]:
-    """The ints given to owner's constructor, as a tuple; TypeError for any other value."""
+    """The ints given to owner's constructor, as a tuple; TypeError for any other value.
+
+    The test is on the exact type, so a bool, which is an int subclass
+    that renders as True or False, is refused as a float is.
+    """
     values = tuple(values)
     for v in values:
-        if not isinstance(v, int):
+        if type(v) is not int:
             raise TypeError(f"{owner}() takes ints, not {type(v).__name__}")
     return values
 
@@ -323,7 +327,7 @@ class HCParam(_Frozen):
     that perfbench/tracing.py wraps to count constructions. A third
     route, _from_checked(sig, tw), stores the fields and validates
     nothing, for doubled entries that are valid by construction:
-    packets._Members.at builds each packet member through it, from the
+    packets._Members builds each packet member through it, from the
     entries of a validated LParameter. It runs no __post_init__, so
     perfbench/tracing.py does not count what it builds.
     """

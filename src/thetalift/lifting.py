@@ -49,9 +49,9 @@ block, and the one head/tail seam, which does move with m, is checked
 once for that size. _LiftUp.at() checks per form only the interval
 block, the sums and the two seams next to the interval block.
 packets._SigmaUnits does the same with its unit blocks (once per
-parameter and tail, for every size of one parity) and its big block
-(per form). The checkers
-live here, with the type whose invariants they are.
+parameter and tail, for every size of one parity, or, for the apacket
+rows, once per query) and its big block (per form). The checkers live
+here, with the type whose invariants they are.
 """
 
 from __future__ import annotations
@@ -120,19 +120,20 @@ class AqLambdaData(_Frozen):
     lam_tw = 2 lam_i. Equality and hashing compare the triples alone,
     which fix the target through the sum check.
 
-    AqLambdaData(target, triples) checks that every entry is an int
-    (TypeError), every block (ValueError), the sums and every seam. The
-    two builders check their unit blocks and the seams among them once,
-    _LiftUp per parameter and packets._SigmaUnits per parameter and
-    tail; then they build each form with _spliced, which checks the
-    interval or big block, the sums and the two seams next to that block.
+    AqLambdaData(target, triples) checks that every entry is an int and
+    not a bool (TypeError), every block (ValueError), the sums and every
+    seam. The two builders check their unit blocks and the seams among
+    them once, _LiftUp per parameter and packets._SigmaUnits per
+    parameter and tail (per query for the apacket rows); then they build
+    each form with _spliced, which checks the interval or big block, the
+    sums and the two seams next to that block.
     """
 
     __slots__ = ("target", "triples")
 
     def __init__(self, target: Signature, triples: Iterable[Triple]) -> None:
         triples = tuple((p, q, lam_tw) for p, q, lam_tw in triples)
-        if not all(isinstance(v, int) for block in triples for v in block):
+        if not all(type(v) is int for block in triples for v in block):
             raise TypeError(f"block entries must be ints: {triples}")
         _check_sums(target, *_check_blocks(triples))
         _check_seams(triples)

@@ -7,19 +7,33 @@ indices where eta(e_i) = (-1)^(i-1) contribute kappa_i to the p-part.
 SignCharacter.every(k) walks all 2^k characters of (Z/2)^k in bit
 order: the first value varies fastest, + before -, as in binary
 counting with the first value as the low bit. Packet rows and the
-packet suites all list characters in that order. The hot loops (the
-packet and apacket rows, the packet suite) walk the characters as plain
-tuples of values with _characters(k), which checks the pair (+1, -1)
-once per walk instead of building a checked SignCharacter per row.
+packet suites all list characters in that order, as plain tuples of
+values from _characters(k), whose pair (+1, -1) is checked once, at
+import, instead of building a checked SignCharacter per row.
 
-_Members is pi_from_eta split at the character, built once per
-parameter: it builds and validates the n + 1 signatures (p, n - p) a
-member can have, with their epsilons, once. Per character it splits
-kappa into the two parts, checks the determinant identity and stores
-the member's HCParam without validating it again: kappa was validated,
-and each part keeps its order. pi_from_eta checks the character's
-length and builds one per call. eta_from_pi likewise stores the kappa
-and the character it recovers from a valid HCParam unvalidated.
+A member's work depends on its character one position at a time, so
+the walks over every character (the packet rows, the packet suite, and
+the apacket rows' values on e'_1, ..., e'_n) build each member from two
+half-members. The k positions split into a low run, the first
+min(ceil(k/2), 10) of them, and a high run of the rest. A half-member
+(_Half) is what one run contributes to a member: its values, their
+product, its p count and its pieces on either side of the member's
+cut. Per query, the 2^low half-members of the low run are built once;
+each high run half-member is built when the walk reaches it, once per
+2^low members. Per member, one low and one high half-member are
+joined, at a cost that does not grow with k. A walk so holds at most
+2^10 + 1 half-members at any k, and its members still stream.
+
+_Members is pi_from_eta built from half-members. Per parameter it
+builds and validates the n + 1 signatures (p, n - p) a member can have,
+with their epsilons, once. Per half-member it splits the run's kappa
+values into p-entries and q-entries. Per member it picks the signature
+from the two p counts, checks the determinant identity on the two
+products and stores the member's HCParam without validating it again:
+kappa was validated, and each part keeps its order. pi_from_eta checks
+the character's length and joins the two halves of one character
+through _Members.at, the same code. eta_from_pi likewise stores the
+kappa and the character it recovers from a valid HCParam unvalidated.
 
 A lift parameter for a pair of sizes n < m keeps the n values mu_i
 (shifted into Z + (m-1)/2) and inserts one extra value mu_0 in Z + n/2
@@ -44,13 +58,23 @@ the sizes of one parity build it once; per form it takes only e'_0's
 value, an int, and the target. A size step builds phi' again with the
 AParameter constructor, which has no second, unvalidated route. The
 public sigma_from_eta_prime builds one per call. Nothing is memoized.
+
+The apacket rows walk every tail of a lift packet with
+_sigma_units_by_tail. Per query, the unit blocks are checked once: each
+has size 1, so whether it is valid, and the seams within the blocks
+before i0 and within those after it, depend on mu alone. Per
+half-member, a run's unit block signs and blocks are computed. Per
+tail, one _SigmaUnits is joined from its two half-members, and serves
+the pair of rows that differ only in e'_0. Per row, _SigmaUnits.at
+checks the tie rule, runs both forms of the sign gate and checks the
+big block, the signature sums and the big block's two seams.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .core import HCParam, HalfInt, Signature, _Frozen, _halfint_twices, _ints, half_text
 from .errors import (
@@ -233,15 +257,18 @@ def epsilon_of_signature(p: int, q: int) -> int:
     return _sign_pow((d * (d - 1) // 2) % 2)
 
 
+# The two values of a character, checked once by SignCharacter.
+_PAIR = SignCharacter((PLUS, MINUS)).values
+
+
 def _characters(size: int) -> Iterator[tuple[int, ...]]:
     """The values of every character of (Z/2)^size as plain tuples, in bit order.
 
-    The order is SignCharacter.every's. Every value is one of the pair
-    (PLUS, MINUS), which is checked once per walk, so a tuple needs no
-    check of its own.
+    The order is SignCharacter.every's. Every value is one of _PAIR,
+    which SignCharacter checked once, so a tuple needs no check of its
+    own.
     """
-    pair = SignCharacter((PLUS, MINUS)).values
-    for values in itertools.product(pair, repeat=size):
+    for values in itertools.product(_PAIR, repeat=size):
         yield values[::-1]
 
 
@@ -253,18 +280,85 @@ def pi_from_eta(phi: LParameter, eta: SignCharacter) -> tuple[Signature, HCParam
     return _Members(phi).at(eta.values)
 
 
-class _Members:
-    """pi_from_eta() for one parameter, split at the character.
+# The low run of a character has at most this many positions, so a walk
+# over every character holds at most 2^10 low half-members and one high
+# one at a time.
+_LOW_RUN_CAP = 10
 
-    Built once per parameter: the n + 1 signatures, each validated, their
-    epsilons and the signs (-1)^(i-1) that eta(e_i) is compared with.
-    at() takes one character's n values as a tuple of +1 and -1; the
-    caller checks the length. The member's two parts are subsequences of
-    phi's strictly decreasing kappa_tw, in order, and its signature is
-    forms[len(p-part)], so parity, the order within each part, distinct
-    entries and the length hold by construction, and at() stores the
-    HCParam through _from_checked. The determinant identity is still
-    checked per character.
+
+def _low_run(size: int) -> int:
+    """The length of the low run of a character of this size: half, rounded up, at most the cap."""
+    return min((size + 1) // 2, _LOW_RUN_CAP)
+
+
+class _Half:
+    """What one run of a character's positions contributes to its member.
+
+    values are the character's values on the run and product their
+    product. p counts the run's positions that go to the p side. before
+    and after are the run's pieces on either side of the member's cut:
+    for a packet member, its p-entries and q-entries; for a lift packet
+    member, its unit blocks before and after slot i0. A member's pieces
+    are its low half's followed by its high half's, on each side. text
+    is what a renderer made of the half, or None.
+    """
+
+    __slots__ = ("values", "product", "p", "before", "after", "text")
+
+    def __init__(self, values: tuple[int, ...], p: int, before: tuple, after: tuple) -> None:
+        self.values = values
+        self.product = math.prod(values)
+        self.p = p
+        self.before = before
+        self.after = after
+        self.text = None
+
+
+def _half_pairs(
+    size: int,
+    build: Callable[[int, tuple[int, ...]], _Half],
+    render: Callable[[_Half], object] | None,
+) -> Iterator[tuple[list[_Half], _Half]]:
+    """The half-members of every character of (Z/2)^size, as (lows, high) in bit order.
+
+    build(start, values) makes the half-member of the run of positions
+    from start on with these values. The low run's 2^low half-members
+    are built once, as the list lows; each high run character's half is
+    built when the walk reaches it. Taking every low with each high in
+    turn gives the characters in bit order, the first value varying
+    fastest. render, when given, sets each half-member's text once.
+    """
+    low = _low_run(size)
+    lows = [build(0, values) for values in _characters(low)]
+    if render is not None:
+        for part in lows:
+            part.text = render(part)
+    for values in _characters(size - low):
+        high = build(low, values)
+        if render is not None:
+            high.text = render(high)
+        yield lows, high
+
+
+class _Members:
+    """pi_from_eta() for one parameter, built from half-members.
+
+    Per parameter: the n + 1 signatures, each validated, their epsilons
+    and the signs (-1)^(i-1) that eta(e_i) is compared with. Per
+    half-member (_half): one run's values split kappa into the run's
+    p-entries and q-entries. Per member (signature, at, pairs): the two
+    halves' p counts pick the signature, and the determinant identity is
+    checked on the two halves' products. The member's two parts are
+    subsequences of phi's strictly decreasing kappa_tw, in order, and
+    its signature is forms[len(p-part)], so parity, the order within
+    each part, distinct entries and the length hold by construction, and
+    the HCParam is stored through _from_checked.
+
+    at() takes one character's n values as a tuple of +1 and -1, the
+    caller having checked the length. pairs() and iteration walk every
+    member in bit order with the low half-members built once, so a
+    member costs the same at any n and a walk holds at most 2^10
+    half-members plus one.
     """
 
     __slots__ = ("phi", "alternating", "forms", "epsilons")
@@ -276,21 +370,58 @@ class _Members:
         self.forms = tuple(Signature(p, n - p) for p in range(n + 1))
         self.epsilons = tuple(epsilon_of_signature(p, n - p) for p in range(n + 1))
 
-    def at(self, values: tuple[int, ...]) -> tuple[Signature, HCParam]:
-        """The member for the character with these values: its real form and parameter."""
-        p_vals = []
-        q_vals = []
-        for kappa, v, sign in zip(self.phi.kappa_tw, values, self.alternating):
-            (p_vals if v == sign else q_vals).append(kappa)
-        sig = self.forms[len(p_vals)]
+    def _half(self, start: int, values: tuple[int, ...]) -> _Half:
+        """The half-member of the positions from start on: kappa split by these values."""
+        p_tw = []
+        q_tw = []
+        for kappa, v, sign in zip(
+            self.phi.kappa_tw[start:], values, self.alternating[start:]
+        ):
+            (p_tw if v == sign else q_tw).append(kappa)
+        return _Half(values, len(p_tw), tuple(p_tw), tuple(q_tw))
+
+    def signature(self, low: _Half, high: _Half) -> Signature:
+        """The real form of the member of two half-members."""
+        sig = self.forms[low.p + high.p]
         # Determinant identity: the product of the values is forced by the
         # signature alone. Machine-checked at scale by the packet suite.
-        if math.prod(values) != self.epsilons[sig.p]:
+        if low.product * high.product != self.epsilons[sig.p]:
             raise InternalError(
                 f"determinant identity failed for kappa {self.phi.to_json()['kappa']}, "
-                f"character {SignCharacter(values)}, signature {sig}"
+                f"character {SignCharacter(low.values + high.values)}, signature {sig}"
             )
-        return sig, HCParam._from_checked(sig, tuple(p_vals + q_vals))
+        return sig
+
+    @staticmethod
+    def _param(sig: Signature, low: _Half, high: _Half) -> HCParam:
+        return HCParam._from_checked(sig, low.before + high.before + low.after + high.after)
+
+    def at(self, values: tuple[int, ...]) -> tuple[Signature, HCParam]:
+        """The member for the character with these values: its real form and parameter."""
+        cut = _low_run(len(values))
+        low, high = self._half(0, values[:cut]), self._half(cut, values[cut:])
+        sig = self.signature(low, high)
+        return sig, self._param(sig, low, high)
+
+    def pairs(
+        self, render: Callable[[_Half], object] | None = None
+    ) -> Iterator[tuple[_Half, _Half, Signature]]:
+        """(low half, high half, real form) of every member, in bit order.
+
+        render, when given, sets each half-member's text, as _half_pairs says.
+        """
+        signature = self.signature
+        for lows, high in _half_pairs(self.phi.n, self._half, render):
+            for low in lows:
+                yield low, high, signature(low, high)
+
+    def __iter__(self) -> Iterator[tuple[tuple[int, ...], Signature, HCParam]]:
+        """(character values, real form, parameter) of every member, in bit order."""
+        signature, param = self.signature, self._param
+        for lows, high in _half_pairs(self.phi.n, self._half, None):
+            for low in lows:
+                sig = signature(low, high)
+                yield low.values + high.values, sig, param(sig, low, high)
 
 
 def eta_from_pi(lam: HCParam) -> tuple[LParameter, SignCharacter]:
@@ -331,24 +462,62 @@ def _validate_a_character(phi_p: AParameter, eta_p: SignCharacter) -> None:
     _check_tie(phi_p, eta_p.values[0], eta_p.values[1:])
 
 
-def _unit_block_signs(phi_p: AParameter, tail: tuple[int, ...]) -> list[tuple[int, int]]:
-    """(r, s) of the unit block of each of mu_1, ..., mu_n, in order.
+def _unit_block_signs(
+    phi_p: AParameter, tail: tuple[int, ...], start: int = 0
+) -> list[tuple[int, int]]:
+    """(r, s) of the unit block of each of mu_{start+1}, ..., in order.
 
-    tail holds the character's values on e'_1, ..., e'_n; the value on
-    e'_0 never enters a unit block. eta'(e'_{j+1}) (j from 0) is
-    compared with (-1)^j before slot i0 and with (-1)^(j + m - n) after it:
-    a sign that flips once per entry, and once more at slot i0 when m - n
-    is odd.
+    tail holds the character's values on e'_{start+1}, ..., one per
+    block; the value on e'_0 never enters a unit block. eta'(e'_{j+1})
+    (j from 0) is compared with (-1)^j before slot i0 and with
+    (-1)^(j + m - n) after it: a sign that flips once per entry, and
+    once more at slot i0 when m - n is odd.
     """
-    skip, flip_at_i0 = phi_p.i0 - 1, (phi_p.m - phi_p.n) % 2
+    skip, lead = phi_p.i0 - 1, phi_p.m - phi_p.n
+    flip_at_i0 = lead % 2
     out = []
-    sign = PLUS
-    for j, v in enumerate(tail):
+    sign = _sign_pow(start if start <= skip else start + lead)
+    for j, v in enumerate(tail, start):
         if j == skip and flip_at_i0:
             sign = -sign
         out.append((1, 0) if v == sign else (0, 1))
         sign = -sign
     return out
+
+
+def _unit_blocks(
+    phi_p: AParameter, units: list[tuple[int, int]], start: int = 0
+) -> tuple[tuple[Triple, ...], tuple[Triple, ...]]:
+    """The unit blocks of mu_{start+1}, ... with these (r, s), split at slot i0.
+
+    Blocks are (p, q, lam_tw) triples, valued as the module docstring says.
+    """
+    skip, lead, shift = phi_p.i0 - 1, phi_p.m - phi_p.n, phi_p.m - 1
+    head = []
+    tail = []
+    j = start
+    for mu, (r, s) in zip(phi_p.mu_tw[start:], units):
+        if j < skip:
+            head.append((r, s, mu - shift + 2 * j))
+        else:
+            tail.append((r, s, mu - shift + 2 * (j + lead)))
+        j += 1
+    return tuple(head), tuple(tail)
+
+
+def _checked_unit_blocks(
+    phi_p: AParameter, units: list[tuple[int, int]]
+) -> tuple[tuple[Triple, ...], tuple[Triple, ...], int, int]:
+    """The unit blocks of all of mu, checked, and their p and q sums.
+
+    Checks every block and the seams within the blocks before slot i0
+    and within those after it.
+    """
+    head, tail = _unit_blocks(phi_p, units)
+    units_p, units_q = _check_blocks(head + tail)
+    _check_seams(head)
+    _check_seams(tail)
+    return head, tail, units_p, units_q
 
 
 def eta_prime_sign_ok(phi_p: AParameter, eta_p: SignCharacter, target: Signature) -> bool:
@@ -388,17 +557,22 @@ class _SigmaUnits:
 
     The unit block signs and the unit blocks depend only on phi' and on
     the character's values on e'_1, ..., e'_n (the tail, of length n),
-    so they are computed once, the blocks when a first form survives
-    the gate; the blocks, the seams between them and their signature
-    sums are checked then, once. phi' changes with the size m only in m
-    itself, and the unit signs only with the parity of m - n, so the
-    object serves every size of one parity: it holds phi' at the size of
-    the last target and, for a size step d, which must be even, builds
-    phi' at the new size with the AParameter constructor and moves the
-    doubled unit block values before i0 by -d and those after by +d.
-    Per form, at() takes e'_0's value as an int and one target form, checks the tie rule, takes the big block's balance,
-    runs both forms of the sign gate, adds the i0 block and checks that
-    block, the sums and its two seams.
+    so they are computed once per object. Built with the constructor,
+    the object computes the signs and, when a first form survives the
+    gate, the blocks, and checks the blocks, the seams between them and
+    their signature sums then, once; units holds the signs until then.
+    Built with _joined, as the apacket rows build it, it takes the tail,
+    its product, the unit counts and the blocks from two half-members
+    whose blocks the caller has checked, and units is None. phi'
+    changes with the size m only in m itself, and the unit signs only
+    with the parity of m - n, so the object serves every size of one
+    parity: it holds phi' at the size of the last target and, for a size
+    step d, which must be even, builds phi' at the new size with the
+    AParameter constructor and moves the doubled unit block values
+    before i0 by -d and those after by +d. Per form, at() takes e'_0's
+    value as an int and one target form, checks the tie rule, takes the
+    big block's balance, runs both forms of the sign gate, adds the i0
+    block and checks that block, the sums and its two seams.
     """
 
     __slots__ = ("phi_p", "tail", "tail_product", "units", "r_units", "s_units", "_blocks")
@@ -413,22 +587,22 @@ class _SigmaUnits:
         self.s_units = phi_p.n - self.r_units
         self._blocks: tuple[tuple[Triple, ...], tuple[Triple, ...], int, int] | None = None
 
-    def _unit_blocks(self) -> tuple[tuple[Triple, ...], tuple[Triple, ...], int, int]:
-        """The checked unit blocks before and after slot i0, and their p and q sums.
+    @classmethod
+    def _joined(cls, phi_p: AParameter, low: _Half, high: _Half) -> "_SigmaUnits":
+        """The object for the tail low.values + high.values, from its two half-members.
 
-        Blocks are (p, q, lam_tw) triples, valued as the module docstring says.
+        The caller has checked the unit blocks and the seams among them,
+        which depend on mu alone, so the blocks are stored as they are.
         """
-        phi_p = self.phi_p
-        skip, lead, shift = phi_p.i0 - 1, phi_p.m - phi_p.n, phi_p.m - 1
-        blocks = tuple(
-            (r, s, mu - shift + 2 * (j if j < skip else j + lead))
-            for j, (mu, (r, s)) in enumerate(zip(phi_p.mu_tw, self.units))
-        )
-        units_p, units_q = _check_blocks(blocks)
-        head, tail = blocks[:skip], blocks[skip:]
-        _check_seams(head)
-        _check_seams(tail)
-        return head, tail, units_p, units_q
+        out = object.__new__(cls)
+        out.phi_p = phi_p
+        out.tail = low.values + high.values
+        out.tail_product = low.product * high.product
+        out.units = None
+        out.r_units = r_units = low.p + high.p
+        out.s_units = s_units = phi_p.n - r_units
+        out._blocks = (low.before + high.before, low.after + high.after, r_units, s_units)
+        return out
 
     def balance(self, target: Signature) -> tuple[int, int]:
         """(r_i0, s_i0): what the unit blocks leave of the target for the big block."""
@@ -480,10 +654,36 @@ class _SigmaUnits:
         if not self.sign_ok(e0, target, r_i0, s_i0):
             return None
         if self._blocks is None:
-            self._blocks = self._unit_blocks()
+            self._blocks = _checked_unit_blocks(phi_p, self.units)
         head, tail, units_p, units_q = self._blocks
         big = (r_i0, s_i0, phi_p.mu0_tw - phi_p.n + 2 * (phi_p.i0 - 1))
         return AqLambdaData._spliced(target, head, big, tail, units_p, units_q)
+
+
+def _sigma_units_by_tail(
+    phi_p: AParameter, render: Callable[[_Half], object] | None = None
+) -> Iterator[tuple[_Half, _Half, _SigmaUnits]]:
+    """(low half, high half, _SigmaUnits) of every tail of phi', in bit order.
+
+    A tail is a character's values on e'_1, ..., e'_n; each serves the
+    two characters that differ only in e'_0, which varies fastest. Per
+    query, the unit blocks are checked once: each has size 1, so whether
+    it is valid, and the seams within the blocks before slot i0 and
+    within those after it, depend on mu alone. Per half-member: the
+    run's unit block signs and blocks. Per tail: one _SigmaUnits joined
+    from its two half-members. render, when given, sets each
+    half-member's text, as _half_pairs says.
+    """
+    _checked_unit_blocks(phi_p, [(1, 0)] * phi_p.n)
+
+    def build(start: int, values: tuple[int, ...]) -> _Half:
+        units = _unit_block_signs(phi_p, values, start)
+        return _Half(values, units.count((1, 0)), *_unit_blocks(phi_p, units, start))
+
+    joined = _SigmaUnits._joined
+    for lows, high in _half_pairs(phi_p.n, build, render):
+        for low in lows:
+            yield low, high, joined(phi_p, low, high)
 
 
 def packet_members(phi: LParameter) -> list[tuple[SignCharacter, Signature, HCParam]]:
@@ -492,5 +692,4 @@ def packet_members(phi: LParameter) -> list[tuple[SignCharacter, Signature, HCPa
     The order is SignCharacter.every's: eta(e_1) varies fastest, + before
     -. Deterministic for serialization.
     """
-    members = _Members(phi)
-    return [(eta, *members.at(eta.values)) for eta in SignCharacter.every(phi.n)]
+    return [(SignCharacter(values), sig, lam) for values, sig, lam in _Members(phi)]

@@ -107,7 +107,6 @@ from .packets import (
     AParameter,
     LParameter,
     SignCharacter,
-    _characters,
     _Members,
     _SigmaUnits,
     eta_from_pi,
@@ -493,17 +492,15 @@ def suite_eta_prime(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Ca
 def suite_packets(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Case]:
     """pi_from_eta and eta_from_pi are mutually inverse, all characters.
 
-    One _Members per parameter builds the members, one per character's
-    value tuple.
+    One _Members per parameter builds the members in bit order, each
+    from a low and a high half-member, as the packet command does.
     """
     for n in range(1, bounds.max_n + 1):
         universe = _value_universe(bounds.height.twice, (n - 1) % 2)
         for combo in itertools.combinations(universe, n):
             phi = LParameter.from_twices(combo)
-            members = _Members(phi)
             all_ok = True
-            for values in _characters(n):
-                sig, lam = members.at(values)
+            for values, sig, lam in _Members(phi):
                 phi_back, eta_back = eta_from_pi(lam)
                 if phi_back != phi or eta_back.values != values or sig != lam.sig:
                     all_ok = False

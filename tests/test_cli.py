@@ -365,13 +365,15 @@ class TestPackets:
 
     def test_packet_streams_one_member_at_a_time(self, capsys, monkeypatch, tmp_path):
         # A reader that closes the pipe after the first row: the second
-        # write fails, and by then at most two of the 256 members exist.
-        built = []
-        real = packets._Members.at
+        # write fails, and by then only the 16 low half-members of the
+        # first four positions and at most two high half-members of the
+        # last four exist, not the 256 members.
+        built = collections.Counter()
+        real = packets._Members._half
 
-        def counting(members, values):
-            built.append(values)
-            return real(members, values)
+        def counting(members, start, values):
+            built[start] += 1
+            return real(members, start, values)
 
         class ClosesAfterOneRow:
             def __init__(self, fd):
@@ -391,7 +393,7 @@ class TestPackets:
 
         fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
         try:
-            monkeypatch.setattr(packets._Members, "at", counting)
+            monkeypatch.setattr(packets._Members, "_half", counting)
             monkeypatch.setattr(sys, "stdout", ClosesAfterOneRow(fd))
             # A new descriptor takes the lowest free number, so the two
             # probes differ only if main leaves a descriptor open.
@@ -401,9 +403,81 @@ class TestPackets:
         finally:
             os.close(fd)
         assert rc == 141
-        assert 1 <= len(built) <= 2
+        assert set(built) == {0, 4}
+        assert built[0] == 16 and 1 <= built[4] <= 2
         assert capsys.readouterr().err == ""
         assert free_after == free_before
+
+    def test_rows_do_not_depend_on_the_low_run_cap(self, capsys, monkeypatch):
+        # With the cap at 2, a character of n = 6 positions splits 2 + 4
+        # instead of 3 + 3, and one of 5 splits 2 + 3 instead of 3 + 2:
+        # the bytes are the same.
+        argvs = (
+            ("packet", "--kappas=11/2,7/2,3/2,-1/2,-9/2,-25/2"),
+            ("apacket", "--mus=9,5,2,-4,-7", "--mu0=3/2", "--r=4", "--s=5"),
+            ("apacket", "--mus=19/2,5/2,3/2,-7/2,-15/2,-17/2", "--mu0=-2", "--r=4", "--s=4"),
+        )
+        want = [run_cli(capsys, *argv) for argv in argvs]
+        monkeypatch.setattr(packets, "_LOW_RUN_CAP", 2)
+        assert [packets._low_run(n) for n in (5, 6)] == [2, 2]
+        assert [run_cli(capsys, *argv) for argv in argvs] == want
+        assert [(rc, err) for rc, _out, err in want] == [(0, "")] * 3
+
+    def test_apacket_checks_the_unit_block_seams_once_per_query(self, capsys, monkeypatch):
+        # With mu's order check off, mu = (3, 4, 0) reaches the unit
+        # blocks, and the two blocks before i0 = 3 climb.
+        monkeypatch.setattr(packets, "_check_decreasing_distinct", lambda values, label: None)
+        rc, out, err = run_cli(capsys, "apacket", "--mus=3,4,0", "--mu0=1/2", "--r=2", "--s=3")
+        assert (rc, out) == (3, "")
+        assert err.startswith("internal error: InternalWeaklyFairViolation: blocks ")
+        assert err.count("\n") == 1
+
+    def test_row_counts_are_estimated_from_the_rank(self):
+        assert [cli._rows_log2("packet", n) for n in (1, 20, 21, 30)] == [1, 20, 21, 30]
+        assert [cli._rows_log2("apacket", n) for n in (0, 19, 20)] == [1, 20, 21]
+        plain, forced = argparse.Namespace(force=False), argparse.Namespace(force=True)
+        for command, n in (("packet", 20), ("apacket", 19)):
+            cli._check_row_budget(plain, command, n)
+            # A namespace without the flag, as a caller of cmd_* may pass, is not forced.
+            cli._check_row_budget(argparse.Namespace(), command, n)
+        for command, n in (("packet", 21), ("packet", 30), ("apacket", 20)):
+            rows = cli._rows_log2(command, n)
+            want = (
+                rf"^{command} of rank {n} has 2\^{rows} rows, above the limit 2\^20; "
+                rf"pass --force$"
+            )
+            with pytest.raises(ValueError, match=want):
+                cli._check_row_budget(plain, command, n)
+            with pytest.raises(ValueError, match=want):
+                cli._check_row_budget(argparse.Namespace(), command, n)
+            cli._check_row_budget(forced, command, n)
+
+    def test_oversized_packets_are_refused_before_any_member(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a half-member was built")
+
+        monkeypatch.setattr(packets, "_Half", refuse)
+        kappas = ",".join(half_text(t) for t in range(59, 0, -2))
+        rc, out, err = run_cli(capsys, "packet", f"--kappas={kappas}")
+        assert (rc, out) == (2, "")
+        assert err == (
+            "error: ValueError: packet of rank 30 has 2^30 rows, above the limit 2^20; "
+            "pass --force\n"
+        )
+        mus = ",".join(str(k) for k in range(20, 0, -1))
+        rc, out, err = run_cli(capsys, "apacket", f"--mus={mus}", "--mu0=0", "--r=11", "--s=10")
+        assert (rc, out) == (2, "")
+        assert err == (
+            "error: ValueError: apacket of rank 20 has 2^21 rows, above the limit 2^20; "
+            "pass --force\n"
+        )
+
+    def test_force_leaves_a_small_packet_as_it_is(self, capsys):
+        for argv in (
+            ("packet", "--kappas=3/2,1/2,-5/2"),
+            ("apacket", "--mus=3/2,1/2,-5/2", "--mu0=1/2", "--r=2", "--s=2"),
+        ):
+            assert run_cli(capsys, *argv, "--force") == run_cli(capsys, *argv)
 
 
 class TestKTypeMap:
@@ -738,6 +812,54 @@ def test_packet_and_apacket_grids_are_pinned(capsys):
     assert statuses == {"zero": 5656, "nonzero": 2620, "invalid_character": 356}
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "a6e9dbaf17e1fd3e2fb1a8046220359555353c454ff843f3571cb2d6a3cc947b"
+    )
+
+
+def test_packet_and_apacket_half_splits_are_pinned(capsys):
+    # Digests taken before the rows were built from half-members. packet
+    # at n = 5, 6, 7 splits into runs of 3 + 2, 3 + 3 and 4 + 3 positions.
+    # apacket at n = 3, 4, 5 has tails split 2 + 1, 2 + 2 and 3 + 2; mu0
+    # takes every value of its parity from above mu_1 to below mu_n, so
+    # i0 takes every slot 1, ..., n + 1, leaving the head or the tail
+    # empty at the ends, and on m = n + 1 it ties with each mu_i.
+    for n in range(5, 8):
+        for combo in itertools.combinations(_doubled(n + 1, (n - 1) % 2), n):
+            kappas = ",".join(half_text(t) for t in combo)
+            assert cli.cmd_packet(argparse.Namespace(kappas=kappas)) == 0
+    out = capsys.readouterr().out
+    assert len(out.splitlines()) == 7072
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "fc4f1390fdbae6850557053d470bcac0008c18b62862c9f11496495a62ade344"
+    )
+
+    slots, ties = collections.defaultdict(set), 0
+    for n in range(3, 6):
+        for m in (n + 1, n + 2):
+            for gap in (2, 4):
+                top = gap * (n - 1) // 2
+                top += (top - m + 1) % 2
+                mu_tw = tuple(range(top, top - gap * n, -gap))
+                for mu0 in range(mu_tw[0] + 3, mu_tw[-1] - 4, -1):
+                    if mu0 % 2 != n % 2:
+                        continue
+                    phi_p = thetalift.AParameter(mu_tw, mu0, m)
+                    slots[n].add(phi_p.i0)
+                    ties += phi_p.tie_at_i0
+                    for r in range(m + 1):
+                        args = argparse.Namespace(
+                            mus=",".join(half_text(t) for t in mu_tw),
+                            mu0=half_text(mu0), r=r, s=m - r,
+                        )
+                        assert cli.cmd_apacket(args) == 0
+    assert {n: sorted(i0s) for n, i0s in slots.items()} == {
+        n: list(range(1, n + 2)) for n in range(3, 6)
+    }
+    assert ties == 24
+    out = capsys.readouterr().out
+    statuses = collections.Counter(json.loads(line)["status"] for line in out.splitlines())
+    assert statuses == {"zero": 19648, "nonzero": 4400, "invalid_character": 3248}
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1bcc0e5f09df191ccb03493ff76a42498fdf7268a98f93464e76f1f07382b7b8"
     )
 
 

@@ -1,6 +1,8 @@
 """Tempered packet bookkeeping and lift-packet members."""
 
-from itertools import combinations
+import random
+from collections import Counter
+from itertools import combinations, islice
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,7 @@ from thetalift import (
     transfer,
     transfer_eta,
 )
+from thetalift import packets
 from thetalift.packets import (
     _characters,
     _Members,
@@ -153,22 +156,30 @@ def test_characters_are_the_values_of_every():
         assert list(_characters(size)) == [eta.values for eta in SignCharacter.every(size)]
 
 
-def _packet_by_definition(kappa_tw):
-    """(values, signature, entries_tw) of each member, by the module docstring's rule.
+def _bit_character(b, n):
+    """The b-th character of size n in bit order: -1 exactly where bit i of b is set."""
+    return tuple(-1 if b >> i & 1 else 1 for i in range(n))
 
-    The b-th character is -1 exactly where bit i of b is set, and the
-    indices i (from 1) with eta(e_i) = (-1)^(i-1) contribute kappa_i to
-    the p-part, the others to the q-part, each part in kappa's order.
+
+def _member_by_definition(kappa_tw, values):
+    """(signature, entries_tw) of one member, by the module docstring's rule.
+
+    The indices i (from 1) with eta(e_i) = (-1)^(i-1) contribute kappa_i
+    to the p-part, the others to the q-part, each part in kappa's order.
     """
+    on_p = [v == (-1) ** (i - 1) for i, v in enumerate(values, start=1)]
+    p_part = tuple(k for k, p in zip(kappa_tw, on_p) if p)
+    q_part = tuple(k for k, p in zip(kappa_tw, on_p) if not p)
+    return Signature(len(p_part), len(q_part)), p_part + q_part
+
+
+def _packet_by_definition(kappa_tw):
+    """(values, signature, entries_tw) of each member, characters in bit order."""
     n = len(kappa_tw)
-    out = []
-    for b in range(1 << n):
-        values = tuple(-1 if b >> i & 1 else 1 for i in range(n))
-        on_p = [v == (-1) ** (i - 1) for i, v in enumerate(values, start=1)]
-        p_part = tuple(k for k, p in zip(kappa_tw, on_p) if p)
-        q_part = tuple(k for k, p in zip(kappa_tw, on_p) if not p)
-        out.append((values, Signature(len(p_part), len(q_part)), p_part + q_part))
-    return out
+    return [
+        (values, *_member_by_definition(kappa_tw, values))
+        for values in (_bit_character(b, n) for b in range(1 << n))
+    ]
 
 
 @settings(max_examples=200, deadline=None)
@@ -183,6 +194,37 @@ def test_packet_members_follow_the_definition(n, data):
     ]
     want = [(values, sig, sig, tw) for values, sig, tw in _packet_by_definition(kappa_tw)]
     assert got == want
+
+
+def test_members_above_the_low_run_cap_join_their_halves(monkeypatch):
+    # n = 22 splits into a low run of 10 positions, the cap, and a high
+    # run of 12. The walk's first 3 * 2^10 members cross two high
+    # half-members, and a sample of characters from the whole packet
+    # reaches all 2^12 of them; neither enumerates the 2^22 members.
+    kappa_tw = tuple(range(43, -1, -2))
+    phi = LParameter.from_twices(kappa_tw)
+    members = _Members(phi)
+    assert packets._low_run(22) == 10
+    starts = Counter()
+    real_half = _Members._half
+
+    def counted(self, start, values):
+        starts[start] += 1
+        return real_half(self, start, values)
+
+    monkeypatch.setattr(_Members, "_half", counted)
+    for b, (values, sig, lam) in enumerate(islice(members, 3 << 10)):
+        assert values == _bit_character(b, 22)
+        assert (sig, lam.entries_tw) == _member_by_definition(kappa_tw, values)
+        assert (sig, lam) == members.at(values)
+    # The low table once, three high half-members, and two per at() call.
+    assert starts == {0: (1 << 10) + (3 << 10), 10: 3 + (3 << 10)}
+    rng = random.Random(22)
+    for b in [rng.randrange(1 << 22) for _ in range(300)] + [(1 << 22) - 1]:
+        values = _bit_character(b, 22)
+        sig, lam = members.at(values)
+        assert (sig, lam.entries_tw) == _member_by_definition(kappa_tw, values)
+        assert pi_from_eta(phi, SignCharacter(values)) == (sig, lam)
 
 
 # _Members.at builds each member, and eta_from_pi its kappa and character,

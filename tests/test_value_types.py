@@ -385,32 +385,39 @@ def test_a_value_built_from_lists_is_the_value_built_from_tuples(build):
     assert [type(getattr(got, f)) for f in fields] == [type(getattr(want, f)) for f in fields]
 
 
-# The same constructors, with Signature, LiftContext and EnumerationBounds,
-# refuse a float where they take an int, naming themselves, so that no
-# float reaches an answer: each of these was accepted and rendered once.
+# The same constructors, with Signature, LiftContext, EnumerationBounds and
+# AqLambdaData, refuse a float or a bool where they take an int, naming
+# themselves, so that neither reaches an answer. Each was accepted and
+# rendered once: the float given here as 2.0 or 1.0, the bool as True.
 WITH_A_FLOAT = {
-    "Signature": (lambda: Signature(1.0, 0), "Signature"),
-    "LiftContext": (lambda: LiftContext(1.0, 1, 1, 3), "LiftContext"),
+    "Signature": (lambda x: Signature(x, 0), "Signature", 1.0),
+    "LiftContext": (lambda x: LiftContext(x, 1, 1, 3), "LiftContext", 1.0),
     "HCParam.from_twices":
-        (lambda: HCParam.from_twices(Signature(1, 0), (2.0,)), "HCParam.from_twices"),
+        (lambda x: HCParam.from_twices(Signature(1, 0), (x,)), "HCParam.from_twices", 2.0),
     "LParameter.from_twices":
-        (lambda: LParameter.from_twices((1.0, -1)), "LParameter.from_twices"),
-    "AParameter.mu_tw": (lambda: AParameter((3.0,), 1, 2), "AParameter"),
-    "AParameter.mu0_tw": (lambda: AParameter((3,), 1.0, 2), "AParameter"),
-    "AParameter.m": (lambda: AParameter((3,), 1, 2.0), "AParameter"),
-    "SignCharacter": (lambda: SignCharacter((1.0, -1)), "SignCharacter"),
-    "KType": (lambda: KType(Signature(1, 0), (1.5,), ()), "KType"),
+        (lambda x: LParameter.from_twices((x, -1)), "LParameter.from_twices", 1.0),
+    "AParameter.mu_tw": (lambda x: AParameter((x,), 1, 2), "AParameter", 3.0),
+    "AParameter.mu0_tw": (lambda x: AParameter((3,), x, 2), "AParameter", 1.0),
+    "AParameter.m": (lambda x: AParameter((3,), 1, x), "AParameter", 2.0),
+    "SignCharacter": (lambda x: SignCharacter((x, -1)), "SignCharacter", 1.0),
+    "KType": (lambda x: KType(Signature(1, 0), (x,), ()), "KType", 1.5),
     "EnumerationBounds.max_n":
-        (lambda: EnumerationBounds(1.0, 1, half(3)), "EnumerationBounds"),
+        (lambda x: EnumerationBounds(x, 1, half(3)), "EnumerationBounds", 1.0),
     "EnumerationBounds.max_m_minus_n":
-        (lambda: EnumerationBounds(1, 1.0, half(3)), "EnumerationBounds"),
+        (lambda x: EnumerationBounds(1, x, half(3)), "EnumerationBounds", 1.0),
+    "AqLambdaData": (lambda x: AqLambdaData(Signature(1, 0), [(x, 0, 0)]), None, 1.0),
 }
 
 
-@pytest.mark.parametrize("build, owner", WITH_A_FLOAT.values(), ids=WITH_A_FLOAT)
-def test_a_float_for_an_int_is_a_type_error(build, owner):
-    with pytest.raises(TypeError, match=rf"^{re.escape(owner)}\(\) takes ints, not float$"):
-        build()
+@pytest.mark.parametrize("build, owner, value", WITH_A_FLOAT.values(), ids=WITH_A_FLOAT)
+def test_a_float_for_an_int_is_a_type_error(build, owner, value):
+    for bad in (value, True):
+        if owner is None:
+            want = rf"^block entries must be ints: \(\({bad}, 0, 0\),\)$"
+        else:
+            want = rf"^{re.escape(owner)}\(\) takes ints, not {type(bad).__name__}$"
+        with pytest.raises(TypeError, match=want):
+            build(bad)
 
 
 @pytest.mark.parametrize("value", [half(3), half(-4), HalfInt(0)], ids=str)
