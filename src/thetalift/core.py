@@ -142,7 +142,9 @@ class HalfInt(_Frozen):
     HalfInt(k) is the integer k; HalfInt.halves(t) is t/2. It parses,
     renders, compares equal to the int of the same value and hashes like
     it; it has no arithmetic or ordering, since all computation runs on
-    the doubled ints in .twice.
+    the doubled ints in .twice. Both constructors test the exact type,
+    as _ints does, so a bool is refused with the same TypeError as a
+    float.
 
     >>> HalfInt.parse("-3/2").twice
     -3
@@ -153,14 +155,14 @@ class HalfInt(_Frozen):
     __slots__ = ("twice",)
 
     def __init__(self, value: int = 0):
-        if not isinstance(value, int):
+        if type(value) is not int:
             raise TypeError(f"HalfInt() takes an int, not {type(value).__name__}")
         _set_twice(self, 2 * value)
 
     @classmethod
     def halves(cls, twice: int) -> "HalfInt":
         """The half-integer twice/2."""
-        if not isinstance(twice, int):
+        if type(twice) is not int:
             raise TypeError("halves() takes an int")
         out = object.__new__(cls)
         _set_twice(out, twice)
@@ -324,12 +326,22 @@ class HCParam(_Frozen):
 
     HCParam(sig, entries) takes HalfInt entries and from_twices(sig, tw)
     the doubled ints; both validate through __post_init__, the one hook
-    that perfbench/tracing.py wraps to count constructions. A third
-    route, _from_checked(sig, tw), stores the fields and validates
-    nothing, for doubled entries that are valid by construction:
-    packets._Members builds each packet member through it, from the
-    entries of a validated LParameter. It runs no __post_init__, so
-    perfbench/tracing.py does not count what it builds.
+    that perfbench/tracing.py wraps to count constructions. They guard
+    input and claimed results: the CLI's parameters, and the results of
+    lifting._lift_down and aq_to_discrete_series. A third route,
+    _from_checked(sig, tw), stores the fields and validates nothing, for
+    a tuple of doubled ints that is valid by construction:
+    - packets._Members, each packet member: the entries of a validated
+      LParameter, each part keeping its order;
+    - suites.iter_params, each enumerated parameter: distinct values of
+      the right parity, taken from a descending universe in order;
+    - _deformation, the deformation lam+ of a valid lam: it moves the
+      entries above m0/2 up and the others down by the same even step,
+      so each part keeps its order and no two entries meet;
+    - _conjugate_dual_m0, the conjugate dual of a valid lam: each part
+      negated and reversed around m0, which keeps order and parity.
+    It runs no __post_init__, so perfbench/tracing.py does not count
+    what it builds.
     """
 
     __slots__ = ("sig", "entries_tw")
@@ -589,10 +601,11 @@ def conjugate_dual(lam: HCParam, ctx: LiftContext) -> HCParam:
 
 
 def _conjugate_dual_m0(lam: HCParam, m0: int) -> HCParam:
+    """conjugate_dual() on the exponent alone; the dual of a valid lam is valid, unchecked."""
     tw_m0 = 2 * m0
     p_new = tuple([tw_m0 - t for t in reversed(lam.p_tw)])
     q_new = tuple([tw_m0 - t for t in reversed(lam.q_tw)])
-    return HCParam.from_twices(lam.sig, p_new + q_new)
+    return HCParam._from_checked(lam.sig, p_new + q_new)
 
 
 def make_regular_deformation(lam: HCParam, ctx: LiftContext, t: int) -> HCParam:
@@ -610,10 +623,14 @@ def make_regular_deformation(lam: HCParam, ctx: LiftContext, t: int) -> HCParam:
 
 
 def _deformation(lam: HCParam, x: int, z: int, t: int) -> HCParam:
-    """make_regular_deformation() given the lax split's prefix lengths x and z, t unchecked."""
+    """make_regular_deformation() given the lax split's prefix lengths x and z, t unchecked.
+
+    The result is stored unvalidated: for those x and z and any t > 0
+    it is valid whenever lam is (see HCParam).
+    """
     step = 2 * t
     p_tw, q_tw = lam.p_tw, lam.q_tw
-    return HCParam.from_twices(
+    return HCParam._from_checked(
         lam.sig,
         tuple([v + step for v in p_tw[:x]] + [v - step for v in p_tw[x:]]
               + [v + step for v in q_tw[:z]] + [v - step for v in q_tw[z:]]),

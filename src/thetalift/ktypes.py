@@ -44,9 +44,14 @@ from .errors import InternalError, PatternMismatch
 class KType(_Frozen):
     """Highest weight of U(p) x U(q): two weakly decreasing int tuples.
 
-    The constructor validates. _from_checked stores fields that the
-    caller has shown valid: _KTypeMap.at builds each partner through it
-    once it has checked the partner's lengths and seams.
+    The constructor validates, and guards input: the CLI's weights and
+    the public correspond_ktype and split_mu. _from_checked stores int
+    tuples that the caller has shown valid for sig:
+    - _KTypeMap.at, each partner, once it has checked the partner's
+      lengths and seams;
+    - suites._ktype_case, each weight of the K-type grid: weakly
+      decreasing positive runs, zeros and negative runs, moved by one
+      shift, with the source form's lengths.
     """
 
     __slots__ = ("sig", "a_weights", "b_weights")

@@ -55,9 +55,10 @@ i0 fall by 1 and those after rise by 1, and the signs depend on m only
 through the parity of m - n. _SigmaUnits holds this first part and the
 tail's product, so that callers iterating over forms, over e'_0 or over
 the sizes of one parity build it once; per form it takes only e'_0's
-value, an int, and the target. A size step builds phi' again with the
-AParameter constructor, which has no second, unvalidated route. The
-public sigma_from_eta_prime builds one per call. Nothing is memoized.
+value, an int, and the target. A size step checks that the new size
+exceeds n and stores phi' again through AParameter._from_checked: a
+step of even length keeps every value's parity class. The public
+sigma_from_eta_prime builds one per call. Nothing is memoized.
 
 The apacket rows walk every tail of a lift packet with
 _sigma_units_by_tail. Per query, the unit blocks are checked once: each
@@ -154,6 +155,21 @@ class AParameter(_Frozen):
     in every admissible sign character. A repeated value only collapses
     the component group when the stretched summand has length one, so
     there is no tie whenever m - n > 1.
+
+    The constructor validates, and guards input: the CLI's apacket
+    query and transfer.build_a_parameter. _from_checked(mu_tw, mu0_tw,
+    m) stores a tuple of ints that the caller has shown valid and
+    derives n, i0 and tie_at_i0 through _store_a_parameter, the code the
+    constructor runs once it has validated:
+    - transfer._Transfer, phi' from a validated LParameter kappa and a
+      LiftContext with m > n: kappa shifted by (m0 - n0)/2 keeps its
+      order and moves from Z + (n-1)/2 into Z + (m-1)/2, since the
+      context has m0 = m and n0 = n mod 2, and mu0 = n0/2 lies in
+      Z + n/2;
+    - _SigmaUnits._resize, phi' at another size m > n of the same
+      parity as its own, which keeps every value's class;
+    - suites.suite_eta_prime, each enumerated phi': values of the right
+      parity, taken from a descending universe in order, and m > n.
     """
 
     __slots__ = ("mu_tw", "mu0_tw", "m", "n", "i0", "tie_at_i0")
@@ -162,8 +178,7 @@ class AParameter(_Frozen):
         mu_tw = _ints(mu_tw, "AParameter")
         _ints((mu0_tw, m), "AParameter")
         n = len(mu_tw)
-        if m <= n:
-            raise PreconditionViolation(f"need m > n, got m={m}, n={n}")
+        _check_larger(m, n)
         want = (m - 1) % 2
         for v in mu_tw:
             if v % 2 != want:
@@ -171,13 +186,14 @@ class AParameter(_Frozen):
         if mu0_tw % 2 != n % 2:
             raise WrongParityClass(f"mu0={half_text(mu0_tw)} is not in Z + {n}/2")
         _check_decreasing_distinct(mu_tw, "mu")
-        i0 = 1 + sum(1 for v in mu_tw if v > mu0_tw)
-        _set_mu_tw(self, mu_tw)
-        _set_mu0_tw(self, mu0_tw)
-        _set_m(self, m)
-        _set_n(self, n)
-        _set_i0(self, i0)
-        _set_tie_at_i0(self, m - n == 1 and i0 <= n and mu_tw[i0 - 1] == mu0_tw)
+        _store_a_parameter(self, mu_tw, mu0_tw, m)
+
+    @classmethod
+    def _from_checked(cls, mu_tw: tuple[int, ...], mu0_tw: int, m: int) -> "AParameter":
+        """The parameter for doubled values that the caller has shown valid for m."""
+        out = object.__new__(cls)
+        _store_a_parameter(out, mu_tw, mu0_tw, m)
+        return out
 
     def to_json(self) -> dict:
         return {
@@ -189,6 +205,24 @@ class AParameter(_Frozen):
 
 
 _set_mu_tw, _set_mu0_tw, _set_m, _set_n, _set_i0, _set_tie_at_i0 = AParameter._setters
+
+
+def _check_larger(m: int, n: int) -> None:
+    """Raise PreconditionViolation unless a lift parameter's size m exceeds its n."""
+    if m <= n:
+        raise PreconditionViolation(f"need m > n, got m={m}, n={n}")
+
+
+def _store_a_parameter(out: AParameter, mu_tw: tuple[int, ...], mu0_tw: int, m: int) -> None:
+    """Store valid values in out, with n, i0 and tie_at_i0 derived from them."""
+    n = len(mu_tw)
+    i0 = 1 + sum(1 for v in mu_tw if v > mu0_tw)
+    _set_mu_tw(out, mu_tw)
+    _set_mu0_tw(out, mu0_tw)
+    _set_m(out, m)
+    _set_n(out, n)
+    _set_i0(out, i0)
+    _set_tie_at_i0(out, m - n == 1 and i0 <= n and mu_tw[i0 - 1] == mu0_tw)
 
 
 class SignCharacter(_Frozen):
@@ -567,12 +601,14 @@ class _SigmaUnits:
     changes with the size m only in m itself, and the unit signs only
     with the parity of m - n, so the object serves every size of one
     parity: it holds phi' at the size of the last target and, for a size
-    step d, which must be even, builds phi' at the new size with the
-    AParameter constructor and moves the doubled unit block values
-    before i0 by -d and those after by +d. Per form, at() takes e'_0's
-    value as an int and one target form, checks the tie rule, takes the
-    big block's balance, runs both forms of the sign gate, adds the i0
-    block and checks that block, the sums and its two seams.
+    step d, which must be even, checks that the new size exceeds n,
+    stores phi' at it through AParameter._from_checked, since an even
+    step keeps each value's parity class, and moves the doubled unit
+    block values before i0 by -d and those after by +d. Per form, at()
+    takes e'_0's value as an int and one target form, checks the tie
+    rule, takes the big block's balance, runs both forms of the sign
+    gate, adds the i0 block and checks that block, the sums and its two
+    seams.
     """
 
     __slots__ = ("phi_p", "tail", "tail_product", "units", "r_units", "s_units", "_blocks")
@@ -614,7 +650,8 @@ class _SigmaUnits:
         d = m - phi_p.m
         if d % 2:
             raise InternalError(f"size {m} has the wrong parity for {phi_p.to_json()}")
-        self.phi_p = AParameter(phi_p.mu_tw, phi_p.mu0_tw, m)
+        _check_larger(m, phi_p.n)
+        self.phi_p = AParameter._from_checked(phi_p.mu_tw, phi_p.mu0_tw, m)
         if self._blocks is not None:
             head, tail, units_p, units_q = self._blocks
             self._blocks = (

@@ -146,6 +146,10 @@ def iter_params(bounds: EnumerationBounds) -> Iterator[tuple[HCParam, int, int, 
     Both tower families are enumerated: k0 = 0 (targets of the same
     parity as n) with minimal m0 = n mod 2, and k0 = -1 with the other
     parity. The height bound applies to the shifted entries lam - m0/2.
+    Each parameter is valid by construction, so it is stored through
+    HCParam._from_checked: its entries are distinct values of one
+    parity class, taken from a descending universe in order, and each
+    part keeps that order.
     """
     for n in range(1, bounds.max_n + 1):
         n0 = n % 2
@@ -161,7 +165,7 @@ def iter_params(bounds: EnumerationBounds) -> Iterator[tuple[HCParam, int, int, 
             universe = _value_universe(bounds.height.twice, (k0 - 1) % 2)
             for combo in itertools.combinations(universe, n):
                 for sig, at in masks:
-                    yield HCParam.from_twices(sig, tuple([combo[i] + m0 for i in at])), k0, m0, n0
+                    yield HCParam._from_checked(sig, tuple([combo[i] + m0 for i in at])), k0, m0, n0
 
 
 def _forms_table(bounds: EnumerationBounds) -> list[tuple[Signature, ...]]:
@@ -440,7 +444,10 @@ def suite_eta_prime(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Ca
     The gate depends on the parameter only through (n, m, i0) and the
     tie flag, so the full character-by-target verdict table is computed
     once per class and reused; every enumerated parameter is still
-    checked against its class verdict.
+    checked against its class verdict. Each phi' is valid by
+    construction (m > n, values of the right parity taken from a
+    descending universe in order), so it is stored through
+    AParameter._from_checked.
     """
     class_ok: dict[tuple[int, int, int, bool], tuple[int, int]] = {}
     H = bounds.height.twice
@@ -451,7 +458,7 @@ def suite_eta_prime(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Ca
             mu0_univ = _value_universe(H, n % 2)
             for mus in itertools.combinations(mu_univ, n):
                 for mu0 in mu0_univ:
-                    phi_p = AParameter(mus, mu0, m)
+                    phi_p = AParameter._from_checked(mus, mu0, m)
                     key = (n, m, phi_p.i0, phi_p.tie_at_i0)
                     if key not in class_ok:
                         checked = 0
@@ -610,7 +617,9 @@ def _ktype_case(a, b, c, d, group: _KTypeGroup, cuts, seen: set, emit: bool) -> 
     source, target = forward.source, forward.target
     zeros_a = source.p - len(a) - len(b)
     zeros_b = source.q - len(c) - len(d)
-    mu = KType(
+    # Valid by construction: positive runs, zeros and negative runs, each
+    # weakly decreasing and moved by one shift, filling the source form.
+    mu = KType._from_checked(
         source,
         tuple([v + sh_a for v in a] + [sh_a] * zeros_a + [v + sh_a for v in b]),
         tuple([v + sh_b for v in c] + [sh_b] * zeros_b + [v + sh_b for v in d]),

@@ -35,6 +35,12 @@ deformation, whose step t grows with m, its transfer and character
 check, and its lax split. Per form it takes from its caller whether
 path A's and path B's lifts agree, and adds the sufficiency test.
 Nothing is memoized.
+
+Validation guards input only: build_a_parameter validates phi' through
+the AParameter constructor. _Transfer derives phi' from a valid
+parameter and context, and the deformation lam+ comes from a valid lam,
+so both are stored through the trusted builders (_from_checked), and
+transfer_eta still refuses a target that is not strictly larger.
 """
 
 from __future__ import annotations
@@ -93,11 +99,15 @@ def build_a_parameter(phi: LParameter, ctx: LiftContext) -> AParameter:
     in; the slot i0 lands where the kappas cross m0/2.
     """
     ctx._check_sizes(phi.n)
+    return AParameter(*_a_values(phi, ctx))
+
+
+def _a_values(phi: LParameter, ctx: LiftContext) -> tuple[tuple[int, ...], int, int]:
+    """build_a_parameter()'s (mu_tw, mu0_tw, m), once the target is strictly larger."""
     if ctx.target_dim <= ctx.source_dim:
         raise PreconditionViolation("transfer needs a strictly larger target")
     shift = ctx.m0 - ctx.n0
-    mus = tuple(k - shift for k in phi.kappa_tw)
-    return AParameter(mus, ctx.n0, ctx.target_dim)
+    return tuple([k - shift for k in phi.kappa_tw]), ctx.n0, ctx.target_dim
 
 
 def transfer_eta(
@@ -122,13 +132,19 @@ class _Transfer:
     form. The zetas depend on the target size only through the parity
     of m - n, so the tail and e0_at() serve every size of the context's
     tower; phi' is the one at the context's size.
+
+    phi' is build_a_parameter()'s, stored through AParameter._from_checked:
+    every caller passes a valid lam of the context's source size, and
+    the context's parities are checked, so the only rule left is that
+    the target is strictly larger, which raises build_a_parameter()'s
+    PreconditionViolation.
     """
 
     __slots__ = ("eta", "phi_p", "tail", "e0_source")
 
     def __init__(self, lam: HCParam, ctx: LiftContext) -> None:
         phi, eta = eta_from_pi(lam)
-        phi_p = build_a_parameter(phi, ctx)
+        phi_p = AParameter._from_checked(*_a_values(phi, ctx))
         zs = zeta_signs(ctx.target_dim, ctx.source_dim, phi_p.i0)
         self.eta = eta
         self.phi_p = phi_p

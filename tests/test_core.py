@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from thetalift import (
     ChainNotPresent,
+    EnumerationBounds,
     HCParam,
     HalfInt,
     KType,
@@ -35,6 +36,9 @@ from thetalift import (
     verify_globalization,
 )
 from thetalift.core import LAX, STRICT
+from thetalift.suites import iter_params
+
+from test_packets import _same_value
 
 
 def test_halfint_construction():
@@ -273,6 +277,18 @@ def test_conjugate_dual_shifts_by_m0():
     assert dual.sig == Signature(1, 1)
     assert dual.p_tw == (3,)
     assert dual.q_tw == (5,)
+
+
+def test_conjugate_duals_equal_validated_builds():
+    # The dual is stored unvalidated; at the benchmark window (n <= 3,
+    # height 7/2) each is what the validating constructor builds.
+    duals = 0
+    for lam, k0, m0, n0 in iter_params(EnumerationBounds(3, 4, half(7))):
+        # The context of the tower's first up size; the dual reads only m0.
+        dual = conjugate_dual(lam, LiftContext(m0, n0, lam.sig.n, lam.sig.n + 2 + k0))
+        _same_value(dual, HCParam.from_twices(dual.sig, dual.entries_tw))
+        duals += 1
+    assert duals == 954
 
 
 def test_regular_deformation():

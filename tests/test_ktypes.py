@@ -19,8 +19,10 @@ from thetalift import (
     correspond_ktype,
     split_mu,
 )
-from thetalift import ktypes
+from thetalift import ktypes, suites
 from thetalift.suites import suite_ktypes, tally
+
+from test_packets import _same_value
 
 
 CTX = LiftContext(0, 0, 2, 2)
@@ -477,6 +479,24 @@ def test_grid_partners_equal_validated_builds(monkeypatch):
         ctx = LiftContext(target.n % 2, source.n % 2, source.n, target.n)
         partner = _assert_partners_validated(mu, ctx, target)
         assert partner.to_json() == record["mu_prime"]
+
+
+def test_grid_weights_equal_validated_builds(monkeypatch):
+    # The grid stores each case's weight mu unvalidated.
+    built = []
+
+    class Spy:
+        @staticmethod
+        def _from_checked(sig, a, b):
+            built.append(KType._from_checked(sig, a, b))
+            return built[-1]
+
+    monkeypatch.setattr(suites, "KType", Spy)
+    summary = tally("ktypes", suite_ktypes(emit=False, max_run=1, height=3))
+    monkeypatch.undo()
+    assert (summary.cases, summary.failures, len(built)) == (4089, 0, 4089)
+    for mu in built:
+        _same_value(mu, KType(mu.sig, mu.a_weights, mu.b_weights))
 
 
 def test_pinned_grid_partners_equal_validated_builds():

@@ -26,6 +26,7 @@ from thetalift import (
     Signature,
     SignatureMismatch,
     WrongParityClass,
+    build_a_parameter,
     epsilon_of_signature,
     eta_from_pi,
     half,
@@ -277,9 +278,18 @@ def _assert_inverse_is_validated(lam):
     assert pi_from_eta(phi, eta) == (lam.sig, lam)
 
 
+def _assert_transfer_is_validated(lam, ctx):
+    """_Transfer's trusted phi' for lam is build_a_parameter's validated one."""
+    own = transfer._Transfer(lam, ctx)
+    _same_value(own.phi_p, build_a_parameter(eta_from_pi(lam)[0], ctx))
+    return own
+
+
 def test_inverse_of_the_shadows_deformations_equals_validated_builds():
     # The enumeration window of the benchmark (n <= 3, m - n <= 4, height
-    # 7/2), each size's deformation lam+ at the walk's step t.
+    # 7/2), each size's deformation lam+ at the walk's step t. lam+ and
+    # the phi' of its _Transfer are stored unvalidated; each must be
+    # what the validating constructor builds.
     deformations = 0
     for lam, _k0, m0, n0 in iter_params(EnumerationBounds(max_n=3, max_m_minus_n=4, height=half(7))):
         _assert_inverse_is_validated(lam)
@@ -289,10 +299,13 @@ def test_inverse_of_the_shadows_deformations_equals_validated_builds():
             if (m - m0) % 2 == 0:
                 ctx = LiftContext(m0, n0, n, m)
                 if shadow is None:
-                    own = transfer._Transfer(lam, ctx)
+                    own = _assert_transfer_is_validated(lam, ctx)
                     shadow = transfer._Globalization(lam, split_abgd(lam, ctx), own)
                 shadow.resize(ctx, (m - n) // 2 + 2)
-                _assert_inverse_is_validated(shadow.lam_plus)
+                lam_plus = shadow.lam_plus
+                _same_value(lam_plus, HCParam.from_twices(lam_plus.sig, lam_plus.entries_tw))
+                _assert_inverse_is_validated(lam_plus)
+                _assert_transfer_is_validated(lam_plus, ctx)
                 deformations += 1
     assert deformations == 1908
 

@@ -16,9 +16,11 @@ import pytest
 
 from thetalift import (
     SUITES,
+    AParameter,
     EnumerationBounds,
     HCParam,
     InternalError,
+    KType,
     SignCharacter,
     Signature,
     TowerPosition,
@@ -28,7 +30,9 @@ from thetalift import (
     packets,
     suites,
 )
-from thetalift.suites import run_suite, run_suites, tally
+from thetalift.suites import iter_params, run_suite, run_suites, tally
+
+from test_packets import _same_value
 
 ENUMERATION = EnumerationBounds(max_n=3, max_m_minus_n=4, height=half(7))
 PACKETS = EnumerationBounds(max_n=5, max_m_minus_n=1, height=half(9))
@@ -325,3 +329,63 @@ def test_packets_suite_comparison_fires(monkeypatch):
     monkeypatch.setattr(packets, "HCParam", MisplacesOneKappa)
     broken = run_suite("packets", small)
     assert (broken.cases, broken.failures) == (clean.cases, clean.cases)
+
+
+def test_enumerated_parameters_equal_validated_builds():
+    # iter_params stores each parameter unvalidated; at full bounds each is
+    # what the validating constructor builds.
+    full = EnumerationBounds(max_n=5, max_m_minus_n=8, height=half(11))
+    count = 0
+    for lam, _k0, _m0, _n0 in iter_params(full):
+        _same_value(lam, HCParam.from_twices(lam.sig, lam.entries_tw))
+        count += 1
+    assert count == 56938
+
+
+def test_eta_prime_parameters_equal_validated_builds(monkeypatch):
+    # The sign-gate suite stores each enumerated phi' unvalidated.
+    built = []
+
+    class Spy:
+        @staticmethod
+        def _from_checked(mu_tw, mu0_tw, m):
+            built.append(AParameter._from_checked(mu_tw, mu0_tw, m))
+            return built[-1]
+
+    monkeypatch.setattr(suites, "AParameter", Spy)
+    summary = run_suite("eta_prime", ENUMERATION)
+    monkeypatch.undo()
+    assert (summary.cases, summary.failures, len(built)) == (2382, 0, 2382)
+    for phi_p in built:
+        _same_value(phi_p, AParameter(phi_p.mu_tw, phi_p.mu0_tw, phi_p.m))
+
+
+# Validating constructions per suite at the benchmark windows. What a
+# suite derives from a valid value goes through a trusted builder, so
+# only round_trip validates: the parameters it checks, 174 nonzero lifts
+# down and the 116 that aq_to_discrete_series resolves.
+VALIDATED = {"round_trip": {"HCParam": 290}}
+
+
+def test_suites_validate_only_inputs_and_claimed_results(monkeypatch):
+    counts = Counter()
+
+    def counting(cls, name):
+        real = cls.__dict__[name]
+
+        def counted(self, *args):
+            counts[cls.__name__] += 1
+            return real(self, *args)
+
+        monkeypatch.setattr(cls, name, counted)
+
+    counting(HCParam, "__post_init__")
+    counting(AParameter, "__init__")
+    counting(KType, "__init__")
+    for name in SUITES:
+        counts.clear()
+        assert run_suite(name, _window(name)).failures == 0
+        assert counts == VALIDATED.get(name, {}), name
+    counts.clear()
+    assert tally("ktypes", suites.suite_ktypes(emit=False, max_run=1, height=3)).cases == 4089
+    assert counts == {}

@@ -73,6 +73,18 @@ def test_build_a_parameter_needs_growth():
         build_a_parameter(phi, LiftContext(1, 1, 1, 1))
 
 
+def test_transfer_eta_needs_a_strictly_larger_target():
+    # _Transfer stores phi' unvalidated; the refusal of m <= n stays.
+    lam = HCParam(Signature(1, 1), (half(1), half(-1)))
+    refusal = "^transfer needs a strictly larger target$"
+    for ctx, target in (
+        (LiftContext(0, 0, 2, 2), Signature(1, 1)),
+        (LiftContext(0, 0, 2, 0), Signature(0, 0)),
+    ):
+        with pytest.raises(PreconditionViolation, match=refusal):
+            transfer_eta(lam, ctx, target)
+
+
 def test_transfer_eta_scalar_case():
     lam = HCParam(Signature(1, 0), (HalfInt(2),))
     phi_p, eta_p = transfer_eta(lam, LiftContext(1, 1, 1, 3), Signature(2, 1))

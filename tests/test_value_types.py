@@ -131,7 +131,7 @@ def test_lparameter(case):
 def test_halfint_constructors_take_only_halfint():
     # The HalfInt constructors name the type they expect and point to
     # from_twices for doubled ints.
-    for value in (2, 2.0, "2"):
+    for value in (2, 2.0, "2", True):
         kind = type(value).__name__
         with pytest.raises(TypeError, match=rf"^HCParam\(\) takes HalfInt entries, not {kind}; "
                            r"HCParam\.from_twices takes doubled ints$"):
@@ -139,6 +139,14 @@ def test_halfint_constructors_take_only_halfint():
         with pytest.raises(TypeError, match=rf"^LParameter\(\) takes HalfInt entries, not {kind}; "
                            r"LParameter\.from_twices takes doubled ints$"):
             LParameter((value,))
+    # HalfInt's own constructors test the exact type, so a bool, an int
+    # subclass that would render as True/2, is refused as a float is.
+    for value in (True, 2.0):
+        kind = type(value).__name__
+        with pytest.raises(TypeError, match=rf"^HalfInt\(\) takes an int, not {kind}$"):
+            HalfInt(value)
+        with pytest.raises(TypeError, match=r"^halves\(\) takes an int$"):
+            HalfInt.halves(value)
 
 
 @given(runs, runs, runs, runs)
