@@ -47,10 +47,11 @@ tower has m = m0 (mod 2), so the shift keeps each value's parity and
 each seam's difference. When the size is m = n there is no interval
 block, and the one head/tail seam, which does move with m, is checked
 once for that size. _LiftUp.at() checks per form only the interval
-block, the sums and the two seams next to the interval block.
-packets._SigmaUnits does the same with its unit blocks (once per
-parameter and tail, for every size of one parity, or, for the apacket
-rows, once per query) and its big block (per form). The checkers live
+block, the sums and the two seams next to the interval block. Path B
+does the same: packets._sigma_units checks the unit blocks of one tail
+once per object, which serves every size of one parity,
+packets._sigma_units_by_tail checks them once per apacket query, and
+packets._SigmaUnits.at checks the big block per form. The checkers live
 here, with the type whose invariants they are.
 """
 
@@ -122,11 +123,12 @@ class AqLambdaData(_Frozen):
 
     AqLambdaData(target, triples) checks that every entry is an int and
     not a bool (TypeError), every block (ValueError), the sums and every
-    seam. The two builders check their unit blocks and the seams among
-    them once, _LiftUp per parameter and packets._SigmaUnits per
-    parameter and tail (per query for the apacket rows); then they build
-    each form with _spliced, which checks the interval or big block, the
-    sums and the two seams next to that block.
+    seam. The builders check their unit blocks and the seams among them
+    once: _LiftUp per parameter, packets._sigma_units per path-B object
+    and packets._sigma_units_by_tail per apacket query. Then _LiftUp.at
+    and packets._SigmaUnits.at build each form with _spliced, which
+    checks the interval or big block, the sums and the two seams next to
+    that block.
     """
 
     __slots__ = ("target", "triples")

@@ -22,7 +22,9 @@ cut. Per query, the 2^low half-members of the low run are built once;
 each high run half-member is built when the walk reaches it, once per
 2^low members. Per member, one low and one high half-member are
 joined, at a cost that does not grow with k. A walk so holds at most
-2^10 + 1 half-members at any k, and its members still stream.
+2^10 + 1 half-members at any k, and its members still stream. The
+member of a single character, as pi_from_eta and path B build it, is
+its whole half-member joined with _NO_HALF, the half of an empty run.
 
 _Members is pi_from_eta built from half-members. Per parameter it
 builds and validates the n + 1 signatures (p, n - p) a member can have,
@@ -31,8 +33,8 @@ values into p-entries and q-entries. Per member it picks the signature
 from the two p counts, checks the determinant identity on the two
 products and stores the member's HCParam without validating it again:
 kappa was validated, and each part keeps its order. pi_from_eta checks
-the character's length and joins the two halves of one character
-through _Members.at, the same code. eta_from_pi likewise stores the
+the character's length and builds its member through _Members.at, the
+same code with one half-member. eta_from_pi likewise stores the
 kappa and the character it recovers from a valid HCParam unvalidated.
 
 A lift parameter for a pair of sizes n < m keeps the n values mu_i
@@ -57,24 +59,34 @@ tail's product, so that callers iterating over forms, over e'_0 or over
 the sizes of one parity build it once; per form it takes only e'_0's
 value, an int, and the target. A size step checks that the new size
 exceeds n and stores phi' again through AParameter._from_checked: a
-step of even length keeps every value's parity class. The public
-sigma_from_eta_prime builds one per call. Nothing is memoized.
+step of even length keeps every value's parity class. Nothing is
+memoized.
 
-The apacket rows walk every tail of a lift packet with
-_sigma_units_by_tail. Per query, the unit blocks are checked once: each
-has size 1, so whether it is valid, and the seams within the blocks
-before i0 and within those after it, depend on mu alone. Per
-half-member, a run's unit block signs and blocks are computed. Per
-tail, one _SigmaUnits is joined from its two half-members, and serves
-the pair of rows that differ only in e'_0. Per row, _SigmaUnits.at
-checks the tie rule, runs both forms of the sign gate and checks the
-big block, the signature sums and the big block's two seams.
+Every _SigmaUnits is joined from two half-members of its tail, each
+holding one run's unit block signs and blocks (_unit_half). The object
+of a single tail (_sigma_units) joins the whole tail's half-member with
+_NO_HALF and checks its unit blocks and the seams within those before
+i0 and within those after it (_check_unit_blocks) once; it serves the
+walk's path B, verify_globalization and sigma_from_eta_prime, which
+builds one per call. The apacket rows walk every tail with
+_sigma_units_by_tail. Per query, it runs the same check once on
+all-(1,0) blocks: each unit block has size 1, so whether it is valid,
+and the seams, depend on mu alone. Per half-member, a run's unit block
+signs and blocks are computed. Per tail, one _SigmaUnits is joined from
+its two half-members, and serves the pair of rows that differ only in
+e'_0. Per form, _SigmaUnits.at checks the tie rule, runs both forms of
+the sign gate (_sign_gate) and checks the big block, the signature
+sums and the big block's two seams. The public eta_prime_sign_ok runs
+the same gate on the unit block signs alone, and builds no block; it
+and sigma_from_eta_prime share one prologue (_check_character), which
+checks the target's size, the character's length and the tie rule.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from functools import partial
 from typing import Callable, Iterable, Iterator
 
 from .core import HCParam, HalfInt, Signature, _Frozen, _halfint_twices, _ints, half_text
@@ -348,6 +360,11 @@ class _Half:
         self.text = None
 
 
+# The half-member of an empty run: joined to a whole character's half, it
+# makes that character's member from the one half.
+_NO_HALF = _Half((), 0, (), ())
+
+
 def _half_pairs(
     size: int,
     build: Callable[[int, tuple[int, ...]], _Half],
@@ -389,7 +406,8 @@ class _Members:
     the HCParam is stored through _from_checked.
 
     at() takes one character's n values as a tuple of +1 and -1, the
-    caller having checked the length. pairs() and iteration walk every
+    caller having checked the length, and joins their one half-member
+    with _NO_HALF. pairs() and iteration walk every
     member in bit order with the low half-members built once, so a
     member costs the same at any n and a walk holds at most 2^10
     half-members plus one.
@@ -432,10 +450,9 @@ class _Members:
 
     def at(self, values: tuple[int, ...]) -> tuple[Signature, HCParam]:
         """The member for the character with these values: its real form and parameter."""
-        cut = _low_run(len(values))
-        low, high = self._half(0, values[:cut]), self._half(cut, values[cut:])
-        sig = self.signature(low, high)
-        return sig, self._param(sig, low, high)
+        whole = self._half(0, values)
+        sig = self.signature(whole, _NO_HALF)
+        return sig, self._param(sig, whole, _NO_HALF)
 
     def pairs(
         self, render: Callable[[_Half], object] | None = None
@@ -488,7 +505,10 @@ def _check_tie(phi_p: AParameter, e0: int, tail: tuple[int, ...]) -> None:
         raise MalformedCharacter("tied parameter requires eta'(e'_0) = eta'(e'_i0)")
 
 
-def _validate_a_character(phi_p: AParameter, eta_p: SignCharacter) -> None:
+def _check_character(phi_p: AParameter, eta_p: SignCharacter, target: Signature) -> None:
+    """The public path-B checks: the target's size, the character's length and the tie rule."""
+    if target.n != phi_p.m:
+        raise PreconditionViolation(f"target size {target.n} != parameter size {phi_p.m}")
     if len(eta_p.values) != phi_p.n + 1:
         raise MalformedCharacter(
             f"character has {len(eta_p.values)} values, parameter wants {phi_p.n + 1}"
@@ -529,29 +549,53 @@ def _unit_blocks(
     skip, lead, shift = phi_p.i0 - 1, phi_p.m - phi_p.n, phi_p.m - 1
     head = []
     tail = []
-    j = start
-    for mu, (r, s) in zip(phi_p.mu_tw[start:], units):
+    for j, (mu, (r, s)) in enumerate(zip(phi_p.mu_tw[start:], units), start):
         if j < skip:
             head.append((r, s, mu - shift + 2 * j))
         else:
             tail.append((r, s, mu - shift + 2 * (j + lead)))
-        j += 1
     return tuple(head), tuple(tail)
 
 
-def _checked_unit_blocks(
-    phi_p: AParameter, units: list[tuple[int, int]]
-) -> tuple[tuple[Triple, ...], tuple[Triple, ...], int, int]:
-    """The unit blocks of all of mu, checked, and their p and q sums.
+def _unit_half(phi_p: AParameter, start: int, values: tuple[int, ...]) -> _Half:
+    """The half-member of the tail positions from start on: their unit block signs and blocks."""
+    units = _unit_block_signs(phi_p, values, start)
+    return _Half(values, units.count((1, 0)), *_unit_blocks(phi_p, units, start))
 
-    Checks every block and the seams within the blocks before slot i0
-    and within those after it.
-    """
-    head, tail = _unit_blocks(phi_p, units)
-    units_p, units_q = _check_blocks(head + tail)
+
+def _check_unit_blocks(head: tuple[Triple, ...], tail: tuple[Triple, ...]) -> tuple[int, int]:
+    """Check unit blocks and the seams within those before and after slot i0; sum p and q."""
+    sums = _check_blocks(head + tail)
     _check_seams(head)
     _check_seams(tail)
-    return head, tail, units_p, units_q
+    return sums
+
+
+def _sign_gate(
+    phi_p: AParameter,
+    e0: int,
+    tail: tuple[int, ...],
+    tail_product: int,
+    target: Signature,
+    r_i0: int,
+    s_i0: int,
+) -> bool:
+    """Both forms of the sign gate for eta'(e'_0) = e0 on one form, compared.
+
+    The balance (r_i0, s_i0) that the unit blocks leave of the target
+    for the big block feeds the closed form only; the product form is
+    e0 times the tail's product.
+    """
+    i0, dmn = phi_p.i0, phi_p.m - phi_p.n
+    closed = _sign_pow(r_i0 * (i0 - 1) + s_i0 * i0 + (dmn * (dmn - 1) // 2))
+    ok_closed = e0 == closed
+    ok_product = e0 * tail_product == epsilon_of_signature(target.p, target.q)
+    if ok_closed != ok_product:
+        raise InternalLemmaMismatch(
+            f"sign gate split: closed={ok_closed} product={ok_product} "
+            f"for {phi_p.to_json()} {SignCharacter((e0,) + tail)} {target}"
+        )
+    return ok_closed
 
 
 def eta_prime_sign_ok(phi_p: AParameter, eta_p: SignCharacter, target: Signature) -> bool:
@@ -561,13 +605,14 @@ def eta_prime_sign_ok(phi_p: AParameter, eta_p: SignCharacter, target: Signature
     (m-n)(m-n-1)/2) where (r_i0, s_i0) is the balance left for the big
     block. Product form: the product of all n + 1 values must equal
     (-1)^((r-s)(r-s-1)/2). The two are provably equivalent; disagreement
-    raises InternalLemmaMismatch.
+    raises InternalLemmaMismatch. Only the unit block signs are counted;
+    no block is built.
     """
-    if target.n != phi_p.m:
-        raise PreconditionViolation(f"target size {target.n} != parameter size {phi_p.m}")
-    _validate_a_character(phi_p, eta_p)
-    units = _SigmaUnits(phi_p, eta_p.values[1:])
-    return units.sign_ok(eta_p.values[0], target, *units.balance(target))
+    _check_character(phi_p, eta_p, target)
+    e0, tail = eta_p.values[0], eta_p.values[1:]
+    r_units = _unit_block_signs(phi_p, tail).count((1, 0))
+    r_i0, s_i0 = target.p - r_units, target.q - (phi_p.n - r_units)
+    return _sign_gate(phi_p, e0, tail, math.prod(tail), target, r_i0, s_i0)
 
 
 def sigma_from_eta_prime(
@@ -577,13 +622,11 @@ def sigma_from_eta_prime(
 
     None means the character kills this form: a unit block count went
     negative or the sign gate failed. The character is validated and
-    its unit block signs computed once; both forms of the sign gate are
-    still evaluated and compared, as in eta_prime_sign_ok.
+    its unit blocks built and checked once; both forms of the sign gate
+    are still evaluated and compared, as in eta_prime_sign_ok.
     """
-    if target.n != phi_p.m:
-        raise PreconditionViolation(f"target size {target.n} != parameter size {phi_p.m}")
-    _validate_a_character(phi_p, eta_p)
-    return _SigmaUnits(phi_p, eta_p.values[1:]).at(eta_p.values[0], target)
+    _check_character(phi_p, eta_p, target)
+    return _sigma_units(phi_p, eta_p.values[1:]).at(eta_p.values[0], target)
 
 
 class _SigmaUnits:
@@ -591,13 +634,11 @@ class _SigmaUnits:
 
     The unit block signs and the unit blocks depend only on phi' and on
     the character's values on e'_1, ..., e'_n (the tail, of length n),
-    so they are computed once per object. Built with the constructor,
-    the object computes the signs and, when a first form survives the
-    gate, the blocks, and checks the blocks, the seams between them and
-    their signature sums then, once; units holds the signs until then.
-    Built with _joined, as the apacket rows build it, it takes the tail,
-    its product, the unit counts and the blocks from two half-members
-    whose blocks the caller has checked, and units is None. phi'
+    so they are computed once per object. The constructor joins two
+    half-members of the tail, a low and a high one (_unit_half), whose
+    blocks the caller has checked: it takes the tail, its product, the
+    unit counts and the blocks from them. _sigma_units builds the object
+    of one tail, and _sigma_units_by_tail those of every tail. phi'
     changes with the size m only in m itself, and the unit signs only
     with the parity of m - n, so the object serves every size of one
     parity: it holds phi' at the size of the last target and, for a size
@@ -607,42 +648,19 @@ class _SigmaUnits:
     block values before i0 by -d and those after by +d. Per form, at()
     takes e'_0's value as an int and one target form, checks the tie
     rule, takes the big block's balance, runs both forms of the sign
-    gate, adds the i0 block and checks that block, the sums and its two
-    seams.
+    gate (_sign_gate), adds the i0 block and checks that block, the sums
+    and its two seams.
     """
 
-    __slots__ = ("phi_p", "tail", "tail_product", "units", "r_units", "s_units", "_blocks")
+    __slots__ = ("phi_p", "tail", "tail_product", "r_units", "s_units", "_blocks")
 
-    def __init__(self, phi_p: AParameter, tail: tuple[int, ...]) -> None:
-        units = _unit_block_signs(phi_p, tail)
+    def __init__(self, phi_p: AParameter, low: _Half, high: _Half) -> None:
         self.phi_p = phi_p
-        self.tail = tail
-        self.tail_product = math.prod(tail)
-        self.units = units
-        self.r_units = sum(r for r, _ in units)
-        self.s_units = phi_p.n - self.r_units
-        self._blocks: tuple[tuple[Triple, ...], tuple[Triple, ...], int, int] | None = None
-
-    @classmethod
-    def _joined(cls, phi_p: AParameter, low: _Half, high: _Half) -> "_SigmaUnits":
-        """The object for the tail low.values + high.values, from its two half-members.
-
-        The caller has checked the unit blocks and the seams among them,
-        which depend on mu alone, so the blocks are stored as they are.
-        """
-        out = object.__new__(cls)
-        out.phi_p = phi_p
-        out.tail = low.values + high.values
-        out.tail_product = low.product * high.product
-        out.units = None
-        out.r_units = r_units = low.p + high.p
-        out.s_units = s_units = phi_p.n - r_units
-        out._blocks = (low.before + high.before, low.after + high.after, r_units, s_units)
-        return out
-
-    def balance(self, target: Signature) -> tuple[int, int]:
-        """(r_i0, s_i0): what the unit blocks leave of the target for the big block."""
-        return target.p - self.r_units, target.q - self.s_units
+        self.tail = low.values + high.values
+        self.tail_product = low.product * high.product
+        self.r_units = r_units = low.p + high.p
+        self.s_units = s_units = phi_p.n - r_units
+        self._blocks = (low.before + high.before, low.after + high.after, r_units, s_units)
 
     def _resize(self, m: int) -> None:
         """Move phi' and the unit blocks to size m."""
@@ -652,49 +670,38 @@ class _SigmaUnits:
             raise InternalError(f"size {m} has the wrong parity for {phi_p.to_json()}")
         _check_larger(m, phi_p.n)
         self.phi_p = AParameter._from_checked(phi_p.mu_tw, phi_p.mu0_tw, m)
-        if self._blocks is not None:
-            head, tail, units_p, units_q = self._blocks
-            self._blocks = (
-                tuple((r, s, v - d) for r, s, v in head),
-                tuple((r, s, v + d) for r, s, v in tail),
-                units_p,
-                units_q,
-            )
-
-    def sign_ok(self, e0: int, target: Signature, r_i0: int, s_i0: int) -> bool:
-        """Both forms of the sign gate for eta'(e'_0) = e0 on one form, compared.
-
-        The balance (r_i0, s_i0) feeds the closed form only; the product
-        form is e0 times the tail's product.
-        """
-        phi_p = self.phi_p
-        i0, dmn = phi_p.i0, phi_p.m - phi_p.n
-        closed = _sign_pow(r_i0 * (i0 - 1) + s_i0 * i0 + (dmn * (dmn - 1) // 2))
-        ok_closed = e0 == closed
-        ok_product = e0 * self.tail_product == epsilon_of_signature(target.p, target.q)
-        if ok_closed != ok_product:
-            raise InternalLemmaMismatch(
-                f"sign gate split: closed={ok_closed} product={ok_product} "
-                f"for {phi_p.to_json()} {SignCharacter((e0,) + self.tail)} {target}"
-            )
-        return ok_closed
+        head, tail, units_p, units_q = self._blocks
+        head = tuple((r, s, v - d) for r, s, v in head)
+        tail = tuple((r, s, v + d) for r, s, v in tail)
+        self._blocks = (head, tail, units_p, units_q)
 
     def at(self, e0: int, target: Signature) -> AqLambdaData | None:
         """The member for eta'(e'_0) = e0 on one target form, or None when it is killed."""
         if target.n != self.phi_p.m:
             self._resize(target.n)
-        phi_p = self.phi_p
-        _check_tie(phi_p, e0, self.tail)
-        r_i0, s_i0 = self.balance(target)
+        phi_p, tail = self.phi_p, self.tail
+        _check_tie(phi_p, e0, tail)
+        r_i0, s_i0 = target.p - self.r_units, target.q - self.s_units
         if r_i0 < 0 or s_i0 < 0:
             return None
-        if not self.sign_ok(e0, target, r_i0, s_i0):
+        if not _sign_gate(phi_p, e0, tail, self.tail_product, target, r_i0, s_i0):
             return None
-        if self._blocks is None:
-            self._blocks = _checked_unit_blocks(phi_p, self.units)
-        head, tail, units_p, units_q = self._blocks
+        head, after, units_p, units_q = self._blocks
         big = (r_i0, s_i0, phi_p.mu0_tw - phi_p.n + 2 * (phi_p.i0 - 1))
-        return AqLambdaData._spliced(target, head, big, tail, units_p, units_q)
+        return AqLambdaData._spliced(target, head, big, after, units_p, units_q)
+
+
+def _sigma_units(phi_p: AParameter, tail: tuple[int, ...]) -> _SigmaUnits:
+    """The _SigmaUnits of one tail: its whole half-member joined with _NO_HALF.
+
+    The unit blocks and the seams within those before and after slot i0
+    are checked here, once per object. The signature sums that at()
+    checks come from the checked blocks, not from the sign count.
+    """
+    units = _SigmaUnits(phi_p, _unit_half(phi_p, 0, tail), _NO_HALF)
+    head, after = units._blocks[:2]
+    units._blocks = (head, after, *_check_unit_blocks(head, after))
+    return units
 
 
 def _sigma_units_by_tail(
@@ -711,16 +718,10 @@ def _sigma_units_by_tail(
     from its two half-members. render, when given, sets each
     half-member's text, as _half_pairs says.
     """
-    _checked_unit_blocks(phi_p, [(1, 0)] * phi_p.n)
-
-    def build(start: int, values: tuple[int, ...]) -> _Half:
-        units = _unit_block_signs(phi_p, values, start)
-        return _Half(values, units.count((1, 0)), *_unit_blocks(phi_p, units, start))
-
-    joined = _SigmaUnits._joined
-    for lows, high in _half_pairs(phi_p.n, build, render):
+    _check_unit_blocks(*_unit_blocks(phi_p, [(1, 0)] * phi_p.n))
+    for lows, high in _half_pairs(phi_p.n, partial(_unit_half, phi_p), render):
         for low in lows:
-            yield low, high, joined(phi_p, low, high)
+            yield low, high, _SigmaUnits(phi_p, low, high)
 
 
 def packet_members(phi: LParameter) -> list[tuple[SignCharacter, Signature, HCParam]]:

@@ -108,7 +108,7 @@ from .packets import (
     LParameter,
     SignCharacter,
     _Members,
-    _SigmaUnits,
+    _sigma_units,
     eta_from_pi,
     eta_prime_sign_ok,
 )
@@ -125,6 +125,9 @@ class EnumerationBounds(_Frozen):
 
     def __init__(self, max_n: int, max_m_minus_n: int, height: HalfInt) -> None:
         _ints((max_n, max_m_minus_n), "EnumerationBounds")
+        kind = type(height)
+        if kind is not HalfInt:
+            raise TypeError(f"EnumerationBounds() takes a HalfInt height, not {kind.__name__}")
         _set_max_n(self, max_n)
         _set_max_m_minus_n(self, max_m_minus_n)
         _set_height(self, height)
@@ -423,7 +426,7 @@ def walk(bounds: EnumerationBounds, emit: bool = True, *, names: Sequence[str]) 
                                 lift = _LiftUp(lam, ctx)
                                 if route_b:
                                     p.transfer = _Transfer(lam, ctx)
-                                    units = _SigmaUnits(p.transfer.phi_p, p.transfer.tail)
+                                    units = _sigma_units(p.transfer.phi_p, p.transfer.tail)
                             aq = lift.at(target)
                             if route_b:
                                 p.path_b = units.at(p.transfer.e0_at(target), target)
@@ -442,12 +445,14 @@ def suite_eta_prime(bounds: EnumerationBounds, emit: bool = True) -> Iterator[Ca
     """Closed form versus product form of the sign gate, exhaustively.
 
     The gate depends on the parameter only through (n, m, i0) and the
-    tie flag, so the full character-by-target verdict table is computed
-    once per class and reused; every enumerated parameter is still
-    checked against its class verdict. Each phi' is valid by
-    construction (m > n, values of the right parity taken from a
-    descending universe in order), so it is stored through
-    AParameter._from_checked.
+    tie flag, so the full character-by-target table is computed once per
+    class, on the class's first phi'; that table is the check, and it
+    raises on a split between the two forms or on a tie breach that the
+    gate lets pass. Each enumerated parameter's case then yields True and
+    reports its class's counts of checked and tie-skipped pairs; the
+    parameter is not checked again. Each phi' is valid by construction
+    (m > n, values of the right parity taken from a descending universe
+    in order), so it is stored through AParameter._from_checked.
     """
     class_ok: dict[tuple[int, int, int, bool], tuple[int, int]] = {}
     H = bounds.height.twice

@@ -55,7 +55,7 @@ from .packets import (
     MINUS,
     PLUS,
     SignCharacter,
-    _SigmaUnits,
+    _sigma_units,
     epsilon_of_signature,
     eta_from_pi,
 )
@@ -212,7 +212,7 @@ def verify_globalization(
         raise PreconditionViolation(f"lift vanishes: {pos.reason}")
     path_a = _LiftUp(lam, ctx).at(target)
     own = _Transfer(lam, ctx)
-    path_b = _SigmaUnits(own.phi_p, own.tail).at(own.e0_at(target), target)
+    path_b = _sigma_units(own.phi_p, own.tail).at(own.e0_at(target), target)
     shadow = _Globalization(lam, _split(lam, ctx.m0, False, 0), own)
     shadow.resize(ctx, t)
     return GlobalizationReport(t, shadow.lam_plus, *shadow.at(target, path_a == path_b))

@@ -2,7 +2,7 @@
 
 import random
 from collections import Counter
-from itertools import combinations, islice
+from itertools import combinations, islice, product
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from thetalift import (
     AParameter,
+    AqLambdaData,
     EnumerationBounds,
     HCParam,
     HalfInt,
@@ -41,7 +42,8 @@ from thetalift import packets
 from thetalift.packets import (
     _characters,
     _Members,
-    _SigmaUnits,
+    _sigma_units,
+    _sigma_units_by_tail,
     eta_prime_sign_ok,
     sigma_from_eta_prime,
 )
@@ -218,8 +220,9 @@ def test_members_above_the_low_run_cap_join_their_halves(monkeypatch):
         assert values == _bit_character(b, 22)
         assert (sig, lam.entries_tw) == _member_by_definition(kappa_tw, values)
         assert (sig, lam) == members.at(values)
-    # The low table once, three high half-members, and two per at() call.
-    assert starts == {0: (1 << 10) + (3 << 10), 10: 3 + (3 << 10)}
+    # The low table once, three high half-members, and one whole-character
+    # half per at() call.
+    assert starts == {0: (1 << 10) + (3 << 10), 10: 3}
     rng = random.Random(22)
     for b in [rng.randrange(1 << 22) for _ in range(300)] + [(1 << 22) - 1]:
         values = _bit_character(b, 22)
@@ -419,6 +422,73 @@ def _a_parameters():
                     yield AParameter(mu_tw, mu0_tw, m)
 
 
+def _path_b_by_definition(phi_p, values, target):
+    """sigma_from_eta_prime's answer by the packets module docstring's rule.
+
+    MalformedCharacter for a character that breaks the tie, None for a
+    killed form, else the doubled (p, q, lam_tw) blocks. The unit block
+    of mu_{j+1} has the exponent e = j before slot i0 and j + m - n after
+    it, is (1, 0) when eta'(e'_{j+1}) = (-1)^e and has the doubled value
+    mu - (m - 1) + 2e; the big block at i0 takes what is left of the
+    target, at the doubled value mu0 - n + 2(i0 - 1).
+    """
+    n, m, i0 = phi_p.n, phi_p.m, phi_p.i0
+    if phi_p.tie_at_i0 and values[0] != values[i0]:
+        return MalformedCharacter
+    head, after = [], []
+    for j, (mu, v) in enumerate(zip(phi_p.mu_tw, values[1:])):
+        e = j if j < i0 - 1 else j + m - n
+        block = (1, 0) if v == (-1) ** e else (0, 1)
+        (head if j < i0 - 1 else after).append(block + (mu - (m - 1) + 2 * e,))
+    r_i0 = target.p - sum(b[0] for b in head + after)
+    s_i0 = target.q - sum(b[1] for b in head + after)
+    d = target.p - target.q
+    sign = 1
+    for v in values:
+        sign *= v
+    if r_i0 < 0 or s_i0 < 0 or sign != (-1) ** (d * (d - 1) // 2):
+        return None
+    return tuple(head) + ((r_i0, s_i0, phi_p.mu0_tw - n + 2 * (i0 - 1)),) + tuple(after)
+
+
+def test_path_b_follows_its_definition():
+    # Every phi' with n <= 4, m - n <= 3, |mu| <= (n+1)/2 and
+    # |mu0| <= (n+2)/2, every character and every target form. Each
+    # tail's object from _sigma_units is also the one that
+    # _sigma_units_by_tail joins from two half-members.
+    cases = 0
+    for n in range(1, 5):
+        for m in range(n + 1, n + 4):
+            mus = [t for t in range(n + 1, -n - 2, -1) if t % 2 == (m - 1) % 2]
+            mu0s = [t for t in range(n + 2, -n - 3, -1) if t % 2 == n % 2]
+            for mu_tw in combinations(mus, n):
+                for mu0_tw in mu0s:
+                    phi_p = AParameter(mu_tw, mu0_tw, m)
+                    for values in product((1, -1), repeat=n + 1):
+                        eta_p = SignCharacter(values)
+                        for r in range(m + 1):
+                            target = Signature(r, m - r)
+                            want = _path_b_by_definition(phi_p, values, target)
+                            cases += 1
+                            if want is MalformedCharacter:
+                                with pytest.raises(MalformedCharacter):
+                                    sigma_from_eta_prime(phi_p, eta_p, target)
+                                continue
+                            got = sigma_from_eta_prime(phi_p, eta_p, target)
+                            if want is not None:
+                                want = AqLambdaData(target, want)
+                            assert got == want, (phi_p.to_json(), values, target)
+                    joined = [units for _low, _high, units in _sigma_units_by_tail(phi_p)]
+                    assert [units.tail for units in joined] == list(_characters(n))
+                    for units in joined:
+                        single = _sigma_units(phi_p, units.tail)
+                        fields = ("tail", "tail_product", "r_units", "s_units", "_blocks")
+                        assert [getattr(single, f) for f in fields] == [
+                            getattr(units, f) for f in fields
+                        ]
+    assert cases == 52_416
+
+
 def test_sigma_units_move_phi_p_to_a_size_of_the_same_parity():
     # The move copies phi''s checked fields and computes m and tie_at_i0
     # again; it must give the parameter the constructor gives.
@@ -426,7 +496,7 @@ def test_sigma_units_move_phi_p_to_a_size_of_the_same_parity():
     for phi_p in _a_parameters():
         for step in (-6, -4, -2, 2, 4, 6):
             m = phi_p.m + step
-            units = _SigmaUnits(phi_p, (1,) * phi_p.n)
+            units = _sigma_units(phi_p, (1,) * phi_p.n)
             if m <= phi_p.n:
                 with pytest.raises(PreconditionViolation, match=rf"^need m > n, got m={m}, "):
                     units._resize(m)
@@ -439,34 +509,33 @@ def test_sigma_units_move_phi_p_to_a_size_of_the_same_parity():
             ties += fresh.tie_at_i0
         for step in (-3, -1, 1, 3):
             with pytest.raises(InternalError, match="has the wrong parity"):
-                _SigmaUnits(phi_p, (1,) * phi_p.n)._resize(phi_p.m + step)
+                _sigma_units(phi_p, (1,) * phi_p.n)._resize(phi_p.m + step)
     assert ties > 0
 
 
-# _SigmaUnits checks its unit blocks and the seams among them once, when a
-# first form survives the gate, for every size it serves, and per form the
-# big block, its two seams and the signature sums. These mutations show
-# that each check still fires.
+# _sigma_units checks the unit blocks and the seams among them once, when it
+# builds the object, for every size the object serves, and at() checks per
+# form the big block, its two seams and the signature sums. These
+# mutations show that each check still fires.
 
 MUT_ETA = SignCharacter((1, -1, 1, 1))
 MUT_TARGET = Signature(2, 3)
 
 
 def _mutation_units(**doctored):
-    """_SigmaUnits for mu = (4, 3, 0), mu0 = 1/2, m = 5 (i0 = 3), some fields replaced."""
+    """_sigma_units for mu = (4, 3, 0), mu0 = 1/2, m = 5 (i0 = 3), some fields replaced."""
     phi_p = AParameter((8, 6, 0), 1, 5)
     assert phi_p.i0 == 3
     for name, value in doctored.items():
         object.__setattr__(phi_p, name, value)
-    return _SigmaUnits(phi_p, MUT_ETA.values[1:])
+    return _sigma_units(phi_p, MUT_ETA.values[1:])
 
 
 def test_sigma_checks_the_unit_block_seams():
     # mu_1 and mu_2 swapped: the two unit blocks before i0 climb.
-    units = _mutation_units(mu_tw=(6, 8, 0))
     seam = r"blocks \(0, 1, 1\) then \(0, 1, 3\) leave"
     with pytest.raises(InternalWeaklyFairViolation, match=seam):
-        units.at(MUT_ETA.values[0], MUT_TARGET)
+        _mutation_units(mu_tw=(6, 8, 0))
 
 
 def test_sigma_checks_the_big_block_seams_per_form():
@@ -521,7 +590,7 @@ def test_one_sigma_units_serves_every_size_of_its_parity(params):
                 continue
             phi_p, eta_p = transfer_eta(lam, ctx, target)
             if units is None:
-                units, tail = _SigmaUnits(phi_p, eta_p.values[1:]), eta_p.values[1:]
+                units, tail = _sigma_units(phi_p, eta_p.values[1:]), eta_p.values[1:]
             assert eta_p.values[1:] == tail
             aq = units.at(eta_p.values[0], target)
             want = sigma_from_eta_prime(phi_p, eta_p, target)

@@ -123,9 +123,9 @@ def test_route_b_runs_once_per_nonzero_form(monkeypatch):
         calls["at"] += 1
         return real_at(units, e0, target)
 
-    def counted_signs(phi_p, tail):
+    def counted_signs(phi_p, tail, start=0):
         calls["unit_block_signs"] += 1
-        return real_signs(phi_p, tail)
+        return real_signs(phi_p, tail, start)
 
     monkeypatch.setattr(packets._SigmaUnits, "at", counted_at)
     monkeypatch.setattr(packets, "_unit_block_signs", counted_signs)

@@ -29,7 +29,7 @@ from thetalift import (
     verify_globalization,
     zeta_signs,
 )
-from thetalift.packets import LParameter, _SigmaUnits
+from thetalift.packets import LParameter, _sigma_units
 from thetalift.suites import iter_params, run_suites
 
 from strategies import wide_params
@@ -204,7 +204,7 @@ def _shadow(lam, ctx):
     """The shadow as the walk builds it at its first up size ctx, with lam's path B units."""
     own = transfer._Transfer(lam, ctx)
     shadow = transfer._Globalization(lam, split_abgd(lam, ctx), own)
-    return shadow, own, _SigmaUnits(own.phi_p, own.tail)
+    return shadow, own, _sigma_units(own.phi_p, own.tail)
 
 
 def test_size_following_shadow_matches_fresh_builds():

@@ -130,7 +130,8 @@ def test_lparameter(case):
 
 def test_halfint_constructors_take_only_halfint():
     # The HalfInt constructors name the type they expect and point to
-    # from_twices for doubled ints.
+    # from_twices for doubled ints. EnumerationBounds names its height,
+    # which it read as height.twice before it tested the type.
     for value in (2, 2.0, "2", True):
         kind = type(value).__name__
         with pytest.raises(TypeError, match=rf"^HCParam\(\) takes HalfInt entries, not {kind}; "
@@ -139,6 +140,9 @@ def test_halfint_constructors_take_only_halfint():
         with pytest.raises(TypeError, match=rf"^LParameter\(\) takes HalfInt entries, not {kind}; "
                            r"LParameter\.from_twices takes doubled ints$"):
             LParameter((value,))
+        with pytest.raises(TypeError,
+                           match=rf"^EnumerationBounds\(\) takes a HalfInt height, not {kind}$"):
+            EnumerationBounds(1, 1, value)
     # HalfInt's own constructors test the exact type, so a bool, an int
     # subclass that would render as True/2, is refused as a float is.
     for value in (True, 2.0):
