@@ -308,6 +308,18 @@ def _parts_text(p_tw: tuple[int, ...], q_tw: tuple[int, ...]) -> str:
     return f"({left} | {right})"
 
 
+def _check_class(values: tuple[int, ...], size: int, label: str = "") -> None:
+    """Raise WrongParityClass unless every doubled value lies in Z + (size-1)/2.
+
+    The one class test of HCParam, LParameter and AParameter; label
+    prefixes the value in the message.
+    """
+    want = (size - 1) % 2
+    for t in values:
+        if t % 2 != want:
+            raise WrongParityClass(f"{label}{half_text(t)} is not in Z + ({size}-1)/2")
+
+
 def _check_strictly_decreasing(part: tuple[int, ...], label: str) -> None:
     for a, b in zip(part, part[1:]):
         if a <= b:
@@ -373,10 +385,7 @@ class HCParam(_Frozen):
         n = self.sig.n
         if len(tw) != n:
             raise ValueError(f"expected {n} entries, got {len(tw)}")
-        want = (n - 1) % 2
-        for t in tw:
-            if t % 2 != want:
-                raise WrongParityClass(f"entry {half_text(t)} is not in Z + ({n}-1)/2")
+        _check_class(tw, n, "entry ")
         p = self.sig.p
         _check_strictly_decreasing(tw[:p], "p-part")
         _check_strictly_decreasing(tw[p:], "q-part")
@@ -616,10 +625,18 @@ def make_regular_deformation(lam: HCParam, ctx: LiftContext, t: int) -> HCParam:
     result is again a valid parameter with the same split shape and the
     same packet sign character.
     """
-    if not isinstance(t, int) or t < 1:
-        raise PreconditionViolation(f"deformation step must be a positive integer, got {t}")
+    _check_step(t)
     sp = split_abgd(lam, ctx, LAX)
     return _deformation(lam, sp.x, sp.z, t)
+
+
+def _check_step(t: int) -> None:
+    """Raise PreconditionViolation unless the deformation step t is an int of at least 1.
+
+    The test is on the exact type, as _ints makes it, so a bool is refused.
+    """
+    if type(t) is not int or t < 1:
+        raise PreconditionViolation(f"deformation step must be a positive integer, got {t}")
 
 
 def _deformation(lam: HCParam, x: int, z: int, t: int) -> HCParam:

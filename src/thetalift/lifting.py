@@ -52,7 +52,9 @@ does the same: packets._sigma_units checks the unit blocks of one tail
 once per object, which serves every size of one parity,
 packets._sigma_units_by_tail checks them once per apacket query, and
 packets._SigmaUnits.at checks the big block per form. The checkers live
-here, with the type whose invariants they are.
+here, with the type whose invariants they are; _check_unit_blocks is the
+one unit-block checker, which _LiftUp.__init__ and both path-B builders
+call.
 """
 
 from __future__ import annotations
@@ -104,6 +106,18 @@ def _check_seams(triples: tuple[Triple, ...]) -> None:
             )
 
 
+def _check_unit_blocks(head: tuple[Triple, ...], tail: tuple[Triple, ...]) -> tuple[int, int]:
+    """Check the unit blocks head + tail and the seams within each; return the p and q sums.
+
+    The one unit-block checker of both routes: _LiftUp's head and tail,
+    and path B's unit blocks before and after slot i0.
+    """
+    sums = _check_blocks(head + tail)
+    _check_seams(head)
+    _check_seams(tail)
+    return sums
+
+
 def _check_sums(target: Signature, p: int, q: int) -> None:
     """Raise SignatureMismatch unless the block signatures sum to (p, q) = target."""
     if p != target.p or q != target.q:
@@ -124,8 +138,9 @@ class AqLambdaData(_Frozen):
     AqLambdaData(target, triples) checks that every entry is an int and
     not a bool (TypeError), every block (ValueError), the sums and every
     seam. The builders check their unit blocks and the seams among them
-    once: _LiftUp per parameter, packets._sigma_units per path-B object
-    and packets._sigma_units_by_tail per apacket query. Then _LiftUp.at
+    once, all through _check_unit_blocks: _LiftUp per parameter,
+    packets._sigma_units per path-B object and
+    packets._sigma_units_by_tail per apacket query. Then _LiftUp.at
     and packets._SigmaUnits.at build each form with _spliced, which
     checks the interval or big block, the sums and the two seams next to
     that block.
@@ -264,6 +279,16 @@ class LiftResult(_Frozen):
 _set_kind, _set_param, _set_aq, _set_position = LiftResult._setters
 
 
+def _refuse_vanishing(lam: HCParam, m0: int, target: Signature) -> None:
+    """Raise PreconditionViolation, naming the failed condition, unless the lift occurs.
+
+    The one refusal of lift_up, lift_down and verify_globalization.
+    """
+    nonzero, pos = occurs(lam, m0, target)
+    if not nonzero:
+        raise PreconditionViolation(f"lift of {lam} to {target} vanishes: {pos.reason}")
+
+
 def lift_up(lam: HCParam, ctx: LiftContext, target: Signature) -> AqLambdaData:
     """Lift to a target at least as large: weakly fair A_q(lam') data.
 
@@ -276,9 +301,7 @@ def lift_up(lam: HCParam, ctx: LiftContext, target: Signature) -> AqLambdaData:
     n, m = ctx.source_dim, ctx.target_dim
     if m < n:
         raise PreconditionViolation(f"lift_up needs target at least as large, got m={m} < n={n}")
-    nonzero, pos = occurs(lam, ctx.m0, target)
-    if not nonzero:
-        raise PreconditionViolation(f"lift of {lam} to {target} vanishes: {pos.reason}")
+    _refuse_vanishing(lam, ctx.m0, target)
     return _LiftUp(lam, ctx).at(target)
 
 
@@ -315,9 +338,7 @@ class _LiftUp:
         self.shape = (x, y, z, w)
         head = tuple((p, q, tw - (m + 1) + 2 * k + n0) for k, (tw, p, q) in enumerate(pos, 1))
         tail = tuple((p, q, tw + (m - 1) - 2 * j + n0) for j, (tw, p, q) in enumerate(neg))[::-1]
-        self.units_p, self.units_q = _check_blocks(head + tail)
-        _check_seams(head)
-        _check_seams(tail)
+        self.units_p, self.units_q = _check_unit_blocks(head, tail)
         # The interval block of size m - n sits between head and tail when m > n.
         self.interval_tw = 2 * (x + z) - n + n0
         self.m, self.head, self.tail = m, head, tail
@@ -368,9 +389,7 @@ def lift_down(lam: HCParam, ctx: LiftContext, target: Signature) -> HCParam:
     n, m = ctx.source_dim, ctx.target_dim
     if m > n:
         raise PreconditionViolation(f"lift_down needs target at most as large, got m={m} > n={n}")
-    nonzero, pos = occurs(lam, ctx.m0, target)
-    if not nonzero:
-        raise PreconditionViolation(f"lift of {lam} to {target} vanishes: {pos.reason}")
+    _refuse_vanishing(lam, ctx.m0, target)
     return _lift_down(lam, ctx, target)
 
 

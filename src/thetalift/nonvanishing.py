@@ -310,6 +310,12 @@ class _Tower:
         return l, t, swapped, None
 
 
+def _check_target_parity(m0: int, target: Signature) -> None:
+    """Raise ParityMismatch unless m0 has the parity of the target's dimension."""
+    if (m0 - target.n) % 2:
+        raise ParityMismatch(f"m0={m0} must match target dimension {target.n} mod 2")
+
+
 def occurs(lam: HCParam, m0: int, target: Signature) -> tuple[bool, TowerPosition]:
     """Decide whether the lift of lam to U(target) is nonzero.
 
@@ -317,10 +323,8 @@ def occurs(lam: HCParam, m0: int, target: Signature) -> tuple[bool, TowerPositio
     coordinates, with reason set when the answer is False. m0 must have
     the parity of target's dimension.
     """
-    m = target.n
-    if (m0 - m) % 2:
-        raise ParityMismatch(f"m0={m0} must match target dimension {m} mod 2")
-    pos = _Tower(lam, m0, _k0_for(lam.sig.n, m)).decide(target)
+    _check_target_parity(m0, target)
+    pos = _Tower(lam, m0, _k0_for(lam.sig.n, target.n)).decide(target)
     return pos[3] is None, TowerPosition(*pos)
 
 
@@ -331,9 +335,7 @@ def li_sufficient(lam: HCParam, m0: int, target: Signature) -> bool:
     z + y <= s), and every split value clears (m - n + 1)/2 in absolute
     value. Implies occurs() with both window counts zero.
     """
-    m = target.n
-    if (m0 - m) % 2:
-        raise ParityMismatch(f"m0={m0} must match target dimension {m} mod 2")
+    _check_target_parity(m0, target)
     return _li_fits(_split(lam, m0, False, 0), lam.sig.n, target)
 
 

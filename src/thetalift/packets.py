@@ -66,20 +66,22 @@ Every _SigmaUnits is joined from two half-members of its tail, each
 holding one run's unit block signs and blocks (_unit_half). The object
 of a single tail (_sigma_units) joins the whole tail's half-member with
 _NO_HALF and checks its unit blocks and the seams within those before
-i0 and within those after it (_check_unit_blocks) once; it serves the
-walk's path B, verify_globalization and sigma_from_eta_prime, which
-builds one per call. The apacket rows walk every tail with
-_sigma_units_by_tail. Per query, it runs the same check once on
-all-(1,0) blocks: each unit block has size 1, so whether it is valid,
-and the seams, depend on mu alone. Per half-member, a run's unit block
-signs and blocks are computed. Per tail, one _SigmaUnits is joined from
-its two half-members, and serves the pair of rows that differ only in
-e'_0. Per form, _SigmaUnits.at checks the tie rule, runs both forms of
-the sign gate (_sign_gate) and checks the big block, the signature
-sums and the big block's two seams. The public eta_prime_sign_ok runs
-the same gate on the unit block signs alone, and builds no block; it
-and sigma_from_eta_prime share one prologue (_check_character), which
-checks the target's size, the character's length and the tie rule.
+i0 and within those after it once; it serves the walk's path B,
+verify_globalization and sigma_from_eta_prime, which builds one per
+call. The apacket rows walk every tail with _sigma_units_by_tail. Per
+query, it runs the same check once on all-(1,0) blocks: each unit block
+has size 1, so whether it is valid, and the seams, depend on mu alone.
+Per half-member, a run's unit block signs and blocks are computed. Per
+tail, one _SigmaUnits is joined from its two half-members, and serves
+the pair of rows that differ only in e'_0. Per form, _SigmaUnits.at
+checks the tie rule, runs both forms of the sign gate (_sign_gate) and
+checks the big block, the signature sums and the big block's two
+seams. Both unit-block checks run lifting._check_unit_blocks, the one
+unit-block checker, which path A's _LiftUp runs too. The public
+eta_prime_sign_ok runs the same gate on the unit block signs alone, and
+builds no block; it and sigma_from_eta_prime share one prologue
+(_check_character), which checks the target's size, the character's
+length and the tie rule.
 """
 
 from __future__ import annotations
@@ -89,7 +91,8 @@ import math
 from functools import partial
 from typing import Callable, Iterable, Iterator
 
-from .core import HCParam, HalfInt, Signature, _Frozen, _halfint_twices, _ints, half_text
+from .core import HCParam, HalfInt, Signature, _check_class, _Frozen, _halfint_twices, _ints
+from .core import half_text
 from .errors import (
     InternalError,
     InternalLemmaMismatch,
@@ -99,7 +102,7 @@ from .errors import (
     RepeatedEntry,
     WrongParityClass,
 )
-from .lifting import AqLambdaData, Triple, _check_blocks, _check_seams
+from .lifting import AqLambdaData, Triple, _check_unit_blocks
 
 PLUS = +1
 MINUS = -1
@@ -139,10 +142,7 @@ class LParameter(_Frozen):
         n = len(self.kappa_tw)
         if n == 0:
             raise ValueError("empty parameter")
-        want = (n - 1) % 2
-        for k in self.kappa_tw:
-            if k % 2 != want:
-                raise WrongParityClass(f"{half_text(k)} is not in Z + ({n}-1)/2")
+        _check_class(self.kappa_tw, n)
         _check_decreasing_distinct(self.kappa_tw, "kappa")
 
     @property
@@ -191,10 +191,7 @@ class AParameter(_Frozen):
         _ints((mu0_tw, m), "AParameter")
         n = len(mu_tw)
         _check_larger(m, n)
-        want = (m - 1) % 2
-        for v in mu_tw:
-            if v % 2 != want:
-                raise WrongParityClass(f"{half_text(v)} is not in Z + ({m}-1)/2")
+        _check_class(mu_tw, m)
         if mu0_tw % 2 != n % 2:
             raise WrongParityClass(f"mu0={half_text(mu0_tw)} is not in Z + {n}/2")
         _check_decreasing_distinct(mu_tw, "mu")
@@ -468,11 +465,8 @@ class _Members:
 
     def __iter__(self) -> Iterator[tuple[tuple[int, ...], Signature, HCParam]]:
         """(character values, real form, parameter) of every member, in bit order."""
-        signature, param = self.signature, self._param
-        for lows, high in _half_pairs(self.phi.n, self._half, None):
-            for low in lows:
-                sig = signature(low, high)
-                yield low.values + high.values, sig, param(sig, low, high)
+        for low, high, sig in self.pairs():
+            yield low.values + high.values, sig, self._param(sig, low, high)
 
 
 def eta_from_pi(lam: HCParam) -> tuple[LParameter, SignCharacter]:
@@ -561,14 +555,6 @@ def _unit_half(phi_p: AParameter, start: int, values: tuple[int, ...]) -> _Half:
     """The half-member of the tail positions from start on: their unit block signs and blocks."""
     units = _unit_block_signs(phi_p, values, start)
     return _Half(values, units.count((1, 0)), *_unit_blocks(phi_p, units, start))
-
-
-def _check_unit_blocks(head: tuple[Triple, ...], tail: tuple[Triple, ...]) -> tuple[int, int]:
-    """Check unit blocks and the seams within those before and after slot i0; sum p and q."""
-    sums = _check_blocks(head + tail)
-    _check_seams(head)
-    _check_seams(tail)
-    return sums
 
 
 def _sign_gate(

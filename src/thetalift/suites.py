@@ -27,6 +27,13 @@ it a suite from the SUITES registry, run_suites() several of the walk's
 checks in one walk, and tally() any stream, such as suite_ktypes, whose
 (max_run, height) grid is not an EnumerationBounds window.
 
+The walk also makes the one vanishing pass. _CHECKS says, per check,
+whether it judges a vanishing target: li, duality and enumerate do;
+two_path, globalization, persistence and round_trip judge nonzero lifts
+only. For these the walk yields the shared case (True, "vanishing",
+None) at a vanishing target instead of calling the check, so a check of
+nonzero lifts carries no vanishing guard of its own.
+
 No suite relies on a cache. The walk loops parameter, then target size
 m, then target form (r, s), and does each piece of work at the loop
 level it depends on, only for a check that asks for it:
@@ -230,8 +237,6 @@ class _Param:
 
 def _check_two_path(p: _Param, target: Signature, pos, aq, emit: bool) -> Case:
     """Lift route versus packet-transfer route, block for block."""
-    if pos[3] is not None:
-        return True, "vanishing", None
     equal = aq == p.path_b
     record = None
     if emit or not equal:
@@ -244,8 +249,6 @@ def _check_two_path(p: _Param, target: Signature, pos, aq, emit: bool) -> Case:
 
 def _check_globalization(p: _Param, target: Signature, pos, aq, emit: bool) -> Case:
     """Deformation shadow holds at every nonzero lift in the window."""
-    if pos[3] is not None:
-        return True, "vanishing", None
     shadow, m = p.shadow, target.n
     if shadow is None:
         shadow = p.shadow = _Globalization(p.lam, p.split, p.transfer)
@@ -264,8 +267,6 @@ def _check_globalization(p: _Param, target: Signature, pos, aq, emit: bool) -> C
 
 def _check_persistence(p: _Param, target: Signature, pos, aq, emit: bool) -> Case:
     """Nonvanishing persists one step up the tower."""
-    if pos[3] is not None:
-        return True, "vanishing", None
     # forms[m + 2][p + 1] is the target one step up, (p + 1, q + 1).
     up = p.tower.decide(p.forms[target.n + 2][target.p + 1])[3] is None
     record = None
@@ -291,8 +292,6 @@ def _check_li(p: _Param, target: Signature, pos, aq, emit: bool) -> Case:
 
 def _check_round_trip(p: _Param, target: Signature, pos, sigma, emit: bool) -> Case:
     """Lift down, lift back up, compare characters and parameters."""
-    if pos[3] is not None:
-        return True, "vanishing", None
     # The reverse lift's occurrence is part of what is checked, so it
     # goes through the public, checking lift_up. Its refusal of a
     # vanishing lift is a failed case here: the lift down was nonzero,
@@ -370,13 +369,22 @@ def _check_enumerate(p: _Param, target: Signature, pos, lifted, emit: bool) -> C
     return True, "nonzero" if nonzero else "vanishing", record
 
 
-# name: (check, where it runs): on the down or up targets, or once per
-# parameter ("last"), after its last target.
+# The case of a vanishing target for every check that does not judge one.
+_VANISHING: Case = (True, "vanishing", None)
+
+# name: (check, where it runs, whether it judges a vanishing target).
+# A check runs on the down or up targets, or once per parameter ("last"),
+# after its last target. The walk calls a check that does not judge a
+# vanishing target only on nonzero ones, and yields _VANISHING for it on
+# every other: that is the vanishing pass.
 _CHECKS = {
-    "two_path": (_check_two_path, ("up",)), "globalization": (_check_globalization, ("up",)),
-    "persistence": (_check_persistence, ("up",)), "li": (_check_li, ("up",)),
-    "round_trip": (_check_round_trip, ("down",)), "duality": (_check_duality, ("last",)),
-    "enumerate": (_check_enumerate, ("down", "up")),
+    "two_path": (_check_two_path, ("up",), False),
+    "globalization": (_check_globalization, ("up",), False),
+    "persistence": (_check_persistence, ("up",), False),
+    "li": (_check_li, ("up",), True),
+    "round_trip": (_check_round_trip, ("down",), False),
+    "duality": (_check_duality, ("last",), True),
+    "enumerate": (_check_enumerate, ("down", "up"), True),
 }
 
 
@@ -389,14 +397,17 @@ def walk(bounds: EnumerationBounds, emit: bool = True, *, names: Sequence[str]) 
     unless li runs alone, and lifted at most once, by _lift_down or path
     A, and, for two_path or globalization, once by path B into p.path_b.
     A per-form check takes the _Param, the target, its decision
-    (l, t, swapped, reason) or None, the lift or None, and emit.
+    (l, t, swapped, reason) or None, the lift or None, and emit. A check
+    that judges no vanishing target runs on nonzero ones only; for a
+    vanishing one the walk yields _VANISHING in its place.
     """
+    checks = [(i, *_CHECKS[name]) for i, name in enumerate(names)]
     down, up, last = (
-        [(i, _CHECKS[name][0]) for i, name in enumerate(names) if where in _CHECKS[name][1]]
+        [(i, check, not judges) for i, check, at, judges in checks if where in at]
         for where in ("down", "up", "last")
     )
     # duality reads every up target's decision.
-    decide_up = bool(last) or any(names[i] != "li" for i, _ in up)
+    decide_up = bool(last) or any(names[i] != "li" for i, _, _ in up)
     route_b = "two_path" in names or "globalization" in names
     lifts_up = route_b or "enumerate" in names
     forms = _forms_table(bounds)
@@ -408,19 +419,21 @@ def walk(bounds: EnumerationBounds, emit: bool = True, *, names: Sequence[str]) 
                 ctx = _ctx(lam, m0, n0, m)
                 for target in forms[m]:
                     pos = decide(target)
-                    sigma = _lift_down(lam, ctx, target) if pos[3] is None else None
-                    for i, check in down:
-                        yield i, check(p, target, pos, sigma, emit)
+                    zero = pos[3] is not None
+                    sigma = None if zero else _lift_down(lam, ctx, target)
+                    for i, check, skip in down:
+                        yield i, _VANISHING if zero and skip else check(p, target, pos, sigma, emit)
         if up or last:
             decide = p.tower.decide if decide_up else None
             occurs, lift = p.occurs.append, None
             for m in p.ups:
                 for target in forms[m]:
-                    pos = aq = None
+                    pos, aq, zero = None, None, False
                     if decide_up:
                         pos = decide(target)
-                        occurs(pos[3] is None)
-                        if lifts_up and pos[3] is None:
+                        zero = pos[3] is not None
+                        occurs(not zero)
+                        if lifts_up and not zero:
                             if lift is None:
                                 ctx = _ctx(lam, m0, n0, m)
                                 lift = _LiftUp(lam, ctx)
@@ -430,9 +443,9 @@ def walk(bounds: EnumerationBounds, emit: bool = True, *, names: Sequence[str]) 
                             aq = lift.at(target)
                             if route_b:
                                 p.path_b = units.at(p.transfer.e0_at(target), target)
-                    for i, check in up:
-                        yield i, check(p, target, pos, aq, emit)
-        for i, check in last:
+                    for i, check, skip in up:
+                        yield i, _VANISHING if zero and skip else check(p, target, pos, aq, emit)
+        for i, check, _ in last:
             yield i, check(p, emit)
 
 

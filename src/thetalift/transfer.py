@@ -45,10 +45,11 @@ transfer_eta still refuses a target that is not strictly larger.
 
 from __future__ import annotations
 
-from .core import ABGDSplit, HCParam, LiftContext, Signature, _deformation, _Frozen, _split
+from .core import ABGDSplit, HCParam, LiftContext, Signature, _check_step, _deformation, _Frozen
+from .core import _split
 from .errors import PreconditionViolation
-from .lifting import _LiftUp
-from .nonvanishing import _li_fits, occurs
+from .lifting import _LiftUp, _refuse_vanishing
+from .nonvanishing import _li_fits
 from .packets import (
     AParameter,
     LParameter,
@@ -203,13 +204,12 @@ def verify_globalization(
     m, n = ctx.target_dim, ctx.source_dim
     if m <= n:
         raise PreconditionViolation("globalization check needs a strictly larger target")
-    if not isinstance(t, int):
-        raise PreconditionViolation(f"deformation step must be a positive integer, got {t}")
-    if 2 * t < m - n + 1:
+    # An int step below the bound is named as such; any other step that
+    # is no positive int gets the deformation's own refusal.
+    if type(t) is int and 2 * t < m - n + 1:
         raise PreconditionViolation(f"t={t} is below the regularity bound (m-n+1)/2")
-    nonzero, pos = occurs(lam, ctx.m0, target)
-    if not nonzero:
-        raise PreconditionViolation(f"lift vanishes: {pos.reason}")
+    _check_step(t)
+    _refuse_vanishing(lam, ctx.m0, target)
     path_a = _LiftUp(lam, ctx).at(target)
     own = _Transfer(lam, ctx)
     path_b = _sigma_units(own.phi_p, own.tail).at(own.e0_at(target), target)
