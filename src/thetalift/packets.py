@@ -33,8 +33,8 @@ values into p-entries and q-entries. Per member it picks the signature
 from the two p counts, checks the determinant identity on the two
 products and stores the member's HCParam without validating it again:
 kappa was validated, and each part keeps its order. pi_from_eta checks
-the character's length and builds its member through _Members.at, the
-same code with one half-member. eta_from_pi likewise stores the
+the exact type of each argument and the character's length, and builds
+its member through _Members.at, the same code with one half-member. eta_from_pi likewise stores the
 kappa and the character it recovers from a valid HCParam unvalidated.
 
 A lift parameter for a pair of sizes n < m keeps the n values mu_i
@@ -80,8 +80,10 @@ seams. Both unit-block checks run lifting._check_unit_blocks, the one
 unit-block checker, which path A's _LiftUp runs too. The public
 eta_prime_sign_ok runs the same gate on the unit block signs alone, and
 builds no block; it and sigma_from_eta_prime share one prologue
-(_check_character), which checks the target's size, the character's
-length and the tie rule.
+(_check_character), which checks the exact type of each argument, the
+target's size, the character's length and the tie rule. A wrong type,
+such as a plain tuple for the character or the target, raises a
+TypeError that names the public function and the argument.
 """
 
 from __future__ import annotations
@@ -315,8 +317,17 @@ def _characters(size: int) -> Iterator[tuple[int, ...]]:
         yield values[::-1]
 
 
+def _check_types(owner: str, *args: tuple[str, object, type]) -> None:
+    """Raise TypeError naming owner unless each (name, value, kind) has exactly type kind."""
+    for name, value, kind in args:
+        if type(value) is not kind:
+            got = type(value).__name__
+            raise TypeError(f"{owner}() takes {name} of type {kind.__name__}, not {got}")
+
+
 def pi_from_eta(phi: LParameter, eta: SignCharacter) -> tuple[Signature, HCParam]:
     """The packet member cut out by eta: its real form and parameter."""
+    _check_types("pi_from_eta", ("phi", phi, LParameter), ("eta", eta, SignCharacter))
     n = phi.n
     if len(eta.values) != n:
         raise MalformedCharacter(f"character has {len(eta.values)} values, parameter wants {n}")
@@ -499,8 +510,13 @@ def _check_tie(phi_p: AParameter, e0: int, tail: tuple[int, ...]) -> None:
         raise MalformedCharacter("tied parameter requires eta'(e'_0) = eta'(e'_i0)")
 
 
-def _check_character(phi_p: AParameter, eta_p: SignCharacter, target: Signature) -> None:
-    """The public path-B checks: the target's size, the character's length and the tie rule."""
+def _check_character(owner: str, phi_p: AParameter, eta_p: SignCharacter, target: Signature) -> None:
+    """The public path-B checks: argument types, target size, character length, tie rule.
+
+    owner is the public function's name, which a TypeError names.
+    """
+    _check_types(owner, ("phi_p", phi_p, AParameter), ("eta_p", eta_p, SignCharacter),
+                 ("target", target, Signature))
     if target.n != phi_p.m:
         raise PreconditionViolation(f"target size {target.n} != parameter size {phi_p.m}")
     if len(eta_p.values) != phi_p.n + 1:
@@ -594,7 +610,7 @@ def eta_prime_sign_ok(phi_p: AParameter, eta_p: SignCharacter, target: Signature
     raises InternalLemmaMismatch. Only the unit block signs are counted;
     no block is built.
     """
-    _check_character(phi_p, eta_p, target)
+    _check_character("eta_prime_sign_ok", phi_p, eta_p, target)
     e0, tail = eta_p.values[0], eta_p.values[1:]
     r_units = _unit_block_signs(phi_p, tail).count((1, 0))
     r_i0, s_i0 = target.p - r_units, target.q - (phi_p.n - r_units)
@@ -611,7 +627,7 @@ def sigma_from_eta_prime(
     its unit blocks built and checked once; both forms of the sign gate
     are still evaluated and compared, as in eta_prime_sign_ok.
     """
-    _check_character(phi_p, eta_p, target)
+    _check_character("sigma_from_eta_prime", phi_p, eta_p, target)
     return _sigma_units(phi_p, eta_p.values[1:]).at(eta_p.values[0], target)
 
 

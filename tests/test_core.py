@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from thetalift import (
+    AParameter,
     ChainNotPresent,
     EnumerationBounds,
     HCParam,
@@ -27,8 +28,10 @@ from thetalift import (
     half,
     lift,
     lift_down,
+    li_sufficient,
     lift_up,
     make_regular_deformation,
+    occurs,
     parse_half_list,
     split_abgd,
     split_mu,
@@ -298,6 +301,71 @@ def test_regular_deformation():
     assert moved.entries == (half(7), half(-7))
     with pytest.raises(PreconditionViolation):
         make_regular_deformation(lam, ctx, 0)
+
+
+# Each former copy of four rules that now have one home, called on an
+# input its rule refuses: (call, exception class, message). Each raises
+# what it raised while the rule was written out at the call site, with
+# one exception: verify_globalization's vanishing refusal now names the
+# parameter and the target, as lift_up's and lift_down's do.
+_LAM_2 = HCParam.parse("2 |")
+_LAM_11 = HCParam.from_twices(Signature(1, 1), (1, -1))
+_VANISHES = "vanishes: below the first occurrence in its tower"
+FORMER_COPIES = {
+    # the Z + (size-1)/2 class test
+    "HCParam": (lambda: HCParam(Signature(2, 0), (half(1), half(0))),
+                WrongParityClass, "entry 0 is not in Z + (2-1)/2"),
+    "HCParam.from_twices": (lambda: HCParam.from_twices(Signature(1, 1), (3, 2)),
+                            WrongParityClass, "entry 1 is not in Z + (2-1)/2"),
+    "LParameter": (lambda: LParameter((half(2), half(0))),
+                   WrongParityClass, "1 is not in Z + (2-1)/2"),
+    "LParameter.from_twices": (lambda: LParameter.from_twices((3, 2)),
+                               WrongParityClass, "1 is not in Z + (2-1)/2"),
+    "AParameter": (lambda: AParameter((3,), 1, 3), WrongParityClass, "3/2 is not in Z + (3-1)/2"),
+    # the refusal of a vanishing lift
+    "lift_up": (lambda: lift_up(_LAM_2, LiftContext(0, 1, 1, 2), Signature(0, 2)),
+                PreconditionViolation, f"lift of (2 | ) to (0,2) {_VANISHES}"),
+    "lift_down": (lambda: lift_down(_LAM_11, LiftContext(0, 0, 2, 0), Signature(0, 0)),
+                  PreconditionViolation, f"lift of (1/2 | -1/2) to (0,0) {_VANISHES}"),
+    "verify_globalization-vanishing":
+        (lambda: verify_globalization(_LAM_2, LiftContext(0, 1, 1, 2), Signature(0, 2), 1),
+         PreconditionViolation, f"lift of (2 | ) to (0,2) {_VANISHES}"),
+    # the m0 parity test
+    "occurs": (lambda: occurs(_LAM_2, 0, Signature(2, 1)),
+               ParityMismatch, "m0=0 must match target dimension 3 mod 2"),
+    "li_sufficient": (lambda: li_sufficient(_LAM_2, 0, Signature(2, 1)),
+                      ParityMismatch, "m0=0 must match target dimension 3 mod 2"),
+    # the deformation-step test
+    "make_regular_deformation-0":
+        (lambda: make_regular_deformation(_LAM_2, LiftContext(1, 1, 1, 3), 0),
+         PreconditionViolation, "deformation step must be a positive integer, got 0"),
+    "make_regular_deformation-float":
+        (lambda: make_regular_deformation(_LAM_2, LiftContext(1, 1, 1, 3), 1.5),
+         PreconditionViolation, "deformation step must be a positive integer, got 1.5"),
+    "verify_globalization-float":
+        (lambda: verify_globalization(_LAM_2, LiftContext(0, 1, 1, 2), Signature(2, 0), 1.0),
+         PreconditionViolation, "deformation step must be a positive integer, got 1.0"),
+    "verify_globalization-0":
+        (lambda: verify_globalization(_LAM_2, LiftContext(0, 1, 1, 2), Signature(2, 0), 0),
+         PreconditionViolation, "t=0 is below the regularity bound (m-n+1)/2"),
+}
+
+
+@pytest.mark.parametrize("call, error, message", FORMER_COPIES.values(), ids=FORMER_COPIES)
+def test_each_former_copy_of_a_rule_raises_as_before(call, error, message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message
+
+
+def test_a_bool_deformation_step_is_refused():
+    # True is an int subclass; a step test on isinstance took it as 1.
+    refused = "deformation step must be a positive integer, got True"
+    with pytest.raises(PreconditionViolation, match=f"^{refused}$"):
+        make_regular_deformation(_LAM_2, LiftContext(1, 1, 1, 3), True)
+    with pytest.raises(PreconditionViolation, match=f"^{refused}$"):
+        verify_globalization(_LAM_2, LiftContext(0, 1, 1, 2), Signature(2, 0), True)
 
 
 @given(st.integers(0, 3), st.integers(0, 3), st.data())

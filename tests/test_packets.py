@@ -121,6 +121,41 @@ def test_pi_from_eta_refuses_a_character_of_the_wrong_length():
             pi_from_eta(phi, SignCharacter(values))
 
 
+# Each public packet entry with one argument of the wrong type: a plain
+# tuple for a value object, or a parameter of the other kind. Each must
+# raise a TypeError that names the entry and the argument, never an
+# AttributeError from inside. A case is (entry, valid arguments, index
+# of the one replaced, its replacement, its name, the type it takes).
+_PHI = LParameter.from_twices((1, -1))
+_ETA = SignCharacter((1, 1))
+_PHI_P = AParameter((4,), 1, 3)
+_TARGET = Signature(2, 1)
+WRONG_TYPES = {
+    "pi_from_eta-tuple-eta": (pi_from_eta, (_PHI, _ETA), 1, (1, 1), "eta", "SignCharacter"),
+    "pi_from_eta-tuple-phi": (pi_from_eta, (_PHI, _ETA), 0, (1, -1), "phi", "LParameter"),
+    "pi_from_eta-AParameter-phi": (pi_from_eta, (_PHI, _ETA), 0, _PHI_P, "phi", "LParameter"),
+}
+for _entry in (sigma_from_eta_prime, eta_prime_sign_ok):
+    _valid = (_PHI_P, _ETA, _TARGET)
+    WRONG_TYPES.update({
+        f"{_entry.__name__}-tuple-eta_p": (_entry, _valid, 1, (1, 1), "eta_p", "SignCharacter"),
+        f"{_entry.__name__}-tuple-target": (_entry, _valid, 2, (2, 1), "target", "Signature"),
+        f"{_entry.__name__}-LParameter-phi_p": (_entry, _valid, 0, _PHI, "phi_p", "AParameter"),
+    })
+
+
+@pytest.mark.parametrize("entry, valid, at, value, name, kind", WRONG_TYPES.values(),
+                         ids=WRONG_TYPES)
+def test_packet_entries_refuse_a_wrong_type_by_name(entry, valid, at, value, name, kind):
+    entry(*valid)
+    args = list(valid)
+    args[at] = value
+    got = type(value).__name__
+    message = rf"^{entry.__name__}\(\) takes {name} of type {kind}, not {got}$"
+    with pytest.raises(TypeError, match=message):
+        entry(*args)
+
+
 def test_packet_round_trip_small():
     phi = LParameter((HalfInt(2), HalfInt(1), HalfInt(-3)))
     for eta, sig, lam in packet_members(phi):

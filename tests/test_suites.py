@@ -112,6 +112,27 @@ def test_fused_walk_keeps_each_suites_records_and_failures(monkeypatch):
             assert after == before, before.name
 
 
+def test_the_walk_calls_nonzero_only_checks_at_nonzero_targets_only(monkeypatch):
+    # The vanishing pass: the walk calls each check that judges no
+    # vanishing target once per nonzero target, and yields the shared
+    # vanishing case in its place at every other, so the counts and tags
+    # stay COUNTS'. 5,332 of the up targets are nonzero, 174 of the down.
+    calls = Counter()
+    for name in ("two_path", "globalization", "persistence", "round_trip"):
+        check, *rest = suites._CHECKS[name]
+
+        def counted(*args, _check=check, _name=name):
+            calls[_name] += 1
+            return _check(*args)
+
+        monkeypatch.setitem(suites._CHECKS, name, (counted, *rest))
+    for summary in run_suites(WALKED, ENUMERATION):
+        cases, tags = COUNTS[summary.name]
+        assert (summary.failures, summary.cases, summary.tags) == (0, cases, tags), summary.name
+    assert calls == {"two_path": 5332, "globalization": 5332, "persistence": 5332,
+                     "round_trip": 174}
+
+
 def test_route_b_runs_once_per_nonzero_form(monkeypatch):
     # The walk builds one _SigmaUnits per parameter, at its first nonzero
     # up target, and computes path B once per nonzero form, for two_path
